@@ -8,10 +8,15 @@
  * identical to the single-threaded run (exit code 1 on mismatch), so
  * the CI smoke job exercises the determinism guarantee end-to-end.
  *
+ * Timing alternates between the two pool sizes, one round at a time,
+ * and reports per-side medians: a host stall or a shift in core speed
+ * then lands on both sides alike instead of deciding the verdict.
+ *
  * Usage: bench_parallel_sweep [THREADS] [--json <path>]
  *   (THREADS default: ENA_THREADS / all)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -40,24 +45,34 @@ struct DseOutputs
 {
     std::vector<DsePoint> points;
     std::vector<TableIIRow> rows;
-    double sweepSec = 0.0;
-    double tableSec = 0.0;
+    std::vector<double> sweepSec;   ///< one sample per round
+    std::vector<double> tableSec;
 };
 
-DseOutputs
-runAll(const DesignSpaceExplorer &dse, const NodeConfig &best_mean,
-       int repeats)
+/** One round on a fresh @p threads pool: an untimed warm-up sweep,
+ *  then one timed sweep and one timed Table II search. */
+void
+timeRound(const DesignSpaceExplorer &dse, const NodeConfig &best_mean,
+          int threads, DseOutputs &out)
 {
-    DseOutputs out;
+    ThreadPool::setGlobalThreads(threads);
+    dse.sweep(PowerOptConfig::none());
+
     auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < repeats; ++r)
-        out.points = dse.sweep(PowerOptConfig::none());
-    out.sweepSec = secondsSince(t0) / repeats;
+    out.points = dse.sweep(PowerOptConfig::none());
+    out.sweepSec.push_back(secondsSince(t0));
 
     t0 = std::chrono::steady_clock::now();
     out.rows = dse.tableII(best_mean);
-    out.tableSec = secondsSince(t0);
-    return out;
+    out.tableSec.push_back(secondsSince(t0));
+}
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t m = v.size() / 2;
+    return v.size() % 2 ? v[m] : 0.5 * (v[m - 1] + v[m]);
 }
 
 bool
@@ -101,7 +116,7 @@ main(int argc, char **argv)
                       : ThreadPool::defaultThreads();
     if (threads < 1)
         threads = 1;
-    const int repeats = 5;
+    const int rounds = 15;
 
     bench::banner("Parallel sweep engine",
                   "Wall time of the paper DSE grid (sweep + Table II "
@@ -118,25 +133,30 @@ main(int argc, char **argv)
               << std::thread::hardware_concurrency()
               << "; parallel run uses " << threads << " thread(s)\n\n";
 
-    ThreadPool::setGlobalThreads(1);
-    DseOutputs serial = runAll(dse, best_mean, repeats);
+    DseOutputs serial, parallel;
+    for (int r = 0; r < rounds; ++r) {
+        timeRound(dse, best_mean, 1, serial);
+        timeRound(dse, best_mean, threads, parallel);
+    }
+    ThreadPool::setGlobalThreads(0);
 
-    ThreadPool::setGlobalThreads(threads);
-    DseOutputs parallel = runAll(dse, best_mean, repeats);
-
-    double sweep_speedup = serial.sweepSec / parallel.sweepSec;
-    double table_speedup = serial.tableSec / parallel.tableSec;
+    const double serial_sweep = median(serial.sweepSec);
+    const double parallel_sweep = median(parallel.sweepSec);
+    const double serial_table = median(serial.tableSec);
+    const double parallel_table = median(parallel.tableSec);
+    double sweep_speedup = serial_sweep / parallel_sweep;
+    double table_speedup = serial_table / parallel_table;
 
     TextTable t({"phase", "serial ms", "parallel ms", "speedup"});
     t.row()
         .add("full-grid sweep")
-        .add(serial.sweepSec * 1e3, "%.2f")
-        .add(parallel.sweepSec * 1e3, "%.2f")
+        .add(serial_sweep * 1e3, "%.3f")
+        .add(parallel_sweep * 1e3, "%.3f")
         .add(sweep_speedup, "%.2fx");
     t.row()
         .add("Table II search")
-        .add(serial.tableSec * 1e3, "%.2f")
-        .add(parallel.tableSec * 1e3, "%.2f")
+        .add(serial_table * 1e3, "%.3f")
+        .add(parallel_table * 1e3, "%.3f")
         .add(table_speedup, "%.2fx");
     bench::show(t, "parallel_sweep");
 
@@ -147,12 +167,12 @@ main(int argc, char **argv)
                       static_cast<double>(grid.size()));
         report.metric("apps", static_cast<double>(allApps().size()));
         report.metric("threads", threads);
-        report.metric("repeats", repeats);
-        report.metric("sweep_serial_ms", serial.sweepSec * 1e3);
-        report.metric("sweep_parallel_ms", parallel.sweepSec * 1e3);
+        report.metric("rounds", rounds);
+        report.metric("sweep_serial_ms", serial_sweep * 1e3);
+        report.metric("sweep_parallel_ms", parallel_sweep * 1e3);
         report.metric("sweep_speedup", sweep_speedup);
-        report.metric("tableII_serial_ms", serial.tableSec * 1e3);
-        report.metric("tableII_parallel_ms", parallel.tableSec * 1e3);
+        report.metric("tableII_serial_ms", serial_table * 1e3);
+        report.metric("tableII_parallel_ms", parallel_table * 1e3);
         report.metric("tableII_speedup", table_speedup);
         report.metric("bit_identical", bit_identical ? 1.0 : 0.0);
         if (!report.writeTo(json_path))

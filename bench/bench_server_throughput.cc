@@ -5,12 +5,11 @@
  *  (a) identity gate (fatal to the exit code): a sweep evaluated
  *      through a live ena-server over a Unix socket must be
  *      bit-identical to serial local evaluation, point for point;
- *  (b) throughput: requests/sec for single-point eval_node calls with
- *      a cold and a warm process-wide memo cache, and points/sec for
- *      one large sweep request (the batch path).
+ *  (b) throughput: requests/sec for single-point eval_node calls, and
+ *      points/sec for one large sweep request.
  *
  * Usage: bench_server_throughput [REQUESTS] [--json <path>]
- *        (default 2000 eval_node requests per phase)
+ *        (default 2000 eval_node requests)
  */
 
 #include <chrono>
@@ -23,7 +22,6 @@
 
 #include "bench_util.hh"
 #include "common/node_config_io.hh"
-#include "core/eval_memo.hh"
 #include "server/client.hh"
 #include "server/server.hh"
 
@@ -60,8 +58,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/** The request mix for the throughput phases: distinct configs so the
- *  cold phase misses the memo on every request. */
+/** The request mix for the eval_node phase: distinct configs. */
 std::vector<NodeConfig>
 requestConfigs(int n)
 {
@@ -111,7 +108,7 @@ main(int argc, char **argv)
 
     bench::banner("the evaluation server",
                   "Local-vs-server bit-identity gate and request "
-                  "throughput (cold / warm memo)");
+                  "throughput");
 
     ServerOptions opts;
     opts.endpoint = Endpoint::unixPath(
@@ -158,19 +155,11 @@ main(int argc, char **argv)
     check(identical && i == points->size(),
           "server sweep is bit-identical to serial local evaluation");
 
-    // --- (b) throughput: eval_node requests/sec, cold then warm memo.
-    const EvalMemoCache &memo = EvalMemoCache::sharedInstance();
-    std::vector<NodeConfig> cfgs = requestConfigs(requests);
+    // --- (b) throughput: eval_node requests/sec.
+    double evalRps =
+        evalNodePhase(client, requestConfigs(requests), "hpgmg");
 
-    std::uint64_t misses0 = memo.misses();
-    double coldRps = evalNodePhase(client, cfgs, "hpgmg");
-    check(memo.misses() > misses0, "cold phase misses the memo cache");
-
-    std::uint64_t hits0 = memo.hits();
-    double warmRps = evalNodePhase(client, cfgs, "hpgmg");
-    check(memo.hits() > hits0, "warm phase hits the memo cache");
-
-    // One large sweep request: the server-side batch path.
+    // One large sweep request.
     auto t0 = std::chrono::steady_clock::now();
     auto big = client.sweepAxis("comd", "freq", 0.5, 1.5, 0.0005);
     double sweepSec = secondsSince(t0);
@@ -181,9 +170,8 @@ main(int argc, char **argv)
     }
     double sweepPps = static_cast<double>(big->size()) / sweepSec;
 
-    std::cout << "\nrequests per phase:     " << requests
-              << "\ncold requests/sec:      " << coldRps
-              << "\nwarm requests/sec:      " << warmRps
+    std::cout << "\neval_node requests:     " << requests
+              << "\neval_node requests/sec: " << evalRps
               << "\nsweep points/sec:       " << sweepPps << " ("
               << big->size() << " points in one request)\n";
 
@@ -193,8 +181,7 @@ main(int argc, char **argv)
     if (!jsonPath.empty()) {
         bench::JsonReport report("server_throughput");
         report.metric("requests", requests);
-        report.metric("cold_requests_per_sec", coldRps);
-        report.metric("warm_requests_per_sec", warmRps);
+        report.metric("eval_node_requests_per_sec", evalRps);
         report.metric("sweep_points_per_sec", sweepPps);
         report.metric("sweep_points", static_cast<double>(big->size()));
         report.metric("identical", identical ? 1.0 : 0.0);

@@ -5,10 +5,11 @@
  *
  *  1. Disabled overhead: with tracing and metrics off, the instrumented
  *     DesignSpaceExplorer::sweep must stay within 2% of a bench-local
- *     replica of the same loop with no span/trace calls at all. Both
- *     sides share NodeEvaluator's single always-on relaxed counter
- *     increment per evaluation — the gate measures the span and trace
- *     machinery added around it.
+ *     replica of the same algorithm with no telemetry calls of its
+ *     own. Both sides make the same evaluateBatchAll calls over the
+ *     same pool chunks (so they share the evaluator's and the pool's
+ *     telemetry); the gate measures only the spans, counters and gauge
+ *     the sweep adds around them.
  *
  *  2. Determinism: with tracing AND metrics enabled (in memory), the
  *     parallel sweep must stay element-for-element bit-identical to
@@ -19,6 +20,7 @@
  * Usage: bench_telemetry_overhead [THREADS]   (default: ENA_THREADS/all)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -45,8 +47,10 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * The sweep body with zero telemetry in the loop: same enumeration
- * order, same evaluator calls, results into per-index slots.
+ * DesignSpaceExplorer::sweep(none, no journal) without its telemetry:
+ * the same enumeration and validation, then the same evaluateBatchAll
+ * calls over the same sweepChunkSize chunks on the pool, results into
+ * per-index slots.
  */
 std::vector<DsePoint>
 plainSweep(const NodeEvaluator &eval, const DseGrid &grid,
@@ -55,19 +59,40 @@ plainSweep(const NodeEvaluator &eval, const DseGrid &grid,
     const std::size_t nf = grid.freqsGhz.size();
     const std::size_t nb = grid.bwsTbs.size();
     std::vector<DsePoint> points(grid.size());
+    std::vector<std::size_t> todo;
+    todo.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        NodeConfig cfg;
+        NodeConfig &cfg = points[i].cfg;
         cfg.cus = grid.cus[i / (nf * nb)];
         cfg.freqGhz = grid.freqsGhz[(i / nb) % nf];
         cfg.bwTbs = grid.bwsTbs[i % nb];
         cfg.opts = PowerOptConfig::none();
-        DsePoint &p = points[i];
-        p.cfg = cfg;
-        p.geomeanFlops = eval.geomeanFlops(cfg);
-        p.meanBudgetPowerW = eval.meanBudgetPower(cfg);
-        p.maxBudgetPowerW = eval.maxBudgetPower(cfg);
-        p.feasible = p.maxBudgetPowerW <= budget_w;
+        if (cfg.tryValidate().ok())
+            todo.push_back(i);
     }
+
+    const std::size_t chunk =
+        sweepChunkSize(todo.size(), ThreadPool::global().threads());
+    const std::size_t num_chunks = (todo.size() + chunk - 1) / chunk;
+    ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
+        const std::size_t begin = c * chunk;
+        const std::size_t end = std::min(begin + chunk, todo.size());
+        NodeConfigBatch b;
+        b.base.opts = PowerOptConfig::none();
+        b.reserve(end - begin);
+        for (std::size_t j = begin; j < end; ++j) {
+            const NodeConfig &cfg = points[todo[j]].cfg;
+            b.push(cfg.cus, cfg.freqGhz, cfg.bwTbs);
+        }
+        BatchAggregates agg = eval.evaluateBatchAll(b);
+        for (std::size_t j = begin; j < end; ++j) {
+            DsePoint &p = points[todo[j]];
+            p.geomeanFlops = agg.geomeanFlops[j - begin];
+            p.meanBudgetPowerW = agg.meanBudgetPowerW[j - begin];
+            p.maxBudgetPowerW = agg.maxBudgetPowerW[j - begin];
+            p.feasible = p.maxBudgetPowerW <= budget_w;
+        }
+    });
     return points;
 }
 
@@ -137,7 +162,7 @@ main(int argc, char **argv)
             plain_best = std::min(plain_best, secondsSince(t0));
 
             t0 = std::chrono::steady_clock::now();
-            instr_pts = dse.sweep(PowerOptConfig::none());
+            instr_pts = dse.sweep(PowerOptConfig::none(), nullptr);
             instr_best = std::min(instr_best, secondsSince(t0));
         }
         overhead_pct = (instr_best / plain_best - 1.0) * 100.0;

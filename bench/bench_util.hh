@@ -142,7 +142,7 @@ jsonPathFromArgs(int argc, char **argv)
     return "";
 }
 
-/** True when @p flag (e.g. "--strict") appears anywhere in argv. */
+/** True when @p flag (e.g. "--all") appears anywhere in argv. */
 inline bool
 hasFlag(int argc, char **argv, const std::string &flag)
 {

@@ -12,10 +12,10 @@
  *   best-mean configuration 320 / 1.0 / 3.0).
  *
  * With --server the sweep is evaluated by a running ena-server (the
- * thin-client mode: all model work happens in the daemon, through the
- * process-wide memo cache) and the CSV is byte-identical to the local
- * run — the wire protocol round-trips every double exactly and the
- * formatting below happens client-side in both modes.
+ * thin-client mode: all model work happens in the daemon) and the CSV
+ * is byte-identical to the local run — the wire protocol round-trips
+ * every double exactly and the formatting below happens client-side in
+ * both modes.
  *
  * Example:
  *   sweep_tool lulesh bw 1 7 0.5

@@ -79,7 +79,6 @@ ScaleOutStudy::scalingCurve(const NodeConfig &cfg, App app,
             // Explicit torus dims only fit the base node count.
             cc.torusX = cc.torusY = cc.torusZ = 0;
             ClusterEvaluator ce(eval_, cc);
-            ce.setMemoCache(&memo_);
             ClusterResult r = ce.evaluate(cfg, app, spec);
             ScalingPoint p;
             p.nodes = cc.nodes;
@@ -115,7 +114,6 @@ ScaleOutStudy::fig14(const std::vector<int> &cus,
 {
     ENA_SPAN("cluster", "fig14_sweep");
     ClusterEvaluator ce(eval_, base_);
-    ce.setMemoCache(&memo_);
     return ThreadPool::global().parallelMap(
         cus.size(), [&](std::size_t i) {
             // The Fig. 14 operating point (see
@@ -194,7 +192,6 @@ ScaleOutStudy::topologySweep(
             } else {
                 try {
                     ClusterEvaluator ce(eval_, cc);
-                    ce.setMemoCache(&memo_);
                     ClusterResult r = ce.evaluate(cfg, app, spec);
                     p.avgHops = ce.network().avgHops();
                     p.bisectionGbs = ce.network().bisectionGbs();

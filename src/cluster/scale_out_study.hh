@@ -114,12 +114,6 @@ class ScaleOutStudy
 
     const NodeEvaluator &eval_;
     ClusterConfig base_;
-    /**
-     * Shared by every per-cell ClusterEvaluator: a sweep varies the
-     * cluster shape, not the node config, so all cells reuse one
-     * memoized node evaluation per (config, app).
-     */
-    mutable EvalMemoCache memo_;
 };
 
 } // namespace ena

@@ -45,6 +45,17 @@ struct PowerOptConfig
     }
 };
 
+/**
+ * Stable bitmask of the five toggles, one bit each (ntc is bit 0):
+ * the o<bits> tag in sweep-journal keys.
+ */
+inline int
+powerOptBits(const PowerOptConfig &o)
+{
+    return (o.ntc << 0) | (o.asyncCu << 1) | (o.asyncRouter << 2) |
+           (o.lpLinks << 3) | (o.compression << 4);
+}
+
 /** External-memory network configuration (Section II-B2). */
 struct ExtMemConfig
 {

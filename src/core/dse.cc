@@ -33,26 +33,6 @@ failedCounter()
     return c;
 }
 
-/** Stable bitmask of the power-opt toggles, for journal keys. */
-int
-optsBits(const PowerOptConfig &o)
-{
-    return powerOptBits(o);
-}
-
-/**
- * Points per batch: large enough that the per-batch term caches
- * amortize (each batch pays one pow() per distinct axis value it
- * touches), small enough that every worker gets several batches.
- */
-std::size_t
-batchChunkSize(std::size_t n, int threads)
-{
-    std::size_t per_thread =
-        n / (static_cast<std::size_t>(threads) * 4);
-    return std::clamp<std::size_t>(per_thread, 32, 4096);
-}
-
 /**
  * Journal payload for one DsePoint. Doubles travel as hexfloats so a
  * resumed sweep reproduces the uninterrupted table bit-for-bit; the
@@ -110,6 +90,14 @@ publishSweepRate(std::size_t n, double t0_us)
 
 } // anonymous namespace
 
+std::size_t
+sweepChunkSize(std::size_t n, int threads)
+{
+    std::size_t per_thread =
+        n / (static_cast<std::size_t>(threads) * 4);
+    return std::clamp<std::size_t>(per_thread, 32, 4096);
+}
+
 DseGrid
 DseGrid::paperGrid()
 {
@@ -161,12 +149,11 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
     // Two phases. Phase 1 (serial, cheap): replay journaled points and
     // quarantine invalid configs, collecting the surviving indices.
     // Phase 2: batched evaluation of the survivors on the ThreadPool —
-    // chunks become NodeConfigBatches sharing the sweep-level memo
-    // cache. Workers fill their own slots and all argmax reductions
-    // happen elsewhere in index order, so the output is identical to
-    // the serial enumeration for any thread count; with a journal
-    // every finished slot also streams to disk so a killed run resumes
-    // instead of recomputing.
+    // chunks become NodeConfigBatches. Workers fill their own slots and
+    // all argmax reductions happen elsewhere in index order, so the
+    // output is identical to the serial enumeration for any thread
+    // count; with a journal every finished slot also streams to disk so
+    // a killed run resumes instead of recomputing.
     ENA_SPAN("dse", "sweep");
     const double t0 = telemetry::nowUs();
     const std::size_t n = grid_.size();
@@ -181,7 +168,7 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
 
         if (journal) {
             keys[i] = strformat("dse[%zu]:%s:o%d", i,
-                                p.cfg.label().c_str(), optsBits(opts));
+                                p.cfg.label().c_str(), powerOptBits(opts));
             std::string payload;
             if (journal->lookup(keys[i], &payload)) {
                 DsePoint j = p;
@@ -212,7 +199,7 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
         NodeConfig base;
         base.opts = opts;
         const std::size_t chunk =
-            batchChunkSize(todo.size(), ThreadPool::global().threads());
+            sweepChunkSize(todo.size(), ThreadPool::global().threads());
         const std::size_t num_chunks = (todo.size() + chunk - 1) / chunk;
         ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
             telemetry::ScopedSpan span("dse", "evaluate_batch");
@@ -229,7 +216,7 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
             }
 
             try {
-                BatchAggregates agg = eval_.evaluateBatchAll(b, &memo_);
+                BatchAggregates agg = eval_.evaluateBatchAll(b);
                 for (std::size_t j = begin; j < end; ++j) {
                     DsePoint &p = points[todo[j]];
                     p.geomeanFlops = agg.geomeanFlops[j - begin];
@@ -306,7 +293,7 @@ DesignSpaceExplorer::findBestForApp(App app,
     NodeConfig base;
     base.opts = opts;
     const std::size_t chunk =
-        batchChunkSize(n, ThreadPool::global().threads());
+        sweepChunkSize(n, ThreadPool::global().threads());
     const std::size_t num_chunks = (n + chunk - 1) / chunk;
     ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
         const std::size_t begin = c * chunk;
@@ -318,7 +305,7 @@ DesignSpaceExplorer::findBestForApp(App app,
             NodeConfig cfg = configAt(i, opts);
             b.push(cfg.cus, cfg.freqGhz, cfg.bwTbs);
         }
-        BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
+        BatchEvalResult r = eval_.evaluateBatch(b, app);
         for (std::size_t i = begin; i < end; ++i) {
             flops[i] = r.flops[i - begin];
             budget[i] = r.budgetPowerW[i - begin];

@@ -50,6 +50,15 @@ struct DseGrid
     }
 };
 
+/**
+ * Points per ThreadPool chunk when @p n points are swept on @p threads
+ * workers: large enough that the per-batch term caches amortize (each
+ * batch pays one pow() per distinct axis value it touches), small
+ * enough that every worker gets several chunks. The explorer and the
+ * server's sweep op both chunk with it.
+ */
+std::size_t sweepChunkSize(std::size_t n, int threads);
+
 /** One candidate's scores. */
 struct DsePoint
 {
@@ -95,11 +104,9 @@ struct TableIIRow
  * argmax reductions happen on the caller in grid-enumeration order.
  *
  * Grid points are scored through NodeEvaluator::evaluateBatch —
- * ThreadPool chunks become batches — with a sweep-level EvalMemoCache
- * shared across sweeps and searches of the same explorer: repeated
- * evaluations of a (config, app) pair (tableII's per-app searches,
- * repeated sweeps) are served from the cache, which is bit-identical
- * to recomputation by construction (see core/eval_memo.hh).
+ * ThreadPool chunks of sweepChunkSize() points become batches — and
+ * every search evaluates its points afresh: one (config, app)
+ * evaluation is cheaper than any cache lookup would be.
  */
 class DesignSpaceExplorer
 {
@@ -139,8 +146,12 @@ class DesignSpaceExplorer
 
     const DseGrid &grid() const { return grid_; }
 
-    /** The sweep-level memo cache (telemetry: dse.memo_hits/_misses). */
-    const EvalMemoCache &memoCache() const { return memo_; }
+    /** Retired (see core/eval_memo.hh): its counters always read 0. */
+    const EvalMemoCache &
+    memoCache() const
+    {
+        return EvalMemoCache::sharedInstance();
+    }
 
   private:
     /** The grid point at flat index i (row-major over cus/freq/bw). */
@@ -150,7 +161,6 @@ class DesignSpaceExplorer
     const NodeEvaluator &eval_;
     DseGrid grid_;
     double budgetW_;
-    mutable EvalMemoCache memo_;
 };
 
 } // namespace ena

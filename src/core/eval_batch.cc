@@ -5,14 +5,13 @@
  * Layering: the scalar evaluate() in node_evaluator.cc is the
  * reference oracle; everything here reuses the identical inline term
  * functions (core/perf_terms.hh, power/power_terms.hh), adding only
- * per-batch term caches and the sweep-level EvalMemoCache — both of
- * which return previously computed doubles for exactly-equal inputs,
- * so the batch results match the oracle bit for bit.
+ * per-batch term caches, which return previously computed doubles for
+ * exactly-equal inputs, so the batch results match the oracle bit for
+ * bit.
  */
 
 #include <algorithm>
 
-#include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
 #include "core/perf_terms.hh"
 #include "power/power_terms.hh"
@@ -44,30 +43,9 @@ batchSizeHistogram()
 
 } // anonymous namespace
 
-EvalResult
-NodeEvaluator::evaluateMemo(const NodeConfig &cfg, App app,
-                            EvalMemoCache &memo) const
-{
-    evalsCounter().add();
-
-    EvalResult r;
-    r.app = app;
-    PerfMemoKey pk = perfMemoKey(app, cfg.cus, cfg.freqGhz, cfg.bwTbs);
-    if (!memo.findPerf(pk, &r.perf)) {
-        r.perf = perfModel_.evaluate(cfg, profileFor(app));
-        memo.storePerf(pk, r.perf);
-    }
-    PowerMemoKey wk = powerMemoKey(app, cfg);
-    if (!memo.findPower(wk, &r.power)) {
-        r.power = powerModel_.evaluate(cfg, r.perf.activity);
-        memo.storePower(wk, r.power);
-    }
-    return r;
-}
-
 BatchEvalResult
-NodeEvaluator::evaluateBatch(const NodeConfigBatch &batch, App app,
-                             EvalMemoCache *memo) const
+NodeEvaluator::evaluateBatch(const NodeConfigBatch &batch,
+                             App app) const
 {
     const std::size_t n = batch.size();
     BatchEvalResult out;
@@ -101,11 +79,6 @@ NodeEvaluator::evaluateBatch(const NodeConfigBatch &batch, App app,
     TermCache cu_scale_c, f_scale_c, usable_c, pow_compute_c;
     TermCache vf_dyn_c, vf_stat_c, hbm_static_c;
 
-    // Memo keys: the per-batch constants are filled once, the three
-    // knobs patched per point.
-    PerfMemoKey pkey = perfMemoKey(app, 0, 0.0, 0.0);
-    PowerMemoKey wkey = powerMemoKey(app, base);
-
     for (std::size_t i = 0; i < n; ++i) {
         const int cus = batch.cus[i];
         const double f = batch.freqsGhz[i];
@@ -115,63 +88,37 @@ NodeEvaluator::evaluateBatch(const NodeConfigBatch &batch, App app,
             batch.at(i).validate();
         }
 
-        PerfResult perf;
-        bool have_perf = false;
-        if (memo) {
-            pkey.cus = cus;
-            pkey.freqBits = bitsOf(f);
-            pkey.bwBits = bitsOf(bw);
-            have_perf = memo->findPerf(pkey, &perf);
-        }
-        if (!have_perf) {
-            double cu_scale = cu_scale_c.getOrCompute(
-                static_cast<std::uint32_t>(cus),
-                [&] { return perf_terms::cuScale(cus, k); });
-            double f_scale = f_scale_c.getOrCompute(
-                bitsOf(f), [&] { return perf_terms::freqScale(f, k); });
-            double usable = usable_c.getOrCompute(bitsOf(bw), [&] {
-                return perf_terms::usableBandwidthGbs(bw, k);
-            });
-            // The compute roofline (and its smooth-min pow) depends
-            // only on (cus, freq): cache it across the bandwidth axis,
-            // keyed by the rate's own bit pattern.
-            double peak = perf_terms::peakFlops(cus, f);
-            double compute_rate =
-                perf_terms::computeRate(peak, k, cu_scale, f_scale);
-            double pow_compute = pow_compute_c.getOrCompute(
-                bitsOf(compute_rate),
-                [&] { return perf_terms::rooflinePow(compute_rate); });
-            perf = perf_terms::evaluatePerfPre(cus, f, bw, k, peak,
-                                               compute_rate, pow_compute,
-                                               usable);
-            if (memo)
-                memo->storePerf(pkey, perf);
-        }
+        double cu_scale = cu_scale_c.getOrCompute(
+            static_cast<std::uint32_t>(cus),
+            [&] { return perf_terms::cuScale(cus, k); });
+        double f_scale = f_scale_c.getOrCompute(
+            bitsOf(f), [&] { return perf_terms::freqScale(f, k); });
+        double usable = usable_c.getOrCompute(bitsOf(bw), [&] {
+            return perf_terms::usableBandwidthGbs(bw, k);
+        });
+        // The compute roofline (and its smooth-min pow) depends only on
+        // (cus, freq): cache it across the bandwidth axis, keyed by the
+        // rate's own bit pattern.
+        double peak = perf_terms::peakFlops(cus, f);
+        double compute_rate =
+            perf_terms::computeRate(peak, k, cu_scale, f_scale);
+        double pow_compute = pow_compute_c.getOrCompute(
+            bitsOf(compute_rate),
+            [&] { return perf_terms::rooflinePow(compute_rate); });
+        PerfResult perf = perf_terms::evaluatePerfPre(
+            cus, f, bw, k, peak, compute_rate, pow_compute, usable);
 
-        PowerBreakdown power;
-        bool have_power = false;
-        if (memo) {
-            wkey.cus = cus;
-            wkey.freqBits = bitsOf(f);
-            wkey.bwBits = bitsOf(bw);
-            have_power = memo->findPower(wkey, &power);
-        }
-        if (!have_power) {
-            power_terms::VfScales vf;
-            vf.dyn = vf_dyn_c.getOrCompute(
-                bitsOf(f), [&] { return vf_curve.dynScale(f, ntc); });
-            vf.stat = vf_stat_c.getOrCompute(
-                bitsOf(f), [&] { return vf_curve.staticScale(f, ntc); });
-            double hbm_static = hbm_static_c.getOrCompute(bitsOf(bw), [&] {
-                return power_terms::hbmStaticW(bw, base.gpuChiplets);
-            });
-            power = power_terms::evaluatePower(cus, f, base.opts,
-                                               base.ext, perf.activity,
-                                               vf, hbm_static,
-                                               ext_static);
-            if (memo)
-                memo->storePower(wkey, power);
-        }
+        power_terms::VfScales vf;
+        vf.dyn = vf_dyn_c.getOrCompute(
+            bitsOf(f), [&] { return vf_curve.dynScale(f, ntc); });
+        vf.stat = vf_stat_c.getOrCompute(
+            bitsOf(f), [&] { return vf_curve.staticScale(f, ntc); });
+        double hbm_static = hbm_static_c.getOrCompute(bitsOf(bw), [&] {
+            return power_terms::hbmStaticW(bw, base.gpuChiplets);
+        });
+        PowerBreakdown power = power_terms::evaluatePower(
+            cus, f, base.opts, base.ext, perf.activity, vf, hbm_static,
+            ext_static);
 
         out.flops[i] = perf.flops;
         out.budgetPowerW[i] = power.budgetPower();
@@ -182,8 +129,7 @@ NodeEvaluator::evaluateBatch(const NodeConfigBatch &batch, App app,
 }
 
 BatchAggregates
-NodeEvaluator::evaluateBatchAll(const NodeConfigBatch &batch,
-                                EvalMemoCache *memo) const
+NodeEvaluator::evaluateBatchAll(const NodeConfigBatch &batch) const
 {
     const std::size_t n = batch.size();
     const std::vector<App> &apps = allApps();
@@ -191,7 +137,7 @@ NodeEvaluator::evaluateBatchAll(const NodeConfigBatch &batch,
     std::vector<BatchEvalResult> per_app;
     per_app.reserve(apps.size());
     for (App app : apps)
-        per_app.push_back(evaluateBatch(batch, app, memo));
+        per_app.push_back(evaluateBatch(batch, app));
 
     // Assemble per-point aggregates with the exact fold the scalar
     // helpers use: geomean/mean over allApps() order, max from 0.0.

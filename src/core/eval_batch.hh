@@ -4,8 +4,7 @@
  * DSE hot path. A NodeConfigBatch holds the three swept knobs as
  * parallel arrays over a shared base config; evaluateBatch() scores
  * thousands of grid points per call with tight, vectorizable inner
- * loops, per-batch caches for the expensive pow() terms, and an
- * optional sweep-level EvalMemoCache shared across batches.
+ * loops and per-batch caches for the expensive pow() terms.
  *
  * Results are bit-identical to the scalar NodeEvaluator::evaluate()
  * oracle (enforced by test_eval_batch.cc and bench_batch_eval): both

@@ -17,8 +17,6 @@
 
 namespace ena {
 
-class EvalMemoCache;
-
 /** Perf and power of one (config, application) pair. */
 struct EvalResult
 {
@@ -39,29 +37,19 @@ class NodeEvaluator
     EvalResult evaluate(const NodeConfig &cfg, App app) const;
 
     /**
-     * Scalar evaluation through a sweep-level memo cache: identical
-     * bits to evaluate() (hits return previously computed results,
-     * misses compute through the same models and remember them).
-     */
-    EvalResult evaluateMemo(const NodeConfig &cfg, App app,
-                            EvalMemoCache &memo) const;
-
-    /**
      * Batch hot path: score every point of @p batch for one
      * application. Bit-identical to calling evaluate() per point (the
-     * scalar path is the reference oracle). @p memo, when given, is a
-     * sweep-level cache shared across batches and threads.
+     * scalar path is the reference oracle).
      */
-    BatchEvalResult evaluateBatch(const NodeConfigBatch &batch, App app,
-                                  EvalMemoCache *memo = nullptr) const;
+    BatchEvalResult evaluateBatch(const NodeConfigBatch &batch,
+                                  App app) const;
 
     /**
      * Score every point of @p batch across all Table I applications
      * and assemble the DSE aggregates; element i is bit-identical to
      * geomeanFlops/meanBudgetPower/maxBudgetPower of batch.at(i).
      */
-    BatchAggregates evaluateBatchAll(const NodeConfigBatch &batch,
-                                     EvalMemoCache *memo = nullptr) const;
+    BatchAggregates evaluateBatchAll(const NodeConfigBatch &batch) const;
 
     /** Evaluate every Table I application on one configuration. */
     std::vector<EvalResult> evaluateAll(const NodeConfig &cfg) const;

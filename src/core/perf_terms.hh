@@ -7,10 +7,10 @@
  * Both paths execute the *same* IEEE-754 operation sequence on the
  * same inputs, which is what makes batched results bit-identical to
  * scalar ones. Each term's parameter list names exactly the NodeConfig
- * fields it reads — this is the content address used by the
- * memoization caches (core/eval_memo.hh): a term whose inputs repeat
- * across grid points may be served from cache because recomputing it
- * would produce the same bits.
+ * fields it reads — this is the key of the batch evaluator's per-batch
+ * term caches (util/memo.hh): a term whose inputs repeat across grid
+ * points may be served from cache because recomputing it would produce
+ * the same bits.
  *
  * Do not "simplify" the expressions here: reassociating a product or
  * hoisting a division changes the rounding sequence and breaks the

@@ -13,22 +13,12 @@ ReconfigGovernor::ReconfigGovernor(const NodeEvaluator &eval,
     ENA_ASSERT(params_.cuStep > 0, "bad CU-gating step");
 }
 
-EvalResult
-ReconfigGovernor::evaluateSetting(App app, int cus, double f) const
-{
-    NodeConfig cfg = params_.installed;
-    cfg.cus = cus;
-    cfg.freqGhz = f;
-    return eval_.evaluate(cfg, app);
-}
-
 GovernorDecision
 ReconfigGovernor::decide(App app) const
 {
-    // Batch the whole (CU gating x DVFS) candidate grid; the governor
-    // memo makes repeated phases of the same kernel near-free. The
-    // argmax runs in the original enumeration order (cus outer, freq
-    // inner, strict greater-than), so decisions are unchanged.
+    // Batch the whole (CU gating x DVFS) candidate grid. The argmax
+    // runs in the original enumeration order (cus outer, freq inner,
+    // strict greater-than), so decisions are unchanged.
     NodeConfigBatch b;
     b.base = params_.installed;
     for (int cus = params_.cuStep; cus <= params_.installed.cus;
@@ -36,7 +26,7 @@ ReconfigGovernor::decide(App app) const
         for (double f : params_.freqsGhz)
             b.push(cus, f, params_.installed.bwTbs);
     }
-    BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
+    BatchEvalResult r = eval_.evaluateBatch(b, app);
 
     GovernorDecision best;
     for (std::size_t i = 0; i < b.size(); ++i) {
@@ -69,10 +59,8 @@ ReconfigGovernor::run(const std::vector<Phase> &phases) const
         ENA_ASSERT(ph.seconds > 0.0, "phase needs positive duration");
         total_time += ph.seconds;
 
-        // Static: installed hardware at its nominal settings (memoized
-        // — every phase of the same kernel reuses the first result).
-        EvalResult st = eval_.evaluateMemo(params_.installed, ph.app,
-                                           memo_);
+        // Static: installed hardware at its nominal settings.
+        EvalResult st = eval_.evaluate(params_.installed, ph.app);
         s.staticWork += st.perf.flops * ph.seconds;
         static_energy += st.power.budgetPower() * ph.seconds;
 

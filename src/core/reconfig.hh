@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
 #include "workloads/kernel_profile.hh"
 
@@ -80,13 +79,8 @@ class ReconfigGovernor
     const GovernorParams &params() const { return params_; }
 
   private:
-    /** Evaluate one (active CUs, freq) candidate for one kernel. */
-    EvalResult evaluateSetting(App app, int cus, double f) const;
-
     const NodeEvaluator &eval_;
     GovernorParams params_;
-    /** Dedupes per-phase decide() sweeps across repeated kernels. */
-    mutable EvalMemoCache memo_;
 };
 
 } // namespace ena

@@ -25,17 +25,15 @@ std::vector<OpbCurve>
 OpbSweepStudy::sweepFrequency(App app, const std::vector<double> &bws,
                               const std::vector<double> &freqs) const
 {
-    // One batch over the flattened (bw, freq) cross product; the whole
-    // sweep shares this study's memo cache, so the base config and any
-    // repeated (knob, app) pairs are never re-evaluated.
-    double base = eval_.evaluateMemo(bestMean_, app, memo_).perf.flops;
+    // One batch over the flattened (bw, freq) cross product.
+    double base = eval_.evaluate(bestMean_, app).perf.flops;
     const std::size_t nf = freqs.size();
     NodeConfigBatch b;
     b.base = bestMean_;
     b.reserve(bws.size() * nf);
     for (std::size_t i = 0; i < bws.size() * nf; ++i)
         b.push(bestMean_.cus, freqs[i % nf], bws[i / nf]);
-    BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
+    BatchEvalResult r = eval_.evaluateBatch(b, app);
 
     std::vector<OpbCurve> curves(bws.size());
     for (std::size_t c = 0; c < bws.size(); ++c) {
@@ -56,14 +54,14 @@ std::vector<OpbCurve>
 OpbSweepStudy::sweepCuCount(App app, const std::vector<double> &bws,
                             const std::vector<int> &cus) const
 {
-    double base = eval_.evaluateMemo(bestMean_, app, memo_).perf.flops;
+    double base = eval_.evaluate(bestMean_, app).perf.flops;
     const std::size_t nc = cus.size();
     NodeConfigBatch b;
     b.base = bestMean_;
     b.reserve(bws.size() * nc);
     for (std::size_t i = 0; i < bws.size() * nc; ++i)
         b.push(cus[i % nc], bestMean_.freqGhz, bws[i / nc]);
-    BatchEvalResult r = eval_.evaluateBatch(b, app, &memo_);
+    BatchEvalResult r = eval_.evaluateBatch(b, app);
 
     std::vector<OpbCurve> curves(bws.size());
     for (std::size_t c = 0; c < bws.size(); ++c) {
@@ -196,15 +194,13 @@ ExascaleProjector::ExascaleProjector(const NodeEvaluator &eval, int nodes)
 double
 ExascaleProjector::systemExaflops(const NodeConfig &cfg, App app) const
 {
-    // The memo dedupes repeated projections of the same (cfg, app) —
-    // cluster sweeps project every topology cell from one node config.
-    return systemExaflops(eval_.evaluateMemo(cfg, app, memo_));
+    return systemExaflops(eval_.evaluate(cfg, app));
 }
 
 double
 ExascaleProjector::systemMw(const NodeConfig &cfg, App app) const
 {
-    return systemMw(eval_.evaluateMemo(cfg, app, memo_));
+    return systemMw(eval_.evaluate(cfg, app));
 }
 
 std::vector<ExascalePoint>
@@ -218,7 +214,7 @@ ExascaleProjector::sweepCus(const std::vector<int> &cus) const
     b.reserve(cus.size());
     for (int c : cus)
         b.push(c, base.freqGhz, base.bwTbs);
-    BatchEvalResult r = eval_.evaluateBatch(b, App::MaxFlops, &memo_);
+    BatchEvalResult r = eval_.evaluateBatch(b, App::MaxFlops);
 
     std::vector<ExascalePoint> out(cus.size());
     for (std::size_t i = 0; i < cus.size(); ++i) {

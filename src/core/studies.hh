@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/node_config.hh"
-#include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
 #include "workloads/kernel_profile.hh"
 
@@ -68,7 +67,6 @@ class OpbSweepStudy
   private:
     const NodeEvaluator &eval_;
     NodeConfig bestMean_;
-    mutable EvalMemoCache memo_;   ///< shared across this study's sweeps
 };
 
 // --------------------------------------------------------------------
@@ -207,7 +205,6 @@ class ExascaleProjector
   private:
     const NodeEvaluator &eval_;
     int nodes_;
-    mutable EvalMemoCache memo_;   ///< dedupes repeated projections
 };
 
 } // namespace ena

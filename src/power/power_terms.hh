@@ -5,8 +5,8 @@
  * (NodePowerModel::evaluate) and the batch evaluator — the power-side
  * twin of core/perf_terms.hh, with the same bit-identity contract:
  * both paths run the same IEEE-754 operation sequence, and each term's
- * parameter list names the NodeConfig fields it reads (its content
- * address for memoization).
+ * parameter list names the NodeConfig fields it reads (its key in the
+ * per-batch term caches).
  *
  * Do not reorder or reassociate the expressions here; the batch-vs-
  * scalar bit-identity gate depends on the exact rounding sequence.

@@ -11,7 +11,6 @@
 #include "taskgraph/task_dag_io.hh"
 #include "common/node_config_io.hh"
 #include "core/dse.hh"
-#include "core/eval_memo.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/config.hh"
@@ -37,15 +36,6 @@ errorsCounter()
     static telemetry::Counter &c = telemetry::counter(
         "server.errors", "requests answered with an error response");
     return c;
-}
-
-telemetry::Histogram &
-batchSizeHistogram()
-{
-    static telemetry::Histogram &h = telemetry::histogram(
-        "server.batch_size", "points per NodeConfigBatch on the server",
-        1.0, 2.0, 16);
-    return h;
 }
 
 /** Parse the "config" parameter (config-text) into a Config. */
@@ -97,18 +87,6 @@ nodeConfigJson(const NodeConfig &cfg)
     o.set("bw_tbs", cfg.bwTbs);
     o.set("label", cfg.label());
     return o;
-}
-
-/** dse.cc's chunking heuristic: big enough batches, bounded tail. */
-std::size_t
-batchChunkSize(std::size_t n, int threads)
-{
-    std::size_t per = n / (static_cast<std::size_t>(threads) * 4 + 1);
-    if (per < 32)
-        per = 32;
-    if (per > 4096)
-        per = 4096;
-    return per;
 }
 
 Expected<CommSpec>
@@ -258,7 +236,6 @@ EvalService::opPing() const
 Expected<wire::JsonValue>
 EvalService::opStats()
 {
-    const EvalMemoCache &memo = EvalMemoCache::sharedInstance();
     ThreadPool &pool = ThreadPool::global();
 
     JsonValue r = JsonValue::object();
@@ -275,13 +252,6 @@ EvalService::opStats()
             perOp.set(kv.first, static_cast<double>(kv.second));
     }
     r.set("per_op", std::move(perOp));
-
-    JsonValue m = JsonValue::object();
-    m.set("hits", static_cast<double>(memo.hits()));
-    m.set("misses", static_cast<double>(memo.misses()));
-    m.set("evictions", static_cast<double>(memo.evictions()));
-    m.set("entries", static_cast<double>(memo.size()));
-    r.set("memo", std::move(m));
 
     JsonValue p = JsonValue::object();
     p.set("threads", pool.threads());
@@ -306,9 +276,7 @@ EvalService::opEvalNode(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(Config cfg, configFromRequest(req));
     ENA_ASSIGN_OR_RETURN(NodeConfig node, tryNodeConfigFromConfig(cfg));
 
-    EvalResult r =
-        eval_.evaluateMemo(node, app, EvalMemoCache::sharedInstance());
-    return evalResultJson(node, r);
+    return evalResultJson(node, eval_.evaluate(node, app));
 }
 
 Expected<wire::JsonValue>
@@ -357,32 +325,19 @@ EvalService::opSweep(const wire::JsonValue &req)
         configs[i] = cfg;
     }
 
-    // Coalesce points into NodeConfigBatch chunks on the shared pool:
-    // evaluateBatch warms the process-wide memo with the full
-    // per-point results, then the scalar memo path assembles them (all
-    // hits, bit-identical to evaluate() by construction). Chunk tasks
+    // Evaluate the points in chunks on the shared pool. Chunk tasks
     // are where ENA_FAULT_INJECT strikes; the pool's retry policy
     // absorbs transient faults without perturbing results.
-    EvalMemoCache &memo = EvalMemoCache::sharedInstance();
     const std::size_t n = values.size();
     const std::size_t chunk =
-        batchChunkSize(n, ThreadPool::global().threads());
+        sweepChunkSize(n, ThreadPool::global().threads());
     const std::size_t chunks = (n + chunk - 1) / chunk;
     std::vector<EvalResult> results(n);
     parallel_for(chunks, [&](std::size_t c) {
         const std::size_t lo = c * chunk;
         const std::size_t hi = std::min(n, lo + chunk);
-        NodeConfigBatch batch;
-        batch.base = base;
-        batch.reserve(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-            batch.push(configs[i].cus, configs[i].freqGhz,
-                       configs[i].bwTbs);
-        }
-        batchSizeHistogram().sample(static_cast<double>(batch.size()));
-        eval_.evaluateBatch(batch, app, &memo);
         for (std::size_t i = lo; i < hi; ++i)
-            results[i] = eval_.evaluateMemo(configs[i], app, memo);
+            results[i] = eval_.evaluate(configs[i], app);
     });
 
     JsonValue points = JsonValue::array();
@@ -476,7 +431,6 @@ EvalService::opClusterEval(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(CommSpec spec, commSpecFromRequest(req));
 
     ClusterEvaluator ce(eval_, cluster);
-    ce.setMemoCache(&EvalMemoCache::sharedInstance());
     ClusterResult r = ce.evaluate(node, app, spec);
     return clusterResultJson(r);
 }
@@ -495,7 +449,6 @@ EvalService::opResilientEval(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(CommSpec comm, commSpecFromRequest(req));
 
     ClusterEvaluator ce(eval_, cluster);
-    ce.setMemoCache(&EvalMemoCache::sharedInstance());
     ResilientClusterEvaluator rce(ce, spec);
     ResilientResult r = rce.evaluate(node, app, comm);
 
@@ -534,10 +487,7 @@ EvalService::opTaskGraphEval(const wire::JsonValue &req)
     TaskDag dag = spec.build();
     ENA_TRY(dag.tryValidate());
     InterNodeNetwork net(cluster);
-    // Same memo path as every other op: node evaluations land in (and
-    // come from) the process-wide cache, bit-identical to local runs.
-    DagCostModel cost = DagCostModel::build(
-        dag, eval_, node, net, &EvalMemoCache::sharedInstance());
+    DagCostModel cost = DagCostModel::build(dag, eval_, node, net);
     Schedule s = scheduleDag(dag, cost, policy, cluster.nodes);
 
     JsonValue o = JsonValue::object();

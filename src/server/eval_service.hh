@@ -22,10 +22,9 @@
  * Error discipline: every failure crosses this boundary as an
  * ena::Status mapped to a structured error response — handle() never
  * throws and never calls a fatal path. Evaluations run on the shared
- * ThreadPool through the process-wide EvalMemoCache
- * (EvalMemoCache::sharedInstance()), so identical grid points across
- * any mix of clients evaluate once and results are bit-identical to
- * in-process evaluation by construction.
+ * ThreadPool through the same NodeEvaluator::evaluate() the library
+ * uses, so results are bit-identical to in-process evaluation by
+ * construction.
  *
  * Thread safety: handle()/handleLine() may be called concurrently from
  * any number of worker threads.

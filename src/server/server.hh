@@ -7,7 +7,7 @@
  * items into a bounded RequestQueue (backpressure toward slow or
  * flooding clients), and a fixed pool of worker threads pops items,
  * dispatches through EvalService — which runs evaluations on the
- * shared ThreadPool with the process-wide EvalMemoCache — and writes
+ * shared ThreadPool — and writes
  * the response line back under a per-connection write mutex (responses
  * to one connection's pipelined requests may interleave in completion
  * order; the echoed "id" field is the client's correlation handle).

@@ -81,8 +81,7 @@ class ResilientDagScheduler
     ResilientSchedule evaluate(const TaskDag &dag, const NodeConfig &cfg,
                                const InterNodeNetwork &net,
                                DagScheduler policy, int nodes,
-                               int spare_nodes,
-                               EvalMemoCache *memo = nullptr) const;
+                               int spare_nodes) const;
 
     const ResilienceSpec &spec() const { return spec_; }
     const FaultModel &faultModel() const { return fm_; }

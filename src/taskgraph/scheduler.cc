@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/eval_memo.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -96,8 +95,7 @@ DagCostModel::totalTaskSeconds() const
 
 DagCostModel
 DagCostModel::build(const TaskDag &dag, const NodeEvaluator &eval,
-                    const NodeConfig &cfg, const InterNodeNetwork &net,
-                    EvalMemoCache *memo)
+                    const NodeConfig &cfg, const InterNodeNetwork &net)
 {
     ENA_SPAN("taskgraph", "DagCostModel::build");
     DagCostModel cost;
@@ -114,9 +112,7 @@ DagCostModel::build(const TaskDag &dag, const NodeEvaluator &eval,
         const std::size_t a = static_cast<std::size_t>(t.app);
         ENA_ASSERT(a < napps, "bad App ", a, " on task ", t.id);
         if (!known[a]) {
-            EvalResult r = memo ? eval.evaluateMemo(cfg, t.app, *memo)
-                                : eval.evaluate(cfg, t.app);
-            flopsPerApp[a] = r.perf.flops;
+            flopsPerApp[a] = eval.evaluate(cfg, t.app).perf.flops;
             known[a] = true;
         }
         cost.taskSeconds[t.id] = t.flops / flopsPerApp[a];

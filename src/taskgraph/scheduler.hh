@@ -41,8 +41,6 @@
 
 namespace ena {
 
-class EvalMemoCache;
-
 /** The scheduling policies. */
 enum class DagScheduler
 {
@@ -97,14 +95,12 @@ struct DagCostModel
      * Price @p dag on the machine: task time from the evaluator's
      * achieved flops for each task's app on @p cfg, edge parameters
      * from the network's halo-pattern delivered bandwidth and
-     * average-hop latency. @p memo (optional) shares node evaluations
-     * across cost models bit-identically (evaluateMemo == evaluate).
+     * average-hop latency.
      */
     static DagCostModel build(const TaskDag &dag,
                               const NodeEvaluator &eval,
                               const NodeConfig &cfg,
-                              const InterNodeNetwork &net,
-                              EvalMemoCache *memo = nullptr);
+                              const InterNodeNetwork &net);
 };
 
 /** Where and when one task runs. */

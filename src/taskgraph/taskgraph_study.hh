@@ -9,9 +9,8 @@
  *    grid index, serial reduction in index order — bit-identical to a
  *    serial run at any thread count (gated by bench_taskgraph and
  *    tests/taskgraph);
- *  - node evaluations go through a study-owned EvalMemoCache
- *    (evaluateMemo == evaluate bitwise), so an 8-app DAG costs eight
- *    evaluator calls no matter how many cells the grid has;
+ *  - each cell prices the DAG with DagCostModel::build, which calls
+ *    the node evaluator once per distinct app, not once per task;
  *  - invalid cells are quarantined (ok == false, error says why), not
  *    fatal — one bad topology/node-count pairing cannot kill a sweep.
  *
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "cluster/cluster_config.hh"
-#include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
 #include "taskgraph/scheduler.hh"
 
@@ -109,7 +107,6 @@ class TaskGraphStudy
   private:
     const NodeEvaluator &eval_;
     ClusterConfig base_;
-    mutable EvalMemoCache memo_;
 };
 
 } // namespace ena

@@ -1,7 +1,7 @@
 /**
  * @file
  * Small helpers for content-addressed memoization of pure evaluation
- * terms (see core/eval_memo.hh and core/eval_batch.cc).
+ * terms (see core/eval_batch.cc).
  *
  * Keys are built from the *raw bit patterns* of the inputs a term
  * actually reads, never from rounded or hashed values, so a cache hit
@@ -36,13 +36,6 @@ memoMix(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Combine key words into one hash (order-sensitive). */
-inline std::uint64_t
-memoHash(std::uint64_t h, std::uint64_t w)
-{
-    return memoMix(h ^ memoMix(w));
-}
-
 /**
  * Exact-keyed open-addressed map from a 64-bit key to one double,
  * sized for per-batch term caches whose key cardinality is the axis
@@ -55,7 +48,9 @@ memoHash(std::uint64_t h, std::uint64_t w)
 class TermCache
 {
   public:
-    explicit TermCache(std::size_t initial_slots = 64)
+    /** Small by default: evaluateBatchAll builds 56 caches per batch,
+     *  and most hold a handful of entries (the table grows at 3/4). */
+    explicit TermCache(std::size_t initial_slots = 16)
     {
         slots_.resize(roundUpPow2(initial_slots));
     }

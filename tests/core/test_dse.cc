@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/dse.hh"
 #include "core/sweep_journal.hh"
+#include "util/thread_pool.hh"
 
 using namespace ena;
 
@@ -32,6 +35,84 @@ tinyGrid()
     g.freqsGhz = {0.9, 1.0};
     g.bwsTbs = {2.0, 3.0};
     return g;
+}
+
+/** Grid point @p i in the explorer's row-major (cus, freq, bw) order. */
+NodeConfig
+gridPoint(const DseGrid &g, std::size_t i, const PowerOptConfig &opts)
+{
+    const std::size_t nf = g.freqsGhz.size();
+    const std::size_t nb = g.bwsTbs.size();
+    NodeConfig cfg;
+    cfg.cus = g.cus[i / (nf * nb)];
+    cfg.freqGhz = g.freqsGhz[(i / nb) % nf];
+    cfg.bwTbs = g.bwsTbs[i % nb];
+    cfg.opts = opts;
+    return cfg;
+}
+
+/** findBestMean(none) + tableII as a serial argmax over evaluate(). */
+struct ScalarAnswer
+{
+    NodeConfig bestMean;
+    std::vector<TableIIRow> rows;
+};
+
+ScalarAnswer
+scalarTableII(const DseGrid &g, double budget)
+{
+    ScalarAnswer a;
+    std::optional<double> best;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        NodeConfig cfg = gridPoint(g, i, PowerOptConfig::none());
+        if (evaluator().maxBudgetPower(cfg) > budget)
+            continue;
+        double gm = evaluator().geomeanFlops(cfg);
+        if (!best || gm > *best) {
+            best = gm;
+            a.bestMean = cfg;
+        }
+    }
+    EXPECT_TRUE(best.has_value()) << "no feasible best-mean point";
+
+    for (App app : allApps()) {
+        TableIIRow row;
+        row.app = app;
+        const double base = evaluator().evaluate(a.bestMean, app).perf.flops;
+        for (bool with_opt : {false, true}) {
+            PowerOptConfig opts =
+                with_opt ? PowerOptConfig::all() : PowerOptConfig::none();
+            std::optional<double> top;
+            NodeConfig arg;
+            for (std::size_t i = 0; i < g.size(); ++i) {
+                NodeConfig cfg = gridPoint(g, i, opts);
+                EvalResult r = evaluator().evaluate(cfg, app);
+                if (r.power.budgetPower() > budget)
+                    continue;
+                if (!top || r.perf.flops > *top) {
+                    top = r.perf.flops;
+                    arg = cfg;
+                }
+            }
+            EXPECT_TRUE(top.has_value()) << appName(app);
+            const double benefit = (top.value_or(0.0) / base - 1.0) * 100.0;
+            (with_opt ? row.bestConfigOpt : row.bestConfig) = arg;
+            (with_opt ? row.benefitWithOptPct : row.benefitNoOptPct) =
+                benefit;
+        }
+        a.rows.push_back(row);
+    }
+    return a;
+}
+
+void
+expectSameConfig(const NodeConfig &a, const NodeConfig &b,
+                 const std::string &what)
+{
+    EXPECT_EQ(a.cus, b.cus) << what;
+    EXPECT_EQ(a.freqGhz, b.freqGhz) << what;
+    EXPECT_EQ(a.bwTbs, b.bwTbs) << what;
+    EXPECT_EQ(powerOptBits(a.opts), powerOptBits(b.opts)) << what;
 }
 
 } // anonymous namespace
@@ -132,6 +213,40 @@ TEST(Dse, TableIIRowsCoverEveryApp)
         EXPECT_EQ(rows[i].app, allApps()[i]);
         rows[i].bestConfig.validate();
         rows[i].bestConfigOpt.validate();
+    }
+}
+
+TEST(Dse, TableIIMatchesScalarOracle)
+{
+    // The explorer's whole search — batched, pooled, chunked — must pick
+    // exactly the configs a serial scalar argmax picks, with bitwise
+    // equal benefits, on every grid at every pool size.
+    for (const DseGrid &grid : {tinyGrid(), DseGrid::paperGrid()}) {
+        const ScalarAnswer want = scalarTableII(grid, 160.0);
+        for (int threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            DesignSpaceExplorer dse(evaluator(), grid, 160.0);
+            NodeConfig best = dse.findBestMean(PowerOptConfig::none());
+            std::vector<TableIIRow> rows = dse.tableII(best);
+            ThreadPool::setGlobalThreads(0);
+
+            const std::string at = std::to_string(grid.size()) +
+                                   "-point grid, " +
+                                   std::to_string(threads) + " thread(s)";
+            expectSameConfig(best, want.bestMean, "best mean, " + at);
+            ASSERT_EQ(rows.size(), want.rows.size()) << at;
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                const TableIIRow &got = rows[i];
+                const TableIIRow &exp = want.rows[i];
+                const std::string row = appName(exp.app) + ", " + at;
+                EXPECT_EQ(got.app, exp.app) << row;
+                expectSameConfig(got.bestConfig, exp.bestConfig, row);
+                expectSameConfig(got.bestConfigOpt, exp.bestConfigOpt, row);
+                EXPECT_EQ(got.benefitNoOptPct, exp.benefitNoOptPct) << row;
+                EXPECT_EQ(got.benefitWithOptPct, exp.benefitWithOptPct)
+                    << row;
+            }
+        }
     }
 }
 

@@ -3,14 +3,13 @@
  * NodeConfigBatch / evaluateBatch / evaluateBatchAll: bit-identity
  * against the scalar NodeEvaluator::evaluate oracle across the full
  * Table II grid and randomized configurations, batch enumeration
- * order, memoized batches, and the fatal path for invalid knobs.
+ * order, and the fatal path for invalid knobs.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/dse.hh"
 #include "core/eval_batch.hh"
-#include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
 #include "util/rng.hh"
 #include "util/stats_math.hh"
@@ -90,23 +89,6 @@ TEST(EvaluateBatch, BitIdenticalOnRandomizedConfigs)
         EXPECT_EQ(r.flops[i], oracle.perf.flops) << "point " << i;
         EXPECT_EQ(r.budgetPowerW[i], oracle.power.budgetPower())
             << "point " << i;
-    }
-}
-
-TEST(EvaluateBatch, MemoizedBatchMatchesUnmemoized)
-{
-    NodeConfigBatch b = paperBatch();
-    EvalMemoCache memo;
-    BatchEvalResult plain = evaluator().evaluateBatch(b, App::CoMD);
-    BatchEvalResult cold =
-        evaluator().evaluateBatch(b, App::CoMD, &memo);
-    BatchEvalResult warm =
-        evaluator().evaluateBatch(b, App::CoMD, &memo);
-    EXPECT_EQ(memo.hits(), 2u * b.size());
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        EXPECT_EQ(plain.flops[i], cold.flops[i]);
-        EXPECT_EQ(plain.flops[i], warm.flops[i]);
-        EXPECT_EQ(plain.totalPowerW[i], warm.totalPowerW[i]);
     }
 }
 

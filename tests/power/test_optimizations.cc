@@ -43,6 +43,18 @@ TEST(PowerOpts, MakeOptConfigSelectsOneTechnique)
     EXPECT_FALSE(PowerOptConfig::none().any());
 }
 
+TEST(PowerOpts, BitsDistinguishEverySetting)
+{
+    // Each toggle flips its own bit, so every combination gets its own
+    // sweep-journal key.
+    EXPECT_EQ(powerOptBits(PowerOptConfig::none()), 0);
+    PowerOptConfig o;
+    o.ntc = true;
+    EXPECT_EQ(powerOptBits(o) & 1, 1);
+    o = PowerOptConfig::all();
+    EXPECT_EQ(powerOptBits(o), 0x1f);
+}
+
 class OptSavingsTest : public testing::TestWithParam<App>
 {
 };

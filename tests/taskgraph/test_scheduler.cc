@@ -9,7 +9,6 @@
 
 #include <cstring>
 
-#include "core/eval_memo.hh"
 #include "taskgraph/scheduler.hh"
 
 using namespace ena;
@@ -75,25 +74,6 @@ TEST(DagCostModel, PricesTasksFromTheEvaluator)
     // Zero bytes cost exactly zero: no latency leak.
     EXPECT_EQ(cost.edgeSeconds(0.0), 0.0);
     EXPECT_GT(cost.edgeSeconds(1.0), cost.edgeLatencySeconds);
-}
-
-TEST(DagCostModel, MemoedBuildIsBitIdentical)
-{
-    NodeConfig cfg = NodeConfig::bestMean();
-    TaskDag dag = TaskDag::randomLayered(5, 6, 0.4, 3, 32e9, 8e6,
-                                         App::HPGMG);
-    EvalMemoCache memo;
-    DagCostModel plain =
-        DagCostModel::build(dag, evaluator(), cfg, network());
-    DagCostModel memoed =
-        DagCostModel::build(dag, evaluator(), cfg, network(), &memo);
-    DagCostModel again =
-        DagCostModel::build(dag, evaluator(), cfg, network(), &memo);
-    ASSERT_EQ(plain.taskSeconds.size(), memoed.taskSeconds.size());
-    for (std::size_t i = 0; i < plain.taskSeconds.size(); ++i) {
-        EXPECT_EQ(bits(plain.taskSeconds[i]), bits(memoed.taskSeconds[i]));
-        EXPECT_EQ(bits(plain.taskSeconds[i]), bits(again.taskSeconds[i]));
-    }
 }
 
 TEST(DagScheduler, ZeroCommMakespanReducesToTheCriticalPath)
