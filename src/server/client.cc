@@ -105,12 +105,12 @@ ServerClient::call(const std::string &op, wire::JsonValue params)
         ENA_ASSIGN_OR_RETURN(bool ok,
                              wire::tryGetBool(*response, "ok", false));
         if (ok) {
-            const wire::JsonValue *result = response->find("result");
+            wire::JsonValue *result = response->find("result");
             if (!result) {
                 return Status::internal(
                     "malformed server response: missing result");
             }
-            return *result;
+            return std::move(*result);
         }
         const wire::JsonValue *err = response->find("error");
         if (!err) {

@@ -22,6 +22,9 @@ namespace {
 
 using wire::JsonValue;
 
+/** The stats.per_op key (and span name) shared by all unknown ops. */
+constexpr const char *kUnknownOp = "unknown";
+
 telemetry::Counter &
 requestsCounter()
 {
@@ -173,10 +176,28 @@ EvalService::handleLine(const std::string &line)
     return handle(*request).dump();
 }
 
+const EvalService::Op EvalService::kOps[] = {
+    {"cluster_eval", &EvalService::opClusterEval},
+    {"eval_node", &EvalService::opEvalNode},
+    {"ping", &EvalService::opPing},
+    {"resilient_eval", &EvalService::opResilientEval},
+    {"shutdown", &EvalService::opShutdown},
+    {"stats", &EvalService::opStats},
+    {"sweep", &EvalService::opSweep},
+    {"table2", &EvalService::opTable2},
+    {"taskgraph_eval", &EvalService::opTaskGraphEval},
+};
+
 Expected<wire::JsonValue>
 EvalService::dispatch(const std::string &op, const wire::JsonValue &req)
 {
-    telemetry::ScopedSpan span("server", op);
+    static_assert(std::size(kOps) == kNumOps, "kNumOps counts kOps");
+    std::size_t slot = 0;
+    while (slot < kNumOps && op != kOps[slot].name)
+        ++slot;
+    const char *name = slot < kNumOps ? kOps[slot].name : kUnknownOp;
+
+    telemetry::ScopedSpan span("server", name);
     auto start = std::chrono::steady_clock::now();
 
     Expected<JsonValue> result = [&]() -> Expected<JsonValue> {
@@ -184,25 +205,9 @@ EvalService::dispatch(const std::string &op, const wire::JsonValue &req)
         // evaluation layers throw StatusError from pool tasks (after
         // retries), and anything else unexpected maps to Internal.
         try {
-            if (op == "ping")
-                return opPing();
-            if (op == "stats")
-                return opStats();
-            if (op == "shutdown")
-                return opShutdown();
-            if (op == "eval_node")
-                return opEvalNode(req);
-            if (op == "sweep")
-                return opSweep(req);
-            if (op == "table2")
-                return opTable2(req);
-            if (op == "cluster_eval")
-                return opClusterEval(req);
-            if (op == "resilient_eval")
-                return opResilientEval(req);
-            if (op == "taskgraph_eval")
-                return opTaskGraphEval(req);
-            return Status::notFound("unknown op '", op, "'");
+            if (slot == kNumOps)
+                return Status::notFound("unknown op '", op, "'");
+            return (this->*kOps[slot].handler)(req);
         } catch (const StatusError &e) {
             return e.status();
         } catch (const std::exception &e) {
@@ -214,18 +219,23 @@ EvalService::dispatch(const std::string &op, const wire::JsonValue &req)
     double us = std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - start)
                     .count();
-    telemetry::histogram("server.latency_us." + op,
-                         "request latency (us) of op " + op)
-        .sample(us);
-    {
-        std::lock_guard<std::mutex> lock(perOpMu_);
-        ++perOp_[op];
+    OpStats &stats = perOp_[slot];
+    telemetry::Histogram *latency =
+        stats.latency.load(std::memory_order_acquire);
+    if (!latency) {
+        // Find-or-create takes the registry lock: once per op.
+        latency = &telemetry::histogram(
+            std::string("server.latency_us.") + name,
+            std::string("request latency (us) of op ") + name);
+        stats.latency.store(latency, std::memory_order_release);
     }
+    latency->sample(us);
+    stats.requests.fetch_add(1, std::memory_order_relaxed);
     return result;
 }
 
 Expected<wire::JsonValue>
-EvalService::opPing() const
+EvalService::opPing(const wire::JsonValue &)
 {
     JsonValue r = JsonValue::object();
     r.set("server", "ena-server");
@@ -234,7 +244,7 @@ EvalService::opPing() const
 }
 
 Expected<wire::JsonValue>
-EvalService::opStats()
+EvalService::opStats(const wire::JsonValue &)
 {
     ThreadPool &pool = ThreadPool::global();
 
@@ -246,10 +256,12 @@ EvalService::opStats()
                                                : 0));
 
     JsonValue perOp = JsonValue::object();
-    {
-        std::lock_guard<std::mutex> lock(perOpMu_);
-        for (const auto &kv : perOp_)
-            perOp.set(kv.first, static_cast<double>(kv.second));
+    for (std::size_t i = 0; i < perOp_.size(); ++i) {
+        const std::uint64_t n =
+            perOp_[i].requests.load(std::memory_order_relaxed);
+        if (n > 0)
+            perOp.set(i < kNumOps ? kOps[i].name : kUnknownOp,
+                      static_cast<double>(n));
     }
     r.set("per_op", std::move(perOp));
 
@@ -261,7 +273,7 @@ EvalService::opStats()
 }
 
 Expected<wire::JsonValue>
-EvalService::opShutdown()
+EvalService::opShutdown(const wire::JsonValue &)
 {
     stop_.store(true);
     JsonValue r = JsonValue::object();

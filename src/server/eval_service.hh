@@ -26,6 +26,10 @@
  * uses, so results are bit-identical to in-process evaluation by
  * construction.
  *
+ * Accounting: stats.per_op counts requests per op that has run; every
+ * unknown op shares the one key "unknown" (and the latency histogram
+ * server.latency_us.unknown), so hostile op names cannot grow it.
+ *
  * Thread safety: handle()/handleLine() may be called concurrently from
  * any number of worker threads.
  */
@@ -33,11 +37,10 @@
 #ifndef ENA_SERVER_EVAL_SERVICE_HH
 #define ENA_SERVER_EVAL_SERVICE_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "core/node_evaluator.hh"
@@ -45,6 +48,10 @@
 #include "util/status.hh"
 
 namespace ena {
+
+namespace telemetry {
+class Histogram;
+}
 
 class EvalService
 {
@@ -74,12 +81,32 @@ class EvalService
     std::uint64_t errorsReturned() const { return errors_.load(); }
 
   private:
+    using Handler =
+        Expected<wire::JsonValue> (EvalService::*)(const wire::JsonValue &);
+
+    struct Op
+    {
+        const char *name;
+        Handler handler;
+    };
+
+    /** The ops, sorted by name: the order stats.per_op lists them in. */
+    static const Op kOps[];
+    static constexpr std::size_t kNumOps = 9;
+
+    /** Requests of one op, and its latency histogram once first used. */
+    struct OpStats
+    {
+        std::atomic<std::uint64_t> requests{0};
+        std::atomic<telemetry::Histogram *> latency{nullptr};
+    };
+
     Expected<wire::JsonValue> dispatch(const std::string &op,
                                        const wire::JsonValue &req);
 
-    Expected<wire::JsonValue> opPing() const;
-    Expected<wire::JsonValue> opStats();
-    Expected<wire::JsonValue> opShutdown();
+    Expected<wire::JsonValue> opPing(const wire::JsonValue &);
+    Expected<wire::JsonValue> opStats(const wire::JsonValue &);
+    Expected<wire::JsonValue> opShutdown(const wire::JsonValue &);
     Expected<wire::JsonValue> opEvalNode(const wire::JsonValue &req);
     Expected<wire::JsonValue> opSweep(const wire::JsonValue &req);
     Expected<wire::JsonValue> opTable2(const wire::JsonValue &req);
@@ -93,8 +120,9 @@ class EvalService
     std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> errors_{0};
 
-    mutable std::mutex perOpMu_;
-    std::map<std::string, std::uint64_t> perOp_;
+    /** One slot per kOps entry, then one shared by every unknown op,
+     *  so hostile op names cannot grow the server's state. */
+    std::array<OpStats, kNumOps + 1> perOp_;
 };
 
 } // namespace ena

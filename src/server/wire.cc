@@ -1,5 +1,6 @@
 #include "server/wire.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -20,16 +21,22 @@ JsonValue::set(std::string key, JsonValue value)
     return *this;
 }
 
-const JsonValue *
-JsonValue::find(std::string_view key) const
+JsonValue *
+JsonValue::find(std::string_view key)
 {
     if (kind_ != Kind::Object)
         return nullptr;
-    for (const auto &kv : obj_) {
+    for (auto &kv : obj_) {
         if (kv.first == key)
             return &kv.second;
     }
     return nullptr;
+}
+
+const JsonValue *
+JsonValue::find(std::string_view key) const
+{
+    return const_cast<JsonValue *>(this)->find(key);
 }
 
 JsonValue &
@@ -84,10 +91,12 @@ writeNumber(double n, std::string *out)
         *out += "null";
         return;
     }
-    // %.17g round-trips every finite double exactly.
+    // General format at precision 17 is %.17g by definition, and 17
+    // significant digits round-trip every finite double exactly.
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", n);
-    *out += buf;
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, n, std::chars_format::general, 17);
+    out->append(buf, r.ptr);
 }
 
 } // anonymous namespace
@@ -232,12 +241,20 @@ class Parser
                 break;
             }
         }
-        // strtod needs NUL termination; numbers are short, copy is fine.
-        std::string tok(text_.substr(start, pos_ - start));
-        char *end = nullptr;
-        double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size())
-            return err("bad number '" + tok + "'");
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        double v = 0.0;
+        const std::from_chars_result r = std::from_chars(first, last, v);
+        if (r.ptr != last ||
+            (r.ec != std::errc() && r.ec != std::errc::result_out_of_range))
+            return err("bad number '" + std::string(first, last) + "'");
+        if (r.ec == std::errc::result_out_of_range) {
+            // from_chars reports overflow and underflow without a
+            // value; strtod rounds them to +-inf and +-0 as JSON
+            // readers expect. Only such literals take this copy.
+            const std::string tok(first, last);
+            v = std::strtod(tok.c_str(), nullptr);
+        }
         return JsonValue(v);
     }
 

@@ -4,10 +4,12 @@
  * No external dependencies; just enough JSON for newline-delimited
  * request/response objects.
  *
- * Numbers are serialized with %.17g (DBL_DECIMAL_DIG significant
- * digits), which round-trips every finite double exactly through a
- * correctly-rounded strtod — the server's bit-identity guarantee rides
- * on this. Non-finite numbers serialize as null (JSON has no inf/nan).
+ * Numbers are written by std::to_chars at 17 significant digits
+ * (DBL_DECIMAL_DIG), the same bytes as %.17g, and read by
+ * std::from_chars; both are correctly rounded, so every finite double
+ * round-trips exactly — the server's bit-identity guarantee rides on
+ * this. Out-of-range literals (1e999, 1e-400) read as +-inf and +-0.
+ * Non-finite numbers serialize as null (JSON has no inf/nan).
  *
  * Objects preserve insertion order so serialized responses are
  * deterministic and diffable.
@@ -74,6 +76,7 @@ class JsonValue
 
     /** Object: member lookup; nullptr when absent or not an object. */
     const JsonValue *find(std::string_view key) const;
+    JsonValue *find(std::string_view key);
 
     /** Array: append an element. Returns *this for chaining. */
     JsonValue &push(JsonValue value);

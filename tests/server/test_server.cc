@@ -183,6 +183,32 @@ TEST(EvalService, UnknownOpIsNotFound)
     EXPECT_EQ(svc.errorsReturned(), 1u);
 }
 
+TEST(EvalService, UnknownOpsShareOneBoundedPerOpSlot)
+{
+    // Hostile clients can send any op string; each must still be
+    // not_found, and the per-op accounting must not grow with them.
+    EvalService svc;
+    constexpr int kUnknown = 5000;
+    for (int i = 0; i < kUnknown; ++i) {
+        const std::string op = "no_such_op_" + std::to_string(i);
+        JsonValue resp = svc.handle(request(op.c_str()));
+        ASSERT_FALSE(resp.find("ok")->boolean()) << op;
+        ASSERT_EQ(resp.find("error")->find("code")->str(), "not_found");
+        ASSERT_EQ(resp.find("error")->find("message")->str(),
+                  "unknown op '" + op + "'");
+    }
+    svc.handle(request("ping"));
+    svc.handle(request("ping"));
+
+    JsonValue stats = svc.handle(request("stats"));
+    const JsonValue *perOp = stats.find("result")->find("per_op");
+    ASSERT_NE(perOp, nullptr);
+    // Only the ops that ran: ping and every unknown op under one key.
+    EXPECT_EQ(perOp->dump(), "{\"ping\":2,\"unknown\":5000}");
+    EXPECT_EQ(svc.requestsHandled(), kUnknown + 3u);
+    EXPECT_EQ(svc.errorsReturned(), std::uint64_t(kUnknown));
+}
+
 TEST(EvalService, BadAppAndBadConfigAreStructuredErrors)
 {
     EvalService svc;

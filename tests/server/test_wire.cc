@@ -1,17 +1,25 @@
 /**
  * @file
  * Unit tests for the server's hand-rolled JSON (server/wire.hh): exact
- * double round-trips (the wire protocol's bit-identity guarantee),
- * string escaping, parser error paths, and the typed accessors.
+ * double round-trips (the wire protocol's bit-identity guarantee), the
+ * number codec's bytes pinned to %.17g and its accept/reject set to
+ * strtod's, string escaping, parser error paths, and the typed
+ * accessors.
  */
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "server/wire.hh"
+#include "util/rng.hh"
 
 using namespace ena;
 using wire::JsonValue;
@@ -41,9 +49,14 @@ TEST(Wire, ScalarsRoundTrip)
     EXPECT_TRUE(v->boolean());
 }
 
-TEST(Wire, DoublesRoundTripBitExactly)
+/**
+ * Doubles the number codec must carry exactly: edge cases, then
+ * finite doubles of every magnitude and sign from random bit patterns.
+ */
+std::vector<double>
+numberCases()
 {
-    const double cases[] = {
+    std::vector<double> cases = {
         0.0,
         -0.0,
         1.0 / 3.0,
@@ -53,14 +66,117 @@ TEST(Wire, DoublesRoundTripBitExactly)
         1.7976931348623157e308,
         -123.456e-7,
         2632.3499757271684,
+        42.0,
+        5e-324,                   // smallest subnormal
+        2.2250738585072009e-308,  // largest subnormal
+        2.2250738585072014e-308,  // smallest normal
+        9007199254740992.0,       // 2^53
+        9007199254740994.0,       // 2^53 + 2
+        18014398509481984.0,      // 2^54
+        1152921504606846976.0,    // 2^60
+        9223372036854775808.0,    // 2^63
+        18446744073709551616.0,   // 2^64
+        1e17,
+        1e21,
+        1e22,
+        -1e22,
+        123456789012345678.0,
     };
-    for (double d : cases) {
+    Rng rng(13);
+    while (cases.size() < 100000) {
+        std::uint64_t bits = rng.next();
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        if (std::isfinite(d))
+            cases.push_back(d);
+    }
+    return cases;
+}
+
+TEST(Wire, DoublesRoundTripBitExactly)
+{
+    for (double d : numberCases()) {
         std::string text = JsonValue(d).dump();
         auto parsed = tryParseJson(text);
         ASSERT_TRUE(parsed.ok()) << text;
         ASSERT_TRUE(parsed->isNumber());
-        EXPECT_EQ(bitsOf(parsed->number()), bitsOf(d))
+        ASSERT_EQ(bitsOf(parsed->number()), bitsOf(d))
             << "through \"" << text << "\"";
+    }
+}
+
+TEST(Wire, NumbersSerializeExactlyAsPrintf17g)
+{
+    for (double d : numberCases()) {
+        char want[32];
+        std::snprintf(want, sizeof want, "%.17g", d);
+        ASSERT_EQ(JsonValue(d).dump(), want);
+    }
+}
+
+TEST(Wire, OutOfRangeLiteralsParseToInfinityAndZero)
+{
+    auto big = tryParseJson("1e999");
+    ASSERT_TRUE(big.ok());
+    EXPECT_EQ(big->number(), std::numeric_limits<double>::infinity());
+
+    auto negBig = tryParseJson("-1e999");
+    ASSERT_TRUE(negBig.ok());
+    EXPECT_EQ(negBig->number(), -std::numeric_limits<double>::infinity());
+
+    auto tiny = tryParseJson("1e-400");
+    ASSERT_TRUE(tiny.ok());
+    EXPECT_EQ(bitsOf(tiny->number()), bitsOf(0.0));
+
+    auto negTiny = tryParseJson("-1e-400");
+    ASSERT_TRUE(negTiny.ok());
+    EXPECT_EQ(bitsOf(negTiny->number()), bitsOf(-0.0));
+}
+
+TEST(Wire, MalformedNumbersKeepTheirMessages)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"1e", "JSON: bad number '1e' at byte 2"},
+        {"1e+", "JSON: bad number '1e+' at byte 3"},
+        {"--1", "JSON: bad number '--1' at byte 3"},
+        {"1-2", "JSON: bad number '1-2' at byte 3"},
+        {"-", "JSON: bad number '-' at byte 1"},
+        {"[1,2e]", "JSON: bad number '2e' at byte 5"},
+    };
+    for (const auto &[text, message] : cases) {
+        auto v = tryParseJson(text);
+        ASSERT_FALSE(v.ok()) << text;
+        EXPECT_EQ(v.status().code(), ErrorCode::ParseError) << text;
+        EXPECT_EQ(v.status().message(), message) << text;
+    }
+}
+
+TEST(Wire, NumberTokensParseExactlyAsStrtodReadsThem)
+{
+    // Every token of up to four characters the number scanner takes
+    // (a '-' or digit, then [0-9+-.eE]): accepted exactly when strtod
+    // consumes all of it, and then with strtod's bits.
+    const std::string alphabet = "0123456789+-.eE";
+    std::vector<std::string> tokens;
+    for (char first : std::string("-0123456789"))
+        tokens.emplace_back(1, first);
+    for (std::size_t begin = 0, len = 1; len < 4; ++len) {
+        const std::size_t end = tokens.size();
+        for (std::size_t i = begin; i < end; ++i) {
+            for (char c : alphabet)
+                tokens.push_back(tokens[i] + c);
+        }
+        begin = end;
+    }
+    for (const std::string &tok : tokens) {
+        char *stop = nullptr;
+        const double want = std::strtod(tok.c_str(), &stop);
+        const bool valid = stop == tok.c_str() + tok.size();
+        auto got = tryParseJson(tok);
+        ASSERT_EQ(got.ok(), valid) << tok;
+        if (valid) {
+            EXPECT_EQ(bitsOf(got->number()), bitsOf(want)) << tok;
+        }
     }
 }
 
