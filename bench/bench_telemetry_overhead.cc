@@ -6,10 +6,10 @@
  *  1. Disabled overhead: with tracing and metrics off, the instrumented
  *     DesignSpaceExplorer::sweep must stay within 2% of a bench-local
  *     replica of the same algorithm with no telemetry calls of its
- *     own. Both sides make the same evaluateBatchAll calls over the
- *     same pool chunks (so they share the evaluator's and the pool's
- *     telemetry); the gate measures only the spans, counters and gauge
- *     the sweep adds around them.
+ *     own. Both sides build one DseGridScorer and make the same
+ *     score() calls over the same pool chunks (so they share the
+ *     scorer's and the pool's telemetry); the gate measures only the
+ *     spans, counters and gauge the sweep adds around them.
  *
  *  2. Determinism: with tracing AND metrics enabled (in memory), the
  *     parallel sweep must stay element-for-element bit-identical to
@@ -31,6 +31,7 @@
 #include "bench_util.hh"
 #include "core/dse.hh"
 #include "telemetry/telemetry.hh"
+#include "util/stats_math.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
@@ -48,48 +49,48 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 /**
  * DesignSpaceExplorer::sweep(none, no journal) without its telemetry:
- * the same enumeration and validation, then the same evaluateBatchAll
- * calls over the same sweepChunkSize chunks on the pool, results into
- * per-index slots.
+ * the same enumeration and validation, one DseGridScorer, then the
+ * same score() calls and per-point folds over the same sweepChunkSize
+ * chunks on the pool, results into per-index slots.
  */
 std::vector<DsePoint>
 plainSweep(const NodeEvaluator &eval, const DseGrid &grid,
            double budget_w)
 {
-    const std::size_t nf = grid.freqsGhz.size();
-    const std::size_t nb = grid.bwsTbs.size();
+    const PowerOptConfig opts = PowerOptConfig::none();
     std::vector<DsePoint> points(grid.size());
     std::vector<std::size_t> todo;
     todo.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-        NodeConfig &cfg = points[i].cfg;
-        cfg.cus = grid.cus[i / (nf * nb)];
-        cfg.freqGhz = grid.freqsGhz[(i / nb) % nf];
-        cfg.bwTbs = grid.bwsTbs[i % nb];
-        cfg.opts = PowerOptConfig::none();
-        if (cfg.tryValidate().ok())
+        points[i].cfg = grid.at(i, opts);
+        if (points[i].cfg.tryValidate().ok())
             todo.push_back(i);
     }
 
+    const std::vector<App> &apps = allApps();
+    const DseGridScorer scorer(eval, grid, apps, {opts});
+    GridScores scores = scorer.makeScores();
     const std::size_t chunk =
         sweepChunkSize(todo.size(), ThreadPool::global().threads());
     const std::size_t num_chunks = (todo.size() + chunk - 1) / chunk;
     ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
         const std::size_t begin = c * chunk;
         const std::size_t end = std::min(begin + chunk, todo.size());
-        NodeConfigBatch b;
-        b.base.opts = PowerOptConfig::none();
-        b.reserve(end - begin);
+        scorer.score({todo.data() + begin, end - begin}, scores);
+        std::vector<double> tmp(apps.size());
         for (std::size_t j = begin; j < end; ++j) {
-            const NodeConfig &cfg = points[todo[j]].cfg;
-            b.push(cfg.cus, cfg.freqGhz, cfg.bwTbs);
-        }
-        BatchAggregates agg = eval.evaluateBatchAll(b);
-        for (std::size_t j = begin; j < end; ++j) {
-            DsePoint &p = points[todo[j]];
-            p.geomeanFlops = agg.geomeanFlops[j - begin];
-            p.meanBudgetPowerW = agg.meanBudgetPowerW[j - begin];
-            p.maxBudgetPowerW = agg.maxBudgetPowerW[j - begin];
+            const std::size_t i = todo[j];
+            DsePoint &p = points[i];
+            for (std::size_t a = 0; a < apps.size(); ++a)
+                tmp[a] = scores.flops(a, i);
+            p.geomeanFlops = geomean(tmp);
+            for (std::size_t a = 0; a < apps.size(); ++a)
+                tmp[a] = scores.budgetPowerW(0, a, i);
+            p.meanBudgetPowerW = mean(tmp);
+            double worst = 0.0;
+            for (double w : tmp)
+                worst = std::max(worst, w);
+            p.maxBudgetPowerW = worst;
             p.feasible = p.maxBudgetPowerW <= budget_w;
         }
     });

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "cluster/scale_out_study.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -68,6 +69,18 @@ decodeResilientPoint(const std::string &payload, ResilientSweepPoint *p)
     is.get();
     std::getline(is, p->error);
     return true;
+}
+
+/** Journal-key part for one variant: every ResilienceSpec field. */
+std::string
+resilienceJournalKey(const ResilienceSpec &s)
+{
+    return strformat("f%d:ecc%d%d:rmt%d/%d:ser%a:ckpt%a/%a/%a/%a/%d",
+                     s.faultsEnabled, s.ras.dramEcc, s.ras.sramEcc,
+                     s.ras.gpuRmt, static_cast<int>(s.rmtPolicy),
+                     s.ras.ntcSerMultiplier, s.checkpoint.checkpointBytes,
+                     s.checkpoint.ioBandwidthBps, s.checkpoint.overheadS,
+                     s.checkpoint.restartExtraS, s.checkpointViaFabric);
 }
 
 } // anonymous namespace
@@ -197,9 +210,10 @@ ResilientScaleOutStudy::sweep(
 
             std::string key, payload;
             if (journal) {
-                key = strformat("ras[%zu]:v%zu:%s:n%d:%s", i, vi,
-                                clusterTopologyName(cc.topology).c_str(),
-                                cc.nodes, cfg.label().c_str());
+                key = strformat(
+                    "ras[%zu]:v%zu:%s:%s", i, vi,
+                    resilienceJournalKey(variants[vi].spec).c_str(),
+                    clusterCellJournalKey(cc, cfg, app, comm).c_str());
                 if (journal->lookup(key, &payload)) {
                     ResilientSweepPoint j = p;
                     if (decodeResilientPoint(payload, &j))

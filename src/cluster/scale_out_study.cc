@@ -58,6 +58,22 @@ decodeTopologyPoint(const std::string &payload, TopologyPoint *p)
 
 } // anonymous namespace
 
+std::string
+clusterCellJournalKey(const ClusterConfig &cc, const NodeConfig &cfg,
+                      App app, const CommSpec &spec)
+{
+    return strformat(
+        "%s:n%d:links%dx%a:lat%a:pj%a:ft%d/%a:df%d:torus%dx%dx%d:%s:"
+        "comm%d/%a/%d/%a:%s",
+        clusterTopologyName(cc.topology).c_str(), cc.nodes,
+        cc.linksPerNode, cc.linkGbs, cc.linkLatencyUs, cc.pjPerBit,
+        cc.fatTreeRadix, cc.fatTreeTaper, cc.dragonflyGroupRouters,
+        cc.torusX, cc.torusY, cc.torusZ, appName(app).c_str(),
+        static_cast<int>(spec.pattern), spec.intensity,
+        static_cast<int>(spec.scaling), spec.syncsPerSecond,
+        journalNodeKey(cfg).c_str());
+}
+
 ScaleOutStudy::ScaleOutStudy(const NodeEvaluator &eval,
                              ClusterConfig base)
     : eval_(eval), base_(base)
@@ -166,9 +182,9 @@ ScaleOutStudy::topologySweep(
 
             std::string key, payload;
             if (journal) {
-                key = strformat("topo[%zu]:%s:n%d:%s", i,
-                                clusterTopologyName(cc.topology).c_str(),
-                                cc.nodes, cfg.label().c_str());
+                key = strformat(
+                    "topo[%zu]:%s", i,
+                    clusterCellJournalKey(cc, cfg, app, spec).c_str());
                 if (journal->lookup(key, &payload)) {
                     TopologyPoint j = p;
                     if (decodeTopologyPoint(payload, &j))

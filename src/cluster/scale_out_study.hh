@@ -62,6 +62,17 @@ struct TopologyPoint
     std::string error;
 };
 
+/**
+ * The sweep-journal key part for one cluster cell: every ClusterConfig
+ * field, the app, every CommSpec field (doubles as exact hexfloats)
+ * and journalNodeKey(@p cfg). The cluster sweeps key their cells with
+ * it so a journal shared between sweeps replays only cells computed
+ * for the same inputs.
+ */
+std::string clusterCellJournalKey(const ClusterConfig &cc,
+                                  const NodeConfig &cfg, App app,
+                                  const CommSpec &spec);
+
 class ScaleOutStudy
 {
   public:

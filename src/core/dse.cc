@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "common/calibration.hh"
+#include "core/perf_terms.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
+#include "util/stats_math.hh"
 #include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
@@ -25,6 +29,15 @@ configsCounter()
 }
 
 telemetry::Counter &
+evalsCounter()
+{
+    static telemetry::Counter &c = telemetry::counter(
+        "node.evaluations",
+        "(config, application) pairs evaluated by NodeEvaluator");
+    return c;
+}
+
+telemetry::Counter &
 failedCounter()
 {
     static telemetry::Counter &c = telemetry::counter(
@@ -36,7 +49,9 @@ failedCounter()
 /**
  * Journal payload for one DsePoint. Doubles travel as hexfloats so a
  * resumed sweep reproduces the uninterrupted table bit-for-bit; the
- * config itself is not stored (the key pins index, label, and opts).
+ * config itself is not stored (the key pins index, knobs and opts).
+ * The feasible flag is stored but not trusted on replay: it depends
+ * on the budget of the run that wrote it.
  */
 std::string
 encodeDsePoint(const DsePoint &p)
@@ -88,6 +103,24 @@ publishSweepRate(std::size_t n, double t0_us)
     }
 }
 
+/**
+ * Run @p fn(begin, end) over sweepChunkSize() chunks of [0, n) on the
+ * pool. Each chunk writes only its own slots.
+ */
+template <typename Fn>
+void
+forEachChunk(std::size_t n, Fn &&fn)
+{
+    const std::size_t chunk =
+        sweepChunkSize(n, ThreadPool::global().threads());
+    const std::size_t num_chunks = (n + chunk - 1) / chunk;
+    ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
+        telemetry::ScopedSpan span("dse", "score_chunk");
+        const std::size_t begin = c * chunk;
+        fn(begin, std::min(begin + chunk, n));
+    });
+}
+
 } // anonymous namespace
 
 std::size_t
@@ -110,6 +143,144 @@ DseGrid::paperGrid()
     return g;
 }
 
+NodeConfig
+DseGrid::at(std::size_t i, const PowerOptConfig &opts) const
+{
+    const std::size_t nf = freqsGhz.size();
+    const std::size_t nb = bwsTbs.size();
+    NodeConfig cfg;
+    cfg.cus = cus[i / (nf * nb)];
+    cfg.freqGhz = freqsGhz[(i / nb) % nf];
+    cfg.bwTbs = bwsTbs[i % nb];
+    cfg.opts = opts;
+    return cfg;
+}
+
+DseGridScorer::DseGridScorer(const NodeEvaluator &eval,
+                             const DseGrid &grid, std::vector<App> apps,
+                             std::vector<PowerOptConfig> settings)
+    : grid_(grid), apps_(std::move(apps)), settings_(std::move(settings))
+{
+    const std::size_t nc = grid_.cus.size();
+    const std::size_t nf = grid_.freqsGhz.size();
+    const std::size_t nb = grid_.bwsTbs.size();
+
+    // An axis value that fails validation gets no table entries (the
+    // V/f curve would panic on a non-positive frequency); score() dies
+    // on such points before it reads a table.
+    auto valid = [this](int c, double f, double bw) {
+        NodeConfig probe = base_;
+        probe.cus = c;
+        probe.freqGhz = f;
+        probe.bwTbs = bw;
+        return probe.tryValidate().ok();
+    };
+    for (int c : grid_.cus)
+        cuOk_.push_back(valid(c, base_.freqGhz, base_.bwTbs));
+    for (double f : grid_.freqsGhz)
+        freqOk_.push_back(valid(base_.cus, f, base_.bwTbs));
+    for (double bw : grid_.bwsTbs)
+        bwOk_.push_back(valid(base_.cus, base_.freqGhz, bw));
+
+    peak_.assign(nc * nf, 0.0);
+    for (std::size_t ci = 0; ci < nc; ++ci) {
+        for (std::size_t fi = 0; fi < nf; ++fi) {
+            peak_[ci * nf + fi] =
+                perf_terms::peakFlops(grid_.cus[ci], grid_.freqsGhz[fi]);
+        }
+    }
+
+    const std::size_t na = apps_.size();
+    computeRate_.assign(na * nc * nf, 0.0);
+    powCompute_.assign(na * nc * nf, 0.0);
+    usableGbs_.assign(na * nb, 0.0);
+    std::vector<double> cu_scale(nc), f_scale(nf);
+    for (std::size_t a = 0; a < na; ++a) {
+        const KernelProfile &k = profileFor(apps_[a]);
+        profiles_.push_back(&k);
+        for (std::size_t ci = 0; ci < nc; ++ci) {
+            if (cuOk_[ci])
+                cu_scale[ci] = perf_terms::cuScale(grid_.cus[ci], k);
+        }
+        for (std::size_t fi = 0; fi < nf; ++fi) {
+            if (freqOk_[fi])
+                f_scale[fi] = perf_terms::freqScale(grid_.freqsGhz[fi], k);
+        }
+        for (std::size_t ci = 0; ci < nc; ++ci) {
+            for (std::size_t fi = 0; fi < nf; ++fi) {
+                if (!cuOk_[ci] || !freqOk_[fi])
+                    continue;
+                const std::size_t cf = (a * nc + ci) * nf + fi;
+                computeRate_[cf] = perf_terms::computeRate(
+                    peak_[ci * nf + fi], k, cu_scale[ci], f_scale[fi]);
+                powCompute_[cf] = perf_terms::rooflinePow(computeRate_[cf]);
+            }
+        }
+        for (std::size_t bi = 0; bi < nb; ++bi) {
+            if (bwOk_[bi]) {
+                usableGbs_[a * nb + bi] =
+                    perf_terms::usableBandwidthGbs(grid_.bwsTbs[bi], k);
+            }
+        }
+    }
+
+    const VfCurve &vf_curve = eval.powerModel().vfCurve();
+    vf_.assign(settings_.size() * nf, {});
+    for (std::size_t s = 0; s < settings_.size(); ++s) {
+        for (std::size_t fi = 0; fi < nf; ++fi) {
+            if (freqOk_[fi]) {
+                vf_[s * nf + fi] = power_terms::vfScales(
+                    vf_curve, grid_.freqsGhz[fi], settings_[s].ntc);
+            }
+        }
+    }
+    hbmStaticW_.assign(nb, 0.0);
+    for (std::size_t bi = 0; bi < nb; ++bi) {
+        if (bwOk_[bi]) {
+            hbmStaticW_[bi] = power_terms::hbmStaticW(grid_.bwsTbs[bi],
+                                                      base_.gpuChiplets);
+        }
+    }
+    extStatic_ = power_terms::extStaticW(base_.ext);
+}
+
+void
+DseGridScorer::score(std::span<const std::size_t> indices,
+                     GridScores &out) const
+{
+    const std::size_t nc = grid_.cus.size();
+    const std::size_t nf = grid_.freqsGhz.size();
+    const std::size_t nb = grid_.bwsTbs.size();
+    const std::size_t na = apps_.size();
+    evalsCounter().add(indices.size() * na);
+
+    for (std::size_t i : indices) {
+        const std::size_t ci = i / (nf * nb);
+        const std::size_t fi = (i / nb) % nf;
+        const std::size_t bi = i % nb;
+        if (!cuOk_[ci] || !freqOk_[fi] || !bwOk_[bi])
+            grid_.at(i, PowerOptConfig::none()).validate();
+        const int cus = grid_.cus[ci];
+        const double f = grid_.freqsGhz[fi];
+        const double bw = grid_.bwsTbs[bi];
+
+        for (std::size_t a = 0; a < na; ++a) {
+            const std::size_t cf = (a * nc + ci) * nf + fi;
+            PerfResult perf = perf_terms::evaluatePerfPre(
+                cus, f, bw, *profiles_[a], peak_[ci * nf + fi],
+                computeRate_[cf], powCompute_[cf],
+                usableGbs_[a * nb + bi]);
+            out.flops(a, i) = perf.flops;
+            for (std::size_t s = 0; s < settings_.size(); ++s) {
+                PowerBreakdown power = power_terms::evaluatePower(
+                    cus, f, settings_[s], base_.ext, perf.activity,
+                    vf_[s * nf + fi], hbmStaticW_[bi], extStatic_);
+                out.budgetPowerW(s, a, i) = power.budgetPower();
+            }
+        }
+    }
+}
+
 DesignSpaceExplorer::DesignSpaceExplorer(const NodeEvaluator &eval,
                                          DseGrid grid, double budget_w)
     : eval_(eval), grid_(std::move(grid)), budgetW_(budget_w)
@@ -118,21 +289,36 @@ DesignSpaceExplorer::DesignSpaceExplorer(const NodeEvaluator &eval,
         ENA_FATAL("empty DSE grid");
 }
 
-NodeConfig
-DesignSpaceExplorer::configAt(std::size_t index,
-                              const PowerOptConfig &opts) const
+GridScores
+DesignSpaceExplorer::scoreGrid(const DseGridScorer &scorer) const
 {
-    // Row-major over (cus, freq, bw): the same enumeration order the
-    // original serial triple loop used, so index-order reductions
-    // reproduce its results exactly.
-    const std::size_t nf = grid_.freqsGhz.size();
-    const std::size_t nb = grid_.bwsTbs.size();
-    NodeConfig cfg;
-    cfg.cus = grid_.cus[index / (nf * nb)];
-    cfg.freqGhz = grid_.freqsGhz[(index / nb) % nf];
-    cfg.bwTbs = grid_.bwsTbs[index % nb];
-    cfg.opts = opts;
-    return cfg;
+    std::vector<std::size_t> indices(grid_.size());
+    std::iota(indices.begin(), indices.end(), std::size_t{0});
+    GridScores scores = scorer.makeScores();
+    forEachChunk(indices.size(), [&](std::size_t begin, std::size_t end) {
+        scorer.score({indices.data() + begin, end - begin}, scores);
+    });
+    configsCounter().add(grid_.size());
+    return scores;
+}
+
+AppBest
+DesignSpaceExplorer::bestFeasible(const GridScores &scores,
+                                  std::size_t app_pos,
+                                  std::size_t setting_pos, App app,
+                                  const PowerOptConfig &opts) const
+{
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < grid_.size(); ++i) {
+        if (scores.budgetPowerW(setting_pos, app_pos, i) > budgetW_)
+            continue;
+        if (!best || scores.flops(app_pos, i) > scores.flops(app_pos, *best))
+            best = i;
+    }
+    if (!best)
+        ENA_FATAL("no feasible configuration for ", appName(app));
+    return AppBest{grid_.at(*best, opts), scores.flops(app_pos, *best),
+                   scores.budgetPowerW(setting_pos, app_pos, *best)};
 }
 
 std::vector<DsePoint>
@@ -148,12 +334,11 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
 {
     // Two phases. Phase 1 (serial, cheap): replay journaled points and
     // quarantine invalid configs, collecting the surviving indices.
-    // Phase 2: batched evaluation of the survivors on the ThreadPool —
-    // chunks become NodeConfigBatches. Workers fill their own slots and
-    // all argmax reductions happen elsewhere in index order, so the
-    // output is identical to the serial enumeration for any thread
-    // count; with a journal every finished slot also streams to disk so
-    // a killed run resumes instead of recomputing.
+    // Phase 2: the survivors are scored in pool chunks and folded into
+    // their own slots, so the output is identical to the serial
+    // enumeration for any thread count; with a journal every finished
+    // slot also streams to disk so a killed run resumes instead of
+    // recomputing.
     ENA_SPAN("dse", "sweep");
     const double t0 = telemetry::nowUs();
     const std::size_t n = grid_.size();
@@ -164,16 +349,17 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
     todo.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         DsePoint &p = points[i];
-        p.cfg = configAt(i, opts);
+        p.cfg = grid_.at(i, opts);
 
         if (journal) {
-            keys[i] = strformat("dse[%zu]:%s:o%d", i,
-                                p.cfg.label().c_str(), powerOptBits(opts));
+            keys[i] = strformat("dse[%zu]:%s", i,
+                                journalNodeKey(p.cfg).c_str());
             std::string payload;
             if (journal->lookup(keys[i], &payload)) {
                 DsePoint j = p;
                 if (decodeDsePoint(payload, &j)) {
                     p = j;
+                    p.feasible = p.ok && p.maxBudgetPowerW <= budgetW_;
                     continue;
                 }
                 warn("sweep journal: undecodable payload for '",
@@ -196,62 +382,30 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
     }
 
     if (!todo.empty()) {
-        NodeConfig base;
-        base.opts = opts;
-        const std::size_t chunk =
-            sweepChunkSize(todo.size(), ThreadPool::global().threads());
-        const std::size_t num_chunks = (todo.size() + chunk - 1) / chunk;
-        ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
-            telemetry::ScopedSpan span("dse", "evaluate_batch");
-            const std::size_t begin = c * chunk;
-            const std::size_t end =
-                std::min(begin + chunk, todo.size());
-
-            NodeConfigBatch b;
-            b.base = base;
-            b.reserve(end - begin);
+        const std::vector<App> &apps = allApps();
+        const DseGridScorer scorer(eval_, grid_, apps, {opts});
+        GridScores scores = scorer.makeScores();
+        forEachChunk(todo.size(), [&](std::size_t begin, std::size_t end) {
+            scorer.score({todo.data() + begin, end - begin}, scores);
+            // Fold exactly as the scalar helpers do: geomean and mean
+            // over allApps() order, max from 0.0.
+            std::vector<double> tmp(apps.size());
             for (std::size_t j = begin; j < end; ++j) {
-                const NodeConfig &cfg = points[todo[j]].cfg;
-                b.push(cfg.cus, cfg.freqGhz, cfg.bwTbs);
-            }
-
-            try {
-                BatchAggregates agg = eval_.evaluateBatchAll(b);
-                for (std::size_t j = begin; j < end; ++j) {
-                    DsePoint &p = points[todo[j]];
-                    p.geomeanFlops = agg.geomeanFlops[j - begin];
-                    p.meanBudgetPowerW = agg.meanBudgetPowerW[j - begin];
-                    p.maxBudgetPowerW = agg.maxBudgetPowerW[j - begin];
-                    p.feasible = p.maxBudgetPowerW <= budgetW_;
-                    if (journal)
-                        journal->append(keys[todo[j]],
-                                        encodeDsePoint(p));
-                }
-            } catch (const std::exception &) {
-                // One bad point poisons a whole batch; fall back to
-                // per-point scalar evaluation so only the offender is
-                // quarantined (same scoring path as the oracle).
-                for (std::size_t j = begin; j < end; ++j) {
-                    DsePoint &p = points[todo[j]];
-                    try {
-                        p.geomeanFlops = eval_.geomeanFlops(p.cfg);
-                        p.meanBudgetPowerW = eval_.meanBudgetPower(p.cfg);
-                        p.maxBudgetPowerW = eval_.maxBudgetPower(p.cfg);
-                        p.feasible = p.maxBudgetPowerW <= budgetW_;
-                    } catch (const std::exception &e) {
-                        std::size_t i = todo[j];
-                        p = DsePoint{};
-                        p.cfg = configAt(i, opts);
-                        p.ok = false;
-                        p.error = e.what();
-                        failedCounter().add();
-                        warn("DSE: quarantined grid point ", i, " (",
-                             p.cfg.label(), "): ", p.error);
-                    }
-                    if (journal)
-                        journal->append(keys[todo[j]],
-                                        encodeDsePoint(p));
-                }
+                const std::size_t i = todo[j];
+                DsePoint &p = points[i];
+                for (std::size_t a = 0; a < apps.size(); ++a)
+                    tmp[a] = scores.flops(a, i);
+                p.geomeanFlops = geomean(tmp);
+                for (std::size_t a = 0; a < apps.size(); ++a)
+                    tmp[a] = scores.budgetPowerW(0, a, i);
+                p.meanBudgetPowerW = mean(tmp);
+                double worst = 0.0;
+                for (double w : tmp)
+                    worst = std::max(worst, w);
+                p.maxBudgetPowerW = worst;
+                p.feasible = p.maxBudgetPowerW <= budgetW_;
+                if (journal)
+                    journal->append(keys[i], encodeDsePoint(p));
             }
         });
     }
@@ -287,73 +441,42 @@ DesignSpaceExplorer::findBestForApp(App app,
 {
     telemetry::ScopedSpan span(
         "dse", std::string("find_best_for_app:") + appName(app));
-    const std::size_t n = grid_.size();
-    std::vector<double> flops(n), budget(n);
-
-    NodeConfig base;
-    base.opts = opts;
-    const std::size_t chunk =
-        sweepChunkSize(n, ThreadPool::global().threads());
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    ThreadPool::global().parallelFor(num_chunks, [&](std::size_t c) {
-        const std::size_t begin = c * chunk;
-        const std::size_t end = std::min(begin + chunk, n);
-        NodeConfigBatch b;
-        b.base = base;
-        b.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-            NodeConfig cfg = configAt(i, opts);
-            b.push(cfg.cus, cfg.freqGhz, cfg.bwTbs);
-        }
-        BatchEvalResult r = eval_.evaluateBatch(b, app);
-        for (std::size_t i = begin; i < end; ++i) {
-            flops[i] = r.flops[i - begin];
-            budget[i] = r.budgetPowerW[i - begin];
-        }
-    });
-    configsCounter().add(n);
-
-    std::optional<AppBest> best;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (budget[i] > budgetW_)
-            continue;
-        if (!best || flops[i] > best->flops) {
-            best = AppBest{configAt(i, opts), flops[i], budget[i]};
-        }
-    }
-    if (!best)
-        ENA_FATAL("no feasible configuration for ", appName(app));
-    return *best;
+    const DseGridScorer scorer(eval_, grid_, {app}, {opts});
+    return bestFeasible(scoreGrid(scorer), 0, 0, app, opts);
 }
 
 std::vector<TableIIRow>
 DesignSpaceExplorer::tableII(const NodeConfig &best_mean) const
 {
-    // One task per application row; the nested findBestForApp sweeps
-    // run inline on whichever thread owns the row.
+    // Performance does not depend on the power optimizations, so one
+    // pass prices every (point, app) once under both settings; the
+    // per-(app, setting) argmaxes then run on the caller.
     ENA_SPAN("dse", "table2");
     const std::vector<App> &apps = allApps();
-    return ThreadPool::global().parallelMap(
-        apps.size(), [&](std::size_t i) {
-            App app = apps[i];
-            telemetry::ScopedSpan span(
-                "dse", std::string("table2_row:") + appName(app));
-            TableIIRow row;
-            row.app = app;
+    const PowerOptConfig none = PowerOptConfig::none();
+    const PowerOptConfig all = PowerOptConfig::all();
+    const DseGridScorer scorer(eval_, grid_, apps, {none, all});
+    const GridScores scores = scoreGrid(scorer);
 
-            double base = eval_.evaluate(best_mean, app).perf.flops;
+    std::vector<TableIIRow> rows;
+    rows.reserve(apps.size());
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        TableIIRow row;
+        row.app = apps[a];
 
-            AppBest no_opt = findBestForApp(app, PowerOptConfig::none());
-            row.bestConfig = no_opt.cfg;
-            row.benefitNoOptPct = (no_opt.flops / base - 1.0) * 100.0;
+        double base = eval_.evaluate(best_mean, row.app).perf.flops;
 
-            AppBest with_opt = findBestForApp(app, PowerOptConfig::all());
-            row.bestConfigOpt = with_opt.cfg;
-            row.benefitWithOptPct =
-                (with_opt.flops / base - 1.0) * 100.0;
+        AppBest no_opt = bestFeasible(scores, a, 0, row.app, none);
+        row.bestConfig = no_opt.cfg;
+        row.benefitNoOptPct = (no_opt.flops / base - 1.0) * 100.0;
 
-            return row;
-        });
+        AppBest with_opt = bestFeasible(scores, a, 1, row.app, all);
+        row.bestConfigOpt = with_opt.cfg;
+        row.benefitWithOptPct = (with_opt.flops / base - 1.0) * 100.0;
+
+        rows.push_back(row);
+    }
+    return rows;
 }
 
 } // namespace ena

@@ -17,14 +17,14 @@
 #define ENA_CORE_DSE_HH
 
 #include <cstddef>
-#include <map>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/node_config.hh"
 #include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
 #include "core/sweep_journal.hh"
+#include "power/power_terms.hh"
 #include "workloads/kernel_profile.hh"
 
 namespace ena {
@@ -48,16 +48,130 @@ struct DseGrid
     {
         return cus.size() * freqsGhz.size() * bwsTbs.size();
     }
+
+    /**
+     * The point at flat index @p i, row-major over (cus, freq, bw):
+     * the enumeration order of the original serial triple loop, so
+     * index-order reductions reproduce its results exactly.
+     */
+    NodeConfig at(std::size_t i, const PowerOptConfig &opts) const;
 };
 
 /**
  * Points per ThreadPool chunk when @p n points are swept on @p threads
- * workers: large enough that the per-batch term caches amortize (each
- * batch pays one pow() per distinct axis value it touches), small
+ * workers: large enough that a chunk amortizes its dispatch, small
  * enough that every worker gets several chunks. The explorer and the
  * server's sweep op both chunk with it.
  */
 std::size_t sweepChunkSize(std::size_t n, int threads);
+
+/**
+ * Scores written by DseGridScorer::score(), stored by grid index:
+ * each scored application's flops, and its budget-scope power under
+ * each scored power setting. Applications and settings are addressed
+ * by their position in the scorer's lists.
+ */
+class GridScores
+{
+  public:
+    GridScores(std::size_t points, std::size_t apps, std::size_t settings)
+        : points_(points), apps_(apps),
+          flops_(points * apps), budgetPowerW_(points * apps * settings)
+    {
+    }
+
+    double
+    flops(std::size_t app, std::size_t i) const
+    {
+        return flops_[app * points_ + i];
+    }
+
+    double &
+    flops(std::size_t app, std::size_t i)
+    {
+        return flops_[app * points_ + i];
+    }
+
+    double
+    budgetPowerW(std::size_t setting, std::size_t app, std::size_t i) const
+    {
+        return budgetPowerW_[(setting * apps_ + app) * points_ + i];
+    }
+
+    double &
+    budgetPowerW(std::size_t setting, std::size_t app, std::size_t i)
+    {
+        return budgetPowerW_[(setting * apps_ + app) * points_ + i];
+    }
+
+  private:
+    std::size_t points_;
+    std::size_t apps_;
+    std::vector<double> flops_;
+    std::vector<double> budgetPowerW_;
+};
+
+/**
+ * Prices DseGrid points for a list of applications under a list of
+ * power settings: the DSE's evaluation engine.
+ *
+ * Every pow()-heavy term of the model reads one axis value or one
+ * (CU, frequency) pair, so the constructor computes each of them once
+ * per search, from the grid's axes, with the same perf_terms /
+ * power_terms functions the scalar evaluator calls: per application
+ * the CU scale, frequency scale and usable bandwidth of every axis
+ * value and the peak, compute rate and roofline pow of every (CU,
+ * frequency) pair; per setting the V/f scales of every frequency; the
+ * HBM static power of every bandwidth. score() then makes one
+ * perf_terms::evaluatePerfPre call per (point, application), whose
+ * result no power optimization changes, and one
+ * power_terms::evaluatePower call per setting on top of it.
+ *
+ * Same inputs, same functions, same operation order: every score is
+ * bit-identical to NodeEvaluator::evaluate on DseGrid::at(i, setting),
+ * the reference oracle. Points are the grid's knobs on a default
+ * NodeConfig, as the explorer enumerates them.
+ */
+class DseGridScorer
+{
+  public:
+    DseGridScorer(const NodeEvaluator &eval, const DseGrid &grid,
+                  std::vector<App> apps,
+                  std::vector<PowerOptConfig> settings);
+
+    /** Empty slots for every grid point, shaped for score(). */
+    GridScores
+    makeScores() const
+    {
+        return GridScores(grid_.size(), apps_.size(), settings_.size());
+    }
+
+    /**
+     * Score the grid points at @p indices into their slots of @p out.
+     * Disjoint index lists may be scored concurrently into one @p out.
+     * A point that fails NodeConfig validation is fatal with the
+     * scalar evaluator's diagnostic. Counts one node.evaluations per
+     * (point, application).
+     */
+    void score(std::span<const std::size_t> indices,
+               GridScores &out) const;
+
+  private:
+    DseGrid grid_;
+    std::vector<App> apps_;
+    std::vector<PowerOptConfig> settings_;
+    NodeConfig base_;   ///< every field the grid does not sweep
+
+    std::vector<const KernelProfile *> profiles_;   ///< [app]
+    std::vector<bool> cuOk_, freqOk_, bwOk_;        ///< axis validity
+    std::vector<double> peak_;          ///< [cu][freq]
+    std::vector<double> computeRate_;   ///< [app][cu][freq]
+    std::vector<double> powCompute_;    ///< [app][cu][freq]
+    std::vector<double> usableGbs_;     ///< [app][bw]
+    std::vector<power_terms::VfScales> vf_;   ///< [setting][freq]
+    std::vector<double> hbmStaticW_;    ///< [bw]
+    power_terms::ExtStatic extStatic_;
+};
 
 /** One candidate's scores. */
 struct DsePoint
@@ -103,10 +217,9 @@ struct TableIIRow
  * every grid point is scored independently into its own slot and all
  * argmax reductions happen on the caller in grid-enumeration order.
  *
- * Grid points are scored through NodeEvaluator::evaluateBatch —
- * ThreadPool chunks of sweepChunkSize() points become batches — and
- * every search evaluates its points afresh: one (config, app)
- * evaluation is cheaper than any cache lookup would be.
+ * Every search builds one DseGridScorer and scores its points in
+ * sweepChunkSize() chunks on the pool; nothing is cached across
+ * searches.
  */
 class DesignSpaceExplorer
 {
@@ -140,7 +253,9 @@ class DesignSpaceExplorer
     /**
      * Reproduce Table II: per-application best configs and their
      * performance benefit over the given best-mean configuration,
-     * without and with the Section V-E power optimizations.
+     * without and with the Section V-E power optimizations. One pass
+     * prices every point under both settings; each row is then the
+     * findBestForApp argmax of its (app, setting) columns.
      */
     std::vector<TableIIRow> tableII(const NodeConfig &best_mean) const;
 
@@ -154,9 +269,17 @@ class DesignSpaceExplorer
     }
 
   private:
-    /** The grid point at flat index i (row-major over cus/freq/bw). */
-    NodeConfig configAt(std::size_t index,
-                        const PowerOptConfig &opts) const;
+    /** Score every grid point with @p scorer on the pool. */
+    GridScores scoreGrid(const DseGridScorer &scorer) const;
+
+    /**
+     * Argmax of one scored (app, setting) column: points over budget
+     * are skipped, '>' keeps the lowest index on ties. fatal() when no
+     * point fits.
+     */
+    AppBest bestFeasible(const GridScores &scores, std::size_t app_pos,
+                         std::size_t setting_pos, App app,
+                         const PowerOptConfig &opts) const;
 
     const NodeEvaluator &eval_;
     DseGrid grid_;

@@ -5,6 +5,7 @@
 
 #include "telemetry/metrics.hh"
 #include "util/logging.hh"
+#include "util/string_utils.hh"
 
 namespace ena {
 
@@ -120,6 +121,13 @@ parseRecord(const std::string &line, std::string *key,
 } // anonymous namespace
 
 } // namespace journal_detail
+
+std::string
+journalNodeKey(const NodeConfig &cfg)
+{
+    return strformat("%dcu@%aGHz/%aTBps:o%d", cfg.cus, cfg.freqGhz,
+                     cfg.bwTbs, powerOptBits(cfg.opts));
+}
 
 Expected<std::unique_ptr<SweepJournal>>
 SweepJournal::open(const std::string &path)

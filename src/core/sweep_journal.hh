@@ -20,6 +20,11 @@
  * dropped with a warning on load and simply recomputed. Keys and
  * payloads are escaped so they may contain tabs and newlines.
  *
+ * A key names every input its point reads (journalNodeKey() for the
+ * node, plus whatever else the sweep varies or takes as an argument),
+ * so one journal file can serve different sweeps without replaying a
+ * point computed for other inputs.
+ *
  * The journal is activated either explicitly (open a journal and hand
  * it to the sweep overloads that take one) or ambiently via the
  * ENA_SWEEP_JOURNAL environment variable, which the plain sweep entry
@@ -38,9 +43,18 @@
 #include <mutex>
 #include <string>
 
+#include "common/node_config.hh"
 #include "util/status.hh"
 
 namespace ena {
+
+/**
+ * The node part of every sweep-journal key: the exact bits of the
+ * three DSE knobs (the CU count, then frequency and bandwidth as
+ * hexfloats) and the power-opt bits. Unlike NodeConfig::label(), which
+ * rounds, two configs share it only when those inputs are bit-equal.
+ */
+std::string journalNodeKey(const NodeConfig &cfg);
 
 class SweepJournal
 {

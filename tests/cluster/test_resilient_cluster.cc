@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "cluster/cluster_config_io.hh"
 #include "cluster/resilient_cluster.hh"
 #include "cluster/resilient_cluster_io.hh"
@@ -210,6 +212,36 @@ TEST(ResilientCluster, SweepMatchesDirectEvaluationAndOrdering)
         EXPECT_EQ(p.effectiveExaflops, r.effectiveExaflops);
         EXPECT_EQ(p.systemMw, r.systemMw);
     }
+}
+
+TEST(ResilientCluster, SweepJournalKeysIncludeTheApp)
+{
+    // A journal shared with a LULESH sweep must not replay LULESH's
+    // cells into a CoMD sweep of the same machines.
+    const std::string path = "test_resilient_journal_app.tmp";
+    std::remove(path.c_str());
+    ResilientScaleOutStudy study(evaluator(), ClusterConfig::exascale());
+    const std::vector<ClusterTopology> fat_tree = {ClusterTopology::FatTree};
+    const std::vector<int> sizes = {1024};
+    const NodeConfig cfg = NodeConfig::bestMean();
+    const auto &variants = standardProtectionVariants();
+    const auto fresh = study.sweep(cfg, App::CoMD, CommSpec{}, variants,
+                                   fat_tree, sizes, nullptr);
+
+    study.sweep(cfg, App::LULESH, CommSpec{}, variants, fat_tree, sizes,
+                std::move(SweepJournal::open(path)).value().get());
+    auto j = std::move(SweepJournal::open(path)).value();
+    const auto shared = study.sweep(cfg, App::CoMD, CommSpec{}, variants,
+                                    fat_tree, sizes, j.get());
+    EXPECT_EQ(j->appendedRecords(), fresh.size());   // nothing replayed
+    ASSERT_EQ(shared.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(shared[i].effectiveExaflops, fresh[i].effectiveExaflops)
+            << variants[fresh[i].variant].name;
+        EXPECT_EQ(shared[i].systemExaflops, fresh[i].systemExaflops)
+            << variants[fresh[i].variant].name;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ResilientCluster, SweepIsDeterministicAcrossThreadCounts)

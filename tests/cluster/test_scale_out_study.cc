@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "cluster/scale_out_study.hh"
 #include "util/thread_pool.hh"
 
@@ -128,4 +130,29 @@ TEST(ScaleOutStudy, TopologySweepIsTopologyMajor)
     EXPECT_EQ(sweep[1].nodes, 8000);
     EXPECT_EQ(sweep[2].topology, ClusterTopology::Dragonfly);
     EXPECT_EQ(sweep[5].topology, ClusterTopology::Torus3D);
+}
+
+TEST(ScaleOutStudy, TopologySweepJournalKeysIncludeTheApp)
+{
+    // A journal shared with a LULESH sweep must not replay LULESH's
+    // cells into a CoMD sweep of the same fabric.
+    const std::string path = "test_scale_out_journal_app.tmp";
+    std::remove(path.c_str());
+    const std::vector<ClusterTopology> fat_tree = {ClusterTopology::FatTree};
+    const std::vector<int> sizes = {1024};
+    const NodeConfig cfg = NodeConfig::bestMean();
+    const auto fresh = study().topologySweep(cfg, App::CoMD, CommSpec{},
+                                             fat_tree, sizes, nullptr);
+
+    study().topologySweep(cfg, App::LULESH, CommSpec{}, fat_tree, sizes,
+                          std::move(SweepJournal::open(path)).value().get());
+    auto j = std::move(SweepJournal::open(path)).value();
+    const auto shared = study().topologySweep(cfg, App::CoMD, CommSpec{},
+                                              fat_tree, sizes, j.get());
+    EXPECT_EQ(j->appendedRecords(), 1u);   // recomputed, not replayed
+    ASSERT_EQ(shared.size(), 1u);
+    EXPECT_EQ(shared[0].systemExaflops, fresh[0].systemExaflops);
+    EXPECT_EQ(shared[0].efficiency, fresh[0].efficiency);
+    EXPECT_EQ(shared[0].systemMw, fresh[0].systemMw);
+    std::remove(path.c_str());
 }

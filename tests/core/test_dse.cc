@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dse.hh"
 #include "core/sweep_journal.hh"
+#include "util/rng.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
@@ -51,6 +56,101 @@ gridPoint(const DseGrid &g, std::size_t i, const PowerOptConfig &opts)
     return cfg;
 }
 
+/** @p count distinct integers from [lo, hi], ascending. */
+std::vector<int>
+distinctDraws(Rng &r, int lo, int hi, std::size_t count)
+{
+    std::set<int> picked;
+    while (picked.size() < count)
+        picked.insert(static_cast<int>(r.range(lo, hi)));
+    return {picked.begin(), picked.end()};
+}
+
+/**
+ * A seeded 7x10x7 grid drawn from the paper's ranges the way the
+ * repository benchmark draws its grids: 192 CUs plus 6 distinct counts
+ * up to 384, 0.7 GHz plus 9 distinct 5 MHz steps up to 1.5 GHz, 1 TB/s
+ * plus 6 distinct 0.25 TB/s steps up to 7 TB/s.
+ */
+DseGrid
+randomPaperRangeGrid(std::uint64_t seed)
+{
+    Rng r(seed);
+    DseGrid g;
+    g.cus.push_back(192);
+    for (int c : distinctDraws(r, 193, 384, 6))
+        g.cus.push_back(c);
+    g.freqsGhz.push_back(0.7);
+    for (int k : distinctDraws(r, 141, 300, 9))
+        g.freqsGhz.push_back(k * 5 / 1000.0);
+    g.bwsTbs.push_back(1.0);
+    for (int k : distinctDraws(r, 5, 28, 6))
+        g.bwsTbs.push_back(k * 0.25);
+    return g;
+}
+
+/** @p g with one value repeated on every axis and each axis shuffled. */
+DseGrid
+shuffledWithRepeats(DseGrid g, std::uint64_t seed)
+{
+    Rng r(seed);
+    auto shuffle = [&r](auto &axis) {
+        for (std::size_t i = axis.size() - 1; i > 0; --i)
+            std::swap(axis[i], axis[r.below(i + 1)]);
+    };
+    g.cus.push_back(g.cus[2]);
+    g.freqsGhz.push_back(g.freqsGhz[3]);
+    g.bwsTbs.push_back(g.bwsTbs[1]);
+    shuffle(g.cus);
+    shuffle(g.freqsGhz);
+    shuffle(g.bwsTbs);
+    return g;
+}
+
+/** Grids every explorer/oracle comparison runs on. */
+std::vector<DseGrid>
+oracleGrids()
+{
+    return {tinyGrid(), DseGrid::paperGrid(), randomPaperRangeGrid(1),
+            randomPaperRangeGrid(2), randomPaperRangeGrid(3)};
+}
+
+/** Serial scalar argmax of one app's flops under the budget. */
+std::optional<AppBest>
+scalarBestForApp(const DseGrid &g, App app, const PowerOptConfig &opts,
+                 double budget)
+{
+    std::optional<AppBest> best;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        NodeConfig cfg = gridPoint(g, i, opts);
+        EvalResult r = evaluator().evaluate(cfg, app);
+        if (r.power.budgetPower() > budget)
+            continue;
+        if (!best || r.perf.flops > best->flops)
+            best = AppBest{cfg, r.perf.flops, r.power.budgetPower()};
+    }
+    return best;
+}
+
+/** A temporary journal path, removed on construction and scope exit. */
+struct TempJournal
+{
+    explicit TempJournal(const std::string &name)
+        : path("test_dse_" + name + ".tmp")
+    {
+        std::remove(path.c_str());
+    }
+    ~TempJournal() { std::remove(path.c_str()); }
+
+    std::unique_ptr<SweepJournal>
+    open() const
+    {
+        return std::move(SweepJournal::open(path)).value();
+    }
+
+    std::string path;
+};
+
 /** findBestMean(none) + tableII as a serial argmax over evaluate(). */
 struct ScalarAnswer
 {
@@ -82,21 +182,12 @@ scalarTableII(const DseGrid &g, double budget)
         for (bool with_opt : {false, true}) {
             PowerOptConfig opts =
                 with_opt ? PowerOptConfig::all() : PowerOptConfig::none();
-            std::optional<double> top;
-            NodeConfig arg;
-            for (std::size_t i = 0; i < g.size(); ++i) {
-                NodeConfig cfg = gridPoint(g, i, opts);
-                EvalResult r = evaluator().evaluate(cfg, app);
-                if (r.power.budgetPower() > budget)
-                    continue;
-                if (!top || r.perf.flops > *top) {
-                    top = r.perf.flops;
-                    arg = cfg;
-                }
-            }
+            std::optional<AppBest> top =
+                scalarBestForApp(g, app, opts, budget);
             EXPECT_TRUE(top.has_value()) << appName(app);
-            const double benefit = (top.value_or(0.0) / base - 1.0) * 100.0;
-            (with_opt ? row.bestConfigOpt : row.bestConfig) = arg;
+            const AppBest best = top.value_or(AppBest{});
+            const double benefit = (best.flops / base - 1.0) * 100.0;
+            (with_opt ? row.bestConfigOpt : row.bestConfig) = best.cfg;
             (with_opt ? row.benefitWithOptPct : row.benefitNoOptPct) =
                 benefit;
         }
@@ -216,12 +307,142 @@ TEST(Dse, TableIIRowsCoverEveryApp)
     }
 }
 
+TEST(DseGridScorer, ScoresEqualTheScalarEvaluatorBitForBit)
+{
+    // Every setting the tables are built for: none, all, and each
+    // optimization alone (ntc is the one that changes the V/f scales).
+    std::vector<PowerOptConfig> settings = {PowerOptConfig::none(),
+                                            PowerOptConfig::all()};
+    for (bool PowerOptConfig::*knob :
+         {&PowerOptConfig::ntc, &PowerOptConfig::asyncCu,
+          &PowerOptConfig::asyncRouter, &PowerOptConfig::lpLinks,
+          &PowerOptConfig::compression}) {
+        PowerOptConfig one;
+        one.*knob = true;
+        settings.push_back(one);
+    }
+
+    std::vector<DseGrid> grids = {DseGrid::paperGrid()};
+    for (std::uint64_t seed : {1, 2, 3}) {
+        grids.push_back(
+            shuffledWithRepeats(randomPaperRangeGrid(seed), seed));
+    }
+
+    const std::vector<App> &apps = allApps();
+    for (const DseGrid &grid : grids) {
+        DseGridScorer scorer(evaluator(), grid, apps, settings);
+        GridScores scores = scorer.makeScores();
+        std::vector<std::size_t> indices(grid.size());
+        for (std::size_t i = 0; i < indices.size(); ++i)
+            indices[i] = i;
+        scorer.score(indices, scores);
+
+        std::size_t mismatches = 0;
+        std::string first;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            for (std::size_t a = 0; a < apps.size(); ++a) {
+                for (std::size_t s = 0; s < settings.size(); ++s) {
+                    NodeConfig cfg = gridPoint(grid, i, settings[s]);
+                    EvalResult want = evaluator().evaluate(cfg, apps[a]);
+                    if (scores.flops(a, i) == want.perf.flops &&
+                        scores.budgetPowerW(s, a, i) ==
+                            want.power.budgetPower())
+                        continue;
+                    if (mismatches++ == 0) {
+                        first = cfg.label() + " " + appName(apps[a]) +
+                                " opts " +
+                                std::to_string(powerOptBits(settings[s]));
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << grid.size() << "-point grid, first at " << first;
+    }
+}
+
+TEST(Dse, GridAtEnumeratesRowMajor)
+{
+    const DseGrid g = shuffledWithRepeats(randomPaperRangeGrid(7), 7);
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        NodeConfig got = g.at(i, PowerOptConfig::all());
+        NodeConfig want = gridPoint(g, i, PowerOptConfig::all());
+        EXPECT_EQ(got.cus, want.cus);
+        EXPECT_EQ(got.freqGhz, want.freqGhz);
+        EXPECT_EQ(got.bwTbs, want.bwTbs);
+        EXPECT_EQ(powerOptBits(got.opts), powerOptBits(want.opts));
+    }
+}
+
+TEST(Dse, FindBestForAppMatchesScalarArgmax)
+{
+    for (const DseGrid &grid : oracleGrids()) {
+        for (int threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            DesignSpaceExplorer dse(evaluator(), grid, 160.0);
+            for (App app : allApps()) {
+                for (const PowerOptConfig &opts :
+                     {PowerOptConfig::none(), PowerOptConfig::all()}) {
+                    const std::string at =
+                        appName(app) + " opts " +
+                        std::to_string(powerOptBits(opts)) + ", " +
+                        std::to_string(grid.size()) + "-point grid, " +
+                        std::to_string(threads) + " thread(s)";
+                    std::optional<AppBest> want =
+                        scalarBestForApp(grid, app, opts, 160.0);
+                    ASSERT_TRUE(want.has_value()) << at;
+                    AppBest got = dse.findBestForApp(app, opts);
+                    expectSameConfig(got.cfg, want->cfg, at);
+                    EXPECT_EQ(got.flops, want->flops) << at;
+                    EXPECT_EQ(got.budgetPowerW, want->budgetPowerW) << at;
+                }
+            }
+            ThreadPool::setGlobalThreads(0);
+        }
+    }
+}
+
+TEST(Dse, TiesGoToTheLowestGridIndex)
+{
+    // Bandwidth beyond a kernel's maxBandwidthTbs cannot be consumed,
+    // so both grid bandwidths give the capped kernels bit-equal flops.
+    // Both points fit the budget; the argmax's strict '>' keeps index
+    // 0, where '>=' would move every capped kernel to index 1.
+    const DseGrid g{{320}, {1.0}, {4.0, 5.0}};
+    const double budget = 1000.0;
+    DesignSpaceExplorer dse(evaluator(), g, budget);
+    std::vector<TableIIRow> rows = dse.tableII(NodeConfig::bestMean());
+    ASSERT_EQ(rows.size(), allApps().size());
+
+    int capped = 0;
+    for (std::size_t a = 0; a < allApps().size(); ++a) {
+        const App app = allApps()[a];
+        if (profileFor(app).maxBandwidthTbs >= g.bwsTbs[0])
+            continue;
+        ++capped;
+        for (const PowerOptConfig &opts :
+             {PowerOptConfig::none(), PowerOptConfig::all()}) {
+            EvalResult lo = evaluator().evaluate(g.at(0, opts), app);
+            EvalResult hi = evaluator().evaluate(g.at(1, opts), app);
+            ASSERT_EQ(lo.perf.flops, hi.perf.flops) << appName(app);
+            ASSERT_LE(hi.power.budgetPower(), budget) << appName(app);
+            ASSERT_LE(lo.power.budgetPower(), budget) << appName(app);
+            EXPECT_EQ(dse.findBestForApp(app, opts).cfg.bwTbs, 4.0)
+                << appName(app) << " opts " << powerOptBits(opts);
+        }
+        EXPECT_EQ(rows[a].bestConfig.bwTbs, 4.0) << appName(app);
+        EXPECT_EQ(rows[a].bestConfigOpt.bwTbs, 4.0) << appName(app);
+    }
+    EXPECT_GT(capped, 0);
+}
+
 TEST(Dse, TableIIMatchesScalarOracle)
 {
-    // The explorer's whole search — batched, pooled, chunked — must pick
-    // exactly the configs a serial scalar argmax picks, with bitwise
-    // equal benefits, on every grid at every pool size.
-    for (const DseGrid &grid : {tinyGrid(), DseGrid::paperGrid()}) {
+    // The explorer's whole search — pooled, chunked, both settings in
+    // one pass — must pick exactly the configs a serial scalar argmax
+    // picks, with bitwise equal benefits, on every grid at every pool
+    // size.
+    for (const DseGrid &grid : oracleGrids()) {
         const ScalarAnswer want = scalarTableII(grid, 160.0);
         for (int threads : {1, 4}) {
             ThreadPool::setGlobalThreads(threads);
@@ -303,11 +524,68 @@ TEST(Dse, JournaledSweepResumesWithoutRecomputing)
     std::remove(path.c_str());
 }
 
+TEST(Dse, JournalTellsApartKnobsTheLabelRoundsTogether)
+{
+    // label() prints 0.700 and 0.701 GHz alike; a journal keyed by it
+    // replayed the first sweep's point into the second.
+    TempJournal t("journal_bits");
+    DesignSpaceExplorer a(evaluator(), DseGrid{{192}, {0.700}, {1.0}},
+                          160.0);
+    DesignSpaceExplorer b(evaluator(), DseGrid{{192}, {0.701}, {1.0}},
+                          160.0);
+    const auto fresh = b.sweep(PowerOptConfig::none(), nullptr);
+
+    a.sweep(PowerOptConfig::none(), t.open().get());
+    auto j = t.open();
+    const auto shared = b.sweep(PowerOptConfig::none(), j.get());
+    EXPECT_EQ(j->appendedRecords(), 1u);   // recomputed, not replayed
+    ASSERT_EQ(shared.size(), 1u);
+    EXPECT_EQ(shared[0].geomeanFlops, fresh[0].geomeanFlops);
+    EXPECT_EQ(shared[0].maxBudgetPowerW, fresh[0].maxBudgetPowerW);
+}
+
+TEST(Dse, JournalReplayJudgesFeasibilityUnderTheCurrentBudget)
+{
+    // A journal written under 200 W must not hand its feasible flags
+    // to a 120 W run: the replayed point keeps its scores, and the
+    // explorer judges them against its own budget.
+    TempJournal t("journal_budget");
+    DesignSpaceExplorer loose(evaluator(), DseGrid::paperGrid(), 200.0);
+    DesignSpaceExplorer tight(evaluator(), DseGrid::paperGrid(), 120.0);
+    const auto fresh = tight.sweep(PowerOptConfig::none(), nullptr);
+
+    loose.sweep(PowerOptConfig::none(), t.open().get());
+    auto j = t.open();
+    const auto replayed = tight.sweep(PowerOptConfig::none(), j.get());
+    EXPECT_EQ(j->appendedRecords(), 0u);   // every point replayed
+    ASSERT_EQ(replayed.size(), fresh.size());
+    std::size_t flipped = 0;
+    for (std::size_t i = 0; i < fresh.size(); ++i)
+        flipped += replayed[i].feasible != fresh[i].feasible;
+    EXPECT_EQ(flipped, 0u) << "feasible flags differ from a fresh run";
+
+    // The same through findBestMean and ENA_SWEEP_JOURNAL.
+    const NodeConfig want = tight.findBestMean(PowerOptConfig::none());
+    EXPECT_EQ(want.label(), "224cu@0.70GHz/3.0TBps");
+    TempJournal env("journal_budget_env");
+    ASSERT_EQ(setenv("ENA_SWEEP_JOURNAL", env.path.c_str(), 1), 0);
+    loose.findBestMean(PowerOptConfig::none());
+    const NodeConfig got = tight.findBestMean(PowerOptConfig::none());
+    ASSERT_EQ(unsetenv("ENA_SWEEP_JOURNAL"), 0);
+    expectSameConfig(got, want, "120 W best mean after a 200 W run");
+}
+
 TEST(DseDeathTest, ImpossibleBudgetIsFatal)
 {
     DesignSpaceExplorer dse(evaluator(), tinyGrid(), 1.0);
     EXPECT_EXIT(dse.findBestMean(PowerOptConfig::none()),
                 testing::ExitedWithCode(1), "no feasible configuration");
+    EXPECT_EXIT(dse.findBestForApp(App::CoMD, PowerOptConfig::all()),
+                testing::ExitedWithCode(1),
+                "no feasible configuration for CoMD");
+    EXPECT_EXIT(dse.tableII(NodeConfig::bestMean()),
+                testing::ExitedWithCode(1),
+                "no feasible configuration for MaxFlops");
 }
 
 TEST(DseDeathTest, EmptyGridIsFatal)
