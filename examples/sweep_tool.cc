@@ -158,15 +158,16 @@ main(int argc, char **argv)
             rows.push_back(os.str());
         }
     } else {
-        std::vector<double> values;
-        for (double v = *from; v <= *to + 1e-9; v += *step)
-            values.push_back(v);
+        Expected<std::vector<double>> values =
+            trySweepValues(*from, *to, *step);
+        if (!values.ok())
+            return usage(values.status());
 
         // Evaluate every point on the process-wide pool (ENA_THREADS)
         // and emit the CSV rows in sweep order afterwards.
         NodeEvaluator eval;
-        rows = parallel_map(values.size(), [&](std::size_t i) {
-            double v = values[i];
+        rows = parallel_map(values->size(), [&](std::size_t i) {
+            double v = (*values)[i];
             NodeConfig cfg = base;
             if (axis == "cus")
                 cfg.cus = static_cast<int>(v);

@@ -11,6 +11,8 @@
 #ifndef ENA_COMMON_NODE_CONFIG_HH
 #define ENA_COMMON_NODE_CONFIG_HH
 
+#include <algorithm>
+#include <charconv>
 #include <string>
 
 #include "util/logging.hh"
@@ -163,7 +165,20 @@ struct NodeConfig
     std::string
     label() const
     {
-        return strformat("%dcu@%.2fGHz/%.1fTBps", cus, freqGhz, bwTbs);
+        // to_chars at a fixed precision writes the bytes printf's %.2f
+        // and %.1f write (C locale), without parsing a format. An int
+        // takes at most 11 bytes and a double here at most 313 (DBL_MAX
+        // has 309 integer digits), so every label fits.
+        char buf[700];
+        char *const end = buf + sizeof buf;
+        char *p = std::to_chars(buf, end, cus).ptr;
+        p = std::copy_n("cu@", 3, p);
+        p = std::to_chars(p, end, freqGhz, std::chars_format::fixed, 2)
+                .ptr;
+        p = std::copy_n("GHz/", 4, p);
+        p = std::to_chars(p, end, bwTbs, std::chars_format::fixed, 1).ptr;
+        p = std::copy_n("TBps", 4, p);
+        return std::string(buf, p);
     }
 
     /** Paper Section V baseline: best-mean config 320 / 1 GHz / 3 TB/s. */

@@ -1,6 +1,7 @@
 #include "core/dse.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <optional>
@@ -129,6 +130,23 @@ sweepChunkSize(std::size_t n, int threads)
     std::size_t per_thread =
         n / (static_cast<std::size_t>(threads) * 4);
     return std::clamp<std::size_t>(per_thread, 32, 4096);
+}
+
+Expected<std::vector<double>>
+trySweepValues(double from, double to, double step)
+{
+    if (!(step > 0.0) || !std::isfinite(from) || !std::isfinite(to) ||
+        to < from)
+        return Status::outOfRange("bad sweep range [", from, ", ", to,
+                                  "] step ", step);
+    std::vector<double> values;
+    for (double v = from; v <= to + 1e-9; v += step) {
+        if (values.size() == kMaxSweepPoints)
+            return Status::outOfRange("sweep too large (more than ",
+                                      kMaxSweepPoints, " points)");
+        values.push_back(v);
+    }
+    return values;
 }
 
 DseGrid

@@ -65,6 +65,20 @@ struct DseGrid
  */
 std::size_t sweepChunkSize(std::size_t n, int threads);
 
+/** The most values one axis sweep may have (trySweepValues). */
+constexpr std::size_t kMaxSweepPoints = 1000000;
+
+/**
+ * The values of a one-axis sweep: @p from, then repeated `v += step`
+ * while v <= to + 1e-9 — the sequence sweep_tool and the server's
+ * sweep op both evaluate and print. OutOfRange when @p step is not
+ * positive, an end is not finite or to < from, and when the sweep has
+ * more than kMaxSweepPoints values: enumeration stops at that cap, so
+ * a step too small to advance v cannot run without bound.
+ */
+Expected<std::vector<double>> trySweepValues(double from, double to,
+                                             double step);
+
 /**
  * Scores written by DseGridScorer::score(), stored by grid index:
  * each scored application's flops, and its budget-scope power under

@@ -21,6 +21,7 @@ namespace ena {
 namespace {
 
 using wire::JsonValue;
+using wire::JsonWriter;
 
 /** The stats.per_op key (and span name) shared by all unknown ops. */
 constexpr const char *kUnknownOp = "unknown";
@@ -58,38 +59,56 @@ appFromRequest(const JsonValue &req)
     return tryAppFromName(name);
 }
 
-/** The per-point payload every evaluation op shares. */
-JsonValue
-evalResultJson(const NodeConfig &cfg, const EvalResult &r)
+/**
+ * The per-point members every evaluation op shares; the caller opens
+ * and closes the object (a sweep point appends its "value").
+ */
+void
+writeEvalResultMembers(JsonWriter &out, const NodeConfig &cfg,
+                       const EvalResult &r)
 {
-    JsonValue o = JsonValue::object();
-    o.set("app", appName(r.app));
-    o.set("label", cfg.label());
-    o.set("cus", cfg.cus);
-    o.set("freq_ghz", cfg.freqGhz);
-    o.set("bw_tbs", cfg.bwTbs);
-    o.set("ops_per_byte", r.perf.opsPerByte);
-    o.set("flops", r.perf.flops);
-    o.set("teraflops", r.teraflops());
-    o.set("cu_utilization", r.perf.activity.cuUtilization);
-    o.set("traffic_gbs", r.perf.trafficGbs);
-    o.set("memory_bound", r.perf.memoryBound);
-    o.set("budget_w", r.power.budgetPower());
-    o.set("package_w", r.power.packagePower());
-    o.set("total_w", r.power.total());
-    o.set("gflops_per_w", r.perf.flops / 1e9 / r.power.total());
-    return o;
+    out.key("app").string(appName(r.app))
+        .key("label").string(cfg.label())
+        .key("cus").number(cfg.cus)
+        .key("freq_ghz").number(cfg.freqGhz)
+        .key("bw_tbs").number(cfg.bwTbs)
+        .key("ops_per_byte").number(r.perf.opsPerByte)
+        .key("flops").number(r.perf.flops)
+        .key("teraflops").number(r.teraflops())
+        .key("cu_utilization").number(r.perf.activity.cuUtilization)
+        .key("traffic_gbs").number(r.perf.trafficGbs)
+        .key("memory_bound").boolean(r.perf.memoryBound)
+        .key("budget_w").number(r.power.budgetPower())
+        .key("package_w").number(r.power.packagePower())
+        .key("total_w").number(r.power.total())
+        .key("gflops_per_w").number(r.perf.flops / 1e9 / r.power.total());
 }
 
-JsonValue
-nodeConfigJson(const NodeConfig &cfg)
+void
+writeNodeConfig(JsonWriter &out, const NodeConfig &cfg)
 {
-    JsonValue o = JsonValue::object();
-    o.set("cus", cfg.cus);
-    o.set("freq_ghz", cfg.freqGhz);
-    o.set("bw_tbs", cfg.bwTbs);
-    o.set("label", cfg.label());
-    return o;
+    out.beginObject()
+        .key("cus").number(cfg.cus)
+        .key("freq_ghz").number(cfg.freqGhz)
+        .key("bw_tbs").number(cfg.bwTbs)
+        .key("label").string(cfg.label())
+        .endObject();
+}
+
+void
+writeClusterResult(JsonWriter &out, const ClusterResult &r)
+{
+    out.beginObject()
+        .key("app").string(appName(r.app))
+        .key("node_teraflops").number(r.node.teraflops())
+        .key("node_total_w").number(r.node.power.total())
+        .key("comm_efficiency").number(r.commEfficiency)
+        .key("analytic_exaflops").number(r.analyticExaflops)
+        .key("system_exaflops").number(r.systemExaflops)
+        .key("analytic_mw").number(r.analyticMw)
+        .key("network_mw").number(r.networkMw)
+        .key("system_mw").number(r.systemMw)
+        .endObject();
 }
 
 Expected<CommSpec>
@@ -122,58 +141,69 @@ commSpecFromRequest(const JsonValue &req)
 
 } // anonymous namespace
 
-wire::JsonValue
+std::string
 EvalService::handle(const wire::JsonValue &request)
 {
     requests_.fetch_add(1, std::memory_order_relaxed);
     requestsCounter().add();
 
-    JsonValue response = JsonValue::object();
+    std::string line;
+    JsonWriter out(&line);
     // Echo the request id (any JSON value; null when absent) so
     // clients can match responses to requests.
+    out.beginObject().key("id");
     if (const JsonValue *id = request.find("id"))
-        response.set("id", *id);
+        out.value(*id);
     else
-        response.set("id", JsonValue());
+        out.null();
+    const std::size_t envelope = line.size();
 
     Expected<std::string> op = wire::tryGetString(request, "op");
-    Expected<JsonValue> result =
-        op.ok() ? dispatch(*op, request) : Expected<JsonValue>(op.status());
-
-    if (result.ok()) {
-        response.set("ok", true);
-        response.set("result", std::move(*result));
-    } else {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        errorsCounter().add();
-        JsonValue err = JsonValue::object();
-        err.set("code", errorCodeName(result.status().code()));
-        err.set("message", result.status().message());
-        response.set("ok", false);
-        response.set("error", std::move(err));
+    Status status = op.status();
+    if (op.ok()) {
+        out.key("ok").boolean(true).key("result");
+        status = dispatch(*op, request, out);
     }
-    return response;
+    if (!status.ok()) {
+        line.resize(envelope);   // drop what the op wrote before failing
+        writeError(out, status);
+    }
+    out.endObject();
+    return line;
 }
 
 std::string
 EvalService::handleLine(const std::string &line)
 {
     Expected<JsonValue> request = wire::tryParseJson(line);
-    if (!request.ok()) {
-        JsonValue response = JsonValue::object();
-        JsonValue err = JsonValue::object();
-        err.set("code", errorCodeName(request.status().code()));
-        err.set("message", request.status().message());
-        response.set("id", JsonValue());
-        response.set("ok", false);
-        response.set("error", std::move(err));
-        requests_.fetch_add(1, std::memory_order_relaxed);
-        requestsCounter().add();
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        errorsCounter().add();
-        return response.dump();
-    }
-    return handle(*request).dump();
+    if (!request.ok())
+        return errorResponse(request.status());
+    return handle(*request);
+}
+
+std::string
+EvalService::errorResponse(const Status &why)
+{
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    requestsCounter().add();
+    std::string line;
+    JsonWriter out(&line);
+    out.beginObject().key("id").null();
+    writeError(out, why);
+    out.endObject();
+    return line;
+}
+
+void
+EvalService::writeError(wire::JsonWriter &out, const Status &why)
+{
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    errorsCounter().add();
+    out.key("ok").boolean(false)
+        .key("error").beginObject()
+        .key("code").string(errorCodeName(why.code()))
+        .key("message").string(why.message())
+        .endObject();
 }
 
 const EvalService::Op EvalService::kOps[] = {
@@ -188,8 +218,9 @@ const EvalService::Op EvalService::kOps[] = {
     {"taskgraph_eval", &EvalService::opTaskGraphEval},
 };
 
-Expected<wire::JsonValue>
-EvalService::dispatch(const std::string &op, const wire::JsonValue &req)
+Status
+EvalService::dispatch(const std::string &op, const wire::JsonValue &req,
+                      wire::JsonWriter &out)
 {
     static_assert(std::size(kOps) == kNumOps, "kNumOps counts kOps");
     std::size_t slot = 0;
@@ -200,14 +231,14 @@ EvalService::dispatch(const std::string &op, const wire::JsonValue &req)
     telemetry::ScopedSpan span("server", name);
     auto start = std::chrono::steady_clock::now();
 
-    Expected<JsonValue> result = [&]() -> Expected<JsonValue> {
+    Status status = [&]() -> Status {
         // Status is the only error channel across this boundary: the
         // evaluation layers throw StatusError from pool tasks (after
         // retries), and anything else unexpected maps to Internal.
         try {
             if (slot == kNumOps)
                 return Status::notFound("unknown op '", op, "'");
-            return (this->*kOps[slot].handler)(req);
+            return (this->*kOps[slot].handler)(req, out);
         } catch (const StatusError &e) {
             return e.status();
         } catch (const std::exception &e) {
@@ -231,68 +262,75 @@ EvalService::dispatch(const std::string &op, const wire::JsonValue &req)
     }
     latency->sample(us);
     stats.requests.fetch_add(1, std::memory_order_relaxed);
-    return result;
+    return status;
 }
 
-Expected<wire::JsonValue>
-EvalService::opPing(const wire::JsonValue &)
+Status
+EvalService::opPing(const wire::JsonValue &, wire::JsonWriter &out)
 {
-    JsonValue r = JsonValue::object();
-    r.set("server", "ena-server");
-    r.set("protocol", 1);
-    return r;
+    out.beginObject()
+        .key("server").string("ena-server")
+        .key("protocol").number(1)
+        .endObject();
+    return Status();
 }
 
-Expected<wire::JsonValue>
-EvalService::opStats(const wire::JsonValue &)
+Status
+EvalService::opStats(const wire::JsonValue &, wire::JsonWriter &out)
 {
     ThreadPool &pool = ThreadPool::global();
 
-    JsonValue r = JsonValue::object();
-    r.set("requests", static_cast<double>(requests_.load()));
-    r.set("errors", static_cast<double>(errors_.load()));
-    r.set("queue_depth",
-          static_cast<double>(queueDepthProbe_ ? queueDepthProbe_()
-                                               : 0));
+    out.beginObject()
+        .key("requests").number(static_cast<double>(requests_.load()))
+        .key("errors").number(static_cast<double>(errors_.load()))
+        .key("queue_depth")
+        .number(static_cast<double>(queueDepthProbe_ ? queueDepthProbe_()
+                                                     : 0));
 
-    JsonValue perOp = JsonValue::object();
+    out.key("per_op").beginObject();
     for (std::size_t i = 0; i < perOp_.size(); ++i) {
         const std::uint64_t n =
             perOp_[i].requests.load(std::memory_order_relaxed);
-        if (n > 0)
-            perOp.set(i < kNumOps ? kOps[i].name : kUnknownOp,
-                      static_cast<double>(n));
+        if (n > 0) {
+            out.key(i < kNumOps ? kOps[i].name : kUnknownOp)
+                .number(static_cast<double>(n));
+        }
     }
-    r.set("per_op", std::move(perOp));
+    out.endObject();
 
-    JsonValue p = JsonValue::object();
-    p.set("threads", pool.threads());
-    p.set("tasks_executed", static_cast<double>(pool.tasksExecuted()));
-    r.set("pool", std::move(p));
-    return r;
+    out.key("pool").beginObject()
+        .key("threads").number(pool.threads())
+        .key("tasks_executed")
+        .number(static_cast<double>(pool.tasksExecuted()))
+        .endObject();
+    out.endObject();
+    return Status();
 }
 
-Expected<wire::JsonValue>
-EvalService::opShutdown(const wire::JsonValue &)
+Status
+EvalService::opShutdown(const wire::JsonValue &, wire::JsonWriter &out)
 {
     stop_.store(true);
-    JsonValue r = JsonValue::object();
-    r.set("stopping", true);
-    return r;
+    out.beginObject().key("stopping").boolean(true).endObject();
+    return Status();
 }
 
-Expected<wire::JsonValue>
-EvalService::opEvalNode(const wire::JsonValue &req)
+Status
+EvalService::opEvalNode(const wire::JsonValue &req, wire::JsonWriter &out)
 {
     ENA_ASSIGN_OR_RETURN(App app, appFromRequest(req));
     ENA_ASSIGN_OR_RETURN(Config cfg, configFromRequest(req));
     ENA_ASSIGN_OR_RETURN(NodeConfig node, tryNodeConfigFromConfig(cfg));
 
-    return evalResultJson(node, eval_.evaluate(node, app));
+    const EvalResult r = eval_.evaluate(node, app);
+    out.beginObject();
+    writeEvalResultMembers(out, node, r);
+    out.endObject();
+    return Status();
 }
 
-Expected<wire::JsonValue>
-EvalService::opSweep(const wire::JsonValue &req)
+Status
+EvalService::opSweep(const wire::JsonValue &req, wire::JsonWriter &out)
 {
     ENA_ASSIGN_OR_RETURN(App app, appFromRequest(req));
     ENA_ASSIGN_OR_RETURN(std::string axis,
@@ -304,23 +342,14 @@ EvalService::opSweep(const wire::JsonValue &req)
         return Status::invalidArgument("bad axis '", axis,
                                        "' (want cus | freq | bw)");
     }
-    if (!(step > 0.0) || !std::isfinite(from) || !std::isfinite(to) ||
-        to < from)
-        return Status::outOfRange("bad sweep range [", from, ", ", to,
-                                  "] step ", step);
+    // sweep_tool's enumeration, so a server-side sweep reproduces the
+    // local CLI point-for-point.
+    ENA_ASSIGN_OR_RETURN(std::vector<double> values,
+                         trySweepValues(from, to, step));
 
     ENA_ASSIGN_OR_RETURN(Config cfgText, configFromRequest(req));
     ENA_ASSIGN_OR_RETURN(NodeConfig base,
                          tryNodeConfigFromConfig(cfgText));
-
-    // Exactly sweep_tool's axis enumeration, so a server-side sweep
-    // reproduces the local CLI point-for-point.
-    std::vector<double> values;
-    for (double v = from; v <= to + 1e-9; v += step)
-        values.push_back(v);
-    if (values.size() > 1000000)
-        return Status::outOfRange("sweep too large (", values.size(),
-                                  " points)");
 
     std::vector<NodeConfig> configs(values.size());
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -352,21 +381,21 @@ EvalService::opSweep(const wire::JsonValue &req)
             results[i] = eval_.evaluate(configs[i], app);
     });
 
-    JsonValue points = JsonValue::array();
+    out.beginObject()
+        .key("app").string(appName(app))
+        .key("axis").string(axis)
+        .key("points").beginArray();
     for (std::size_t i = 0; i < n; ++i) {
-        JsonValue p = evalResultJson(configs[i], results[i]);
-        p.set("value", values[i]);
-        points.push(std::move(p));
+        out.beginObject();
+        writeEvalResultMembers(out, configs[i], results[i]);
+        out.key("value").number(values[i]).endObject();
     }
-    JsonValue r = JsonValue::object();
-    r.set("app", appName(app));
-    r.set("axis", axis);
-    r.set("points", std::move(points));
-    return r;
+    out.endArray().endObject();
+    return Status();
 }
 
-Expected<wire::JsonValue>
-EvalService::opTable2(const wire::JsonValue &req)
+Status
+EvalService::opTable2(const wire::JsonValue &req, wire::JsonWriter &out)
 {
     ENA_ASSIGN_OR_RETURN(double budget,
                          wire::tryGetNumber(req, "budget_w", 160.0));
@@ -394,45 +423,26 @@ EvalService::opTable2(const wire::JsonValue &req)
     NodeConfig bestMean = best->cfg;
     std::vector<TableIIRow> rows = dse.tableII(bestMean);
 
-    JsonValue arr = JsonValue::array();
+    out.beginObject().key("budget_w").number(budget).key("best_mean");
+    writeNodeConfig(out, bestMean);
+    out.key("rows").beginArray();
     for (const TableIIRow &row : rows) {
-        JsonValue o = JsonValue::object();
-        o.set("app", appName(row.app));
-        o.set("best_config", nodeConfigJson(row.bestConfig));
-        o.set("benefit_no_opt_pct", row.benefitNoOptPct);
-        o.set("best_config_opt", nodeConfigJson(row.bestConfigOpt));
-        o.set("benefit_with_opt_pct", row.benefitWithOptPct);
-        arr.push(std::move(o));
+        out.beginObject().key("app").string(appName(row.app));
+        out.key("best_config");
+        writeNodeConfig(out, row.bestConfig);
+        out.key("benefit_no_opt_pct").number(row.benefitNoOptPct);
+        out.key("best_config_opt");
+        writeNodeConfig(out, row.bestConfigOpt);
+        out.key("benefit_with_opt_pct").number(row.benefitWithOptPct);
+        out.endObject();
     }
-    JsonValue r = JsonValue::object();
-    r.set("budget_w", budget);
-    r.set("best_mean", nodeConfigJson(bestMean));
-    r.set("rows", std::move(arr));
-    return r;
+    out.endArray().endObject();
+    return Status();
 }
 
-namespace {
-
-JsonValue
-clusterResultJson(const ClusterResult &r)
-{
-    JsonValue o = JsonValue::object();
-    o.set("app", appName(r.app));
-    o.set("node_teraflops", r.node.teraflops());
-    o.set("node_total_w", r.node.power.total());
-    o.set("comm_efficiency", r.commEfficiency);
-    o.set("analytic_exaflops", r.analyticExaflops);
-    o.set("system_exaflops", r.systemExaflops);
-    o.set("analytic_mw", r.analyticMw);
-    o.set("network_mw", r.networkMw);
-    o.set("system_mw", r.systemMw);
-    return o;
-}
-
-} // anonymous namespace
-
-Expected<wire::JsonValue>
-EvalService::opClusterEval(const wire::JsonValue &req)
+Status
+EvalService::opClusterEval(const wire::JsonValue &req,
+                           wire::JsonWriter &out)
 {
     ENA_ASSIGN_OR_RETURN(App app, appFromRequest(req));
     ENA_ASSIGN_OR_RETURN(Config cfgText, configFromRequest(req));
@@ -443,12 +453,13 @@ EvalService::opClusterEval(const wire::JsonValue &req)
     ENA_ASSIGN_OR_RETURN(CommSpec spec, commSpecFromRequest(req));
 
     ClusterEvaluator ce(eval_, cluster);
-    ClusterResult r = ce.evaluate(node, app, spec);
-    return clusterResultJson(r);
+    writeClusterResult(out, ce.evaluate(node, app, spec));
+    return Status();
 }
 
-Expected<wire::JsonValue>
-EvalService::opResilientEval(const wire::JsonValue &req)
+Status
+EvalService::opResilientEval(const wire::JsonValue &req,
+                             wire::JsonWriter &out)
 {
     ENA_ASSIGN_OR_RETURN(App app, appFromRequest(req));
     ENA_ASSIGN_OR_RETURN(Config cfgText, configFromRequest(req));
@@ -464,21 +475,24 @@ EvalService::opResilientEval(const wire::JsonValue &req)
     ResilientClusterEvaluator rce(ce, spec);
     ResilientResult r = rce.evaluate(node, app, comm);
 
-    JsonValue o = JsonValue::object();
-    o.set("cluster", clusterResultJson(r.cluster));
-    o.set("node_fit", r.nodeFit);
-    o.set("system_mttf_hours", r.systemMttfHours);
-    o.set("interruption_mttf_hours", r.interruptionMttfHours);
-    o.set("ckpt_efficiency", r.ckptEfficiency);
-    o.set("rmt_slowdown", r.rmtSlowdown);
-    o.set("effective_exaflops", r.effectiveExaflops);
-    o.set("system_mw", r.systemMw);
-    o.set("effective_exaflops_per_mw", r.effectiveExaflopsPerMw());
-    return o;
+    out.beginObject().key("cluster");
+    writeClusterResult(out, r.cluster);
+    out.key("node_fit").number(r.nodeFit)
+        .key("system_mttf_hours").number(r.systemMttfHours)
+        .key("interruption_mttf_hours").number(r.interruptionMttfHours)
+        .key("ckpt_efficiency").number(r.ckptEfficiency)
+        .key("rmt_slowdown").number(r.rmtSlowdown)
+        .key("effective_exaflops").number(r.effectiveExaflops)
+        .key("system_mw").number(r.systemMw)
+        .key("effective_exaflops_per_mw")
+        .number(r.effectiveExaflopsPerMw())
+        .endObject();
+    return Status();
 }
 
-Expected<wire::JsonValue>
-EvalService::opTaskGraphEval(const wire::JsonValue &req)
+Status
+EvalService::opTaskGraphEval(const wire::JsonValue &req,
+                             wire::JsonWriter &out)
 {
     ENA_ASSIGN_OR_RETURN(Config cfgText, configFromRequest(req));
     ENA_ASSIGN_OR_RETURN(NodeConfig node,
@@ -502,23 +516,25 @@ EvalService::opTaskGraphEval(const wire::JsonValue &req)
     DagCostModel cost = DagCostModel::build(dag, eval_, node, net);
     Schedule s = scheduleDag(dag, cost, policy, cluster.nodes);
 
-    JsonValue o = JsonValue::object();
-    o.set("dag", dag.label());
-    o.set("shape", dagShapeName(spec.shape));
-    o.set("app", appName(spec.app));
-    o.set("tasks", static_cast<double>(dag.size()));
-    o.set("edges", static_cast<double>(dag.numEdges()));
-    o.set("scheduler", dagSchedulerName(policy));
-    o.set("nodes", cluster.nodes);
-    o.set("makespan_seconds", s.makespanSeconds);
-    o.set("critical_path_seconds", criticalPathSeconds(dag, cost));
-    o.set("total_task_seconds", s.totalCompSeconds);
-    o.set("comm_seconds", s.totalCommSeconds);
-    o.set("edges_costed", static_cast<double>(s.edgesCosted));
-    o.set("speedup", s.speedup());
-    o.set("efficiency", s.efficiency());
-    o.set("utilization", s.utilization());
-    return o;
+    out.beginObject()
+        .key("dag").string(dag.label())
+        .key("shape").string(dagShapeName(spec.shape))
+        .key("app").string(appName(spec.app))
+        .key("tasks").number(static_cast<double>(dag.size()))
+        .key("edges").number(static_cast<double>(dag.numEdges()))
+        .key("scheduler").string(dagSchedulerName(policy))
+        .key("nodes").number(cluster.nodes)
+        .key("makespan_seconds").number(s.makespanSeconds)
+        .key("critical_path_seconds")
+        .number(criticalPathSeconds(dag, cost))
+        .key("total_task_seconds").number(s.totalCompSeconds)
+        .key("comm_seconds").number(s.totalCommSeconds)
+        .key("edges_costed").number(static_cast<double>(s.edgesCosted))
+        .key("speedup").number(s.speedup())
+        .key("efficiency").number(s.efficiency())
+        .key("utilization").number(s.utilization())
+        .endObject();
+    return Status();
 }
 
 } // namespace ena

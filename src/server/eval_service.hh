@@ -1,7 +1,7 @@
 /**
  * @file
  * Socket-free request dispatcher for the evaluation server: one JSON
- * request object in, one JSON response object out. EvalServer wraps it
+ * request object in, one JSON response line out. EvalServer wraps it
  * with sockets and worker threads; tests and benches drive it
  * directly.
  *
@@ -25,6 +25,11 @@
  * ThreadPool through the same NodeEvaluator::evaluate() the library
  * uses, so results are bit-identical to in-process evaluation by
  * construction.
+ *
+ * Encoding: each op writes its result straight into the response line
+ * with a wire::JsonWriter; no JsonValue is built on the response path.
+ * When an op fails after writing part of its result, the line is cut
+ * back to the echoed id before the error is written.
  *
  * Accounting: stats.per_op counts requests per op that has run; every
  * unknown op shares the one key "unknown" (and the latency histogram
@@ -58,14 +63,24 @@ class EvalService
   public:
     EvalService() = default;
 
-    /** Dispatch one parsed request. Never throws. */
-    wire::JsonValue handle(const wire::JsonValue &request);
+    /**
+     * Dispatch one parsed request and return its response line (no
+     * trailing newline). Never throws.
+     */
+    std::string handle(const wire::JsonValue &request);
 
     /**
      * Parse one protocol line and dispatch it. The returned response
      * line carries no trailing newline. Never throws.
      */
     std::string handleLine(const std::string &line);
+
+    /**
+     * The response to a request that could not be read or parsed: an
+     * error carrying @p why, with a null id. Counts as a request
+     * answered with an error.
+     */
+    std::string errorResponse(const Status &why);
 
     /** True once a shutdown request has been served. */
     bool stopRequested() const { return stop_.load(); }
@@ -81,8 +96,9 @@ class EvalService
     std::uint64_t errorsReturned() const { return errors_.load(); }
 
   private:
-    using Handler =
-        Expected<wire::JsonValue> (EvalService::*)(const wire::JsonValue &);
+    /** Writes the op's result (one JSON value) or returns its error. */
+    using Handler = Status (EvalService::*)(const wire::JsonValue &,
+                                            wire::JsonWriter &);
 
     struct Op
     {
@@ -101,18 +117,24 @@ class EvalService
         std::atomic<telemetry::Histogram *> latency{nullptr};
     };
 
-    Expected<wire::JsonValue> dispatch(const std::string &op,
-                                       const wire::JsonValue &req);
+    Status dispatch(const std::string &op, const wire::JsonValue &req,
+                    wire::JsonWriter &out);
 
-    Expected<wire::JsonValue> opPing(const wire::JsonValue &);
-    Expected<wire::JsonValue> opStats(const wire::JsonValue &);
-    Expected<wire::JsonValue> opShutdown(const wire::JsonValue &);
-    Expected<wire::JsonValue> opEvalNode(const wire::JsonValue &req);
-    Expected<wire::JsonValue> opSweep(const wire::JsonValue &req);
-    Expected<wire::JsonValue> opTable2(const wire::JsonValue &req);
-    Expected<wire::JsonValue> opClusterEval(const wire::JsonValue &req);
-    Expected<wire::JsonValue> opResilientEval(const wire::JsonValue &req);
-    Expected<wire::JsonValue> opTaskGraphEval(const wire::JsonValue &req);
+    /** The "ok":false and "error" members; counts the error. */
+    void writeError(wire::JsonWriter &out, const Status &why);
+
+    Status opPing(const wire::JsonValue &, wire::JsonWriter &out);
+    Status opStats(const wire::JsonValue &, wire::JsonWriter &out);
+    Status opShutdown(const wire::JsonValue &, wire::JsonWriter &out);
+    Status opEvalNode(const wire::JsonValue &req, wire::JsonWriter &out);
+    Status opSweep(const wire::JsonValue &req, wire::JsonWriter &out);
+    Status opTable2(const wire::JsonValue &req, wire::JsonWriter &out);
+    Status opClusterEval(const wire::JsonValue &req,
+                         wire::JsonWriter &out);
+    Status opResilientEval(const wire::JsonValue &req,
+                           wire::JsonWriter &out);
+    Status opTaskGraphEval(const wire::JsonValue &req,
+                           wire::JsonWriter &out);
 
     NodeEvaluator eval_;
     std::function<std::size_t()> queueDepthProbe_;

@@ -78,7 +78,23 @@ EvalServer::readerLoop(std::shared_ptr<Connection> conn)
     std::string buffer;
     std::string line;
     for (;;) {
-        Expected<bool> got = conn->socket.recvLine(&buffer, &line);
+        Expected<bool> got =
+            conn->socket.recvLine(&buffer, &line, kMaxRequestLineBytes);
+        if (got.status().code() == ErrorCode::OutOfRange) {
+            // Over-long line: answer it and read no more requests. The
+            // peer reads the error, then EOF. What it still sends, up
+            // to one more line's worth, is dropped so that closing
+            // does not reset the connection under it.
+            std::string response = service_.errorResponse(got.status());
+            response.push_back('\n');
+            {
+                std::lock_guard<std::mutex> lock(conn->writeMu);
+                (void)conn->socket.sendAll(response);
+                conn->socket.shutdownWrite();
+            }
+            conn->socket.discardInput(kMaxRequestLineBytes);
+            break;
+        }
         if (!got.ok() || !*got)
             break; // peer gone (EOF) or shutdown woke us
         // Blocks when the queue is full: backpressure propagates to

@@ -12,6 +12,9 @@
  * to one connection's pipelined requests may interleave in completion
  * order; the echoed "id" field is the client's correlation handle).
  *
+ * A request line longer than kMaxRequestLineBytes gets an out_of_range
+ * error response from its reader, which then closes the connection.
+ *
  * Shutdown: requestStop() is idempotent and safe from any thread
  * (including a worker serving the "shutdown" op); stop() additionally
  * joins every thread and must be called from outside them.
@@ -35,6 +38,13 @@
 #include "util/status.hh"
 
 namespace ena {
+
+/**
+ * The longest request line the daemon reads, newline excluded. Requests
+ * are config texts of a few hundred bytes; a longer line is answered
+ * with an out_of_range error and its connection is closed.
+ */
+constexpr std::size_t kMaxRequestLineBytes = std::size_t(1) << 20;
 
 struct ServerOptions
 {

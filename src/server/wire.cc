@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 namespace ena::wire {
 
@@ -60,27 +61,31 @@ JsonValue::size() const
 namespace {
 
 void
-writeEscaped(const std::string &s, std::string *out)
+writeEscaped(std::string_view s, std::string *out)
 {
     out->push_back('"');
-    for (char c : s) {
+    // Append each run of characters that need no escape in one go.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out->append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"': *out += "\\\""; break;
         case '\\': *out += "\\\\"; break;
         case '\n': *out += "\\n"; break;
         case '\r': *out += "\\r"; break;
         case '\t': *out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                *out += buf;
-            } else {
-                out->push_back(c);
-            }
+        default: {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            *out += buf;
+        }
         }
     }
+    out->append(s.data() + run, s.size() - run);
     out->push_back('"');
 }
 
@@ -102,71 +107,152 @@ writeNumber(double n, std::string *out)
 } // anonymous namespace
 
 void
-JsonValue::writeTo(std::string *out) const
+JsonWriter::separate()
 {
-    switch (kind_) {
-    case Kind::Null: *out += "null"; break;
-    case Kind::Bool: *out += bool_ ? "true" : "false"; break;
-    case Kind::Number: writeNumber(num_, out); break;
-    case Kind::String: writeEscaped(str_, out); break;
-    case Kind::Array: {
-        out->push_back('[');
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
-            if (i)
-                out->push_back(',');
-            arr_[i].writeTo(out);
-        }
-        out->push_back(']');
-        break;
+    if (out_->empty())
+        return;
+    const char last = out_->back();
+    if (last != '{' && last != '[' && last != ':')
+        out_->push_back(',');
+}
+
+JsonWriter &
+JsonWriter::beginObject()
+{
+    separate();
+    out_->push_back('{');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endObject()
+{
+    out_->push_back('}');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::beginArray()
+{
+    separate();
+    out_->push_back('[');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::endArray()
+{
+    out_->push_back(']');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::key(std::string_view k)
+{
+    separate();
+    writeEscaped(k, out_);
+    out_->push_back(':');
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::null()
+{
+    separate();
+    *out_ += "null";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::boolean(bool b)
+{
+    separate();
+    *out_ += b ? "true" : "false";
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::number(double n)
+{
+    separate();
+    writeNumber(n, out_);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::string(std::string_view s)
+{
+    separate();
+    writeEscaped(s, out_);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::value(const JsonValue &v)
+{
+    switch (v.kind()) {
+    case JsonValue::Kind::Null: return null();
+    case JsonValue::Kind::Bool: return boolean(v.boolean());
+    case JsonValue::Kind::Number: return number(v.number());
+    case JsonValue::Kind::String: return string(v.str());
+    case JsonValue::Kind::Array:
+        beginArray();
+        for (const JsonValue &e : v.elements())
+            value(e);
+        return endArray();
+    case JsonValue::Kind::Object:
+        beginObject();
+        for (const auto &[k, member] : v.members())
+            key(k).value(member);
+        return endObject();
     }
-    case Kind::Object: {
-        out->push_back('{');
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
-            if (i)
-                out->push_back(',');
-            writeEscaped(obj_[i].first, out);
-            out->push_back(':');
-            obj_[i].second.writeTo(out);
-        }
-        out->push_back('}');
-        break;
-    }
-    }
+    return *this;
 }
 
 std::string
 JsonValue::dump() const
 {
     std::string out;
-    writeTo(&out);
+    JsonWriter(&out).value(*this);
     return out;
 }
 
-namespace {
-
-/** Recursive-descent JSON parser over a string_view cursor. */
-class Parser
+/**
+ * Recursive-descent JSON parser over a string_view cursor. Values are
+ * parsed in place into their destination, and the first error is kept
+ * in error_. Container members are parsed onto two stacks the parser
+ * reuses for the whole document and moved into their container once it
+ * is complete, so every array and object is allocated once, at its
+ * final size.
+ */
+class JsonParser
 {
   public:
-    explicit Parser(std::string_view text) : text_(text) {}
+    explicit JsonParser(std::string_view text) : text_(text) {}
 
     Expected<JsonValue>
     parse()
     {
-        ENA_ASSIGN_OR_RETURN(JsonValue v, parseValue(0));
+        JsonValue v;
+        if (!parseValue(0, &v))
+            return error_;
         skipWs();
-        if (pos_ != text_.size())
-            return err("trailing characters after JSON document");
+        if (pos_ != text_.size()) {
+            fail("trailing characters after JSON document");
+            return error_;
+        }
         return v;
     }
 
   private:
     static constexpr int kMaxDepth = 100;
 
-    Status
-    err(const std::string &what) const
+    /** Record the error at the cursor; false, for `return fail(...)`. */
+    bool
+    fail(const std::string &what)
     {
-        return Status::parseError("JSON: ", what, " at byte ", pos_);
+        error_ = Status::parseError("JSON: ", what, " at byte ", pos_);
+        return false;
     }
 
     void
@@ -200,36 +286,38 @@ class Parser
         return false;
     }
 
-    Expected<JsonValue>
-    parseValue(int depth)
+    /** Parse one value into @p out, a default (null) JsonValue. */
+    bool
+    parseValue(int depth, JsonValue *out)
     {
         if (depth > kMaxDepth)
-            return err("nesting too deep");
+            return fail("nesting too deep");
         skipWs();
         if (pos_ >= text_.size())
-            return err("unexpected end of input");
+            return fail("unexpected end of input");
         char c = text_[pos_];
         if (c == '{')
-            return parseObject(depth);
+            return parseObject(depth, out);
         if (c == '[')
-            return parseArray(depth);
+            return parseArray(depth, out);
         if (c == '"') {
-            ENA_ASSIGN_OR_RETURN(std::string s, parseString());
-            return JsonValue(std::move(s));
+            out->kind_ = JsonValue::Kind::String;
+            return parseString(&out->str_);
         }
-        if (consumeWord("true"))
-            return JsonValue(true);
-        if (consumeWord("false"))
-            return JsonValue(false);
+        if (consumeWord("true") || consumeWord("false")) {
+            out->kind_ = JsonValue::Kind::Bool;
+            out->bool_ = c == 't';
+            return true;
+        }
         if (consumeWord("null"))
-            return JsonValue();
+            return true;
         if (c == '-' || (c >= '0' && c <= '9'))
-            return parseNumber();
-        return err(std::string("unexpected character '") + c + "'");
+            return parseNumber(out);
+        return fail(std::string("unexpected character '") + c + "'");
     }
 
-    Expected<JsonValue>
-    parseNumber()
+    bool
+    parseNumber(JsonValue *out)
     {
         std::size_t start = pos_;
         while (pos_ < text_.size()) {
@@ -247,7 +335,7 @@ class Parser
         const std::from_chars_result r = std::from_chars(first, last, v);
         if (r.ptr != last ||
             (r.ec != std::errc() && r.ec != std::errc::result_out_of_range))
-            return err("bad number '" + std::string(first, last) + "'");
+            return fail("bad number '" + std::string(first, last) + "'");
         if (r.ec == std::errc::result_out_of_range) {
             // from_chars reports overflow and underflow without a
             // value; strtod rounds them to +-inf and +-0 as JSON
@@ -255,40 +343,50 @@ class Parser
             const std::string tok(first, last);
             v = std::strtod(tok.c_str(), nullptr);
         }
-        return JsonValue(v);
+        out->kind_ = JsonValue::Kind::Number;
+        out->num_ = v;
+        return true;
     }
 
-    Expected<std::string>
-    parseString()
+    /** Parse a string token, appending its characters to @p out. */
+    bool
+    parseString(std::string *out)
     {
         if (!consume('"'))
-            return err("expected '\"'");
-        std::string out;
-        while (pos_ < text_.size()) {
+            return fail("expected '\"'");
+        for (;;) {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control character in one append.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size()) {
+                const unsigned char u = text_[pos_];
+                if (u == '"' || u == '\\' || u < 0x20)
+                    break;
+                ++pos_;
+            }
+            out->append(text_.data() + run, pos_ - run);
+            if (pos_ >= text_.size())
+                return fail("unterminated string");
             char c = text_[pos_++];
             if (c == '"')
-                return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                return err("raw control character in string");
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
+                return true;
+            if (c != '\\')
+                return fail("raw control character in string");
             if (pos_ >= text_.size())
-                return err("dangling escape");
+                return fail("dangling escape");
             char e = text_[pos_++];
             switch (e) {
-            case '"': out.push_back('"'); break;
-            case '\\': out.push_back('\\'); break;
-            case '/': out.push_back('/'); break;
-            case 'b': out.push_back('\b'); break;
-            case 'f': out.push_back('\f'); break;
-            case 'n': out.push_back('\n'); break;
-            case 'r': out.push_back('\r'); break;
-            case 't': out.push_back('\t'); break;
+            case '"': out->push_back('"'); break;
+            case '\\': out->push_back('\\'); break;
+            case '/': out->push_back('/'); break;
+            case 'b': out->push_back('\b'); break;
+            case 'f': out->push_back('\f'); break;
+            case 'n': out->push_back('\n'); break;
+            case 'r': out->push_back('\r'); break;
+            case 't': out->push_back('\t'); break;
             case 'u': {
                 if (pos_ + 4 > text_.size())
-                    return err("truncated \\u escape");
+                    return fail("truncated \\u escape");
                 unsigned code = 0;
                 for (int i = 0; i < 4; ++i) {
                     char h = text_[pos_++];
@@ -300,83 +398,110 @@ class Parser
                     else if (h >= 'A' && h <= 'F')
                         code |= unsigned(h - 'A' + 10);
                     else
-                        return err("bad \\u escape digit");
+                        return fail("bad \\u escape digit");
                 }
                 // UTF-8 encode the BMP code point (surrogate pairs are
                 // not needed by this protocol; a lone surrogate encodes
                 // as its raw code point).
                 if (code < 0x80) {
-                    out.push_back(char(code));
+                    out->push_back(char(code));
                 } else if (code < 0x800) {
-                    out.push_back(char(0xC0 | (code >> 6)));
-                    out.push_back(char(0x80 | (code & 0x3F)));
+                    out->push_back(char(0xC0 | (code >> 6)));
+                    out->push_back(char(0x80 | (code & 0x3F)));
                 } else {
-                    out.push_back(char(0xE0 | (code >> 12)));
-                    out.push_back(char(0x80 | ((code >> 6) & 0x3F)));
-                    out.push_back(char(0x80 | (code & 0x3F)));
+                    out->push_back(char(0xE0 | (code >> 12)));
+                    out->push_back(char(0x80 | ((code >> 6) & 0x3F)));
+                    out->push_back(char(0x80 | (code & 0x3F)));
                 }
                 break;
             }
             default:
-                return err(std::string("bad escape '\\") + e + "'");
+                return fail(std::string("bad escape '\\") + e + "'");
             }
         }
-        return err("unterminated string");
     }
 
-    Expected<JsonValue>
-    parseArray(int depth)
+    bool
+    parseArray(int depth, JsonValue *out)
     {
         consume('[');
-        JsonValue arr = JsonValue::array();
+        out->kind_ = JsonValue::Kind::Array;
         skipWs();
         if (consume(']'))
-            return arr;
+            return true;
+        const std::size_t base = elements_.size();
         for (;;) {
-            ENA_ASSIGN_OR_RETURN(JsonValue v, parseValue(depth + 1));
-            arr.push(std::move(v));
+            // Parse into a local: nested containers grow elements_.
+            JsonValue v;
+            if (!parseValue(depth + 1, &v))
+                return false;
+            elements_.push_back(std::move(v));
             skipWs();
             if (consume(']'))
-                return arr;
+                break;
             if (!consume(','))
-                return err("expected ',' or ']' in array");
+                return fail("expected ',' or ']' in array");
         }
+        const auto first = elements_.begin() + std::ptrdiff_t(base);
+        out->arr_.assign(std::make_move_iterator(first),
+                         std::make_move_iterator(elements_.end()));
+        elements_.erase(first, elements_.end());
+        return true;
     }
 
-    Expected<JsonValue>
-    parseObject(int depth)
+    bool
+    parseObject(int depth, JsonValue *out)
     {
         consume('{');
-        JsonValue obj = JsonValue::object();
+        out->kind_ = JsonValue::Kind::Object;
         skipWs();
         if (consume('}'))
-            return obj;
+            return true;
+        const std::size_t base = members_.size();
         for (;;) {
             skipWs();
-            ENA_ASSIGN_OR_RETURN(std::string key, parseString());
+            std::string key;
+            if (!parseString(&key))
+                return false;
             skipWs();
             if (!consume(':'))
-                return err("expected ':' after object key");
-            ENA_ASSIGN_OR_RETURN(JsonValue v, parseValue(depth + 1));
-            obj.set(std::move(key), std::move(v));
+                return fail("expected ':' after object key");
+            JsonValue v;
+            if (!parseValue(depth + 1, &v))
+                return false;
+            members_.emplace_back(std::move(key), std::move(v));
             skipWs();
             if (consume('}'))
-                return obj;
+                break;
             if (!consume(','))
-                return err("expected ',' or '}' in object");
+                return fail("expected ',' or '}' in object");
         }
+        // A repeated key keeps its first position and takes the last
+        // value, as JsonValue::set() does.
+        const auto first = members_.begin() + std::ptrdiff_t(base);
+        out->obj_.reserve(std::size_t(members_.end() - first));
+        for (auto m = first; m != members_.end(); ++m) {
+            JsonValue *seen = out->find(m->first);
+            if (seen)
+                *seen = std::move(m->second);
+            else
+                out->obj_.push_back(std::move(*m));
+        }
+        members_.erase(first, members_.end());
+        return true;
     }
 
     std::string_view text_;
     std::size_t pos_ = 0;
+    Status error_;
+    std::vector<JsonValue> elements_;
+    std::vector<std::pair<std::string, JsonValue>> members_;
 };
-
-} // anonymous namespace
 
 Expected<JsonValue>
 tryParseJson(std::string_view text)
 {
-    return Parser(text).parse();
+    return JsonParser(text).parse();
 }
 
 Expected<std::string>

@@ -12,7 +12,12 @@
  * Non-finite numbers serialize as null (JSON has no inf/nan).
  *
  * Objects preserve insertion order so serialized responses are
- * deterministic and diffable.
+ * deterministic and diffable. A parsed object with a repeated key keeps
+ * the key where it first appeared, with the last value given for it.
+ *
+ * JsonWriter is the one encoder: JsonValue::dump() goes through it,
+ * and the server writes its responses with it directly, without
+ * building a JsonValue first.
  */
 
 #ifndef ENA_SERVER_WIRE_HH
@@ -27,6 +32,8 @@
 #include "util/status.hh"
 
 namespace ena::wire {
+
+class JsonParser;
 
 /** A JSON value: null, bool, number, string, array, or object. */
 class JsonValue
@@ -97,15 +104,50 @@ class JsonValue
 
     /** Compact one-line serialization (no embedded newlines). */
     std::string dump() const;
-    void writeTo(std::string *out) const;
 
   private:
+    friend class JsonParser;   // parses into the members in place
+
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double num_ = 0.0;
     std::string str_;
     std::vector<std::pair<std::string, JsonValue>> obj_;
     std::vector<JsonValue> arr_;
+};
+
+/**
+ * Append-only JSON encoder into a caller's string. It separates members
+ * and elements by the last byte written: a comma goes before every key
+ * or value except at the start of the string and after '{', '[' or
+ * ':'. The caller keeps the nesting balanced and follows each key()
+ * with one value.
+ */
+class JsonWriter
+{
+  public:
+    /** Continue the JSON text in @p out (usually empty). */
+    explicit JsonWriter(std::string *out) : out_(out) {}
+
+    JsonWriter &beginObject();
+    JsonWriter &endObject();
+    JsonWriter &beginArray();
+    JsonWriter &endArray();
+
+    /** An object member's key; its value is the next thing written. */
+    JsonWriter &key(std::string_view k);
+
+    JsonWriter &null();
+    JsonWriter &boolean(bool b);
+    /** 17 significant digits (%.17g bytes); non-finite as null. */
+    JsonWriter &number(double n);
+    JsonWriter &string(std::string_view s);
+    JsonWriter &value(const JsonValue &v);
+
+  private:
+    void separate();
+
+    std::string *out_;
 };
 
 /** Parse one JSON document (leading/trailing whitespace allowed). */

@@ -120,17 +120,25 @@ Socket::sendAll(std::string_view data)
 }
 
 Expected<bool>
-Socket::recvLine(std::string *buffer, std::string *line)
+Socket::recvLine(std::string *buffer, std::string *line,
+                 std::size_t maxLine)
 {
     if (!valid())
         return Status::failedPrecondition("recv on closed socket");
+    std::size_t searched = 0;
     for (;;) {
-        std::size_t nl = buffer->find('\n');
-        if (nl != std::string::npos) {
+        const std::size_t nl = buffer->find('\n', searched);
+        if (nl != std::string::npos && nl <= maxLine) {
             line->assign(*buffer, 0, nl);
             buffer->erase(0, nl + 1);
             return true;
         }
+        // No newline among the first maxLine + 1 bytes: too long.
+        if (buffer->size() > maxLine) {
+            return Status::outOfRange("line longer than ", maxLine,
+                                      " bytes");
+        }
+        searched = buffer->size();
         char chunk[4096];
         ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
         if (n < 0) {
@@ -175,6 +183,30 @@ Socket::shutdownBoth()
 {
     if (valid())
         ::shutdown(fd_, SHUT_RDWR);
+}
+
+void
+Socket::shutdownWrite()
+{
+    if (valid())
+        ::shutdown(fd_, SHUT_WR);
+}
+
+void
+Socket::discardInput(std::size_t maxBytes)
+{
+    if (!valid())
+        return;
+    char chunk[4096];
+    std::size_t dropped = 0;
+    while (dropped < maxBytes) {
+        ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return;
+        dropped += static_cast<std::size_t>(n);
+    }
 }
 
 void

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -101,9 +102,13 @@ class Socket
     /**
      * Read one '\n'-terminated line (newline stripped) using @p buffer
      * as carry-over between calls. Returns false on orderly EOF with no
-     * buffered partial line; IoError on failure or timeout.
+     * buffered partial line; IoError on failure or timeout; OutOfRange
+     * once the line is known to be longer than @p maxLine bytes, with
+     * the bytes read so far left in @p buffer. Each call searches every
+     * received byte for the newline once.
      */
-    Expected<bool> recvLine(std::string *buffer, std::string *line);
+    Expected<bool> recvLine(std::string *buffer, std::string *line,
+                            std::size_t maxLine = SIZE_MAX);
 
     /**
      * Bound every subsequent recv on this socket; 0 restores blocking
@@ -117,6 +122,17 @@ class Socket
      * descriptor.
      */
     void shutdownBoth();
+
+    /** Stop sending: the peer reads EOF after the bytes already sent. */
+    void shutdownWrite();
+
+    /**
+     * Read and drop incoming bytes until the peer closes, a receive
+     * fails, or @p maxBytes were dropped. Closing a socket with unread
+     * input resets the connection, which can also discard data the
+     * peer has not read yet; draining first avoids that.
+     */
+    void discardInput(std::size_t maxBytes);
 
     void close();
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -358,6 +359,37 @@ TEST(DseGridScorer, ScoresEqualTheScalarEvaluatorBitForBit)
         }
         EXPECT_EQ(mismatches, 0u)
             << grid.size() << "-point grid, first at " << first;
+    }
+}
+
+TEST(Dse, SweepValuesAccumulateTheStepUpToTheCap)
+{
+    // sweep_tool's value column: repeated addition, not from + i * step.
+    Expected<std::vector<double>> v = trySweepValues(0.7, 1.5, 0.1);
+    ASSERT_TRUE(v.ok()) << v.status().toString();
+    std::vector<double> want;
+    for (double x = 0.7; x <= 1.5 + 1e-9; x += 0.1)
+        want.push_back(x);
+    EXPECT_EQ(*v, want);
+
+    // Exactly kMaxSweepPoints values pass; one more does not.
+    const double cap = static_cast<double>(kMaxSweepPoints);
+    Expected<std::vector<double>> full = trySweepValues(1.0, cap, 1.0);
+    ASSERT_TRUE(full.ok()) << full.status().toString();
+    EXPECT_EQ(full->size(), kMaxSweepPoints);
+    Expected<std::vector<double>> over = trySweepValues(0.0, cap, 1.0);
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), ErrorCode::OutOfRange);
+
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double bad[][3] = {{2, 1, 0.5}, {1, 2, 0},   {1, 2, -1},
+                             {1, 2, nan}, {nan, 2, 1}, {1, inf, 1},
+                             {-inf, 1, 1}};
+    for (const auto &[from, to, step] : bad) {
+        EXPECT_EQ(trySweepValues(from, to, step).status().code(),
+                  ErrorCode::OutOfRange)
+            << from << " " << to << " " << step;
     }
 }
 

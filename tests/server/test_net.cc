@@ -2,8 +2,8 @@
  * @file
  * Tests for Socket::recvLine (util/net.hh) over a socketpair, with
  * Socket(int fd) wrapping each end: long lines arriving in many small
- * writes, several lines in one write, EOF mid-line and a lapsed
- * receive timeout.
+ * writes, several lines in one write, EOF mid-line, a lapsed receive
+ * timeout and the maximum line length.
  */
 
 #include <string>
@@ -131,6 +131,38 @@ TEST(SocketRecvLine, LapsedTimeoutIsAnIoError)
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().code(), ErrorCode::IoError);
     EXPECT_EQ(got.status().message(), "recv timed out");
+}
+
+TEST(SocketRecvLine, LineOverTheCapIsOutOfRange)
+{
+    // A line of exactly the cap passes; one byte more fails whether
+    // its newline has arrived yet or not.
+    SocketPair p = socketPair();
+    ASSERT_TRUE(p.reader.setRecvTimeout(5.0).ok());
+    const std::string atCap(64, 'a');
+    ASSERT_TRUE(p.writer.sendAll(atCap + "\n" + atCap + "b\n").ok());
+
+    std::string buffer;
+    std::string line;
+    Expected<bool> got = p.reader.recvLine(&buffer, &line, 64);
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    EXPECT_EQ(line, atCap);
+
+    got = p.reader.recvLine(&buffer, &line, 64);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(got.status().message(), "line longer than 64 bytes");
+
+    // No newline at all: fails once more than the cap has arrived,
+    // without waiting for the rest of the line.
+    SocketPair q = socketPair();
+    ASSERT_TRUE(q.reader.setRecvTimeout(5.0).ok());
+    ASSERT_TRUE(q.writer.sendAll(std::string(65, 'x')).ok());
+    buffer.clear();
+    got = q.reader.recvLine(&buffer, &line, 64);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(buffer.size(), 65u);
 }
 
 } // anonymous namespace

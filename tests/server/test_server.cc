@@ -9,6 +9,7 @@
  * accounting.
  */
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -147,12 +148,21 @@ request(const char *op)
     return r;
 }
 
+/** handle()'s response line, parsed back into a tree. */
+JsonValue
+handled(EvalService &svc, const JsonValue &req)
+{
+    Expected<JsonValue> resp = wire::tryParseJson(svc.handle(req));
+    EXPECT_TRUE(resp.ok()) << resp.status().toString();
+    return resp.ok() ? std::move(*resp) : JsonValue();
+}
+
 TEST(EvalService, PingEchoesIdAndIdentifiesTheServer)
 {
     EvalService svc;
     JsonValue req = request("ping");
     req.set("id", 42);
-    JsonValue resp = svc.handle(req);
+    JsonValue resp = handled(svc, req);
 
     ASSERT_NE(resp.find("id"), nullptr);
     EXPECT_EQ(resp.find("id")->number(), 42.0);
@@ -167,7 +177,7 @@ TEST(EvalService, PingEchoesIdAndIdentifiesTheServer)
 TEST(EvalService, MissingIdEchoesNull)
 {
     EvalService svc;
-    JsonValue resp = svc.handle(request("ping"));
+    JsonValue resp = handled(svc, request("ping"));
     ASSERT_NE(resp.find("id"), nullptr);
     EXPECT_TRUE(resp.find("id")->isNull());
 }
@@ -175,7 +185,7 @@ TEST(EvalService, MissingIdEchoesNull)
 TEST(EvalService, UnknownOpIsNotFound)
 {
     EvalService svc;
-    JsonValue resp = svc.handle(request("frobnicate"));
+    JsonValue resp = handled(svc, request("frobnicate"));
     EXPECT_FALSE(resp.find("ok")->boolean());
     const JsonValue *err = resp.find("error");
     ASSERT_NE(err, nullptr);
@@ -191,7 +201,7 @@ TEST(EvalService, UnknownOpsShareOneBoundedPerOpSlot)
     constexpr int kUnknown = 5000;
     for (int i = 0; i < kUnknown; ++i) {
         const std::string op = "no_such_op_" + std::to_string(i);
-        JsonValue resp = svc.handle(request(op.c_str()));
+        JsonValue resp = handled(svc, request(op.c_str()));
         ASSERT_FALSE(resp.find("ok")->boolean()) << op;
         ASSERT_EQ(resp.find("error")->find("code")->str(), "not_found");
         ASSERT_EQ(resp.find("error")->find("message")->str(),
@@ -200,7 +210,7 @@ TEST(EvalService, UnknownOpsShareOneBoundedPerOpSlot)
     svc.handle(request("ping"));
     svc.handle(request("ping"));
 
-    JsonValue stats = svc.handle(request("stats"));
+    JsonValue stats = handled(svc, request("stats"));
     const JsonValue *perOp = stats.find("result")->find("per_op");
     ASSERT_NE(perOp, nullptr);
     // Only the ops that ran: ping and every unknown op under one key.
@@ -215,13 +225,13 @@ TEST(EvalService, BadAppAndBadConfigAreStructuredErrors)
 
     JsonValue req = request("eval_node");
     req.set("app", "no-such-app");
-    JsonValue resp = svc.handle(req);
+    JsonValue resp = handled(svc, req);
     EXPECT_FALSE(resp.find("ok")->boolean());
 
     JsonValue req2 = request("eval_node");
     req2.set("app", "lulesh");
     req2.set("config", "not a key-value line");
-    JsonValue resp2 = svc.handle(req2);
+    JsonValue resp2 = handled(svc, req2);
     EXPECT_FALSE(resp2.find("ok")->boolean());
 
     // An out-of-range config crosses the boundary as a Status, not a
@@ -229,7 +239,7 @@ TEST(EvalService, BadAppAndBadConfigAreStructuredErrors)
     JsonValue req3 = request("eval_node");
     req3.set("app", "lulesh");
     req3.set("config", "ehp.cus = -5");
-    JsonValue resp3 = svc.handle(req3);
+    JsonValue resp3 = handled(svc, req3);
     EXPECT_FALSE(resp3.find("ok")->boolean());
     EXPECT_EQ(svc.errorsReturned(), 3u);
 }
@@ -253,7 +263,7 @@ TEST(EvalService, EvalNodeMatchesTheScalarOracleBitExactly)
     req.set("app", "hpgmg");
     req.set("config",
             "ehp.cus = 192\nehp.freq_ghz = 1.2\nehp.bw_tbs = 2.5\n");
-    JsonValue resp = svc.handle(req);
+    JsonValue resp = handled(svc, req);
     ASSERT_TRUE(resp.find("ok")->boolean()) << resp.dump();
     const JsonValue *r = resp.find("result");
     ASSERT_NE(r, nullptr);
@@ -331,7 +341,7 @@ TEST(EvalService, SweepMatchesLocalEvaluationBitExactly)
     req.set("from", 1.0);
     req.set("to", 4.0);
     req.set("step", 0.5);
-    JsonValue resp = svc.handle(req);
+    JsonValue resp = handled(svc, req);
     ASSERT_TRUE(resp.find("ok")->boolean()) << resp.dump();
     expectSweepMatchesLocal(*resp.find("result"), App::LULESH, "bw",
                             1.0, 4.0, 0.5, NodeConfig::bestMean());
@@ -346,14 +356,14 @@ TEST(EvalService, SweepRejectsBadAxisAndRange)
     req.set("from", 1.0);
     req.set("to", 2.0);
     req.set("step", 0.5);
-    JsonValue resp = svc.handle(req);
+    JsonValue resp = handled(svc, req);
     EXPECT_FALSE(resp.find("ok")->boolean());
     EXPECT_EQ(resp.find("error")->find("code")->str(),
               "invalid_argument");
 
     req.set("axis", "bw");
     req.set("step", -1.0);
-    resp = svc.handle(req);
+    resp = handled(svc, req);
     EXPECT_FALSE(resp.find("ok")->boolean());
     EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
 }
@@ -380,7 +390,7 @@ TEST(EvalService, FaultInjectedSweepIsBitIdenticalToFaultFree)
     req.set("from", 0.8);
     req.set("to", 1.4);
     req.set("step", 0.1);
-    JsonValue resp = svc.handle(req);
+    JsonValue resp = handled(svc, req);
 
     fault_inject::clearFaultPlan();
     pool.setRetryPolicy(saved);
@@ -412,7 +422,7 @@ TEST(EvalService, SweepWithExhaustedRetriesReturnsAnError)
     req.set("from", 1.0);
     req.set("to", 2.0);
     req.set("step", 0.5);
-    JsonValue resp = svc.handle(req);
+    JsonValue resp = handled(svc, req);
 
     fault_inject::clearFaultPlan();
     pool.setRetryPolicy(saved);
@@ -425,9 +435,191 @@ TEST(EvalService, ShutdownSetsTheStopFlag)
 {
     EvalService svc;
     EXPECT_FALSE(svc.stopRequested());
-    JsonValue resp = svc.handle(request("shutdown"));
+    JsonValue resp = handled(svc, request("shutdown"));
     EXPECT_TRUE(resp.find("ok")->boolean());
     EXPECT_TRUE(svc.stopRequested());
+}
+
+TEST(EvalService, SweepsOverThePointCapFailFast)
+{
+    // A step too small to advance the value, and 10^12 points: both
+    // must be refused without enumerating them.
+    EvalService svc;
+    const double ranges[][3] = {{1.0, 2.0, 1e-20}, {0.0, 1e12, 1.0}};
+    for (const auto &[from, to, step] : ranges) {
+        JsonValue req = request("sweep");
+        req.set("app", "lulesh");
+        req.set("axis", "freq");
+        req.set("from", from);
+        req.set("to", to);
+        req.set("step", step);
+        const auto t0 = std::chrono::steady_clock::now();
+        JsonValue resp = handled(svc, req);
+        const std::chrono::duration<double> took =
+            std::chrono::steady_clock::now() - t0;
+        EXPECT_FALSE(resp.find("ok")->boolean());
+        EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
+        EXPECT_EQ(resp.find("error")->find("message")->str(),
+                  "sweep too large (more than 1000000 points)");
+        EXPECT_LT(took.count(), 1.0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Response bytes: equal to the same response built as a JsonValue tree
+// in the protocol's key order
+
+/** One evaluated point's members, in the protocol's key order. */
+JsonValue
+evalResultReference(const NodeConfig &cfg, const EvalResult &r)
+{
+    JsonValue o = JsonValue::object();
+    o.set("app", appName(r.app));
+    o.set("label", cfg.label());
+    o.set("cus", cfg.cus);
+    o.set("freq_ghz", cfg.freqGhz);
+    o.set("bw_tbs", cfg.bwTbs);
+    o.set("ops_per_byte", r.perf.opsPerByte);
+    o.set("flops", r.perf.flops);
+    o.set("teraflops", r.teraflops());
+    o.set("cu_utilization", r.perf.activity.cuUtilization);
+    o.set("traffic_gbs", r.perf.trafficGbs);
+    o.set("memory_bound", r.perf.memoryBound);
+    o.set("budget_w", r.power.budgetPower());
+    o.set("package_w", r.power.packagePower());
+    o.set("total_w", r.power.total());
+    o.set("gflops_per_w", r.perf.flops / 1e9 / r.power.total());
+    return o;
+}
+
+JsonValue
+nodeConfigReference(const NodeConfig &cfg)
+{
+    JsonValue o = JsonValue::object();
+    o.set("cus", cfg.cus);
+    o.set("freq_ghz", cfg.freqGhz);
+    o.set("bw_tbs", cfg.bwTbs);
+    o.set("label", cfg.label());
+    return o;
+}
+
+std::string
+okReference(JsonValue id, JsonValue result)
+{
+    JsonValue r = JsonValue::object();
+    r.set("id", std::move(id));
+    r.set("ok", true);
+    r.set("result", std::move(result));
+    return r.dump();
+}
+
+std::string
+errorReference(JsonValue id, const char *code, const std::string &message)
+{
+    JsonValue err = JsonValue::object();
+    err.set("code", code);
+    err.set("message", message);
+    JsonValue r = JsonValue::object();
+    r.set("id", std::move(id));
+    r.set("ok", false);
+    r.set("error", std::move(err));
+    return r.dump();
+}
+
+TEST(EvalService, EvalNodeResponseBytesMatchTheReference)
+{
+    EvalService svc;
+    JsonValue req = request("eval_node");
+    req.set("id", "n-1");
+    req.set("app", "xsbench");
+    req.set("config",
+            "ehp.cus = 200\nehp.freq_ghz = 1.005\nehp.bw_tbs = 2.25\n");
+
+    NodeConfig cfg;
+    cfg.cus = 200;
+    cfg.freqGhz = 1.005;
+    cfg.bwTbs = 2.25;
+    NodeEvaluator eval;
+    EXPECT_EQ(svc.handleLine(req.dump()),
+              okReference("n-1", evalResultReference(
+                                     cfg, eval.evaluate(cfg, App::XSBench))));
+}
+
+TEST(EvalService, SweepResponseBytesMatchTheReference)
+{
+    EvalService svc;
+    JsonValue req = request("sweep");
+    req.set("id", 5);
+    req.set("app", "hpgmg");
+    req.set("axis", "freq");
+    req.set("from", 0.7);
+    req.set("to", 1.5);
+    req.set("step", 0.01);
+
+    JsonValue points = JsonValue::array();
+    for (const auto &[cfg, r] : localSweep(App::HPGMG, "freq", 0.7, 1.5,
+                                           0.01, NodeConfig::bestMean())) {
+        JsonValue p = evalResultReference(cfg, r);
+        p.set("value", cfg.freqGhz);
+        points.push(std::move(p));
+    }
+    JsonValue result = JsonValue::object();
+    result.set("app", appName(App::HPGMG));
+    result.set("axis", "freq");
+    result.set("points", std::move(points));
+    EXPECT_EQ(svc.handleLine(req.dump()), okReference(5, std::move(result)));
+}
+
+TEST(EvalService, Table2ResponseBytesMatchTheReference)
+{
+    EvalService svc;
+    JsonValue req = request("table2");
+    req.set("id", JsonValue::array().push(1).push("a"));
+    req.set("budget_w", 150.0);
+
+    NodeEvaluator eval;
+    DesignSpaceExplorer dse(eval, DseGrid::paperGrid(), 150.0);
+    const NodeConfig bestMean = dse.findBestMean(PowerOptConfig{});
+    JsonValue rows = JsonValue::array();
+    for (const TableIIRow &row : dse.tableII(bestMean)) {
+        JsonValue o = JsonValue::object();
+        o.set("app", appName(row.app));
+        o.set("best_config", nodeConfigReference(row.bestConfig));
+        o.set("benefit_no_opt_pct", row.benefitNoOptPct);
+        o.set("best_config_opt", nodeConfigReference(row.bestConfigOpt));
+        o.set("benefit_with_opt_pct", row.benefitWithOptPct);
+        rows.push(std::move(o));
+    }
+    JsonValue result = JsonValue::object();
+    result.set("budget_w", 150.0);
+    result.set("best_mean", nodeConfigReference(bestMean));
+    result.set("rows", std::move(rows));
+    EXPECT_EQ(svc.handleLine(req.dump()),
+              okReference(JsonValue::array().push(1).push("a"),
+                          std::move(result)));
+}
+
+TEST(EvalService, ErrorResponseBytesMatchTheReference)
+{
+    EvalService svc;
+    EXPECT_EQ(svc.handleLine("{\"op\":\"frob\\\"\\n\",\"id\":3}"),
+              errorReference(3, "not_found", "unknown op 'frob\"\n'"));
+    EXPECT_EQ(svc.handleLine("{\"id\":{\"k\":true}}"),
+              errorReference(JsonValue::object().set("k", true),
+                             "invalid_argument", "missing field 'op'"));
+    EXPECT_EQ(svc.handleLine("this is not json"),
+              errorReference(JsonValue(), "parse_error",
+                             "JSON: unexpected character 't' at byte 0"));
+    EXPECT_EQ(svc.handleLine("{\"op\":\"sweep\",\"app\":\"lulesh\","
+                             "\"axis\":\"bw\",\"from\":2,\"to\":1,"
+                             "\"step\":0.5}"),
+              errorReference(JsonValue(), "out_of_range",
+                             "bad sweep range [2, 1] step 0.5"));
+    EXPECT_EQ(svc.handleLine("{\"op\":\"table2\",\"id\":\"t\","
+                             "\"budget_w\":1}"),
+              errorReference("t", "failed_precondition",
+                             "no feasible configuration under 1 W budget"));
+    EXPECT_EQ(svc.errorsReturned(), 5u);
 }
 
 // ---------------------------------------------------------------------
@@ -566,6 +758,46 @@ TEST(EvalServer, ConcurrentClientsMatchSerialLocalEvaluationBitExactly)
     EXPECT_EQ((*server)->service().requestsHandled() - requestsBefore,
               static_cast<std::uint64_t>(kClients));
     EXPECT_EQ((*server)->service().errorsReturned(), 0u);
+
+    (*server)->stop();
+}
+
+TEST(EvalServer, OverlongRequestLineGetsAnErrorAndItsConnectionCloses)
+{
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("long"));
+    opts.workers = 2;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    auto sock = connectTo((*server)->endpoint());
+    ASSERT_TRUE(sock.ok()) << sock.status().toString();
+    ASSERT_TRUE(sock->setRecvTimeout(30.0).ok());
+    // 2 MiB without a newline: the server answers once it has read
+    // past its 1 MiB cap, then drops the rest of the line unread.
+    std::thread writer(
+        [&] { (void)sock->sendAll(std::string(2 << 20, 'x')); });
+    std::string buffer;
+    std::string line;
+    Expected<bool> got = sock->recvLine(&buffer, &line);
+    Expected<bool> eof = sock->recvLine(&buffer, &line);
+    writer.join();
+
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    ASSERT_TRUE(*got);
+    EXPECT_EQ(line, errorReference(JsonValue(), "out_of_range",
+                                   "line longer than 1048576 bytes"));
+    ASSERT_TRUE(eof.ok()) << eof.status().toString();
+    EXPECT_FALSE(*eof);
+
+    // The daemon still serves a second connection.
+    ClientOptions copts;
+    copts.endpoint = (*server)->endpoint();
+    ServerClient client(copts);
+    auto pong = client.ping();
+    ASSERT_TRUE(pong.ok()) << pong.status().toString();
+    EXPECT_EQ((*server)->service().requestsHandled(), 2u);
+    EXPECT_EQ((*server)->service().errorsReturned(), 1u);
 
     (*server)->stop();
 }

@@ -199,6 +199,120 @@ TEST(Wire, ObjectsPreserveInsertionOrder)
     EXPECT_EQ(o.find("missing"), nullptr);
 }
 
+TEST(Wire, RepeatedKeysKeepTheFirstPositionAndTheLastValue)
+{
+    auto flat = tryParseJson("{\"a\":1,\"b\":2,\"a\":3}");
+    ASSERT_TRUE(flat.ok());
+    EXPECT_EQ(flat->dump(), "{\"a\":3,\"b\":2}");
+    EXPECT_EQ(flat->size(), 2u);
+
+    // Per object, at every depth; a replaced value may change kind.
+    auto nested = tryParseJson(
+        "{\"x\":{\"k\":1,\"j\":[],\"k\":[1,{\"k\":2,\"k\":3}]},"
+        "\"y\":2,\"x\":{\"z\":null,\"z\":\"s\"}}");
+    ASSERT_TRUE(nested.ok());
+    EXPECT_EQ(nested->dump(), "{\"x\":{\"z\":\"s\"},\"y\":2}");
+    auto inner = tryParseJson("[{\"k\":1,\"j\":[],\"k\":[{\"k\":2,\"k\":3}]}]");
+    ASSERT_TRUE(inner.ok());
+    EXPECT_EQ(inner->dump(), "[{\"k\":[{\"k\":3}],\"j\":[]}]");
+}
+
+TEST(Wire, WriterMatchesDumpForEveryKind)
+{
+    // One document with every kind, escapes, non-finite numbers and
+    // empty containers, built as a tree and written directly: both
+    // must give these bytes.
+    const std::string want =
+        "{\"null\":null,\"t\":true,\"f\":false,\"n\":-0.5,"
+        "\"big\":1.0000000000000001e+300,\"inf\":null,\"nan\":null,"
+        "\"s\":\"q\\\"b\\\\n\\nr\\rt\\t\\u0001\\u001f\xc3\xa9/\","
+        "\"e\\\"k\":\"\",\"eo\":{},\"ea\":[],"
+        "\"a\":[1,[],{},[[]],{\"x\":[null,\"y\"]},\"\"],"
+        "\"o\":{\"in\":{\"a\":[{}]}}}";
+
+    JsonValue tree = JsonValue::object();
+    tree.set("null", JsonValue());
+    tree.set("t", true);
+    tree.set("f", false);
+    tree.set("n", -0.5);
+    tree.set("big", 1e300);
+    tree.set("inf", std::numeric_limits<double>::infinity());
+    tree.set("nan", std::nan(""));
+    tree.set("s", std::string("q\"b\\n\nr\rt\t\x01\x1f\xc3\xa9/"));
+    tree.set("e\"k", "");
+    tree.set("eo", JsonValue::object());
+    tree.set("ea", JsonValue::array());
+    JsonValue x = JsonValue::object();
+    x.set("x", JsonValue::array().push(JsonValue()).push("y"));
+    tree.set("a", JsonValue::array()
+                      .push(1)
+                      .push(JsonValue::array())
+                      .push(JsonValue::object())
+                      .push(JsonValue::array().push(JsonValue::array()))
+                      .push(std::move(x))
+                      .push(""));
+    JsonValue in = JsonValue::object();
+    in.set("a", JsonValue::array().push(JsonValue::object()));
+    JsonValue o = JsonValue::object();
+    o.set("in", std::move(in));
+    tree.set("o", std::move(o));
+    EXPECT_EQ(tree.dump(), want);
+
+    std::string line;
+    wire::JsonWriter w(&line);
+    w.beginObject()
+        .key("null").null()
+        .key("t").boolean(true)
+        .key("f").boolean(false)
+        .key("n").number(-0.5)
+        .key("big").number(1e300)
+        .key("inf").number(std::numeric_limits<double>::infinity())
+        .key("nan").number(std::nan(""))
+        .key("s").string("q\"b\\n\nr\rt\t\x01\x1f\xc3\xa9/")
+        .key("e\"k").string("")
+        .key("eo").beginObject().endObject()
+        .key("ea").beginArray().endArray()
+        .key("a").beginArray()
+        .number(1)
+        .beginArray().endArray()
+        .beginObject().endObject()
+        .beginArray().beginArray().endArray().endArray()
+        .beginObject().key("x").beginArray().null().string("y").endArray()
+        .endObject()
+        .string("")
+        .endArray()
+        .key("o").beginObject().key("in").beginObject().key("a")
+        .beginArray().beginObject().endObject().endArray()
+        .endObject().endObject()
+        .endObject();
+    EXPECT_EQ(line, want);
+
+    // The separator comes from the last byte of the string, so a
+    // writer continues whatever JSON text it is given.
+    std::string partial = "[{\"k\":1}";
+    wire::JsonWriter(&partial).value(tree).number(2).endArray();
+    EXPECT_EQ(partial, "[{\"k\":1}," + want + ",2]");
+}
+
+TEST(Wire, MalformedStringsKeepTheirMessages)
+{
+    const std::pair<std::string, const char *> cases[] = {
+        {"\"abc", "JSON: unterminated string at byte 4"},
+        {"\"ab\x01" "c\"", "JSON: raw control character in string at byte 4"},
+        {"\"ab\\", "JSON: dangling escape at byte 4"},
+        {"\"ab\\q\"", "JSON: bad escape '\\q' at byte 5"},
+        {"\"ab\\u12zz\"", "JSON: bad \\u escape digit at byte 8"},
+        {"\"ab\\u12", "JSON: truncated \\u escape at byte 5"},
+        {"{\"k\\n\x02\":1}", "JSON: raw control character in string at byte 6"},
+    };
+    for (const auto &[text, message] : cases) {
+        auto v = tryParseJson(text);
+        ASSERT_FALSE(v.ok()) << text;
+        EXPECT_EQ(v.status().code(), ErrorCode::ParseError) << text;
+        EXPECT_EQ(v.status().message(), message) << text;
+    }
+}
+
 TEST(Wire, NestedDocumentRoundTrips)
 {
     const std::string text =

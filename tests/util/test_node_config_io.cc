@@ -1,13 +1,51 @@
 /**
  * @file
- * Tests for the Config <-> NodeConfig bindings.
+ * Tests for the Config <-> NodeConfig bindings, and for the bytes of
+ * NodeConfig::label().
  */
+
+#include <cfloat>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/node_config_io.hh"
+#include "core/dse.hh"
+#include "util/rng.hh"
 
 using namespace ena;
+
+TEST(NodeConfig, LabelIsPrintfsFormat)
+{
+    // label() promises printf's "%dcu@%.2fGHz/%.1fTBps" bytes: over the
+    // paper grid, decimal ties (0.125 is exactly halfway at two
+    // decimals; 0.925 and 2.675 only look halfway, being inexact in
+    // binary), negative zero, extreme values and 2,000 seeded draws.
+    std::vector<double> values = {0.125, 0.925, 2.675, -0.0, 0.005,
+                                  0.05,  0.15,  2.25,  1e20, -1e300,
+                                  DBL_MAX, -DBL_MAX, DBL_MIN};
+    Rng rng(7);
+    for (int i = 0; i < 2000; ++i)
+        values.push_back(rng.uniform() * 10.0);
+    const DseGrid grid = DseGrid::paperGrid();
+    values.insert(values.end(), grid.freqsGhz.begin(),
+                  grid.freqsGhz.end());
+    values.insert(values.end(), grid.bwsTbs.begin(), grid.bwsTbs.end());
+    std::vector<int> cus = grid.cus;
+    cus.insert(cus.end(), {0, -1, 2147483647, -2147483647 - 1});
+
+    for (int c : cus) {
+        for (double v : values) {
+            NodeConfig cfg;
+            cfg.cus = c;
+            cfg.freqGhz = v;
+            cfg.bwTbs = -v;
+            ASSERT_EQ(cfg.label(),
+                      strformat("%dcu@%.2fGHz/%.1fTBps", c, v, -v))
+                << v;
+        }
+    }
+}
 
 TEST(NodeConfigIo, DefaultsWhenEmpty)
 {
