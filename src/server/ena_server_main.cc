@@ -4,11 +4,13 @@
  * socket (newline-delimited JSON; see server/eval_service.hh).
  *
  * Usage:
- *   ena-server [--listen ENDPOINT] [--workers N] [--queue N]
+ *   ena-server [--listen ENDPOINT] [--workers N]
  *
  * ENDPOINT is "unix:/path", "tcp:host:port", or a bare port; the
- * default is unix:ena-server.sock in the working directory. The
- * daemon runs until a client sends the "shutdown" op.
+ * default is unix:ena-server.sock in the working directory. At most N
+ * requests (default 4) are evaluated at once; each connection's
+ * requests are answered one at a time, in order. The daemon runs
+ * until a client sends the "shutdown" op.
  */
 
 #include <cstdlib>
@@ -25,8 +27,7 @@ namespace {
 int
 usage()
 {
-    std::cerr << "usage: ena-server [--listen ENDPOINT] [--workers N] "
-                 "[--queue N]\n";
+    std::cerr << "usage: ena-server [--listen ENDPOINT] [--workers N]\n";
     return 1;
 }
 
@@ -51,11 +52,6 @@ main(int argc, char **argv)
             if (!n || *n < 1)
                 return usage();
             opts.workers = static_cast<int>(*n);
-        } else if (arg == "--queue" && i + 1 < argc) {
-            std::optional<long long> n = parseInt(argv[++i]);
-            if (!n || *n < 1)
-                return usage();
-            opts.queueCapacity = static_cast<std::size_t>(*n);
         } else {
             return usage();
         }

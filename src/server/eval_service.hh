@@ -2,8 +2,8 @@
  * @file
  * Socket-free request dispatcher for the evaluation server: one JSON
  * request object in, one JSON response line out. EvalServer wraps it
- * with sockets and worker threads; tests and benches drive it
- * directly.
+ * with sockets and a reader thread per connection; tests and benches
+ * drive it directly.
  *
  * Protocol (newline-delimited JSON objects on the wire):
  *
@@ -11,6 +11,11 @@
  *   response: {"id": <echoed>, "ok": true,  "result": {...}}
  *          or {"id": <echoed>, "ok": false,
  *              "error": {"code": "<error code name>", "message": "..."}}
+ *
+ * EvalServer answers each connection's requests one at a time, in the
+ * order they were sent; the echoed "id" is the client's correlation
+ * handle. stats.queue_depth counts the requests waiting for one of the
+ * server's evaluation slots (ServerOptions::workers).
  *
  * Operations: ping, stats, shutdown, eval_node, sweep, table2,
  * cluster_eval, resilient_eval, taskgraph_eval. Config payloads reuse
@@ -36,7 +41,7 @@
  * server.latency_us.unknown), so hostile op names cannot grow it.
  *
  * Thread safety: handle()/handleLine() may be called concurrently from
- * any number of worker threads.
+ * any number of threads.
  */
 
 #ifndef ENA_SERVER_EVAL_SERVICE_HH
@@ -85,7 +90,8 @@ class EvalService
     /** True once a shutdown request has been served. */
     bool stopRequested() const { return stop_.load(); }
 
-    /** Source for the stats op's queue_depth (the server's queue). */
+    /** Source for the stats op's queue_depth (requests waiting for an
+     *  evaluation slot). */
     void
     setQueueDepthProbe(std::function<std::size_t()> probe)
     {

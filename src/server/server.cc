@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "telemetry/metrics.hh"
-#include "util/logging.hh"
 
 namespace ena {
 
@@ -13,14 +12,15 @@ telemetry::Gauge &
 queueDepthGauge()
 {
     static telemetry::Gauge &g = telemetry::gauge(
-        "server.queue_depth", "request-queue depth at dequeue time");
+        "server.queue_depth",
+        "requests waiting for an evaluation slot, when one is taken");
     return g;
 }
 
 } // anonymous namespace
 
 EvalServer::EvalServer(const ServerOptions &opts)
-    : opts_(opts), queue_(opts.queueCapacity)
+    : freeSlots_(opts.workers)
 {
 }
 
@@ -29,21 +29,17 @@ EvalServer::start(const ServerOptions &opts)
 {
     if (opts.workers < 1)
         return Status::invalidArgument("server needs at least 1 worker");
-    if (opts.queueCapacity < 1)
-        return Status::invalidArgument("queue capacity must be >= 1");
 
     std::unique_ptr<EvalServer> server(new EvalServer(opts));
     ENA_ASSIGN_OR_RETURN(server->listener_,
                          Listener::listenOn(opts.endpoint));
-    server->service_.setQueueDepthProbe(
-        [s = server.get()] { return s->queue_.depth(); });
+    server->service_.setQueueDepthProbe([s = server.get()] {
+        std::lock_guard<std::mutex> lock(s->gateMu_);
+        return s->waitingForSlot_;
+    });
 
     server->acceptThread_ =
         std::thread([s = server.get()] { s->acceptLoop(); });
-    for (int i = 0; i < opts.workers; ++i) {
-        server->workerThreads_.emplace_back(
-            [s = server.get()] { s->workerLoop(); });
-    }
     return server;
 }
 
@@ -58,28 +54,49 @@ EvalServer::acceptLoop()
     for (;;) {
         Expected<Socket> accepted = listener_.accept();
         if (!accepted.ok())
-            break; // listener closed: shutdown
-        auto conn = std::make_shared<Connection>();
-        conn->socket = std::move(*accepted);
+            break; // listener closed (shutdown) or broken
+        joinFinishedReaders();
+        auto socket = std::make_unique<Socket>(std::move(*accepted));
         std::lock_guard<std::mutex> lock(connsMu_);
-        if (stopping_.load()) {
-            conn->socket.shutdownBoth();
+        if (stopping()) {
+            socket->shutdownBoth();
             break;
         }
-        conns_.push_back(conn);
-        readerThreads_.emplace_back(
-            [this, conn] { readerLoop(std::move(conn)); });
+        conns_.push_back(socket.get());
+        // The reader records its exit under connsMu_, which is held
+        // here, so its thread is in the map before it can finish.
+        std::thread reader([this, s = std::move(socket)]() mutable {
+            readerLoop(std::move(s));
+        });
+        const std::thread::id id = reader.get_id();
+        readerThreads_.emplace(id, std::move(reader));
     }
 }
 
 void
-EvalServer::readerLoop(std::shared_ptr<Connection> conn)
+EvalServer::joinFinishedReaders()
+{
+    std::vector<std::thread> finished;
+    {
+        std::lock_guard<std::mutex> lock(connsMu_);
+        for (std::thread::id id : finishedReaders_) {
+            finished.push_back(
+                std::move(readerThreads_.extract(id).mapped()));
+        }
+        finishedReaders_.clear();
+    }
+    for (std::thread &t : finished)
+        t.join();
+}
+
+void
+EvalServer::readerLoop(std::unique_ptr<Socket> socket)
 {
     std::string buffer;
     std::string line;
     for (;;) {
         Expected<bool> got =
-            conn->socket.recvLine(&buffer, &line, kMaxRequestLineBytes);
+            socket->recvLine(&buffer, &line, kMaxRequestLineBytes);
         if (got.status().code() == ErrorCode::OutOfRange) {
             // Over-long line: answer it and read no more requests. The
             // peer reads the error, then EOF. What it still sends, up
@@ -87,78 +104,89 @@ EvalServer::readerLoop(std::shared_ptr<Connection> conn)
             // does not reset the connection under it.
             std::string response = service_.errorResponse(got.status());
             response.push_back('\n');
-            {
-                std::lock_guard<std::mutex> lock(conn->writeMu);
-                (void)conn->socket.sendAll(response);
-                conn->socket.shutdownWrite();
-            }
-            conn->socket.discardInput(kMaxRequestLineBytes);
+            (void)socket->sendAll(response);
+            socket->shutdownWrite();
+            socket->discardInput(kMaxRequestLineBytes);
             break;
         }
         if (!got.ok() || !*got)
             break; // peer gone (EOF) or shutdown woke us
-        // Blocks when the queue is full: backpressure propagates to
-        // the client instead of buffering unbounded requests.
-        if (!queue_.push(WorkItem{conn, std::move(line)}))
-            break; // queue closed: shutdown
-        line.clear();
-    }
-    // Drop this connection's registry entry; the Connection itself
-    // stays alive (shared_ptr) until in-flight workers finish writing.
-    std::lock_guard<std::mutex> lock(connsMu_);
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-        if (conns_[i] == conn) {
-            conns_.erase(conns_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-            break;
-        }
-    }
-}
-
-void
-EvalServer::workerLoop()
-{
-    for (;;) {
-        std::optional<WorkItem> item = queue_.pop();
-        if (!item)
-            break; // queue closed and drained
-        queueDepthGauge().set(static_cast<double>(queue_.depth()));
-
-        std::string response = service_.handleLine(item->line);
+        if (!acquireSlot())
+            break; // shutdown: the request is not evaluated
+        std::string response = service_.handleLine(line);
+        releaseSlot();
         response.push_back('\n');
-        {
-            std::lock_guard<std::mutex> lock(item->conn->writeMu);
-            // A vanished peer is not a server error; the reader loop
-            // notices the same condition and retires the connection.
-            (void)item->conn->socket.sendAll(response);
-        }
+        // Sent without a slot, so a peer that does not read stalls
+        // only this connection. A vanished peer is not a server error;
+        // the next read sees the same condition and ends the loop.
+        (void)socket->sendAll(response);
         // The shutdown op's acknowledgement is on the wire; now tear
         // the server down.
         if (service_.stopRequested())
             requestStop();
     }
+    // Unregister before the socket closes; the accept loop joins this
+    // thread once it has recorded its exit.
+    std::lock_guard<std::mutex> lock(connsMu_);
+    std::erase(conns_, socket.get());
+    finishedReaders_.push_back(std::this_thread::get_id());
+}
+
+bool
+EvalServer::acquireSlot()
+{
+    std::unique_lock<std::mutex> lock(gateMu_);
+    ++waitingForSlot_;
+    slotFreed_.wait(lock, [this] { return stopping_ || freeSlots_ > 0; });
+    --waitingForSlot_;
+    if (stopping_)
+        return false;
+    --freeSlots_;
+    queueDepthGauge().set(static_cast<double>(waitingForSlot_));
+    return true;
+}
+
+void
+EvalServer::releaseSlot()
+{
+    {
+        std::lock_guard<std::mutex> lock(gateMu_);
+        ++freeSlots_;
+    }
+    slotFreed_.notify_one();
+}
+
+bool
+EvalServer::stopping()
+{
+    std::lock_guard<std::mutex> lock(gateMu_);
+    return stopping_;
 }
 
 void
 EvalServer::wait()
 {
-    std::unique_lock<std::mutex> lock(waitMu_);
-    waitCv_.wait(lock, [this] { return stopping_.load(); });
+    std::unique_lock<std::mutex> lock(gateMu_);
+    stopCv_.wait(lock, [this] { return stopping_; });
 }
 
 void
 EvalServer::requestStop()
 {
-    if (stopping_.exchange(true))
-        return;
-    listener_.close(); // wakes the accept loop
     {
-        std::lock_guard<std::mutex> lock(connsMu_);
-        for (const auto &conn : conns_)
-            conn->socket.shutdownBoth(); // wakes blocked readers
+        std::lock_guard<std::mutex> lock(gateMu_);
+        if (stopping_)
+            return;
+        stopping_ = true;
     }
-    queue_.close(); // wakes blocked workers and pushing readers
-    waitCv_.notify_all();
+    slotFreed_.notify_all(); // readers waiting for a slot give up
+    stopCv_.notify_all();
+    listener_.close(); // wakes the accept loop
+    // The accept loop checks stopping() under connsMu_, so it shuts
+    // down any connection it accepts from here on itself.
+    std::lock_guard<std::mutex> lock(connsMu_);
+    for (Socket *socket : conns_)
+        socket->shutdownBoth(); // wakes blocked reads and sends
 }
 
 void
@@ -168,21 +196,14 @@ EvalServer::stop()
     if (acceptThread_.joinable())
         acceptThread_.join();
     // No new reader threads can appear once the accept loop has
-    // exited; steal the list and join them.
-    std::vector<std::thread> readers;
+    // exited; take them all and join them.
+    std::unordered_map<std::thread::id, std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(connsMu_);
         readers.swap(readerThreads_);
     }
-    for (std::thread &t : readers) {
-        if (t.joinable())
-            t.join();
-    }
-    for (std::thread &t : workerThreads_) {
-        if (t.joinable())
-            t.join();
-    }
-    workerThreads_.clear();
+    for (auto &entry : readers)
+        entry.second.join();
 }
 
 } // namespace ena

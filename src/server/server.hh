@@ -3,37 +3,42 @@
  * The ena-server daemon core: sockets + threads around EvalService.
  *
  * Architecture: one accept-loop thread hands each connection to its
- * own reader thread; readers push {connection, request line} work
- * items into a bounded RequestQueue (backpressure toward slow or
- * flooding clients), and a fixed pool of worker threads pops items,
- * dispatches through EvalService — which runs evaluations on the
- * shared ThreadPool — and writes
- * the response line back under a per-connection write mutex (responses
- * to one connection's pipelined requests may interleave in completion
- * order; the echoed "id" field is the client's correlation handle).
+ * own reader thread, which serves that connection's requests one at a
+ * time, in order. For each request line the reader takes one of
+ * ServerOptions::workers evaluation slots (waiting while all are in
+ * use), dispatches through EvalService — which runs evaluations on
+ * the shared ThreadPool — gives the slot back, and only then writes
+ * the response. So at most `workers` requests are evaluated at once,
+ * and a client that never reads its responses stalls only its own
+ * reader, in the send, holding no slot. The echoed "id" field stays
+ * the client's correlation handle.
  *
  * A request line longer than kMaxRequestLineBytes gets an out_of_range
  * error response from its reader, which then closes the connection.
  *
+ * A reader that has exited is joined when the next connection is
+ * accepted, so the daemon keeps a thread per open connection, not per
+ * connection it has ever served.
+ *
  * Shutdown: requestStop() is idempotent and safe from any thread
- * (including a worker serving the "shutdown" op); stop() additionally
- * joins every thread and must be called from outside them.
+ * (including a reader serving the "shutdown" op); readers waiting for
+ * a slot then exit without evaluating. stop() additionally joins
+ * every thread and must be called from outside them.
  */
 
 #ifndef ENA_SERVER_SERVER_HH
 #define ENA_SERVER_SERVER_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "server/eval_service.hh"
-#include "server/request_queue.hh"
 #include "util/net.hh"
 #include "util/status.hh"
 
@@ -49,14 +54,14 @@ constexpr std::size_t kMaxRequestLineBytes = std::size_t(1) << 20;
 struct ServerOptions
 {
     Endpoint endpoint = Endpoint::unixPath("ena-server.sock");
+    /** At most this many requests are evaluated at once. */
     int workers = 4;
-    std::size_t queueCapacity = 256;
 };
 
 class EvalServer
 {
   public:
-    /** Bind, listen, and spin up the accept/worker threads. */
+    /** Bind, listen, and spin up the accept thread. */
     static Expected<std::unique_ptr<EvalServer>> start(
         const ServerOptions &opts);
 
@@ -80,39 +85,34 @@ class EvalServer
     void stop();
 
   private:
-    struct Connection
-    {
-        Socket socket;
-        std::mutex writeMu;
-    };
-
-    struct WorkItem
-    {
-        std::shared_ptr<Connection> conn;
-        std::string line;
-    };
-
     explicit EvalServer(const ServerOptions &opts);
 
     void acceptLoop();
-    void readerLoop(std::shared_ptr<Connection> conn);
-    void workerLoop();
+    void readerLoop(std::unique_ptr<Socket> socket);
+    /** Join the readers that have exited since the last call. */
+    void joinFinishedReaders();
 
-    ServerOptions opts_;
+    /** Wait for a free evaluation slot; false once stopping. */
+    bool acquireSlot();
+    void releaseSlot();
+    bool stopping();
+
     Listener listener_;
     EvalService service_;
-    RequestQueue<WorkItem> queue_;
 
-    std::thread acceptThread_;
-    std::vector<std::thread> workerThreads_;
+    std::mutex gateMu_;
+    std::condition_variable slotFreed_;
+    std::condition_variable stopCv_;
+    int freeSlots_;                   ///< guarded by gateMu_
+    std::size_t waitingForSlot_ = 0;  ///< guarded by gateMu_
+    bool stopping_ = false;           ///< guarded by gateMu_
 
     std::mutex connsMu_;
-    std::vector<std::shared_ptr<Connection>> conns_;
-    std::vector<std::thread> readerThreads_;
+    std::vector<Socket *> conns_;  ///< open connections, owned by readers
+    std::unordered_map<std::thread::id, std::thread> readerThreads_;
+    std::vector<std::thread::id> finishedReaders_;  ///< not yet joined
 
-    std::atomic<bool> stopping_{false};
-    std::mutex waitMu_;
-    std::condition_variable waitCv_;
+    std::thread acceptThread_;
 };
 
 } // namespace ena

@@ -7,7 +7,9 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <unistd.h>
 
 #include "util/string_utils.hh"
@@ -357,10 +359,34 @@ Listener::accept()
             }
             return Socket(conn);
         }
-        if (errno == EINTR && !closed_.load())
+        if (closed_.load())
+            return Status::failedPrecondition("listener closed");
+        switch (errno) {
+        case EINTR:
+        case ECONNABORTED:
+        case EPROTO:
+        // Network errors accept(2) passes on from the pending TCP
+        // connection; the listener itself is fine.
+        case ENETDOWN:
+        case ENOPROTOOPT:
+        case EHOSTDOWN:
+        case ENONET:
+        case EHOSTUNREACH:
+        case EOPNOTSUPP:
+        case ENETUNREACH:
             continue;
-        return Status::failedPrecondition("listener closed (",
-                                          std::strerror(errno), ")");
+        case EMFILE:
+        case ENFILE:
+        case ENOBUFS:
+        case ENOMEM:
+            // The connection waits in the backlog until descriptors
+            // or memory are freed, usually by other connections
+            // closing.
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            continue;
+        default:
+            return errnoStatus("accept");
+        }
     }
 }
 

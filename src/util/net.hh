@@ -169,7 +169,11 @@ class Listener
 
     /**
      * Accept one connection. Blocks; FailedPrecondition once the
-     * listener has been closed (the accept loop's exit signal).
+     * listener has been closed (the accept loop's exit signal). A
+     * transient failure is retried, not returned: an aborted
+     * handshake or a network error of the pending connection at once,
+     * a shortage of descriptors or memory (EMFILE, ENFILE, ENOBUFS,
+     * ENOMEM) after a 10 ms pause. Any other failure is an IoError.
      */
     Expected<Socket> accept();
 

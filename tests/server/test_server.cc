@@ -1,27 +1,30 @@
 /**
  * @file
- * Tests for the evaluation server stack: RequestQueue semantics,
- * endpoint parsing, socket-free EvalService dispatch (including the
- * bit-identity of server-side evaluation against the scalar oracle and
- * fault-injected sweeps), and end-to-end daemon tests over a Unix
- * socket — among them the concurrent multi-client sweep that must be
- * bit-identical to serial local evaluation with exact request
- * accounting.
+ * Tests for the evaluation server stack: endpoint parsing, socket-free
+ * EvalService dispatch (including the bit-identity of server-side
+ * evaluation against the scalar oracle and fault-injected sweeps), and
+ * end-to-end daemon tests over a Unix socket — among them the
+ * concurrent multi-client sweep that must be bit-identical to serial
+ * local evaluation with exact request accounting, and the serving
+ * model: per-connection order, evaluation slots, a client that never
+ * reads, joined reader threads and descriptor exhaustion.
  */
 
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "core/ena.hh"
 #include "server/client.hh"
-#include "server/request_queue.hh"
 #include "server/server.hh"
 #include "util/fault_inject.hh"
 #include "util/net.hh"
@@ -46,58 +49,6 @@ testSocketPath(const char *tag)
 {
     return "/tmp/ena-ut-" + std::string(tag) + "-" +
            std::to_string(::getpid()) + ".sock";
-}
-
-// ---------------------------------------------------------------------
-// RequestQueue
-
-TEST(RequestQueue, DeliversInFifoOrder)
-{
-    RequestQueue<int> q(8);
-    EXPECT_TRUE(q.push(1));
-    EXPECT_TRUE(q.push(2));
-    EXPECT_TRUE(q.push(3));
-    EXPECT_EQ(q.depth(), 3u);
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    EXPECT_EQ(q.pop().value(), 3);
-    EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(RequestQueue, CloseDrainsPendingItemsThenStops)
-{
-    RequestQueue<int> q(8);
-    EXPECT_TRUE(q.push(7));
-    EXPECT_TRUE(q.push(8));
-    q.close();
-    EXPECT_TRUE(q.closed());
-    EXPECT_FALSE(q.push(9));
-    EXPECT_EQ(q.pop().value(), 7);
-    EXPECT_EQ(q.pop().value(), 8);
-    EXPECT_FALSE(q.pop().has_value());
-    q.close(); // idempotent
-}
-
-TEST(RequestQueue, PushBlocksAtCapacityUntilPop)
-{
-    RequestQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-
-    // The second push must block until the consumer drains a slot.
-    std::thread producer([&q] { EXPECT_TRUE(q.push(2)); });
-    EXPECT_EQ(q.pop().value(), 1);
-    EXPECT_EQ(q.pop().value(), 2);
-    producer.join();
-    EXPECT_EQ(q.capacity(), 1u);
-}
-
-TEST(RequestQueue, CloseWakesBlockedProducer)
-{
-    RequestQueue<int> q(1);
-    EXPECT_TRUE(q.push(1));
-    std::thread producer([&q] { EXPECT_FALSE(q.push(2)); });
-    q.close();
-    producer.join();
 }
 
 // ---------------------------------------------------------------------
@@ -710,7 +661,6 @@ TEST(EvalServer, ConcurrentClientsMatchSerialLocalEvaluationBitExactly)
     ServerOptions opts;
     opts.endpoint = Endpoint::unixPath(testSocketPath("mc"));
     opts.workers = 4;
-    opts.queueCapacity = 8;
     auto server = EvalServer::start(opts);
     ASSERT_TRUE(server.ok()) << server.status().toString();
     const std::uint64_t requestsBefore =
@@ -813,8 +763,8 @@ TEST(EvalServer, PipelinedRequestsOnOneConnectionCorrelateById)
     auto sock = connectTo((*server)->endpoint());
     ASSERT_TRUE(sock.ok()) << sock.status().toString();
 
-    // Three pipelined requests in one write; responses may interleave
-    // in completion order, so collect and match by echoed id.
+    // Three pipelined requests in one write; match each response to
+    // its request by the echoed id.
     ASSERT_TRUE(sock->sendAll("{\"op\":\"ping\",\"id\":1}\n"
                               "{\"op\":\"ping\",\"id\":2}\n"
                               "{\"op\":\"nope\",\"id\":3}\n")
@@ -836,6 +786,256 @@ TEST(EvalServer, PipelinedRequestsOnOneConnectionCorrelateById)
     EXPECT_TRUE(sawOk[1]);
     EXPECT_TRUE(sawOk[2]);
     EXPECT_FALSE(sawOk[3]);
+
+    (*server)->stop();
+}
+
+// ---------------------------------------------------------------------
+// The serving model: each connection's reader evaluates its requests in
+// order, holding one of ServerOptions::workers slots per evaluation
+
+/** Send @p request as one line on @p sock and read one response line. */
+Expected<std::string>
+roundTrip(Socket &sock, const std::string &request)
+{
+    ENA_TRY(sock.sendAll(request + "\n"));
+    std::string buffer;
+    std::string line;
+    ENA_ASSIGN_OR_RETURN(bool got, sock.recvLine(&buffer, &line));
+    if (!got)
+        return Status::ioError("EOF before a response");
+    return line;
+}
+
+/** A sweep request of @p points points along the bandwidth axis. */
+std::string
+sweepRequest(int id, int points)
+{
+    return "{\"op\":\"sweep\",\"id\":" + std::to_string(id) +
+           ",\"app\":\"lulesh\",\"axis\":\"bw\",\"from\":1,\"to\":" +
+           std::to_string(1 + (points - 1) / 100.0) + ",\"step\":0.01}";
+}
+
+/** The stats op's result, served in-process (bypassing the slots). */
+JsonValue
+statsOf(EvalServer &server)
+{
+    return *handled(server.service(), request("stats")).find("result");
+}
+
+TEST(EvalServer, PipelinedRequestsAreAnsweredInRequestOrder)
+{
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("order"));
+    opts.workers = 4;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    auto sock = connectTo((*server)->endpoint());
+    ASSERT_TRUE(sock.ok()) << sock.status().toString();
+    ASSERT_TRUE(sock->setRecvTimeout(30.0).ok());
+
+    // Slow and fast requests interleaved in one write: a sweep, a ping,
+    // an evaluation and an unknown op, ten times over.
+    constexpr int kRequests = 40;
+    std::string pipelined;
+    for (int id = 0; id < kRequests; ++id) {
+        const std::string ids = std::to_string(id);
+        switch (id % 4) {
+        case 0: pipelined += sweepRequest(id, 201); break;
+        case 1: pipelined += "{\"op\":\"ping\",\"id\":" + ids + "}"; break;
+        case 2:
+            pipelined += "{\"op\":\"eval_node\",\"id\":" + ids +
+                         ",\"app\":\"comd\"}";
+            break;
+        default: pipelined += "{\"op\":\"nope\",\"id\":" + ids + "}";
+        }
+        pipelined += "\n";
+    }
+    ASSERT_TRUE(sock->sendAll(pipelined).ok());
+
+    std::string buffer;
+    for (int id = 0; id < kRequests; ++id) {
+        std::string line;
+        auto got = sock->recvLine(&buffer, &line);
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        ASSERT_TRUE(*got);
+        auto resp = wire::tryParseJson(line);
+        ASSERT_TRUE(resp.ok()) << resp.status().toString();
+        EXPECT_EQ(resp->find("id")->number(), id);
+        EXPECT_EQ(resp->find("ok")->boolean(), id % 4 != 3) << line;
+    }
+
+    (*server)->stop();
+}
+
+TEST(EvalServer, AClientThatNeverReadsStallsOnlyItself)
+{
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("noread"));
+    opts.workers = 2;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    // 20 sweeps of 1,001 points (~435 KB of response each) and not one
+    // byte read back: the daemon's sends to this peer block for good.
+    auto hog = connectTo((*server)->endpoint());
+    ASSERT_TRUE(hog.ok()) << hog.status().toString();
+    std::string sweeps;
+    for (int id = 0; id < 20; ++id)
+        sweeps += sweepRequest(id, 1001) + "\n";
+    ASSERT_TRUE(hog->sendAll(sweeps).ok());
+
+    auto other = connectTo((*server)->endpoint());
+    ASSERT_TRUE(other.ok()) << other.status().toString();
+    ASSERT_TRUE(other->setRecvTimeout(10.0).ok());
+    Expected<std::string> pong =
+        roundTrip(*other, "{\"op\":\"ping\",\"id\":7}");
+    ASSERT_TRUE(pong.ok()) << pong.status().toString();
+    EXPECT_NE(pong->find("\"ok\":true"), std::string::npos) << *pong;
+
+    (*server)->stop();
+}
+
+TEST(EvalServer, StopLeavesARequestWaitingForASlotUnevaluated)
+{
+    // The one slot is held by a one-point sweep whose pool task faults
+    // once and is retried after a 3 s backoff. The guard restores the
+    // pool once the server below has been stopped.
+    struct RestorePool
+    {
+        RetryPolicy saved = ThreadPool::global().retryPolicy();
+        ~RestorePool()
+        {
+            fault_inject::clearFaultPlan();
+            ThreadPool::global().setRetryPolicy(saved);
+        }
+    } restorePool;
+    RetryPolicy slow;
+    slow.maxAttempts = 2;
+    slow.backoffUs = 3e6;
+    slow.maxBackoffUs = 3e6;
+    ThreadPool::global().setRetryPolicy(slow);
+    FaultPlan plan;
+    plan.rate = 1.0;
+    plan.seed = 5;
+    plan.faultsPerTask = 1;
+    fault_inject::setFaultPlan(plan);
+    const std::uint64_t faultsBefore = fault_inject::faultsInjected();
+
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("gate"));
+    opts.workers = 1;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    auto holder = connectTo((*server)->endpoint());
+    ASSERT_TRUE(holder.ok()) << holder.status().toString();
+    ASSERT_TRUE(holder->sendAll(sweepRequest(1, 1) + "\n").ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fault_inject::faultsInjected() == faultsBefore &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT(fault_inject::faultsInjected(), faultsBefore);
+
+    auto waiter = connectTo((*server)->endpoint());
+    ASSERT_TRUE(waiter.ok()) << waiter.status().toString();
+    ASSERT_TRUE(waiter->setRecvTimeout(30.0).ok());
+    ASSERT_TRUE(waiter->sendAll("{\"op\":\"ping\",\"id\":2}\n").ok());
+    while (statsOf(**server).find("queue_depth")->number() < 1.0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(statsOf(**server).find("queue_depth")->number(), 1.0);
+
+    (*server)->stop();
+
+    // The waiting ping was dropped, never evaluated or answered.
+    std::string buffer;
+    std::string line;
+    Expected<bool> got = waiter->recvLine(&buffer, &line);
+    EXPECT_TRUE(!got.ok() || !*got) << line;
+    const JsonValue stats = statsOf(**server);
+    EXPECT_EQ(stats.find("per_op")->find("ping"), nullptr)
+        << stats.dump();
+    EXPECT_EQ(stats.find("queue_depth")->number(), 0.0);
+}
+
+/** This process's virtual memory size, from /proc/self/status. */
+std::size_t
+vmSizeKiB()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoul(line.substr(7));
+    }
+    return 0;
+}
+
+TEST(EvalServer, ReadersOfClosedConnectionsAreJoined)
+{
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("join"));
+    opts.workers = 2;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    auto pingOnce = [&] {
+        auto sock = connectTo((*server)->endpoint());
+        ASSERT_TRUE(sock.ok()) << sock.status().toString();
+        ASSERT_TRUE(sock->setRecvTimeout(30.0).ok());
+        auto pong = roundTrip(*sock, "{\"op\":\"ping\"}");
+        ASSERT_TRUE(pong.ok()) << pong.status().toString();
+    };
+    // Warm up the allocator's per-thread state and the stack cache.
+    for (int i = 0; i < 20; ++i)
+        pingOnce();
+    const std::size_t before = vmSizeKiB();
+    ASSERT_GT(before, 0u);
+
+    // A reader thread left unjoined keeps its whole stack mapped.
+    constexpr std::size_t kConnections = 300;
+    for (std::size_t i = 0; i < kConnections; ++i)
+        pingOnce();
+    const std::size_t after = vmSizeKiB();
+    EXPECT_LT(after, before + kConnections * 1024)
+        << "VmSize grew from " << before << " to " << after << " KiB";
+
+    (*server)->stop();
+}
+
+TEST(EvalServer, AcceptRecoversFromRunningOutOfDescriptors)
+{
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("emfile"));
+    opts.workers = 2;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    // Allow descriptors only below the lowest free one plus one: the
+    // client's socket takes that one, so the daemon's accept of the
+    // connection fails with EMFILE until the limit is raised again.
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    const int lowestFree = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(lowestFree, 0);
+    ::close(lowestFree);
+    rlimit lowered = saved;
+    lowered.rlim_cur = static_cast<rlim_t>(lowestFree) + 1;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    auto sock = connectTo((*server)->endpoint());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_TRUE(sock.ok()) << sock.status().toString();
+
+    ASSERT_TRUE(sock->setRecvTimeout(10.0).ok());
+    Expected<std::string> pong = roundTrip(*sock, "{\"op\":\"ping\"}");
+    ASSERT_TRUE(pong.ok()) << pong.status().toString();
+    EXPECT_NE(pong->find("\"ok\":true"), std::string::npos) << *pong;
 
     (*server)->stop();
 }
