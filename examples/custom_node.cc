@@ -39,14 +39,15 @@ main(int argc, char **argv)
 {
     Config cfg;
     if (argc > 1) {
-        cfg = Config::fromFile(argv[1]);
+        cfg = unwrapOrFatal(Config::tryFromFile(argv[1]));
     } else {
-        cfg = Config::fromString(sampleConfig);
+        cfg = unwrapOrFatal(Config::tryFromString(sampleConfig));
         std::cout << "No config given; using the built-in sample:\n\n"
                   << cfg.toString() << "\n";
     }
 
-    NodeConfig node = nodeConfigFromConfig(cfg);
+    NodeConfig node = unwrapOrFatal(
+        tryNodeConfigFromConfig(cfg).withContext("loading node config"));
     NodeEvaluator eval;
 
     std::cout << "Evaluating " << node.label() << " ("

@@ -46,17 +46,20 @@ main(int argc, char **argv)
 {
     Config cfg;
     if (argc > 1) {
-        cfg = Config::fromFile(argv[1]);
+        cfg = unwrapOrFatal(Config::tryFromFile(argv[1]));
     } else {
-        cfg = Config::fromString(sampleConfig);
+        cfg = unwrapOrFatal(Config::tryFromString(sampleConfig));
         std::cout << "No config given; using the built-in sample:\n\n"
                   << cfg.toString() << "\n";
     }
     App app = argc > 2 ? appFromName(argv[2]) : App::CoMD;
 
-    NodeConfig node = nodeConfigFromConfig(cfg);
-    ClusterConfig cluster = clusterConfigFromConfig(cfg);
-    ResilienceSpec spec = resilienceSpecFromConfig(cfg);
+    NodeConfig node = unwrapOrFatal(
+        tryNodeConfigFromConfig(cfg).withContext("loading node config"));
+    ClusterConfig cluster = unwrapOrFatal(tryClusterConfigFromConfig(cfg)
+        .withContext("loading cluster config"));
+    ResilienceSpec spec = unwrapOrFatal(tryResilienceSpecFromConfig(cfg)
+        .withContext("loading resilience spec"));
     NodeEvaluator eval;
     ClusterEvaluator ce(eval, cluster);
     ResilientClusterEvaluator rce(ce, spec);

@@ -105,9 +105,6 @@ main(int argc, char **argv)
         return usage(Status::outOfRange(
             "need STEP > 0 and TO >= FROM, got FROM=", *from,
             " TO=", *to, " STEP=", *step));
-    if (axis != "cus" && axis != "freq" && axis != "bw")
-        return usage(Status::invalidArgument("unknown axis '", axis,
-                                             "'"));
 
     NodeConfig base = NodeConfig::bestMean();
     bool haveBase = args.size() > 7;
@@ -162,20 +159,20 @@ main(int argc, char **argv)
             trySweepValues(*from, *to, *step);
         if (!values.ok())
             return usage(values.status());
+        Expected<std::vector<NodeConfig>> configs =
+            trySweepConfigs(base, axis, *values);
+        if (!configs.ok()) {
+            std::cerr << "sweep_tool: " << configs.status().toString()
+                      << "\n";
+            return 1;
+        }
 
         // Evaluate every point on the process-wide pool (ENA_THREADS)
         // and emit the CSV rows in sweep order afterwards.
         NodeEvaluator eval;
         rows = parallel_map(values->size(), [&](std::size_t i) {
             double v = (*values)[i];
-            NodeConfig cfg = base;
-            if (axis == "cus")
-                cfg.cus = static_cast<int>(v);
-            else if (axis == "freq")
-                cfg.freqGhz = v;
-            else
-                cfg.bwTbs = v;
-            cfg.validate();
+            const NodeConfig &cfg = (*configs)[i];
             EvalResult r = eval.evaluate(cfg, app);
             std::ostringstream os;
             os << appName(app) << "," << axis << "," << v << ","

@@ -36,12 +36,6 @@ tryClusterTopologyFromName(const std::string &name)
         "' (want fat-tree, dragonfly, or 3d-torus)");
 }
 
-ClusterTopology
-clusterTopologyFromName(const std::string &name)
-{
-    return unwrapOrFatal(tryClusterTopologyFromName(name));
-}
-
 const std::vector<ClusterTopology> &
 allClusterTopologies()
 {

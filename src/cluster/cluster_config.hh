@@ -37,9 +37,6 @@ std::string clusterTopologyName(ClusterTopology t);
 Expected<ClusterTopology> tryClusterTopologyFromName(
     const std::string &name);
 
-/** Parse a topology name (case-insensitive); fatal() on unknown. */
-ClusterTopology clusterTopologyFromName(const std::string &name);
-
 /** All modeled topologies, in enum order. */
 const std::vector<ClusterTopology> &allClusterTopologies();
 

@@ -4,24 +4,13 @@
  * the cluster is described under the "cluster." prefix so one file can
  * hold a full machine description (ehp.* / extmem.* / opts.* for the
  * node next to cluster.* for the scale-out layer) and be loaded by both
- * nodeConfigFromConfig and clusterConfigFromConfig.
- *
- * Recognized keys (all optional; defaults = ClusterConfig{}):
- *
- *   cluster.nodes, cluster.topology (fat-tree | dragonfly | 3d-torus),
- *   cluster.links_per_node, cluster.link_gbs, cluster.link_latency_us,
- *   cluster.pj_per_bit, cluster.fat_tree_radix, cluster.fat_tree_taper,
- *   cluster.dragonfly_group_routers, cluster.torus_x, cluster.torus_y,
- *   cluster.torus_z
+ * tryNodeConfigFromConfig and tryClusterConfigFromConfig. Every key is
+ * optional (defaults = ClusterConfig{}).
  *
  * Unknown "cluster." keys are rejected to catch typos; keys outside the
  * prefix are ignored (they belong to the node layers), as are
  * "cluster.ras." keys (the resiliency layer's; see
  * resilient_cluster_io.hh).
- *
- * tryClusterConfigFromConfig is the recoverable entry point (errors
- * carry the offending key and its source:line origin);
- * clusterConfigFromConfig is the legacy fatal() wrapper.
  */
 
 #ifndef ENA_CLUSTER_CLUSTER_CONFIG_IO_HH
@@ -33,104 +22,39 @@
 
 namespace ena {
 
+/** ClusterConfig's keys, in the order they are read (util/config.hh). */
+template <typename F>
+void
+configFields(ClusterConfig &c, F &&field)
+{
+    field("cluster.nodes", c.nodes);
+    field("cluster.topology", c.topology, clusterTopologyName,
+          tryClusterTopologyFromName);
+    field("cluster.links_per_node", c.linksPerNode);
+    field("cluster.link_gbs", c.linkGbs);
+    field("cluster.link_latency_us", c.linkLatencyUs);
+    field("cluster.pj_per_bit", c.pjPerBit);
+    field("cluster.fat_tree_radix", c.fatTreeRadix);
+    field("cluster.fat_tree_taper", c.fatTreeTaper);
+    field("cluster.dragonfly_group_routers", c.dragonflyGroupRouters);
+    field("cluster.torus_x", c.torusX);
+    field("cluster.torus_y", c.torusY);
+    field("cluster.torus_z", c.torusZ);
+}
+
+/** Load a ClusterConfig; errors carry the key and its source:line. */
 inline Expected<ClusterConfig>
 tryClusterConfigFromConfig(const Config &cfg)
 {
-    static const char *known[] = {
-        "cluster.nodes", "cluster.topology", "cluster.links_per_node",
-        "cluster.link_gbs", "cluster.link_latency_us",
-        "cluster.pj_per_bit", "cluster.fat_tree_radix",
-        "cluster.fat_tree_taper", "cluster.dragonfly_group_routers",
-        "cluster.torus_x", "cluster.torus_y", "cluster.torus_z",
-    };
-    for (const std::string &key : cfg.keysWithPrefix("cluster.")) {
-        // "cluster.ras." keys belong to the resiliency layer
-        // (resilient_cluster_io.hh) and are validated there.
-        if (key.rfind("cluster.ras.", 0) == 0)
-            continue;
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok) {
-            std::string where = cfg.origin(key);
-            return Status::invalidArgument(
-                "unknown cluster-config key '", key, "'",
-                where.empty() ? "" : " (" + where + ")");
-        }
-    }
-
-    ClusterConfig c;
-    ENA_ASSIGN_OR_RETURN(long long nodes,
-                         cfg.tryGetInt("cluster.nodes", c.nodes));
-    c.nodes = static_cast<int>(nodes);
-    ENA_ASSIGN_OR_RETURN(
-        std::string topo,
-        cfg.tryGetString("cluster.topology",
-                         clusterTopologyName(c.topology)));
-    ENA_ASSIGN_OR_RETURN(c.topology, tryClusterTopologyFromName(topo));
-    ENA_ASSIGN_OR_RETURN(
-        long long links,
-        cfg.tryGetInt("cluster.links_per_node", c.linksPerNode));
-    c.linksPerNode = static_cast<int>(links);
-    ENA_ASSIGN_OR_RETURN(c.linkGbs,
-                         cfg.tryGetDouble("cluster.link_gbs", c.linkGbs));
-    ENA_ASSIGN_OR_RETURN(
-        c.linkLatencyUs,
-        cfg.tryGetDouble("cluster.link_latency_us", c.linkLatencyUs));
-    ENA_ASSIGN_OR_RETURN(
-        c.pjPerBit, cfg.tryGetDouble("cluster.pj_per_bit", c.pjPerBit));
-    ENA_ASSIGN_OR_RETURN(
-        long long radix,
-        cfg.tryGetInt("cluster.fat_tree_radix", c.fatTreeRadix));
-    c.fatTreeRadix = static_cast<int>(radix);
-    ENA_ASSIGN_OR_RETURN(
-        c.fatTreeTaper,
-        cfg.tryGetDouble("cluster.fat_tree_taper", c.fatTreeTaper));
-    ENA_ASSIGN_OR_RETURN(
-        long long group,
-        cfg.tryGetInt("cluster.dragonfly_group_routers",
-                      c.dragonflyGroupRouters));
-    c.dragonflyGroupRouters = static_cast<int>(group);
-    ENA_ASSIGN_OR_RETURN(long long tx,
-                         cfg.tryGetInt("cluster.torus_x", c.torusX));
-    c.torusX = static_cast<int>(tx);
-    ENA_ASSIGN_OR_RETURN(long long ty,
-                         cfg.tryGetInt("cluster.torus_y", c.torusY));
-    c.torusY = static_cast<int>(ty);
-    ENA_ASSIGN_OR_RETURN(long long tz,
-                         cfg.tryGetInt("cluster.torus_z", c.torusZ));
-    c.torusZ = static_cast<int>(tz);
-
-    ENA_TRY(c.tryValidate());
-    return c;
-}
-
-/** Legacy flavor: fatal() with the chained diagnostic on any error. */
-inline ClusterConfig
-clusterConfigFromConfig(const Config &cfg)
-{
-    return unwrapOrFatal(tryClusterConfigFromConfig(cfg).withContext(
-        "loading cluster config"));
+    return readConfigFields<ClusterConfig>(
+        cfg, {"cluster-config", "cluster.", {"cluster.ras."}});
 }
 
 /** Serialize a ClusterConfig back into a Config ("cluster." keys). */
 inline Config
 clusterConfigToConfig(const ClusterConfig &c)
 {
-    Config cfg;
-    cfg.set("cluster.nodes", c.nodes);
-    cfg.set("cluster.topology", clusterTopologyName(c.topology));
-    cfg.set("cluster.links_per_node", c.linksPerNode);
-    cfg.set("cluster.link_gbs", c.linkGbs);
-    cfg.set("cluster.link_latency_us", c.linkLatencyUs);
-    cfg.set("cluster.pj_per_bit", c.pjPerBit);
-    cfg.set("cluster.fat_tree_radix", c.fatTreeRadix);
-    cfg.set("cluster.fat_tree_taper", c.fatTreeTaper);
-    cfg.set("cluster.dragonfly_group_routers", c.dragonflyGroupRouters);
-    cfg.set("cluster.torus_x", c.torusX);
-    cfg.set("cluster.torus_y", c.torusY);
-    cfg.set("cluster.torus_z", c.torusZ);
-    return cfg;
+    return writeConfigFields(c);
 }
 
 } // namespace ena

@@ -5,25 +5,12 @@
  * "cluster.ras." prefix, so one "key = value" file can hold the full
  * fault-aware machine (ehp.* / extmem.* / opts.* for the node,
  * cluster.* for the fabric, cluster.ras.* for protection and
- * checkpointing) and be loaded by nodeConfigFromConfig,
- * clusterConfigFromConfig, and resilienceSpecFromConfig side by side.
- *
- * Recognized keys (all optional; defaults = ResilienceSpec{}):
- *
- *   cluster.ras.faults_enabled, cluster.ras.dram_ecc,
- *   cluster.ras.sram_ecc, cluster.ras.gpu_rmt,
- *   cluster.ras.ntc_ser_multiplier,
- *   cluster.ras.rmt_policy (off | opportunistic | full),
- *   cluster.ras.checkpoint_bytes, cluster.ras.io_bandwidth_bps,
- *   cluster.ras.checkpoint_overhead_s, cluster.ras.restart_extra_s,
- *   cluster.ras.checkpoint_via_fabric
+ * checkpointing) and be loaded by tryNodeConfigFromConfig,
+ * tryClusterConfigFromConfig, and tryResilienceSpecFromConfig side by
+ * side. Every key is optional (defaults = ResilienceSpec{}).
  *
  * Unknown "cluster.ras." keys are rejected to catch typos; keys
  * outside the prefix are ignored (they belong to the other layers).
- *
- * tryResilienceSpecFromConfig is the recoverable entry point (errors
- * carry the offending key and its source:line origin);
- * resilienceSpecFromConfig is the legacy fatal() wrapper.
  */
 
 #ifndef ENA_CLUSTER_RESILIENT_CLUSTER_IO_HH
@@ -35,105 +22,38 @@
 
 namespace ena {
 
+/** ResilienceSpec's keys, in the order they are read (util/config.hh). */
+template <typename F>
+void
+configFields(ResilienceSpec &s, F &&field)
+{
+    field("cluster.ras.faults_enabled", s.faultsEnabled);
+    field("cluster.ras.dram_ecc", s.ras.dramEcc);
+    field("cluster.ras.sram_ecc", s.ras.sramEcc);
+    field("cluster.ras.gpu_rmt", s.ras.gpuRmt);
+    field("cluster.ras.ntc_ser_multiplier", s.ras.ntcSerMultiplier);
+    field("cluster.ras.rmt_policy", s.rmtPolicy, rmtPolicyName,
+          tryRmtPolicyFromName);
+    field("cluster.ras.checkpoint_bytes", s.checkpoint.checkpointBytes);
+    field("cluster.ras.io_bandwidth_bps", s.checkpoint.ioBandwidthBps);
+    field("cluster.ras.checkpoint_overhead_s", s.checkpoint.overheadS);
+    field("cluster.ras.restart_extra_s", s.checkpoint.restartExtraS);
+    field("cluster.ras.checkpoint_via_fabric", s.checkpointViaFabric);
+}
+
+/** Load a ResilienceSpec; errors carry the key and its source:line. */
 inline Expected<ResilienceSpec>
 tryResilienceSpecFromConfig(const Config &cfg)
 {
-    static const char *known[] = {
-        "cluster.ras.faults_enabled",
-        "cluster.ras.dram_ecc",
-        "cluster.ras.sram_ecc",
-        "cluster.ras.gpu_rmt",
-        "cluster.ras.ntc_ser_multiplier",
-        "cluster.ras.rmt_policy",
-        "cluster.ras.checkpoint_bytes",
-        "cluster.ras.io_bandwidth_bps",
-        "cluster.ras.checkpoint_overhead_s",
-        "cluster.ras.restart_extra_s",
-        "cluster.ras.checkpoint_via_fabric",
-    };
-    for (const std::string &key : cfg.keysWithPrefix("cluster.ras.")) {
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok) {
-            std::string where = cfg.origin(key);
-            return Status::invalidArgument(
-                "unknown resilience-config key '", key, "'",
-                where.empty() ? "" : " (" + where + ")");
-        }
-    }
-
-    ResilienceSpec s;
-    ENA_ASSIGN_OR_RETURN(
-        s.faultsEnabled,
-        cfg.tryGetBool("cluster.ras.faults_enabled", s.faultsEnabled));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.dramEcc,
-        cfg.tryGetBool("cluster.ras.dram_ecc", s.ras.dramEcc));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.sramEcc,
-        cfg.tryGetBool("cluster.ras.sram_ecc", s.ras.sramEcc));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.gpuRmt, cfg.tryGetBool("cluster.ras.gpu_rmt", s.ras.gpuRmt));
-    ENA_ASSIGN_OR_RETURN(
-        s.ras.ntcSerMultiplier,
-        cfg.tryGetDouble("cluster.ras.ntc_ser_multiplier",
-                         s.ras.ntcSerMultiplier));
-    ENA_ASSIGN_OR_RETURN(
-        std::string policy,
-        cfg.tryGetString("cluster.ras.rmt_policy",
-                         rmtPolicyName(s.rmtPolicy)));
-    ENA_ASSIGN_OR_RETURN(s.rmtPolicy, tryRmtPolicyFromName(policy));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.checkpointBytes,
-        cfg.tryGetDouble("cluster.ras.checkpoint_bytes",
-                         s.checkpoint.checkpointBytes));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.ioBandwidthBps,
-        cfg.tryGetDouble("cluster.ras.io_bandwidth_bps",
-                         s.checkpoint.ioBandwidthBps));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.overheadS,
-        cfg.tryGetDouble("cluster.ras.checkpoint_overhead_s",
-                         s.checkpoint.overheadS));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpoint.restartExtraS,
-        cfg.tryGetDouble("cluster.ras.restart_extra_s",
-                         s.checkpoint.restartExtraS));
-    ENA_ASSIGN_OR_RETURN(
-        s.checkpointViaFabric,
-        cfg.tryGetBool("cluster.ras.checkpoint_via_fabric",
-                       s.checkpointViaFabric));
-
-    ENA_TRY(s.tryValidate());
-    return s;
-}
-
-/** Legacy flavor: fatal() with the chained diagnostic on any error. */
-inline ResilienceSpec
-resilienceSpecFromConfig(const Config &cfg)
-{
-    return unwrapOrFatal(tryResilienceSpecFromConfig(cfg).withContext(
-        "loading resilience spec"));
+    return readConfigFields<ResilienceSpec>(
+        cfg, {"resilience-config", "cluster.ras."});
 }
 
 /** Serialize a ResilienceSpec back into a Config ("cluster.ras."). */
 inline Config
 resilienceSpecToConfig(const ResilienceSpec &s)
 {
-    Config cfg;
-    cfg.set("cluster.ras.faults_enabled", s.faultsEnabled);
-    cfg.set("cluster.ras.dram_ecc", s.ras.dramEcc);
-    cfg.set("cluster.ras.sram_ecc", s.ras.sramEcc);
-    cfg.set("cluster.ras.gpu_rmt", s.ras.gpuRmt);
-    cfg.set("cluster.ras.ntc_ser_multiplier", s.ras.ntcSerMultiplier);
-    cfg.set("cluster.ras.rmt_policy", rmtPolicyName(s.rmtPolicy));
-    cfg.set("cluster.ras.checkpoint_bytes", s.checkpoint.checkpointBytes);
-    cfg.set("cluster.ras.io_bandwidth_bps", s.checkpoint.ioBandwidthBps);
-    cfg.set("cluster.ras.checkpoint_overhead_s", s.checkpoint.overheadS);
-    cfg.set("cluster.ras.restart_extra_s", s.checkpoint.restartExtraS);
-    cfg.set("cluster.ras.checkpoint_via_fabric", s.checkpointViaFabric);
-    return cfg;
+    return writeConfigFields(s);
 }
 
 } // namespace ena

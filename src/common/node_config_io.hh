@@ -2,24 +2,14 @@
  * @file
  * Config-file bindings for NodeConfig: load a node description from a
  * "key = value" Config so examples/tools can be driven by files rather
- * than code. Unknown keys are rejected to catch typos.
+ * than code. Unknown keys are rejected to catch typos; every key is
+ * optional (defaults = NodeConfig{}).
  *
- * Recognized keys (all optional; defaults = NodeConfig{}):
- *
- *   ehp.cus, ehp.freq_ghz, ehp.bw_tbs, ehp.gpu_chiplets,
- *   ehp.cpu_chiplets, ehp.cores_per_cpu_chiplet, ehp.in_package_gb,
- *   extmem.dram_gb, extmem.nvm_gb, extmem.dram_module_gb,
- *   extmem.nvm_module_gb, extmem.interfaces, extmem.interface_gbs,
- *   opts.ntc, opts.async_cu, opts.async_router, opts.lp_links,
- *   opts.compression
- *
- * "cluster." keys are ignored here: they describe the scale-out layer
- * and are parsed by clusterConfigFromConfig (src/cluster/), so a single
- * file can describe the node and the machine around it.
- *
- * tryNodeConfigFromConfig is the recoverable entry point (errors carry
- * the offending key and its source:line origin); nodeConfigFromConfig
- * is the legacy fatal() wrapper.
+ * "cluster." and "taskgraph." keys are ignored here: they describe the
+ * scale-out layer and the workload DAG, and are owned by
+ * tryClusterConfigFromConfig (src/cluster/cluster_config_io.hh) and
+ * tryTaskGraphSpecFromConfig (src/taskgraph/task_dag_io.hh), so a
+ * single file can describe the node and the machine around it.
  */
 
 #ifndef ENA_COMMON_NODE_CONFIG_IO_HH
@@ -31,128 +21,44 @@
 
 namespace ena {
 
+/** NodeConfig's keys, in the order they are read (util/config.hh). */
+template <typename F>
+void
+configFields(NodeConfig &n, F &&field)
+{
+    field("ehp.cus", n.cus);
+    field("ehp.freq_ghz", n.freqGhz);
+    field("ehp.bw_tbs", n.bwTbs);
+    field("ehp.gpu_chiplets", n.gpuChiplets);
+    field("ehp.cpu_chiplets", n.cpuChiplets);
+    field("ehp.cores_per_cpu_chiplet", n.coresPerCpuChiplet);
+    field("ehp.in_package_gb", n.inPackageGb);
+    field("extmem.dram_gb", n.ext.dramGb);
+    field("extmem.nvm_gb", n.ext.nvmGb);
+    field("extmem.dram_module_gb", n.ext.dramModuleGb);
+    field("extmem.nvm_module_gb", n.ext.nvmModuleGb);
+    field("extmem.interfaces", n.ext.interfaces);
+    field("extmem.interface_gbs", n.ext.interfaceGbs);
+    field("opts.ntc", n.opts.ntc);
+    field("opts.async_cu", n.opts.asyncCu);
+    field("opts.async_router", n.opts.asyncRouter);
+    field("opts.lp_links", n.opts.lpLinks);
+    field("opts.compression", n.opts.compression);
+}
+
+/** Load a NodeConfig; errors carry the key and its source:line. */
 inline Expected<NodeConfig>
 tryNodeConfigFromConfig(const Config &cfg)
 {
-    static const char *known[] = {
-        "ehp.cus", "ehp.freq_ghz", "ehp.bw_tbs", "ehp.gpu_chiplets",
-        "ehp.cpu_chiplets", "ehp.cores_per_cpu_chiplet",
-        "ehp.in_package_gb", "extmem.dram_gb", "extmem.nvm_gb",
-        "extmem.dram_module_gb", "extmem.nvm_module_gb",
-        "extmem.interfaces", "extmem.interface_gbs", "opts.ntc",
-        "opts.async_cu", "opts.async_router", "opts.lp_links",
-        "opts.compression",
-    };
-    for (const std::string &key : cfg.keysWithPrefix("")) {
-        // "cluster." keys describe the scale-out layer and are owned by
-        // clusterConfigFromConfig (src/cluster/cluster_config_io.hh);
-        // "taskgraph." keys describe the workload DAG and are owned by
-        // taskGraphSpecFromConfig (src/taskgraph/task_dag_io.hh). One
-        // file can hold a full machine + workload description.
-        if (key.rfind("cluster.", 0) == 0 ||
-            key.rfind("taskgraph.", 0) == 0)
-            continue;
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok) {
-            std::string where = cfg.origin(key);
-            return Status::invalidArgument(
-                "unknown node-config key '", key, "'",
-                where.empty() ? "" : " (" + where + ")");
-        }
-    }
-
-    NodeConfig n;
-    ENA_ASSIGN_OR_RETURN(long long cus, cfg.tryGetInt("ehp.cus", n.cus));
-    n.cus = static_cast<int>(cus);
-    ENA_ASSIGN_OR_RETURN(n.freqGhz,
-                         cfg.tryGetDouble("ehp.freq_ghz", n.freqGhz));
-    ENA_ASSIGN_OR_RETURN(n.bwTbs,
-                         cfg.tryGetDouble("ehp.bw_tbs", n.bwTbs));
-    ENA_ASSIGN_OR_RETURN(
-        long long gpu_chiplets,
-        cfg.tryGetInt("ehp.gpu_chiplets", n.gpuChiplets));
-    n.gpuChiplets = static_cast<int>(gpu_chiplets);
-    ENA_ASSIGN_OR_RETURN(
-        long long cpu_chiplets,
-        cfg.tryGetInt("ehp.cpu_chiplets", n.cpuChiplets));
-    n.cpuChiplets = static_cast<int>(cpu_chiplets);
-    ENA_ASSIGN_OR_RETURN(
-        long long cores,
-        cfg.tryGetInt("ehp.cores_per_cpu_chiplet", n.coresPerCpuChiplet));
-    n.coresPerCpuChiplet = static_cast<int>(cores);
-    ENA_ASSIGN_OR_RETURN(
-        n.inPackageGb,
-        cfg.tryGetDouble("ehp.in_package_gb", n.inPackageGb));
-
-    ENA_ASSIGN_OR_RETURN(
-        n.ext.dramGb, cfg.tryGetDouble("extmem.dram_gb", n.ext.dramGb));
-    ENA_ASSIGN_OR_RETURN(
-        n.ext.nvmGb, cfg.tryGetDouble("extmem.nvm_gb", n.ext.nvmGb));
-    ENA_ASSIGN_OR_RETURN(
-        n.ext.dramModuleGb,
-        cfg.tryGetDouble("extmem.dram_module_gb", n.ext.dramModuleGb));
-    ENA_ASSIGN_OR_RETURN(
-        n.ext.nvmModuleGb,
-        cfg.tryGetDouble("extmem.nvm_module_gb", n.ext.nvmModuleGb));
-    ENA_ASSIGN_OR_RETURN(
-        long long interfaces,
-        cfg.tryGetInt("extmem.interfaces", n.ext.interfaces));
-    n.ext.interfaces = static_cast<int>(interfaces);
-    ENA_ASSIGN_OR_RETURN(
-        n.ext.interfaceGbs,
-        cfg.tryGetDouble("extmem.interface_gbs", n.ext.interfaceGbs));
-
-    ENA_ASSIGN_OR_RETURN(n.opts.ntc,
-                         cfg.tryGetBool("opts.ntc", n.opts.ntc));
-    ENA_ASSIGN_OR_RETURN(
-        n.opts.asyncCu, cfg.tryGetBool("opts.async_cu", n.opts.asyncCu));
-    ENA_ASSIGN_OR_RETURN(
-        n.opts.asyncRouter,
-        cfg.tryGetBool("opts.async_router", n.opts.asyncRouter));
-    ENA_ASSIGN_OR_RETURN(
-        n.opts.lpLinks, cfg.tryGetBool("opts.lp_links", n.opts.lpLinks));
-    ENA_ASSIGN_OR_RETURN(
-        n.opts.compression,
-        cfg.tryGetBool("opts.compression", n.opts.compression));
-
-    ENA_TRY(n.tryValidate());
-    return n;
-}
-
-/** Legacy flavor: fatal() with the chained diagnostic on any error. */
-inline NodeConfig
-nodeConfigFromConfig(const Config &cfg)
-{
-    return unwrapOrFatal(
-        tryNodeConfigFromConfig(cfg).withContext("loading node config"));
+    return readConfigFields<NodeConfig>(
+        cfg, {"node-config", "", {"cluster.", "taskgraph."}});
 }
 
 /** Serialize a NodeConfig back into a Config. */
 inline Config
 nodeConfigToConfig(const NodeConfig &n)
 {
-    Config cfg;
-    cfg.set("ehp.cus", n.cus);
-    cfg.set("ehp.freq_ghz", n.freqGhz);
-    cfg.set("ehp.bw_tbs", n.bwTbs);
-    cfg.set("ehp.gpu_chiplets", n.gpuChiplets);
-    cfg.set("ehp.cpu_chiplets", n.cpuChiplets);
-    cfg.set("ehp.cores_per_cpu_chiplet", n.coresPerCpuChiplet);
-    cfg.set("ehp.in_package_gb", n.inPackageGb);
-    cfg.set("extmem.dram_gb", n.ext.dramGb);
-    cfg.set("extmem.nvm_gb", n.ext.nvmGb);
-    cfg.set("extmem.dram_module_gb", n.ext.dramModuleGb);
-    cfg.set("extmem.nvm_module_gb", n.ext.nvmModuleGb);
-    cfg.set("extmem.interfaces", n.ext.interfaces);
-    cfg.set("extmem.interface_gbs", n.ext.interfaceGbs);
-    cfg.set("opts.ntc", n.opts.ntc);
-    cfg.set("opts.async_cu", n.opts.asyncCu);
-    cfg.set("opts.async_router", n.opts.asyncRouter);
-    cfg.set("opts.lp_links", n.opts.lpLinks);
-    cfg.set("opts.compression", n.opts.compression);
-    return cfg;
+    return writeConfigFields(n);
 }
 
 } // namespace ena

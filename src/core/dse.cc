@@ -149,6 +149,35 @@ trySweepValues(double from, double to, double step)
     return values;
 }
 
+Expected<std::vector<NodeConfig>>
+trySweepConfigs(const NodeConfig &base, const std::string &axis,
+                const std::vector<double> &values)
+{
+    if (axis != "cus" && axis != "freq" && axis != "bw") {
+        return Status::invalidArgument("bad axis '", axis,
+                                       "' (want cus | freq | bw)");
+    }
+    std::vector<NodeConfig> configs(values.size(), base);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        NodeConfig &cfg = configs[i];
+        const double v = values[i];
+        if (axis == "freq") {
+            cfg.freqGhz = v;
+        } else if (axis == "bw") {
+            cfg.bwTbs = v;
+        } else if (std::fabs(v) < 2147483648.0) {
+            cfg.cus = static_cast<int>(v);
+        } else {
+            // Converting a double outside int's range is undefined.
+            return Status::outOfRange("sweep point ", i, " (value ", v,
+                                      "): not an int CU count");
+        }
+        ENA_TRY(cfg.tryValidate().withContext("sweep point ", i,
+                                              " (value ", v, ")"));
+    }
+    return configs;
+}
+
 DseGrid
 DseGrid::paperGrid()
 {

@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/node_config.hh"
@@ -78,6 +79,17 @@ constexpr std::size_t kMaxSweepPoints = 1000000;
  */
 Expected<std::vector<double>> trySweepValues(double from, double to,
                                              double step);
+
+/**
+ * @p base with one knob set to each of @p values, in order: the points
+ * of a one-axis sweep. @p axis is "cus" (the value truncated to an
+ * int), "freq" (GHz) or "bw" (TB/s). InvalidArgument on any other axis;
+ * the first point that fails NodeConfig::tryValidate() is the error,
+ * as "sweep point i (value v): ...".
+ */
+Expected<std::vector<NodeConfig>> trySweepConfigs(
+    const NodeConfig &base, const std::string &axis,
+    const std::vector<double> &values);
 
 /**
  * Scores written by DseGridScorer::score(), stored by grid index:

@@ -7,8 +7,7 @@
  * model executes a synthetic serial-section instruction mix on a
  * single-issue in-order pipeline: ALU ops issue back to back, branch
  * mispredictions flush, memory operations go through a private L1 and
- * pay a miss latency. It reports IPC and runtime, and backs the
- * AmdahlModel's per-core rate with a microarchitectural grounding.
+ * pay a miss latency. It reports IPC and runtime.
  */
 
 #ifndef ENA_CPU_CPU_CORE_HH

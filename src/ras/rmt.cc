@@ -37,12 +37,6 @@ tryRmtPolicyFromName(const std::string &name)
         "' (want off, opportunistic, or full)");
 }
 
-RmtPolicy
-rmtPolicyFromName(const std::string &name)
-{
-    return unwrapOrFatal(tryRmtPolicyFromName(name));
-}
-
 const std::vector<RmtPolicy> &
 allRmtPolicies()
 {

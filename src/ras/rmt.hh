@@ -45,9 +45,6 @@ std::string rmtPolicyName(RmtPolicy p);
 /** Parse a policy name (case-insensitive). */
 Expected<RmtPolicy> tryRmtPolicyFromName(const std::string &name);
 
-/** Parse a policy name (case-insensitive); fatal() on unknown. */
-RmtPolicy rmtPolicyFromName(const std::string &name);
-
 /** All policies, in enum order. */
 const std::vector<RmtPolicy> &allRmtPolicies();
 

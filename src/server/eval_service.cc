@@ -338,10 +338,6 @@ EvalService::opSweep(const wire::JsonValue &req, wire::JsonWriter &out)
     ENA_ASSIGN_OR_RETURN(double from, wire::tryGetNumber(req, "from"));
     ENA_ASSIGN_OR_RETURN(double to, wire::tryGetNumber(req, "to"));
     ENA_ASSIGN_OR_RETURN(double step, wire::tryGetNumber(req, "step"));
-    if (axis != "cus" && axis != "freq" && axis != "bw") {
-        return Status::invalidArgument("bad axis '", axis,
-                                       "' (want cus | freq | bw)");
-    }
     // sweep_tool's enumeration, so a server-side sweep reproduces the
     // local CLI point-for-point.
     ENA_ASSIGN_OR_RETURN(std::vector<double> values,
@@ -350,21 +346,8 @@ EvalService::opSweep(const wire::JsonValue &req, wire::JsonWriter &out)
     ENA_ASSIGN_OR_RETURN(Config cfgText, configFromRequest(req));
     ENA_ASSIGN_OR_RETURN(NodeConfig base,
                          tryNodeConfigFromConfig(cfgText));
-
-    std::vector<NodeConfig> configs(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        NodeConfig cfg = base;
-        if (axis == "cus")
-            cfg.cus = static_cast<int>(values[i]);
-        else if (axis == "freq")
-            cfg.freqGhz = values[i];
-        else
-            cfg.bwTbs = values[i];
-        ENA_TRY(cfg.tryValidate().withContext("sweep point ", i,
-                                              " (value ", values[i],
-                                              ")"));
-        configs[i] = cfg;
-    }
+    ENA_ASSIGN_OR_RETURN(std::vector<NodeConfig> configs,
+                         trySweepConfigs(base, axis, values));
 
     // Evaluate the points in chunks on the shared pool. Chunk tasks
     // are where ENA_FAULT_INJECT strikes; the pool's retry policy

@@ -4,27 +4,11 @@
  * cluster_config_io.hh: the workload is described under the
  * "taskgraph." prefix so one file can hold the full scenario (ehp.* /
  * extmem.* for the node, cluster.* for the fabric, taskgraph.* for the
- * DAG) and be loaded by each layer's reader.
- *
- * Recognized keys (all optional; defaults = TaskGraphSpec{}):
- *
- *   taskgraph.shape  (wavefront | stencil-halo | fork-join |
- *                     reduction-tree | random-layered)
- *   taskgraph.app            kernel profile naming memory behaviour
- *   taskgraph.size           grid n / ranks / width / leaves
- *   taskgraph.depth          steps / stages / layers
- *   taskgraph.task_gflops    work per task (1e9 flops)
- *   taskgraph.edge_mb        bytes per edge (1e6 bytes)
- *   taskgraph.edge_prob      random-layered edge probability
- *   taskgraph.seed           random-layered seed
- *   taskgraph.fanin          reduction-tree fan-in
+ * DAG) and be loaded by each layer's reader. Every key is optional
+ * (defaults = TaskGraphSpec{}).
  *
  * Unknown "taskgraph." keys are rejected to catch typos; keys outside
  * the prefix are ignored (they belong to the node/cluster layers).
- *
- * tryTaskGraphSpecFromConfig is the recoverable entry point (errors
- * carry the offending key and its source:line origin);
- * taskGraphSpecFromConfig is the legacy fatal() wrapper.
  */
 
 #ifndef ENA_TASKGRAPH_TASK_DAG_IO_HH
@@ -107,85 +91,35 @@ struct TaskGraphSpec
     }
 };
 
+/** TaskGraphSpec's keys, in the order they are read (util/config.hh). */
+template <typename F>
+void
+configFields(TaskGraphSpec &s, F &&field)
+{
+    field("taskgraph.shape", s.shape, dagShapeName, tryDagShapeFromName);
+    field("taskgraph.app", s.app, appName, tryAppFromName);
+    field("taskgraph.size", s.size);
+    field("taskgraph.depth", s.depth);
+    field("taskgraph.task_gflops", s.taskGflops);
+    field("taskgraph.edge_mb", s.edgeMb);
+    field("taskgraph.edge_prob", s.edgeProb);
+    field("taskgraph.seed", s.seed);
+    field("taskgraph.fanin", s.fanin);
+}
+
+/** Load a TaskGraphSpec; errors carry the key and its source:line. */
 inline Expected<TaskGraphSpec>
 tryTaskGraphSpecFromConfig(const Config &cfg)
 {
-    static const char *known[] = {
-        "taskgraph.shape",      "taskgraph.app",
-        "taskgraph.size",       "taskgraph.depth",
-        "taskgraph.task_gflops", "taskgraph.edge_mb",
-        "taskgraph.edge_prob",  "taskgraph.seed",
-        "taskgraph.fanin",
-    };
-    for (const std::string &key : cfg.keysWithPrefix("taskgraph.")) {
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || key == k;
-        if (!ok) {
-            std::string where = cfg.origin(key);
-            return Status::invalidArgument(
-                "unknown taskgraph-config key '", key, "'",
-                where.empty() ? "" : " (" + where + ")");
-        }
-    }
-
-    TaskGraphSpec s;
-    ENA_ASSIGN_OR_RETURN(
-        std::string shape,
-        cfg.tryGetString("taskgraph.shape", dagShapeName(s.shape)));
-    ENA_ASSIGN_OR_RETURN(s.shape, tryDagShapeFromName(shape));
-    ENA_ASSIGN_OR_RETURN(std::string app,
-                         cfg.tryGetString("taskgraph.app", appName(s.app)));
-    ENA_ASSIGN_OR_RETURN(s.app, tryAppFromName(app));
-    ENA_ASSIGN_OR_RETURN(long long size,
-                         cfg.tryGetInt("taskgraph.size", s.size));
-    s.size = static_cast<int>(size);
-    ENA_ASSIGN_OR_RETURN(long long depth,
-                         cfg.tryGetInt("taskgraph.depth", s.depth));
-    s.depth = static_cast<int>(depth);
-    ENA_ASSIGN_OR_RETURN(
-        s.taskGflops,
-        cfg.tryGetDouble("taskgraph.task_gflops", s.taskGflops));
-    ENA_ASSIGN_OR_RETURN(s.edgeMb,
-                         cfg.tryGetDouble("taskgraph.edge_mb", s.edgeMb));
-    ENA_ASSIGN_OR_RETURN(
-        s.edgeProb, cfg.tryGetDouble("taskgraph.edge_prob", s.edgeProb));
-    ENA_ASSIGN_OR_RETURN(
-        long long seed,
-        cfg.tryGetInt("taskgraph.seed",
-                      static_cast<long long>(s.seed)));
-    s.seed = static_cast<std::uint64_t>(seed);
-    ENA_ASSIGN_OR_RETURN(long long fanin,
-                         cfg.tryGetInt("taskgraph.fanin", s.fanin));
-    s.fanin = static_cast<int>(fanin);
-
-    ENA_TRY(s.tryValidate());
-    return s;
-}
-
-/** Legacy flavor: fatal() with the chained diagnostic on any error. */
-inline TaskGraphSpec
-taskGraphSpecFromConfig(const Config &cfg)
-{
-    return unwrapOrFatal(tryTaskGraphSpecFromConfig(cfg).withContext(
-        "loading taskgraph config"));
+    return readConfigFields<TaskGraphSpec>(
+        cfg, {"taskgraph-config", "taskgraph."});
 }
 
 /** Serialize a TaskGraphSpec back into a Config ("taskgraph." keys). */
 inline Config
 taskGraphSpecToConfig(const TaskGraphSpec &s)
 {
-    Config cfg;
-    cfg.set("taskgraph.shape", dagShapeName(s.shape));
-    cfg.set("taskgraph.app", appName(s.app));
-    cfg.set("taskgraph.size", s.size);
-    cfg.set("taskgraph.depth", s.depth);
-    cfg.set("taskgraph.task_gflops", s.taskGflops);
-    cfg.set("taskgraph.edge_mb", s.edgeMb);
-    cfg.set("taskgraph.edge_prob", s.edgeProb);
-    cfg.set("taskgraph.seed", static_cast<long long>(s.seed));
-    cfg.set("taskgraph.fanin", s.fanin);
-    return cfg;
+    return writeConfigFields(s);
 }
 
 } // namespace ena

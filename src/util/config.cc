@@ -59,18 +59,6 @@ Config::tryFromFile(const std::string &path)
     return tryFromString(buf.str(), path);
 }
 
-Config
-Config::fromString(std::string_view text)
-{
-    return unwrapOrFatal(tryFromString(text));
-}
-
-Config
-Config::fromFile(const std::string &path)
-{
-    return unwrapOrFatal(tryFromFile(path));
-}
-
 void
 Config::set(const std::string &key, const std::string &value)
 {
@@ -219,54 +207,6 @@ Config::tryGetBool(const std::string &key, bool dflt) const
     if (!lookup(key))
         return dflt;
     return tryGetBool(key);
-}
-
-std::string
-Config::getString(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetString(key));
-}
-
-std::string
-Config::getString(const std::string &key, const std::string &dflt) const
-{
-    return unwrapOrFatal(tryGetString(key, dflt));
-}
-
-double
-Config::getDouble(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetDouble(key));
-}
-
-double
-Config::getDouble(const std::string &key, double dflt) const
-{
-    return unwrapOrFatal(tryGetDouble(key, dflt));
-}
-
-long long
-Config::getInt(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetInt(key));
-}
-
-long long
-Config::getInt(const std::string &key, long long dflt) const
-{
-    return unwrapOrFatal(tryGetInt(key, dflt));
-}
-
-bool
-Config::getBool(const std::string &key) const
-{
-    return unwrapOrFatal(tryGetBool(key));
-}
-
-bool
-Config::getBool(const std::string &key, bool dflt) const
-{
-    return unwrapOrFatal(tryGetBool(key, dflt));
 }
 
 std::vector<std::string>

@@ -18,10 +18,11 @@
  *    ThreadPool, whose join barrier propagates task failures; sweeps
  *    catch it per grid point and quarantine the config.
  *
- * Conversion pattern used across the repo: the recoverable entry point
- * is try*() returning Status/Expected, and the legacy fatal() flavor
- * is a thin wrapper (unwrapOrFatal / checkOrFatal) kept for CLI
- * compatibility. New subsystems should expose the try*() form first.
+ * Conversion pattern used across the repo: the entry point is try*()
+ * returning Status/Expected, and a CLI that exits on error unwraps it
+ * at its own boundary (unwrapOrFatal / checkOrFatal). A fatal flavor
+ * stays only where its callers all exit on the error (the validate()
+ * members, appFromName). New subsystems expose only the try*() form.
  */
 
 #ifndef ENA_UTIL_STATUS_HH
@@ -283,8 +284,7 @@ class Expected
 };
 
 /**
- * CLI-compatibility shims: the legacy fatal() entry points are thin
- * wrappers that unwrap the try*() result and exit with the chained
+ * The CLI boundary: unwrap a try*() result, or exit with its chained
  * diagnostic on error.
  */
 template <typename T>

@@ -61,28 +61,48 @@ TEST(ResilientCluster, ZeroSpecReducesBitIdenticallyToClusterEvaluator)
 
 TEST(ResilientCluster, SpecConfigRoundTrips)
 {
-    ResilienceSpec s = ResilienceSpec::paper();
-    s.checkpointViaFabric = true;
+    // Every field off its default, so a key missing from the field
+    // list, or bound to the wrong member, shows up here.
+    ResilienceSpec s;
+    s.faultsEnabled = false;
+    s.ras.dramEcc = false;
+    s.ras.sramEcc = false;
+    s.ras.gpuRmt = true;
     s.ras.ntcSerMultiplier = 3.5;
+    s.rmtPolicy = RmtPolicy::Full;
     s.checkpoint.checkpointBytes = 123e9;
     s.checkpoint.ioBandwidthBps = 7e9;
     s.checkpoint.overheadS = 2.5;
     s.checkpoint.restartExtraS = 45.0;
-    ResilienceSpec t = resilienceSpecFromConfig(resilienceSpecToConfig(s));
-    EXPECT_EQ(t.faultsEnabled, s.faultsEnabled);
-    EXPECT_EQ(t.ras.dramEcc, s.ras.dramEcc);
-    EXPECT_EQ(t.ras.sramEcc, s.ras.sramEcc);
-    EXPECT_EQ(t.ras.gpuRmt, s.ras.gpuRmt);
-    EXPECT_DOUBLE_EQ(t.ras.ntcSerMultiplier, s.ras.ntcSerMultiplier);
-    EXPECT_EQ(t.rmtPolicy, s.rmtPolicy);
-    EXPECT_DOUBLE_EQ(t.checkpoint.checkpointBytes,
-                     s.checkpoint.checkpointBytes);
-    EXPECT_DOUBLE_EQ(t.checkpoint.ioBandwidthBps,
-                     s.checkpoint.ioBandwidthBps);
-    EXPECT_DOUBLE_EQ(t.checkpoint.overheadS, s.checkpoint.overheadS);
-    EXPECT_DOUBLE_EQ(t.checkpoint.restartExtraS,
-                     s.checkpoint.restartExtraS);
-    EXPECT_EQ(t.checkpointViaFabric, s.checkpointViaFabric);
+    s.checkpointViaFabric = true;
+
+    const Config text = resilienceSpecToConfig(s);
+    EXPECT_EQ(text.toString(),
+              "cluster.ras.checkpoint_bytes = 123000000000\n"
+              "cluster.ras.checkpoint_overhead_s = 2.5\n"
+              "cluster.ras.checkpoint_via_fabric = true\n"
+              "cluster.ras.dram_ecc = false\n"
+              "cluster.ras.faults_enabled = false\n"
+              "cluster.ras.gpu_rmt = true\n"
+              "cluster.ras.io_bandwidth_bps = 7000000000\n"
+              "cluster.ras.ntc_ser_multiplier = 3.5\n"
+              "cluster.ras.restart_extra_s = 45\n"
+              "cluster.ras.rmt_policy = full\n"
+              "cluster.ras.sram_ecc = false\n");
+
+    auto t = tryResilienceSpecFromConfig(text);
+    ASSERT_TRUE(t.ok()) << t.status().toString();
+    EXPECT_EQ(t->faultsEnabled, s.faultsEnabled);
+    EXPECT_EQ(t->ras.dramEcc, s.ras.dramEcc);
+    EXPECT_EQ(t->ras.sramEcc, s.ras.sramEcc);
+    EXPECT_EQ(t->ras.gpuRmt, s.ras.gpuRmt);
+    EXPECT_EQ(t->ras.ntcSerMultiplier, s.ras.ntcSerMultiplier);
+    EXPECT_EQ(t->rmtPolicy, s.rmtPolicy);
+    EXPECT_EQ(t->checkpoint.checkpointBytes, s.checkpoint.checkpointBytes);
+    EXPECT_EQ(t->checkpoint.ioBandwidthBps, s.checkpoint.ioBandwidthBps);
+    EXPECT_EQ(t->checkpoint.overheadS, s.checkpoint.overheadS);
+    EXPECT_EQ(t->checkpoint.restartExtraS, s.checkpoint.restartExtraS);
+    EXPECT_EQ(t->checkpointViaFabric, s.checkpointViaFabric);
 }
 
 TEST(ResilientCluster, ClusterConfigIoToleratesRasKeys)
@@ -93,18 +113,29 @@ TEST(ResilientCluster, ClusterConfigIoToleratesRasKeys)
     cfg.set("cluster.nodes", 8000);
     cfg.set("cluster.ras.dram_ecc", true);
     cfg.set("cluster.ras.rmt_policy", std::string("full"));
-    ClusterConfig c = clusterConfigFromConfig(cfg);
+    ClusterConfig c = *tryClusterConfigFromConfig(cfg);
     EXPECT_EQ(c.nodes, 8000);
-    ResilienceSpec s = resilienceSpecFromConfig(cfg);
+    ResilienceSpec s = *tryResilienceSpecFromConfig(cfg);
     EXPECT_TRUE(s.ras.dramEcc);
     EXPECT_EQ(s.rmtPolicy, RmtPolicy::Full);
 }
 
+// The fatal loader is gone; CLIs unwrap the error at their own
+// boundary. The test keeps its name and pins the Status.
 TEST(ResilientClusterDeathTest, UnknownRasKeyIsFatal)
 {
     Config cfg;
     cfg.set("cluster.ras.dram_ec", true);   // typo
-    EXPECT_DEATH(resilienceSpecFromConfig(cfg), "resilience-config");
+    auto s = tryResilienceSpecFromConfig(cfg);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_EQ(s.status().message(),
+              "unknown resilience-config key 'cluster.ras.dram_ec'");
+
+    cfg = *Config::tryFromString("cluster.ras.dram_ec = true\n", "r.ini");
+    EXPECT_EQ(tryResilienceSpecFromConfig(cfg).status().message(),
+              "unknown resilience-config key 'cluster.ras.dram_ec' "
+              "(r.ini:1)");
 }
 
 TEST(ResilientCluster, FabricDrainMatchesNetworkAllToAllRate)

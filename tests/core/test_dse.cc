@@ -393,6 +393,53 @@ TEST(Dse, SweepValuesAccumulateTheStepUpToTheCap)
     }
 }
 
+TEST(Dse, SweepConfigsSetOneKnobAndReportTheFirstBadPoint)
+{
+    NodeConfig base = NodeConfig::bestMean();
+    base.opts = PowerOptConfig::all();
+
+    // Only the swept knob moves; a CU value is truncated, as sweep_tool
+    // always did.
+    Expected<std::vector<NodeConfig>> cus =
+        trySweepConfigs(base, "cus", {64.9, 128.0});
+    ASSERT_TRUE(cus.ok()) << cus.status().toString();
+    ASSERT_EQ(cus->size(), 2u);
+    EXPECT_EQ((*cus)[0].label(), "64cu@1.00GHz/3.0TBps");
+    EXPECT_EQ((*cus)[1].label(), "128cu@1.00GHz/3.0TBps");
+    EXPECT_EQ(powerOptBits((*cus)[1].opts), powerOptBits(base.opts));
+    Expected<std::vector<NodeConfig>> freq =
+        trySweepConfigs(base, "freq", {1.25});
+    ASSERT_TRUE(freq.ok()) << freq.status().toString();
+    EXPECT_EQ((*freq)[0].label(), "320cu@1.25GHz/3.0TBps");
+    Expected<std::vector<NodeConfig>> bw =
+        trySweepConfigs(base, "bw", {6.5});
+    ASSERT_TRUE(bw.ok()) << bw.status().toString();
+    EXPECT_EQ((*bw)[0].label(), "320cu@1.00GHz/6.5TBps");
+
+    Expected<std::vector<NodeConfig>> axis =
+        trySweepConfigs(base, "volts", {1.0});
+    EXPECT_EQ(axis.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_EQ(axis.status().message(),
+              "bad axis 'volts' (want cus | freq | bw)");
+
+    // The first point that fails validation is the error.
+    Expected<std::vector<NodeConfig>> bad =
+        trySweepConfigs(base, "cus", {0.0, 1.0, -3.0});
+    EXPECT_EQ(bad.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(bad.status().message(),
+              "sweep point 0 (value 0): NodeConfig: bad CU count 0");
+    bad = trySweepConfigs(base, "freq", {1.0, 20.0});
+    EXPECT_EQ(bad.status().message(),
+              "sweep point 1 (value 20): NodeConfig: bad GPU frequency "
+              "20 GHz");
+
+    // A CU value outside int is refused, not converted.
+    bad = trySweepConfigs(base, "cus", {1e20});
+    EXPECT_EQ(bad.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(bad.status().message(),
+              "sweep point 0 (value 1e+20): not an int CU count");
+}
+
 TEST(Dse, GridAtEnumeratesRowMajor)
 {
     const DseGrid g = shuffledWithRepeats(randomPaperRangeGrid(7), 7);

@@ -1,12 +1,10 @@
 /**
  * @file
- * Unit tests for the CPU cluster traffic model and the Amdahl
- * provisioning model.
+ * Unit tests for the CPU cluster traffic model.
  */
 
 #include <gtest/gtest.h>
 
-#include "cpu/amdahl.hh"
 #include "cpu/cpu_cluster.hh"
 #include "gpu/mem_stack_endpoint.hh"
 #include "mem/address_map.hh"
@@ -89,48 +87,4 @@ TEST_F(CpuFixture, RateScalesWithAccessGap)
     double measured = static_cast<double>(cpu->accessesIssued());
     // Expected ~ 50 us / (1600 ns / 16 cores) = 500 accesses.
     EXPECT_NEAR(measured, 500.0, 150.0);
-}
-
-TEST(Amdahl, SpeedupMonotonicInCores)
-{
-    AmdahlModel m(PhaseSplit{});
-    double prev = 0.0;
-    for (int c : {1, 2, 4, 8, 16, 32}) {
-        double s = m.speedup(c);
-        EXPECT_GT(s, prev);
-        prev = s;
-    }
-}
-
-TEST(Amdahl, SerialFractionLimitsSpeedup)
-{
-    PhaseSplit heavy;
-    heavy.serialFraction = 0.5;
-    PhaseSplit light;
-    light.serialFraction = 0.01;
-    AmdahlModel mh(heavy);
-    AmdahlModel ml(light);
-    EXPECT_GT(ml.speedup(32), mh.speedup(32));
-}
-
-TEST(Amdahl, DiminishingReturnsJustifyModestCoreCount)
-{
-    // The EHP provisions 32 CPU cores; the model's knee must land in
-    // the same few-tens regime rather than hundreds.
-    AmdahlModel m(PhaseSplit{});
-    int cores = m.coresForDiminishingReturns(0.05);
-    EXPECT_GE(cores, 4);
-    EXPECT_LE(cores, 64);
-}
-
-TEST(Amdahl, EffectiveTeraflopsScaled)
-{
-    AmdahlModel m(PhaseSplit{});
-    EXPECT_GT(m.effectiveTeraflops(32), 0.0);
-}
-
-TEST(AmdahlDeathTest, ZeroCoresPanics)
-{
-    AmdahlModel m(PhaseSplit{});
-    EXPECT_DEATH(m.speedup(0), "at least one core");
 }

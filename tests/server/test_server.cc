@@ -195,6 +195,22 @@ TEST(EvalService, BadAppAndBadConfigAreStructuredErrors)
     EXPECT_EQ(svc.errorsReturned(), 3u);
 }
 
+TEST(EvalService, EvalNodeRejectsAnOverRangeCuCount)
+{
+    // 4294967616 is 2^32 + 320; narrowed to an int it would be
+    // evaluated as a 320-CU node.
+    EvalService svc;
+    JsonValue req = request("eval_node");
+    req.set("app", "lulesh");
+    req.set("config", "ehp.cus = 4294967616\n");
+    JsonValue resp = handled(svc, req);
+    ASSERT_FALSE(resp.find("ok")->boolean());
+    EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
+    EXPECT_EQ(resp.find("error")->find("message")->str(),
+              "config key 'ehp.cus' (request:1): "
+              "4294967616 does not fit in an int");
+}
+
 TEST(EvalService, HandleLineRejectsGarbageAsParseError)
 {
     EvalService svc;

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_config_io.hh"
 #include "common/node_config_io.hh"
 #include "core/dse.hh"
+#include "taskgraph/task_dag_io.hh"
 #include "util/rng.hh"
 
 using namespace ena;
@@ -49,7 +51,7 @@ TEST(NodeConfig, LabelIsPrintfsFormat)
 
 TEST(NodeConfigIo, DefaultsWhenEmpty)
 {
-    NodeConfig n = nodeConfigFromConfig(Config{});
+    NodeConfig n = *tryNodeConfigFromConfig(Config{});
     EXPECT_EQ(n.cus, 320);
     EXPECT_DOUBLE_EQ(n.freqGhz, 1.0);
     EXPECT_DOUBLE_EQ(n.bwTbs, 3.0);
@@ -59,7 +61,7 @@ TEST(NodeConfigIo, DefaultsWhenEmpty)
 
 TEST(NodeConfigIo, ParsesAllSections)
 {
-    Config cfg = Config::fromString(
+    Config cfg = *Config::tryFromString(
         "ehp.cus = 256\n"
         "ehp.freq_ghz = 1.2\n"
         "ehp.bw_tbs = 4\n"
@@ -67,7 +69,7 @@ TEST(NodeConfigIo, ParsesAllSections)
         "extmem.nvm_gb = 384\n"
         "opts.ntc = true\n"
         "opts.compression = true\n");
-    NodeConfig n = nodeConfigFromConfig(cfg);
+    NodeConfig n = *tryNodeConfigFromConfig(cfg);
     EXPECT_EQ(n.cus, 256);
     EXPECT_DOUBLE_EQ(n.freqGhz, 1.2);
     EXPECT_DOUBLE_EQ(n.bwTbs, 4.0);
@@ -79,19 +81,101 @@ TEST(NodeConfigIo, ParsesAllSections)
 
 TEST(NodeConfigIo, RoundTrip)
 {
+    // Every field off its default, so a key missing from the field
+    // list, or bound to the wrong member, shows up here.
     NodeConfig n;
     n.cus = 224;
     n.freqGhz = 0.925;
     n.bwTbs = 5.0;
-    n.ext = ExtMemConfig::hybrid();
+    n.gpuChiplets = 4;
+    n.cpuChiplets = 6;
+    n.coresPerCpuChiplet = 2;
+    n.inPackageGb = 128.0;
+    n.ext.dramGb = 384.0;
+    n.ext.nvmGb = 384.0;
+    n.ext.dramModuleGb = 32.0;
+    n.ext.nvmModuleGb = 512.0;
+    n.ext.interfaces = 4;
+    n.ext.interfaceGbs = 50.0;
     n.opts = PowerOptConfig::all();
-    NodeConfig back = nodeConfigFromConfig(nodeConfigToConfig(n));
-    EXPECT_EQ(back.cus, n.cus);
-    EXPECT_DOUBLE_EQ(back.freqGhz, n.freqGhz);
-    EXPECT_DOUBLE_EQ(back.bwTbs, n.bwTbs);
-    EXPECT_DOUBLE_EQ(back.ext.nvmGb, n.ext.nvmGb);
-    EXPECT_TRUE(back.opts.ntc);
-    EXPECT_TRUE(back.opts.lpLinks);
+
+    // ServerClient and ena-client send these bytes as a request's
+    // config text.
+    const Config text = nodeConfigToConfig(n);
+    EXPECT_EQ(text.toString(),
+              "ehp.bw_tbs = 5\n"
+              "ehp.cores_per_cpu_chiplet = 2\n"
+              "ehp.cpu_chiplets = 6\n"
+              "ehp.cus = 224\n"
+              "ehp.freq_ghz = 0.925\n"
+              "ehp.gpu_chiplets = 4\n"
+              "ehp.in_package_gb = 128\n"
+              "extmem.dram_gb = 384\n"
+              "extmem.dram_module_gb = 32\n"
+              "extmem.interface_gbs = 50\n"
+              "extmem.interfaces = 4\n"
+              "extmem.nvm_gb = 384\n"
+              "extmem.nvm_module_gb = 512\n"
+              "opts.async_cu = true\n"
+              "opts.async_router = true\n"
+              "opts.compression = true\n"
+              "opts.lp_links = true\n"
+              "opts.ntc = true\n");
+
+    auto back = tryNodeConfigFromConfig(text);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(back->cus, n.cus);
+    EXPECT_EQ(back->freqGhz, n.freqGhz);
+    EXPECT_EQ(back->bwTbs, n.bwTbs);
+    EXPECT_EQ(back->gpuChiplets, n.gpuChiplets);
+    EXPECT_EQ(back->cpuChiplets, n.cpuChiplets);
+    EXPECT_EQ(back->coresPerCpuChiplet, n.coresPerCpuChiplet);
+    EXPECT_EQ(back->inPackageGb, n.inPackageGb);
+    EXPECT_EQ(back->ext.dramGb, n.ext.dramGb);
+    EXPECT_EQ(back->ext.nvmGb, n.ext.nvmGb);
+    EXPECT_EQ(back->ext.dramModuleGb, n.ext.dramModuleGb);
+    EXPECT_EQ(back->ext.nvmModuleGb, n.ext.nvmModuleGb);
+    EXPECT_EQ(back->ext.interfaces, n.ext.interfaces);
+    EXPECT_EQ(back->ext.interfaceGbs, n.ext.interfaceGbs);
+    EXPECT_EQ(powerOptBits(back->opts), powerOptBits(n.opts));
+}
+
+TEST(NodeConfigIo, IntegerKeysOutsideIntAreOutOfRange)
+{
+    // 4294967616 is 2^32 + 320: narrowed to an int it would read as a
+    // valid 320-CU node. Each struct's int reader must refuse it.
+    Config cfg = *Config::tryFromString("ehp.cus = 4294967616\n"
+                                        "cluster.nodes = 4294967300\n"
+                                        "taskgraph.size = 4294967297\n"
+                                        "taskgraph.seed = 4294967297\n",
+                                        "big.conf");
+    auto n = tryNodeConfigFromConfig(cfg);
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(n.status().message(), "config key 'ehp.cus' (big.conf:1): "
+                                    "4294967616 does not fit in an int");
+    auto c = tryClusterConfigFromConfig(cfg);
+    ASSERT_FALSE(c.ok());
+    EXPECT_EQ(c.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(c.status().message(),
+              "config key 'cluster.nodes' (big.conf:2): "
+              "4294967300 does not fit in an int");
+    auto t = tryTaskGraphSpecFromConfig(cfg);
+    ASSERT_FALSE(t.ok());
+    EXPECT_EQ(t.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(t.status().message(),
+              "config key 'taskgraph.size' (big.conf:3): "
+              "4294967297 does not fit in an int");
+
+    // Below INT_MIN is refused too; int's own bounds load, and the
+    // 64-bit seed takes values past int.
+    cfg = *Config::tryFromString("ehp.gpu_chiplets = -2147483649\n");
+    EXPECT_EQ(tryNodeConfigFromConfig(cfg).status().code(),
+              ErrorCode::OutOfRange);
+    cfg = *Config::tryFromString("cluster.torus_x = 2147483647\n");
+    EXPECT_EQ(tryClusterConfigFromConfig(cfg)->torusX, 2147483647);
+    cfg = *Config::tryFromString("taskgraph.seed = 4294967297\n");
+    EXPECT_EQ(tryTaskGraphSpecFromConfig(cfg)->seed, 4294967297u);
 }
 
 TEST(NodeConfigIo, TryLoadReportsUnknownKeyWithOrigin)
@@ -122,7 +206,7 @@ TEST(NodeConfigIo, TryLoadReportsMalformedValueWithOrigin)
 
 TEST(NodeConfigIo, TryLoadReportsRangeViolationsAsStatus)
 {
-    Config cfg = Config::fromString("ehp.cus = 0\n");
+    Config cfg = *Config::tryFromString("ehp.cus = 0\n");
     auto n = tryNodeConfigFromConfig(cfg);
     ASSERT_FALSE(n.ok());
     EXPECT_EQ(n.status().code(), ErrorCode::OutOfRange);
@@ -130,16 +214,24 @@ TEST(NodeConfigIo, TryLoadReportsRangeViolationsAsStatus)
               std::string::npos);
 }
 
+// The fatal flavor is gone; CLIs unwrap these errors at their own
+// boundary. The tests keep their names and pin the Status instead.
+
 TEST(NodeConfigIoDeathTest, UnknownKeyIsFatal)
 {
-    Config cfg = Config::fromString("ehp.cuz = 320\n");
-    EXPECT_EXIT(nodeConfigFromConfig(cfg), testing::ExitedWithCode(1),
-                "unknown node-config key");
+    Config cfg = *Config::tryFromString("ehp.cuz = 320\n", "n.ini");
+    auto n = tryNodeConfigFromConfig(cfg);
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.status().code(), ErrorCode::InvalidArgument);
+    EXPECT_EQ(n.status().message(),
+              "unknown node-config key 'ehp.cuz' (n.ini:1)");
 }
 
 TEST(NodeConfigIoDeathTest, InvalidValueIsFatal)
 {
-    Config cfg = Config::fromString("ehp.cus = 0\n");
-    EXPECT_EXIT(nodeConfigFromConfig(cfg), testing::ExitedWithCode(1),
-                "bad CU count");
+    Config cfg = *Config::tryFromString("ehp.cus = 0\n");
+    auto n = tryNodeConfigFromConfig(cfg);
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.status().code(), ErrorCode::OutOfRange);
+    EXPECT_EQ(n.status().message(), "NodeConfig: bad CU count 0");
 }
