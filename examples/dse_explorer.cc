@@ -74,7 +74,8 @@ main(int argc, char **argv)
         std::cout << "\n";
     }
 
-    std::cout << "Sweeping " << grid.size() << " configurations x "
+    // Progress to stderr: stdout stays the same at every thread count.
+    std::cerr << "Sweeping " << grid.size() << " configurations x "
               << allApps().size() << " applications under a " << budget
               << " W budget on " << ThreadPool::global().threads()
               << " thread(s) (set ENA_THREADS to override)...\n\n";

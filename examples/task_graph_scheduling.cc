@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "hsa/task_graph.hh"
 #include "sim/simulation.hh"
+#include "taskgraph/aql_replay.hh"
 #include "taskgraph/task_dag.hh"
 #include "util/status.hh"
 #include "util/string_utils.hh"
@@ -50,26 +50,19 @@ runSweep(const TaskDag &dag, Tick dispatch_latency, Tick kernel_ticks)
         queues.push_back(sim.create<AqlQueue>(
             strformat("gpu%d.queue", q), qp));
     }
-    auto *graph = sim.create<TaskGraph>("sweep", queues);
 
-    // Task ids are topological and dense in both layers, so the
-    // cluster-level DAG replays 1:1; the wavefront's layer is the
-    // anti-diagonal i+j, round-robined across chiplets.
-    for (const DagTask &t : dag.tasks()) {
-        std::vector<TaskId> deps;
-        for (const DagEdge &d : t.deps)
-            deps.push_back(d.task);
-        graph->addTask(kernel_ticks, t.layer % 8, deps);
-    }
-
-    sim.initAll();
-    graph->start();
-    sim.run();
+    // The wavefront's layer is the anti-diagonal i+j, round-robined
+    // across chiplets.
+    std::vector<Tick> ticks(dag.size(), kernel_ticks);
+    std::vector<int> agents;
+    for (const DagTask &t : dag.tasks())
+        agents.push_back(t.layer % 8);
+    AqlReplayResult run = replayOnAqlQueues(sim, dag, queues, ticks, agents);
 
     RunResult r;
-    r.makespanUs = static_cast<double>(graph->makespan()) / tickPerUs;
+    r.makespanUs = static_cast<double>(run.makespan) / tickPerUs;
     r.criticalPathUs =
-        static_cast<double>(graph->criticalPath()) / tickPerUs;
+        static_cast<double>(criticalPathTicks(dag, ticks)) / tickPerUs;
     r.efficiency = r.criticalPathUs / r.makespanUs;
     return r;
 }

@@ -1,15 +1,14 @@
 /**
  * @file
- * Structure-of-arrays batch evaluation of node configurations: the
- * DSE hot path. A NodeConfigBatch holds the three swept knobs as
- * parallel arrays over a shared base config; evaluateBatch() scores
- * thousands of grid points per call with tight, vectorizable inner
- * loops and per-batch caches for the expensive pow() terms.
+ * Retired: the batch evaluator is gone. Every study and the governor
+ * call NodeEvaluator::evaluate() point by point, and the DSE scores
+ * its grids with DseGridScorer (core/dse.hh).
  *
- * Results are bit-identical to the scalar NodeEvaluator::evaluate()
- * oracle (enforced by test_eval_batch.cc and bench_batch_eval): both
- * paths run the same inline term functions from core/perf_terms.hh
- * and power/power_terms.hh in the same order.
+ * What remains is the name set the repository benchmark (perfbench/)
+ * still compiles against: NodeConfigBatch::fromAxes() and at(),
+ * BatchAggregates and NodeEvaluator::evaluateBatchAll(), which is a
+ * fold of evaluate() in allApps() order. They go away together with
+ * the benchmark metric that times them (core.evaluate_batch_ns).
  */
 
 #ifndef ENA_CORE_EVAL_BATCH_HH
@@ -19,16 +18,10 @@
 #include <vector>
 
 #include "common/node_config.hh"
-#include "workloads/kernel_profile.hh"
 
 namespace ena {
 
-/**
- * A set of node configurations that differ only in the three DSE
- * knobs (cus, freqGhz, bwTbs), stored structure-of-arrays over a
- * shared base config that supplies every other field (chiplet
- * organization, external memory, power opts).
- */
+/** Retired: the row-major cross product of three DSE knob axes. */
 struct NodeConfigBatch
 {
     NodeConfig base;
@@ -37,25 +30,8 @@ struct NodeConfigBatch
     std::vector<double> bwsTbs;
 
     std::size_t size() const { return cus.size(); }
-    bool empty() const { return cus.empty(); }
 
-    void
-    reserve(std::size_t n)
-    {
-        cus.reserve(n);
-        freqsGhz.reserve(n);
-        bwsTbs.reserve(n);
-    }
-
-    void
-    push(int cu_count, double freq_ghz, double bw_tbs)
-    {
-        cus.push_back(cu_count);
-        freqsGhz.push_back(freq_ghz);
-        bwsTbs.push_back(bw_tbs);
-    }
-
-    /** Materialize point @p i as a full NodeConfig. */
+    /** Point @p i: the base config with its three knobs set. */
     NodeConfig
     at(std::size_t i) const
     {
@@ -66,10 +42,7 @@ struct NodeConfigBatch
         return cfg;
     }
 
-    /**
-     * Row-major cross product of three axes (the DseGrid enumeration
-     * order: cus outermost, bandwidth innermost).
-     */
+    /** cus outermost, bandwidth innermost (DseGrid's order). */
     static NodeConfigBatch
     fromAxes(const NodeConfig &base_cfg, const std::vector<int> &cu_axis,
              const std::vector<double> &freq_axis,
@@ -77,35 +50,25 @@ struct NodeConfigBatch
     {
         NodeConfigBatch b;
         b.base = base_cfg;
-        b.reserve(cu_axis.size() * freq_axis.size() * bw_axis.size());
-        for (int c : cu_axis)
-            for (double f : freq_axis)
-                for (double bw : bw_axis)
-                    b.push(c, f, bw);
+        for (int c : cu_axis) {
+            for (double f : freq_axis) {
+                for (double bw : bw_axis) {
+                    b.cus.push_back(c);
+                    b.freqsGhz.push_back(f);
+                    b.bwsTbs.push_back(bw);
+                }
+            }
+        }
         return b;
     }
 };
 
-/** Per-point scores of one (batch, application) evaluation. */
-struct BatchEvalResult
-{
-    App app = App::MaxFlops;
-    std::vector<double> flops;
-    std::vector<double> budgetPowerW;
-    std::vector<double> packagePowerW;
-    std::vector<double> totalPowerW;
-
-    std::size_t size() const { return flops.size(); }
-};
-
-/** Per-point across-application aggregates (the DSE sweep scores). */
+/** Retired: per-point across-application aggregates. */
 struct BatchAggregates
 {
     std::vector<double> geomeanFlops;
     std::vector<double> meanBudgetPowerW;
     std::vector<double> maxBudgetPowerW;
-
-    std::size_t size() const { return geomeanFlops.size(); }
 };
 
 } // namespace ena

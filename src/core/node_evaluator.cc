@@ -64,4 +64,27 @@ NodeEvaluator::geomeanFlops(const NodeConfig &cfg) const
     return geomean(perfs);
 }
 
+BatchAggregates
+NodeEvaluator::evaluateBatchAll(const NodeConfigBatch &batch) const
+{
+    const std::vector<App> &apps = allApps();
+    std::vector<double> flops(apps.size());
+    std::vector<double> budget(apps.size());
+    BatchAggregates agg;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        const NodeConfig cfg = batch.at(i);
+        double worst = 0.0;
+        for (std::size_t a = 0; a < apps.size(); ++a) {
+            EvalResult r = evaluate(cfg, apps[a]);
+            flops[a] = r.perf.flops;
+            budget[a] = r.power.budgetPower();
+            worst = std::max(worst, budget[a]);
+        }
+        agg.geomeanFlops.push_back(geomean(flops));
+        agg.meanBudgetPowerW.push_back(mean(budget));
+        agg.maxBudgetPowerW.push_back(worst);
+    }
+    return agg;
+}
+
 } // namespace ena

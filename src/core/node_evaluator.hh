@@ -37,16 +37,7 @@ class NodeEvaluator
     EvalResult evaluate(const NodeConfig &cfg, App app) const;
 
     /**
-     * Batch hot path: score every point of @p batch for one
-     * application. Bit-identical to calling evaluate() per point (the
-     * scalar path is the reference oracle).
-     */
-    BatchEvalResult evaluateBatch(const NodeConfigBatch &batch,
-                                  App app) const;
-
-    /**
-     * Score every point of @p batch across all Table I applications
-     * and assemble the DSE aggregates; element i is bit-identical to
+     * Retired name (core/eval_batch.hh): element i holds
      * geomeanFlops/meanBudgetPower/maxBudgetPower of batch.at(i).
      */
     BatchAggregates evaluateBatchAll(const NodeConfigBatch &batch) const;

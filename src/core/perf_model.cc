@@ -71,9 +71,9 @@ PerfModel::evaluate(const NodeConfig &cfg, const KernelProfile &k) const
     cfg.validate();
 
     // The whole evaluation lives in perf_terms::evaluatePerf so the
-    // batch path (core/eval_batch.cc) runs the identical operation
+    // DSE's grid scorer (core/dse.cc) runs the identical operation
     // sequence; the scale factors and the usable-bandwidth term are
-    // precomputed here exactly as the batch path's term caches would.
+    // precomputed here exactly as the scorer's term tables hold them.
     double cu_scale = perf_terms::cuScale(cfg.cus, k);
     double f_scale = perf_terms::freqScale(cfg.freqGhz, k);
     double usable = perf_terms::usableBandwidthGbs(cfg.bwTbs, k);

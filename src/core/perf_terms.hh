@@ -2,19 +2,18 @@
  * @file
  * The performance model's arithmetic, factored into inline term
  * functions shared verbatim by the scalar oracle (PerfModel::evaluate)
- * and the batch evaluator (NodeEvaluator::evaluateBatch).
+ * and the DSE's grid scorer (DseGridScorer, core/dse.hh).
  *
  * Both paths execute the *same* IEEE-754 operation sequence on the
- * same inputs, which is what makes batched results bit-identical to
+ * same inputs, which is what makes grid scores bit-identical to
  * scalar ones. Each term's parameter list names exactly the NodeConfig
- * fields it reads — this is the key of the batch evaluator's per-batch
- * term caches (util/memo.hh): a term whose inputs repeat across grid
- * points may be served from cache because recomputing it would produce
- * the same bits.
+ * fields it reads, so the scorer may compute a term once per distinct
+ * axis value and reuse it across grid points: recomputing it would
+ * produce the same bits.
  *
  * Do not "simplify" the expressions here: reassociating a product or
  * hoisting a division changes the rounding sequence and breaks the
- * bit-identity gate in bench_batch_eval and test_eval_batch.
+ * bit-identity gates in the DseGridScorer and Dse tests.
  */
 
 #ifndef ENA_CORE_PERF_TERMS_HH
@@ -133,8 +132,8 @@ makeActivity(double bw_tbs, const KernelProfile &k, double flops,
 
 /**
  * One side of the smooth-min roofline: pow(rate, -rooflineNorm). The
- * compute side depends only on (cus, freqGhz) per kernel, so the batch
- * path caches it across the bandwidth axis.
+ * compute side depends only on (cus, freqGhz) per kernel, so the grid
+ * scorer computes it once per (CU, frequency) pair.
  */
 inline double
 rooflinePow(double rate)

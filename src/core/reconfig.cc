@@ -16,27 +16,20 @@ ReconfigGovernor::ReconfigGovernor(const NodeEvaluator &eval,
 GovernorDecision
 ReconfigGovernor::decide(App app) const
 {
-    // Batch the whole (CU gating x DVFS) candidate grid. The argmax
-    // runs in the original enumeration order (cus outer, freq inner,
-    // strict greater-than), so decisions are unchanged.
-    NodeConfigBatch b;
-    b.base = params_.installed;
-    for (int cus = params_.cuStep; cus <= params_.installed.cus;
-         cus += params_.cuStep) {
-        for (double f : params_.freqsGhz)
-            b.push(cus, f, params_.installed.bwTbs);
-    }
-    BatchEvalResult r = eval_.evaluateBatch(b, app);
-
+    // Argmax over the (CU gating x DVFS) candidates: cus outer, freq
+    // inner, strict greater-than, so ties keep the earliest setting.
     GovernorDecision best;
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        if (r.budgetPowerW[i] > params_.budgetW)
-            continue;
-        if (r.flops[i] > best.flops) {
-            best.activeCus = b.cus[i];
-            best.freqGhz = b.freqsGhz[i];
-            best.flops = r.flops[i];
-            best.budgetPowerW = r.budgetPowerW[i];
+    NodeConfig cfg = params_.installed;
+    for (cfg.cus = params_.cuStep; cfg.cus <= params_.installed.cus;
+         cfg.cus += params_.cuStep) {
+        for (double f : params_.freqsGhz) {
+            cfg.freqGhz = f;
+            EvalResult r = eval_.evaluate(cfg, app);
+            double budget = r.power.budgetPower();
+            if (budget > params_.budgetW)
+                continue;
+            if (r.perf.flops > best.flops)
+                best = {cfg.cus, f, r.perf.flops, budget};
         }
     }
     if (best.activeCus == 0)

@@ -25,26 +25,18 @@ std::vector<OpbCurve>
 OpbSweepStudy::sweepFrequency(App app, const std::vector<double> &bws,
                               const std::vector<double> &freqs) const
 {
-    // One batch over the flattened (bw, freq) cross product.
     double base = eval_.evaluate(bestMean_, app).perf.flops;
-    const std::size_t nf = freqs.size();
-    NodeConfigBatch b;
-    b.base = bestMean_;
-    b.reserve(bws.size() * nf);
-    for (std::size_t i = 0; i < bws.size() * nf; ++i)
-        b.push(bestMean_.cus, freqs[i % nf], bws[i / nf]);
-    BatchEvalResult r = eval_.evaluateBatch(b, app);
-
     std::vector<OpbCurve> curves(bws.size());
     for (std::size_t c = 0; c < bws.size(); ++c) {
         curves[c].bwTbs = bws[c];
-        curves[c].points.resize(nf);
-        for (std::size_t f = 0; f < nf; ++f) {
-            std::size_t i = c * nf + f;
-            OpbPoint &p = curves[c].points[f];
-            p.cfg = b.at(i);
+        for (double f : freqs) {
+            OpbPoint p;
+            p.cfg = bestMean_;
+            p.cfg.freqGhz = f;
+            p.cfg.bwTbs = bws[c];
             p.opsPerByte = p.cfg.opsPerByte();
-            p.normPerf = r.flops[i] / base;
+            p.normPerf = eval_.evaluate(p.cfg, app).perf.flops / base;
+            curves[c].points.push_back(p);
         }
     }
     return curves;
@@ -55,24 +47,17 @@ OpbSweepStudy::sweepCuCount(App app, const std::vector<double> &bws,
                             const std::vector<int> &cus) const
 {
     double base = eval_.evaluate(bestMean_, app).perf.flops;
-    const std::size_t nc = cus.size();
-    NodeConfigBatch b;
-    b.base = bestMean_;
-    b.reserve(bws.size() * nc);
-    for (std::size_t i = 0; i < bws.size() * nc; ++i)
-        b.push(cus[i % nc], bestMean_.freqGhz, bws[i / nc]);
-    BatchEvalResult r = eval_.evaluateBatch(b, app);
-
     std::vector<OpbCurve> curves(bws.size());
     for (std::size_t c = 0; c < bws.size(); ++c) {
         curves[c].bwTbs = bws[c];
-        curves[c].points.resize(nc);
-        for (std::size_t u = 0; u < nc; ++u) {
-            std::size_t i = c * nc + u;
-            OpbPoint &p = curves[c].points[u];
-            p.cfg = b.at(i);
+        for (int u : cus) {
+            OpbPoint p;
+            p.cfg = bestMean_;
+            p.cfg.cus = u;
+            p.cfg.bwTbs = bws[c];
             p.opsPerByte = p.cfg.opsPerByte();
-            p.normPerf = r.flops[i] / base;
+            p.normPerf = eval_.evaluate(p.cfg, app).perf.flops / base;
+            curves[c].points.push_back(p);
         }
     }
     return curves;
@@ -206,21 +191,14 @@ ExascaleProjector::systemMw(const NodeConfig &cfg, App app) const
 std::vector<ExascalePoint>
 ExascaleProjector::sweepCus(const std::vector<int> &cus) const
 {
-    NodeConfig base;
-    base.freqGhz = 1.0;
-    base.bwTbs = 1.0;
-    NodeConfigBatch b;
-    b.base = base;
-    b.reserve(cus.size());
-    for (int c : cus)
-        b.push(c, base.freqGhz, base.bwTbs);
-    BatchEvalResult r = eval_.evaluateBatch(b, App::MaxFlops);
-
-    std::vector<ExascalePoint> out(cus.size());
-    for (std::size_t i = 0; i < cus.size(); ++i) {
-        out[i].cus = cus[i];
-        out[i].systemExaflops = r.flops[i] * nodes_ / 1e18;
-        out[i].systemMw = r.packagePowerW[i] * nodes_ / 1e6;
+    NodeConfig cfg;
+    cfg.freqGhz = 1.0;
+    cfg.bwTbs = 1.0;
+    std::vector<ExascalePoint> out;
+    for (int c : cus) {
+        cfg.cus = c;
+        EvalResult r = eval_.evaluate(cfg, App::MaxFlops);
+        out.push_back({c, systemExaflops(r), systemMw(r)});
     }
     return out;
 }

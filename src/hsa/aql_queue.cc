@@ -10,8 +10,6 @@ AqlQueue::AqlQueue(Simulation &sim, const std::string &name,
     : SimObject(sim, name), params_(params),
       statDispatched_(sim.stats(), name + ".dispatched",
                       "packets dispatched"),
-      statBarrierStalls_(sim.stats(), name + ".barrierStalls",
-                         "head-of-queue barrier waits"),
       statQueueDepth_(sim.stats(), name + ".depth",
                       "ring occupancy at submit", 0.0,
                       static_cast<double>(params.ringSlots), 16)
@@ -39,17 +37,6 @@ AqlQueue::pump()
     // In-order packet consumption, as the AQL spec requires.
     while (!ring_.empty() && running_ < params_.deviceConcurrency) {
         AqlPacket pkt = ring_.front();
-        if (pkt.barrier && pkt.barrier->value() != 0) {
-            if (!headBlocked_) {
-                headBlocked_ = true;
-                ++statBarrierStalls_;
-                pkt.barrier->waitZero([this] {
-                    headBlocked_ = false;
-                    pump();
-                });
-            }
-            return;
-        }
         ring_.pop_front();
         launch(pkt);
     }

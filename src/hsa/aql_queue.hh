@@ -32,9 +32,6 @@ struct AqlPacket
     std::uint64_t id = 0;
     Tick kernelTicks = 0;          ///< execution duration
     HsaSignal *completion = nullptr;
-    /** Barrier packet: consume only after this signal reaches zero
-     *  (encodes packet-level dependencies). */
-    HsaSignal *barrier = nullptr;
 };
 
 struct AqlQueueParams
@@ -80,10 +77,8 @@ class AqlQueue : public SimObject
     AqlQueueParams params_;
     std::deque<AqlPacket> ring_;
     int running_ = 0;
-    bool headBlocked_ = false;
 
     StatScalar statDispatched_;
-    StatScalar statBarrierStalls_;
     StatDistribution statQueueDepth_;
 };
 

@@ -15,16 +15,12 @@ void
 HsaSignal::decrement()
 {
     ENA_ASSERT(value_ > 0, "signal '", name_, "' decremented below 0");
-    --value_;
-    fireIfZero();
-}
-
-void
-HsaSignal::set(std::int64_t v)
-{
-    ENA_ASSERT(v >= 0, "signal '", name_, "' set to negative value");
-    value_ = v;
-    fireIfZero();
+    if (--value_ != 0)
+        return;
+    std::vector<std::function<void()>> ready;
+    ready.swap(waiters_);
+    for (auto &fn : ready)
+        fn();
 }
 
 void
@@ -36,18 +32,6 @@ HsaSignal::waitZero(std::function<void()> fn)
         return;
     }
     waiters_.push_back(std::move(fn));
-}
-
-void
-HsaSignal::fireIfZero()
-{
-    if (value_ != 0)
-        return;
-    // Move out first: a waiter may re-arm the signal and wait again.
-    std::vector<std::function<void()>> ready;
-    ready.swap(waiters_);
-    for (auto &fn : ready)
-        fn();
 }
 
 } // namespace ena

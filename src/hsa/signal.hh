@@ -31,23 +31,15 @@ class HsaSignal
     /** Producer side: subtract one; fires waiters at zero. */
     void decrement();
 
-    /** Set an explicit value (e.g. re-arm for a new barrier round). */
-    void set(std::int64_t v);
-
     /**
      * Consumer side: run @p fn when the value reaches zero. If the
      * signal is already zero the callback runs immediately.
      */
     void waitZero(std::function<void()> fn);
 
-    /** Number of callbacks still waiting. */
-    size_t pendingWaiters() const { return waiters_.size(); }
-
     const std::string &name() const { return name_; }
 
   private:
-    void fireIfZero();
-
     std::int64_t value_;
     std::string name_;
     std::vector<std::function<void()>> waiters_;

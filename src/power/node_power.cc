@@ -52,9 +52,9 @@ NodePowerModel::evaluate(const NodeConfig &cfg, const Activity &act) const
     cfg.validate();
 
     // The whole evaluation lives in power_terms::evaluatePower so the
-    // batch path (core/eval_batch.cc) runs the identical operation
+    // DSE's grid scorer (core/dse.cc) runs the identical operation
     // sequence; the VF scales and the static terms are precomputed
-    // here exactly as the batch path's term caches would.
+    // here exactly as the scorer's term tables hold them.
     power_terms::VfScales vf =
         power_terms::vfScales(vf_, cfg.freqGhz, cfg.opts.ntc);
     double hbm_static =

@@ -2,14 +2,13 @@
  * @file
  * The node power model's arithmetic, factored into inline term
  * functions shared verbatim by the scalar oracle
- * (NodePowerModel::evaluate) and the batch evaluator — the power-side
- * twin of core/perf_terms.hh, with the same bit-identity contract:
- * both paths run the same IEEE-754 operation sequence, and each term's
- * parameter list names the NodeConfig fields it reads (its key in the
- * per-batch term caches).
+ * (NodePowerModel::evaluate) and the DSE's grid scorer — the
+ * power-side twin of core/perf_terms.hh, with the same bit-identity
+ * contract: both paths run the same IEEE-754 operation sequence, and
+ * each term's parameter list names the NodeConfig fields it reads.
  *
- * Do not reorder or reassociate the expressions here; the batch-vs-
- * scalar bit-identity gate depends on the exact rounding sequence.
+ * Do not reorder or reassociate the expressions here; the scorer-vs-
+ * scalar bit-identity gates depend on the exact rounding sequence.
  */
 
 #ifndef ENA_POWER_POWER_TERMS_HH

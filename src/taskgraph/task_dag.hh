@@ -9,9 +9,9 @@
  * memory behaviour) connected by communication edges carrying bytes.
  *
  * Tasks are inserted in topological order (dependencies must already
- * exist), which guarantees acyclicity by construction — the same
- * discipline as the cycle-level hsa::TaskGraph, whose wavefront demo
- * now builds its grid through the wavefront() generator here.
+ * exist), which guarantees acyclicity by construction. The HSA
+ * walkthrough replays a wavefront() DAG through the cycle-level AQL
+ * queue model (taskgraph/aql_replay.hh).
  *
  * Generators cover the canonical shapes: wavefront (2D sweep, SNAP),
  * stencil-halo (timestepped domain exchange, CoMD/LULESH), fork-join

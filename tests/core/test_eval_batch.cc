@@ -1,17 +1,18 @@
 /**
  * @file
- * NodeConfigBatch / evaluateBatch / evaluateBatchAll: bit-identity
- * against the scalar NodeEvaluator::evaluate oracle across the full
- * Table II grid and randomized configurations, batch enumeration
- * order, and the fatal path for invalid knobs.
+ * The retired batch names (core/eval_batch.hh) the repository
+ * benchmark still compiles against: NodeConfigBatch enumeration order,
+ * evaluateBatchAll as a fold of the scalar NodeEvaluator::evaluate,
+ * and the fatal path for invalid knobs.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "core/dse.hh"
 #include "core/eval_batch.hh"
 #include "core/node_evaluator.hh"
-#include "util/rng.hh"
 #include "util/stats_math.hh"
 
 namespace ena {
@@ -56,46 +57,11 @@ TEST(NodeConfigBatch, FromAxesEnumeratesRowMajor)
     EXPECT_EQ(at.bwTbs, 5.0);
 }
 
-TEST(EvaluateBatch, BitIdenticalToScalarAcrossTableIIGrid)
-{
-    NodeConfigBatch b = paperBatch();
-    for (App app : allApps()) {
-        BatchEvalResult r = evaluator().evaluateBatch(b, app);
-        ASSERT_EQ(r.flops.size(), b.size());
-        for (std::size_t i = 0; i < b.size(); ++i) {
-            EvalResult oracle = evaluator().evaluate(b.at(i), app);
-            EXPECT_EQ(r.flops[i], oracle.perf.flops);
-            EXPECT_EQ(r.budgetPowerW[i], oracle.power.budgetPower());
-            EXPECT_EQ(r.packagePowerW[i], oracle.power.packagePower());
-            EXPECT_EQ(r.totalPowerW[i], oracle.power.total());
-        }
-    }
-}
-
-TEST(EvaluateBatch, BitIdenticalOnRandomizedConfigs)
-{
-    Rng rng(42);
-    NodeConfigBatch b;
-    b.base.opts = PowerOptConfig::all();
-    for (int i = 0; i < 200; ++i) {
-        int cus = static_cast<int>(rng.range(1, 4096));
-        double f = 0.05 + rng.uniform() * 9.9;
-        double bw = 0.05 + rng.uniform() * 99.0;
-        b.push(cus, f, bw);
-    }
-    BatchEvalResult r = evaluator().evaluateBatch(b, App::HPGMG);
-    for (std::size_t i = 0; i < b.size(); ++i) {
-        EvalResult oracle = evaluator().evaluate(b.at(i), App::HPGMG);
-        EXPECT_EQ(r.flops[i], oracle.perf.flops) << "point " << i;
-        EXPECT_EQ(r.budgetPowerW[i], oracle.power.budgetPower())
-            << "point " << i;
-    }
-}
-
 TEST(EvaluateBatchAll, AggregatesMatchScalarFold)
 {
     NodeConfigBatch b = paperBatch();
     BatchAggregates agg = evaluator().evaluateBatchAll(b);
+    ASSERT_EQ(agg.geomeanFlops.size(), b.size());
     const std::vector<App> &apps = allApps();
     std::vector<double> flops(apps.size());
     std::vector<double> budget(apps.size());
@@ -117,18 +83,17 @@ TEST(EvaluateBatchAll, AggregatesMatchScalarFold)
 TEST(EvaluateBatch, EmptyBatchIsANoOp)
 {
     NodeConfigBatch b;
-    BatchEvalResult r = evaluator().evaluateBatch(b, App::CoMD);
-    EXPECT_TRUE(r.flops.empty());
     BatchAggregates agg = evaluator().evaluateBatchAll(b);
     EXPECT_TRUE(agg.geomeanFlops.empty());
+    EXPECT_TRUE(agg.meanBudgetPowerW.empty());
+    EXPECT_TRUE(agg.maxBudgetPowerW.empty());
 }
 
 TEST(EvaluateBatchDeathTest, InvalidKnobDiesWithValidateDiagnostic)
 {
-    NodeConfigBatch b;
-    b.push(320, 1.0, 3.0);
-    b.push(-64, 1.0, 3.0);
-    EXPECT_EXIT(evaluator().evaluateBatch(b, App::CoMD),
+    NodeConfigBatch b =
+        NodeConfigBatch::fromAxes(NodeConfig{}, {320, -64}, {1.0}, {3.0});
+    EXPECT_EXIT(evaluator().evaluateBatchAll(b),
                 testing::ExitedWithCode(1), "bad CU count");
 }
 

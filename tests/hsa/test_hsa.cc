@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for the HSA substrate: signals, AQL queues, task graphs.
+ * Unit tests for the HSA substrate: signals, AQL queues, and TaskDag
+ * replays through them.
  */
 
 #include <gtest/gtest.h>
 
 #include "hsa/aql_queue.hh"
 #include "hsa/signal.hh"
-#include "hsa/task_graph.hh"
 #include "sim/simulation.hh"
+#include "taskgraph/aql_replay.hh"
 
 using namespace ena;
 
@@ -23,7 +24,6 @@ TEST(HsaSignal, DecrementFiresWaitersAtZero)
     EXPECT_EQ(fired, 0);
     s.decrement();
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(s.pendingWaiters(), 0u);
 }
 
 TEST(HsaSignal, WaitOnZeroFiresImmediately)
@@ -44,18 +44,6 @@ TEST(HsaSignal, MultipleWaiters)
     EXPECT_EQ(fired, 5);
 }
 
-TEST(HsaSignal, ReArmWithSet)
-{
-    HsaSignal s(1);
-    int fired = 0;
-    s.waitZero([&] { ++fired; });
-    s.decrement();
-    s.set(1);
-    s.waitZero([&] { ++fired; });
-    s.decrement();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(HsaSignalDeathTest, UnderflowPanics)
 {
     HsaSignal s(0, "x");
@@ -67,12 +55,11 @@ TEST(HsaSignalDeathTest, UnderflowPanics)
 namespace {
 
 AqlPacket
-packet(Tick dur, HsaSignal *done, HsaSignal *barrier = nullptr)
+packet(Tick dur, HsaSignal *done)
 {
     AqlPacket p;
     p.kernelTicks = dur;
     p.completion = done;
-    p.barrier = barrier;
     return p;
 }
 
@@ -111,42 +98,6 @@ TEST(AqlQueue, ConcurrencyLimitSerializesExcess)
     EXPECT_EQ(sim.curTick(), 2000u);
 }
 
-TEST(AqlQueue, BarrierPacketWaitsForSignal)
-{
-    Simulation sim;
-    auto *q = sim.create<AqlQueue>("q", AqlQueueParams{});
-    sim.initAll();
-    HsaSignal gate(1);
-    HsaSignal done(1);
-    q->submit(packet(1000, &done, &gate));
-    sim.run();
-    EXPECT_EQ(done.value(), 1);   // still gated
-    gate.decrement();
-    sim.run();
-    EXPECT_EQ(done.value(), 0);
-}
-
-TEST(AqlQueue, BarrierBlocksYoungerPackets)
-{
-    // In-order consumption: a gated head packet holds back the rest.
-    Simulation sim;
-    AqlQueueParams qp;
-    qp.dispatchLatency = 0;
-    auto *q = sim.create<AqlQueue>("q", qp);
-    sim.initAll();
-    HsaSignal gate(1);
-    HsaSignal first(1);
-    HsaSignal second(1);
-    q->submit(packet(100, &first, &gate));
-    q->submit(packet(100, &second));
-    sim.run();
-    EXPECT_EQ(second.value(), 1);
-    gate.decrement();
-    sim.run();
-    EXPECT_EQ(first.value(), 0);
-    EXPECT_EQ(second.value(), 0);
-}
-
 TEST(AqlQueueDeathTest, RingOverflowIsFatal)
 {
     Simulation sim;
@@ -164,7 +115,7 @@ TEST(AqlQueueDeathTest, RingOverflowIsFatal)
                 testing::ExitedWithCode(1), "overflow");
 }
 
-// ---- task graph ------------------------------------------------------
+// ---- TaskDag replay --------------------------------------------------
 
 namespace {
 
@@ -172,7 +123,9 @@ struct GraphFixture : testing::Test
 {
     Simulation sim;
     std::vector<AqlQueue *> queues;
-    TaskGraph *graph = nullptr;
+    TaskDag dag;
+    std::vector<Tick> ticks;
+    std::vector<int> agents;
 
     void
     build(int nqueues, Tick dispatch_latency = 0)
@@ -184,7 +137,24 @@ struct GraphFixture : testing::Test
             queues.push_back(sim.create<AqlQueue>(
                 "q" + std::to_string(i), qp));
         }
-        graph = sim.create<TaskGraph>("g", queues);
+    }
+
+    /** A task of @p duration ticks on queue @p agent. */
+    TaskId
+    add(Tick duration, int agent, const std::vector<TaskId> &deps = {})
+    {
+        std::vector<DagEdge> edges;
+        for (TaskId d : deps)
+            edges.push_back({d, 0.0});
+        ticks.push_back(duration);
+        agents.push_back(agent);
+        return dag.addTask(1.0, App::MaxFlops, std::move(edges));
+    }
+
+    AqlReplayResult
+    replay()
+    {
+        return replayOnAqlQueues(sim, dag, queues, ticks, agents);
     }
 };
 
@@ -193,45 +163,39 @@ struct GraphFixture : testing::Test
 TEST_F(GraphFixture, ChainRunsSequentially)
 {
     build(1);
-    TaskId a = graph->addTask(100, 0);
-    TaskId b = graph->addTask(200, 0, {a});
-    TaskId c = graph->addTask(300, 0, {b});
-    sim.initAll();
-    graph->start();
-    sim.run();
-    EXPECT_TRUE(graph->finished());
-    EXPECT_EQ(graph->makespan(), 600u);
-    EXPECT_EQ(graph->criticalPath(), 600u);
-    EXPECT_LT(graph->task(a).finishedAt, graph->task(b).finishedAt);
-    EXPECT_LT(graph->task(b).finishedAt, graph->task(c).finishedAt);
+    TaskId a = add(100, 0);
+    TaskId b = add(200, 0, {a});
+    TaskId c = add(300, 0, {b});
+    AqlReplayResult r = replay();
+    EXPECT_EQ(r.makespan, 600u);
+    EXPECT_EQ(criticalPathTicks(dag, ticks), 600u);
+    EXPECT_EQ(r.finishedAt[a], 100u);
+    EXPECT_EQ(r.finishedAt[b], 300u);
+    EXPECT_EQ(r.finishedAt[c], 600u);
 }
 
 TEST_F(GraphFixture, IndependentTasksRunInParallel)
 {
     build(4);
     for (int i = 0; i < 4; ++i)
-        graph->addTask(1000, i);
-    sim.initAll();
-    graph->start();
-    sim.run();
-    EXPECT_EQ(graph->makespan(), 1000u);
-    EXPECT_EQ(graph->criticalPath(), 1000u);
+        add(1000, i);
+    AqlReplayResult r = replay();
+    EXPECT_EQ(r.makespan, 1000u);
+    EXPECT_EQ(criticalPathTicks(dag, ticks), 1000u);
 }
 
 TEST_F(GraphFixture, DiamondRespectsBothDependencies)
 {
     build(2);
-    TaskId a = graph->addTask(100, 0);
-    TaskId b = graph->addTask(500, 0, {a});
-    TaskId c = graph->addTask(100, 1, {a});
-    TaskId d = graph->addTask(100, 0, {b, c});
-    sim.initAll();
-    graph->start();
-    sim.run();
+    TaskId a = add(100, 0);
+    TaskId b = add(500, 0, {a});
+    TaskId c = add(100, 1, {a});
+    TaskId d = add(100, 0, {b, c});
+    AqlReplayResult r = replay();
     // d starts only after the slower of b and c.
-    EXPECT_EQ(graph->task(d).finishedAt, 700u);
-    EXPECT_EQ(graph->criticalPath(), 700u);
-    EXPECT_TRUE(graph->task(c).done);
+    EXPECT_EQ(r.finishedAt[d], 700u);
+    EXPECT_EQ(criticalPathTicks(dag, ticks), 700u);
+    EXPECT_EQ(r.finishedAt[c], 200u);
 }
 
 TEST_F(GraphFixture, MakespanAtLeastCriticalPath)
@@ -246,28 +210,21 @@ TEST_F(GraphFixture, MakespanAtLeastCriticalPath)
                 deps.push_back(grid[i - 1][j]);
             if (j)
                 deps.push_back(grid[i][j - 1]);
-            grid[i][j] = graph->addTask(100, (i + j) % 2, deps);
+            grid[i][j] = add(100, (i + j) % 2, deps);
         }
     }
-    sim.initAll();
-    graph->start();
-    sim.run();
-    EXPECT_TRUE(graph->finished());
-    EXPECT_GE(graph->makespan(), graph->criticalPath());
-    EXPECT_EQ(graph->criticalPath(), 700u);   // 7 tasks x 100
+    AqlReplayResult r = replay();
+    EXPECT_GE(r.makespan, criticalPathTicks(dag, ticks));
+    EXPECT_EQ(criticalPathTicks(dag, ticks), 700u);   // 7 tasks x 100
 }
 
 TEST_F(GraphFixture, DispatchLatencyLengthensCriticalChains)
 {
     build(1, 0);
-    TaskId prev = graph->addTask(100, 0);
+    TaskId prev = add(100, 0);
     for (int i = 0; i < 9; ++i)
-        prev = graph->addTask(100, 0, {prev});
-    sim.initAll();
-    graph->start();
-    sim.run();
-    Tick cheap = graph->makespan();
-    EXPECT_EQ(cheap, 1000u);
+        prev = add(100, 0, {prev});
+    EXPECT_EQ(replay().makespan, 1000u);
 
     // Same chain with a 1000-tick launch cost dominates the kernels.
     Simulation sim2;
@@ -275,19 +232,13 @@ TEST_F(GraphFixture, DispatchLatencyLengthensCriticalChains)
     qp.dispatchLatency = 1000;
     qp.ringSlots = 64;
     auto *q2 = sim2.create<AqlQueue>("q", qp);
-    auto *g2 = sim2.create<TaskGraph>("g", std::vector<AqlQueue *>{q2});
-    TaskId p2 = g2->addTask(100, 0);
-    for (int i = 0; i < 9; ++i)
-        p2 = g2->addTask(100, 0, {p2});
-    sim2.initAll();
-    g2->start();
-    sim2.run();
-    EXPECT_EQ(g2->makespan(), 11000u);
+    EXPECT_EQ(replayOnAqlQueues(sim2, dag, {q2}, ticks, agents).makespan,
+              11000u);
 }
 
 TEST_F(GraphFixture, DeathOnForwardDependency)
 {
-    build(1);
-    graph->addTask(100, 0);
-    EXPECT_DEATH(graph->addTask(100, 0, {5}), "topological");
+    dag.addTask(1.0, App::MaxFlops);
+    EXPECT_DEATH(dag.addTask(1.0, App::MaxFlops, {{5, 0.0}}),
+                 "topological");
 }
