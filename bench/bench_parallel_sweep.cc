@@ -56,10 +56,10 @@ timeRound(const DesignSpaceExplorer &dse, const NodeConfig &best_mean,
           int threads, DseOutputs &out)
 {
     ThreadPool::setGlobalThreads(threads);
-    dse.sweep(PowerOptConfig::none());
+    dse.sweep(PowerOptConfig::none(), nullptr);
 
     auto t0 = std::chrono::steady_clock::now();
-    out.points = dse.sweep(PowerOptConfig::none());
+    out.points = dse.sweep(PowerOptConfig::none(), nullptr);
     out.sweepSec.push_back(secondsSince(t0));
 
     t0 = std::chrono::steady_clock::now();

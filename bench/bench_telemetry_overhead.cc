@@ -196,9 +196,11 @@ main(int argc, char **argv)
     telemetry::enableMetrics();
 
     ThreadPool::setGlobalThreads(1);
-    std::vector<DsePoint> serial = dse.sweep(PowerOptConfig::none());
+    std::vector<DsePoint> serial =
+        dse.sweep(PowerOptConfig::none(), nullptr);
     ThreadPool::setGlobalThreads(threads);
-    std::vector<DsePoint> parallel = dse.sweep(PowerOptConfig::none());
+    std::vector<DsePoint> parallel =
+        dse.sweep(PowerOptConfig::none(), nullptr);
 
     telemetry::disableTracing();
     telemetry::disableMetrics();

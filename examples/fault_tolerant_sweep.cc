@@ -5,10 +5,11 @@
  * streamed to the journal named by ENA_SWEEP_JOURNAL (if set) so a
  * killed run resumes where it left off.
  *
- * This is the binary behind the CI kill/resume smoke: run once for a
- * reference CSV, run again under `timeout -s KILL` with a journal and
- * fault injection, then rerun with the same journal and diff the CSVs
- * — they must be byte-identical no matter where the kill landed.
+ * This is the binary behind the CI tear/resume smoke: run once for a
+ * reference CSV, run again with a journal and fault injection, cut the
+ * journal mid-record the way a SIGKILL mid-write leaves it, then rerun
+ * with the same journal and diff the CSVs — they must be
+ * byte-identical.
  *
  * Usage:
  *   fault_tolerant_sweep [THREADS]

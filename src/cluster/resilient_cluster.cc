@@ -1,14 +1,12 @@
 #include "cluster/resilient_cluster.hh"
 
-#include <cstdlib>
 #include <limits>
-#include <sstream>
 
-#include "cluster/scale_out_study.hh"
+#include "cluster/cluster_config_io.hh"
+#include "cluster/resilient_cluster_io.hh"
+#include "common/node_config_io.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
-#include "util/logging.hh"
-#include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
 namespace ena {
@@ -22,65 +20,6 @@ resilientEvalsCounter()
         "resilient.evaluations",
         "(config, app, comm, resilience spec) system evaluations");
     return c;
-}
-
-telemetry::Counter &
-failedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
-    return c;
-}
-
-/** Hexfloat journal payload; see encodeDsePoint in core/dse.cc. */
-std::string
-encodeResilientPoint(const ResilientSweepPoint &p)
-{
-    std::ostringstream os;
-    os << strformat("%a %a %a %a %a %a %a %a %d ", p.systemMttfHours,
-                    p.interruptionMttfHours, p.commEfficiency,
-                    p.ckptEfficiency, p.rmtSlowdown, p.systemExaflops,
-                    p.effectiveExaflops, p.systemMw, p.ok ? 1 : 0);
-    os << p.error;
-    return os.str();
-}
-
-bool
-decodeResilientPoint(const std::string &payload, ResilientSweepPoint *p)
-{
-    std::istringstream is(payload);
-    std::string f[8];
-    int ok = 0;
-    if (!(is >> f[0] >> f[1] >> f[2] >> f[3] >> f[4] >> f[5] >> f[6] >>
-          f[7] >> ok))
-        return false;
-    double *dst[8] = {&p->systemMttfHours, &p->interruptionMttfHours,
-                      &p->commEfficiency, &p->ckptEfficiency,
-                      &p->rmtSlowdown, &p->systemExaflops,
-                      &p->effectiveExaflops, &p->systemMw};
-    for (int i = 0; i < 8; ++i) {
-        char *end = nullptr;
-        *dst[i] = std::strtod(f[i].c_str(), &end);
-        if (end == f[i].c_str() || *end)
-            return false;
-    }
-    p->ok = ok != 0;
-    is.get();
-    std::getline(is, p->error);
-    return true;
-}
-
-/** Journal-key part for one variant: every ResilienceSpec field. */
-std::string
-resilienceJournalKey(const ResilienceSpec &s)
-{
-    return strformat("f%d:ecc%d%d:rmt%d/%d:ser%a:ckpt%a/%a/%a/%a/%d",
-                     s.faultsEnabled, s.ras.dramEcc, s.ras.sramEcc,
-                     s.ras.gpuRmt, static_cast<int>(s.rmtPolicy),
-                     s.ras.ntcSerMultiplier, s.checkpoint.checkpointBytes,
-                     s.checkpoint.ioBandwidthBps, s.checkpoint.overheadS,
-                     s.checkpoint.restartExtraS, s.checkpointViaFabric);
 }
 
 } // anonymous namespace
@@ -198,6 +137,7 @@ ResilientScaleOutStudy::sweep(
         variants.size() * nt * nn, [&](std::size_t i) {
             telemetry::ScopedSpan span("resilient", "evaluate_cell");
             const std::size_t vi = i / (nt * nn);
+            const ResilienceSpec &spec = variants[vi].spec;
             ClusterConfig cc = base_;
             cc.topology = topologies[(i / nn) % nt];
             cc.nodes = node_counts[i % nn];
@@ -207,62 +147,33 @@ ResilientScaleOutStudy::sweep(
             p.variant = vi;
             p.topology = cc.topology;
             p.nodes = cc.nodes;
-
-            std::string key, payload;
-            if (journal) {
-                key = strformat(
-                    "ras[%zu]:v%zu:%s:%s", i, vi,
-                    resilienceJournalKey(variants[vi].spec).c_str(),
-                    clusterCellJournalKey(cc, cfg, app, comm).c_str());
-                if (journal->lookup(key, &payload)) {
-                    ResilientSweepPoint j = p;
-                    if (decodeResilientPoint(payload, &j))
-                        return j;
-                    warn("sweep journal: undecodable payload for '",
-                         key, "'; recomputing");
-                }
-            }
-
-            Status valid = cc.tryValidate();
-            if (valid.ok())
-                valid = cfg.tryValidate();
-            if (valid.ok())
-                valid = variants[vi].spec.tryValidate();
-            if (!valid.ok()) {
-                p.ok = false;
-                p.error = valid.toString();
-                failedCounter().add();
-                warn("protection sweep: quarantined cell ", i, ": ",
-                     p.error);
-            } else {
-                try {
+            return runSweepCell(
+                journal,
+                [&] {
+                    return journalKey("ras", i, spec, cc, cfg, app,
+                                      comm.pattern, comm.intensity,
+                                      comm.scaling, comm.syncsPerSecond);
+                },
+                "protection sweep", i, p,
+                [&] {
+                    Status valid = cc.tryValidate();
+                    if (valid.ok())
+                        valid = cfg.tryValidate();
+                    return valid.ok() ? spec.tryValidate() : valid;
+                },
+                [&](ResilientSweepPoint &q) {
                     ClusterEvaluator ce(eval_, cc);
-                    ResilientClusterEvaluator rce(ce, variants[vi].spec);
+                    ResilientClusterEvaluator rce(ce, spec);
                     ResilientResult r = rce.evaluate(cfg, app, comm);
-                    p.systemMttfHours = r.systemMttfHours;
-                    p.interruptionMttfHours = r.interruptionMttfHours;
-                    p.commEfficiency = r.cluster.commEfficiency;
-                    p.ckptEfficiency = r.ckptEfficiency;
-                    p.rmtSlowdown = r.rmtSlowdown;
-                    p.systemExaflops = r.cluster.systemExaflops;
-                    p.effectiveExaflops = r.effectiveExaflops;
-                    p.systemMw = r.systemMw;
-                } catch (const std::exception &e) {
-                    p = ResilientSweepPoint{};
-                    p.variant = vi;
-                    p.topology = cc.topology;
-                    p.nodes = cc.nodes;
-                    p.ok = false;
-                    p.error = e.what();
-                    failedCounter().add();
-                    warn("protection sweep: quarantined cell ", i, ": ",
-                         p.error);
-                }
-            }
-
-            if (journal)
-                journal->append(key, encodeResilientPoint(p));
-            return p;
+                    q.systemMttfHours = r.systemMttfHours;
+                    q.interruptionMttfHours = r.interruptionMttfHours;
+                    q.commEfficiency = r.cluster.commEfficiency;
+                    q.ckptEfficiency = r.ckptEfficiency;
+                    q.rmtSlowdown = r.rmtSlowdown;
+                    q.systemExaflops = r.cluster.systemExaflops;
+                    q.effectiveExaflops = r.effectiveExaflops;
+                    q.systemMw = r.systemMw;
+                });
         });
 }
 

@@ -211,6 +211,23 @@ struct ResilientSweepPoint
     std::string error;
 };
 
+/** ResilientSweepPoint's journaled fields (core/sweep_journal.hh). */
+template <typename F>
+void
+journalFields(ResilientSweepPoint &p, F &&field)
+{
+    field(p.systemMttfHours);
+    field(p.interruptionMttfHours);
+    field(p.commEfficiency);
+    field(p.ckptEfficiency);
+    field(p.rmtSlowdown);
+    field(p.systemExaflops);
+    field(p.effectiveExaflops);
+    field(p.systemMw);
+    field(p.ok);
+    field(p.error);
+}
+
 class ResilientScaleOutStudy
 {
   public:
@@ -222,10 +239,10 @@ class ResilientScaleOutStudy
      * Protection x topology x node-count sweep, flattened
      * variant-major then topology-major, sharded over the process pool
      * with one output slot per grid point (bit-identical to a serial
-     * run at any thread count; gated by bench_ras_scaleout). Invalid
-     * cells are quarantined (ResilientSweepPoint::ok == false), not
-     * fatal; with ENA_SWEEP_JOURNAL set, finished cells stream to the
-     * journal and a killed sweep resumes past them.
+     * run at any thread count; gated by bench_ras_scaleout). runSweepCell
+     * quarantines an invalid or throwing cell (ok == false); with
+     * ENA_SWEEP_JOURNAL set, finished cells stream to the journal (keyed
+     * by every input field) and a killed sweep resumes past them.
      */
     std::vector<ResilientSweepPoint> sweep(
         const NodeConfig &cfg, App app, const CommSpec &comm,

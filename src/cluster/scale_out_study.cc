@@ -1,78 +1,11 @@
 #include "cluster/scale_out_study.hh"
 
-#include <cstdlib>
-#include <sstream>
-
-#include "telemetry/metrics.hh"
+#include "cluster/cluster_config_io.hh"
+#include "common/node_config_io.hh"
 #include "telemetry/telemetry.hh"
-#include "util/logging.hh"
-#include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
 namespace ena {
-
-namespace {
-
-telemetry::Counter &
-failedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
-    return c;
-}
-
-/** Hexfloat journal payload; see encodeDsePoint in core/dse.cc. */
-std::string
-encodeTopologyPoint(const TopologyPoint &p)
-{
-    std::ostringstream os;
-    os << strformat("%a %a %a %a %a %d ", p.avgHops, p.bisectionGbs,
-                    p.efficiency, p.systemExaflops, p.systemMw,
-                    p.ok ? 1 : 0);
-    os << p.error;
-    return os.str();
-}
-
-bool
-decodeTopologyPoint(const std::string &payload, TopologyPoint *p)
-{
-    std::istringstream is(payload);
-    std::string f[5];
-    int ok = 0;
-    if (!(is >> f[0] >> f[1] >> f[2] >> f[3] >> f[4] >> ok))
-        return false;
-    double *dst[5] = {&p->avgHops, &p->bisectionGbs, &p->efficiency,
-                      &p->systemExaflops, &p->systemMw};
-    for (int i = 0; i < 5; ++i) {
-        char *end = nullptr;
-        *dst[i] = std::strtod(f[i].c_str(), &end);
-        if (end == f[i].c_str() || *end)
-            return false;
-    }
-    p->ok = ok != 0;
-    is.get();
-    std::getline(is, p->error);
-    return true;
-}
-
-} // anonymous namespace
-
-std::string
-clusterCellJournalKey(const ClusterConfig &cc, const NodeConfig &cfg,
-                      App app, const CommSpec &spec)
-{
-    return strformat(
-        "%s:n%d:links%dx%a:lat%a:pj%a:ft%d/%a:df%d:torus%dx%dx%d:%s:"
-        "comm%d/%a/%d/%a:%s",
-        clusterTopologyName(cc.topology).c_str(), cc.nodes,
-        cc.linksPerNode, cc.linkGbs, cc.linkLatencyUs, cc.pjPerBit,
-        cc.fatTreeRadix, cc.fatTreeTaper, cc.dragonflyGroupRouters,
-        cc.torusX, cc.torusY, cc.torusZ, appName(app).c_str(),
-        static_cast<int>(spec.pattern), spec.intensity,
-        static_cast<int>(spec.scaling), spec.syncsPerSecond,
-        journalNodeKey(cfg).c_str());
-}
 
 ScaleOutStudy::ScaleOutStudy(const NodeEvaluator &eval,
                              ClusterConfig base)
@@ -179,56 +112,29 @@ ScaleOutStudy::topologySweep(
             TopologyPoint p;
             p.topology = cc.topology;
             p.nodes = cc.nodes;
-
-            std::string key, payload;
-            if (journal) {
-                key = strformat(
-                    "topo[%zu]:%s", i,
-                    clusterCellJournalKey(cc, cfg, app, spec).c_str());
-                if (journal->lookup(key, &payload)) {
-                    TopologyPoint j = p;
-                    if (decodeTopologyPoint(payload, &j))
-                        return j;
-                    warn("sweep journal: undecodable payload for '",
-                         key, "'; recomputing");
-                }
-            }
-
-            Status valid = cc.tryValidate();
-            if (!valid.ok())
-                valid = valid.withContext("topology sweep cell ", i);
-            else
-                valid = cfg.tryValidate();
-            if (!valid.ok()) {
-                p.ok = false;
-                p.error = valid.toString();
-                failedCounter().add();
-                warn("topology sweep: quarantined cell ", i, ": ",
-                     p.error);
-            } else {
-                try {
+            return runSweepCell(
+                journal,
+                [&] {
+                    return journalKey("topo", i, cc, cfg, app,
+                                      spec.pattern, spec.intensity,
+                                      spec.scaling, spec.syncsPerSecond);
+                },
+                "topology sweep", i, p,
+                [&] {
+                    Status valid = cc.tryValidate();
+                    return valid.ok() ? cfg.tryValidate()
+                                      : valid.withContext(
+                                            "topology sweep cell ", i);
+                },
+                [&](TopologyPoint &q) {
                     ClusterEvaluator ce(eval_, cc);
                     ClusterResult r = ce.evaluate(cfg, app, spec);
-                    p.avgHops = ce.network().avgHops();
-                    p.bisectionGbs = ce.network().bisectionGbs();
-                    p.efficiency = r.commEfficiency;
-                    p.systemExaflops = r.systemExaflops;
-                    p.systemMw = r.systemMw;
-                } catch (const std::exception &e) {
-                    p = TopologyPoint{};
-                    p.topology = cc.topology;
-                    p.nodes = cc.nodes;
-                    p.ok = false;
-                    p.error = e.what();
-                    failedCounter().add();
-                    warn("topology sweep: quarantined cell ", i, ": ",
-                         p.error);
-                }
-            }
-
-            if (journal)
-                journal->append(key, encodeTopologyPoint(p));
-            return p;
+                    q.avgHops = ce.network().avgHops();
+                    q.bisectionGbs = ce.network().bisectionGbs();
+                    q.efficiency = r.commEfficiency;
+                    q.systemExaflops = r.systemExaflops;
+                    q.systemMw = r.systemMw;
+                });
         });
 }
 

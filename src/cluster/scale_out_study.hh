@@ -62,16 +62,19 @@ struct TopologyPoint
     std::string error;
 };
 
-/**
- * The sweep-journal key part for one cluster cell: every ClusterConfig
- * field, the app, every CommSpec field (doubles as exact hexfloats)
- * and journalNodeKey(@p cfg). The cluster sweeps key their cells with
- * it so a journal shared between sweeps replays only cells computed
- * for the same inputs.
- */
-std::string clusterCellJournalKey(const ClusterConfig &cc,
-                                  const NodeConfig &cfg, App app,
-                                  const CommSpec &spec);
+/** TopologyPoint's journaled fields (core/sweep_journal.hh). */
+template <typename F>
+void
+journalFields(TopologyPoint &p, F &&field)
+{
+    field(p.avgHops);
+    field(p.bisectionGbs);
+    field(p.efficiency);
+    field(p.systemExaflops);
+    field(p.systemMw);
+    field(p.ok);
+    field(p.error);
+}
 
 class ScaleOutStudy
 {
@@ -99,10 +102,10 @@ class ScaleOutStudy
 
     /**
      * Fabric comparison over topologies x node counts (flattened,
-     * topology-major, sharded over the process pool). Invalid cells
-     * are quarantined (TopologyPoint::ok == false), not fatal; with
-     * ENA_SWEEP_JOURNAL set, finished cells stream to the journal and
-     * a killed sweep resumes past them.
+     * topology-major, sharded over the process pool). runSweepCell
+     * quarantines an invalid or throwing cell (ok == false); with
+     * ENA_SWEEP_JOURNAL set, finished cells stream to the journal (keyed
+     * by every input field) and a killed sweep resumes past them.
      */
     std::vector<TopologyPoint> topologySweep(
         const NodeConfig &cfg, App app, const CommSpec &spec,

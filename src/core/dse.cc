@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <optional>
-#include <sstream>
 
 #include "common/calibration.hh"
+#include "common/node_config_io.hh"
 #include "core/perf_terms.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 #include "util/stats_math.hh"
-#include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
 namespace ena {
@@ -36,58 +34,6 @@ evalsCounter()
         "node.evaluations",
         "(config, application) pairs evaluated by NodeEvaluator");
     return c;
-}
-
-telemetry::Counter &
-failedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
-    return c;
-}
-
-/**
- * Journal payload for one DsePoint. Doubles travel as hexfloats so a
- * resumed sweep reproduces the uninterrupted table bit-for-bit; the
- * config itself is not stored (the key pins index, knobs and opts).
- * The feasible flag is stored but not trusted on replay: it depends
- * on the budget of the run that wrote it.
- */
-std::string
-encodeDsePoint(const DsePoint &p)
-{
-    std::ostringstream os;
-    os << strformat("%a %a %a %d %d ", p.geomeanFlops,
-                    p.meanBudgetPowerW, p.maxBudgetPowerW,
-                    p.feasible ? 1 : 0, p.ok ? 1 : 0);
-    os << p.error;
-    return os.str();
-}
-
-bool
-decodeDsePoint(const std::string &payload, DsePoint *p)
-{
-    std::istringstream is(payload);
-    int feasible = 0, ok = 0;
-    std::string g, m, x;
-    if (!(is >> g >> m >> x >> feasible >> ok))
-        return false;
-    char *end = nullptr;
-    p->geomeanFlops = std::strtod(g.c_str(), &end);
-    if (end == g.c_str() || *end)
-        return false;
-    p->meanBudgetPowerW = std::strtod(m.c_str(), &end);
-    if (end == m.c_str() || *end)
-        return false;
-    p->maxBudgetPowerW = std::strtod(x.c_str(), &end);
-    if (end == x.c_str() || *end)
-        return false;
-    p->feasible = feasible != 0;
-    p->ok = ok != 0;
-    is.get();   // the separator before the (possibly empty) error text
-    std::getline(is, p->error);
-    return true;
 }
 
 /** Publish the configs/sec rate of the sweep that just finished. */
@@ -399,30 +345,20 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
         p.cfg = grid_.at(i, opts);
 
         if (journal) {
-            keys[i] = strformat("dse[%zu]:%s", i,
-                                journalNodeKey(p.cfg).c_str());
-            std::string payload;
-            if (journal->lookup(keys[i], &payload)) {
-                DsePoint j = p;
-                if (decodeDsePoint(payload, &j)) {
-                    p = j;
-                    p.feasible = p.ok && p.maxBudgetPowerW <= budgetW_;
-                    continue;
-                }
-                warn("sweep journal: undecodable payload for '",
-                     keys[i], "'; recomputing");
+            keys[i] = journalKey("dse", i, p.cfg);
+            if (journal->replay(keys[i], &p)) {
+                p.feasible = p.ok && p.maxBudgetPowerW <= budgetW_;
+                continue;
             }
         }
 
         Status valid = p.cfg.tryValidate();
         if (!valid.ok()) {
-            p.ok = false;
-            p.error = valid.toString();
-            failedCounter().add();
-            warn("DSE: quarantined grid point ", i, " (",
-                 p.cfg.label(), "): ", p.error);
+            quarantineCell(p, valid.toString(),
+                           "DSE: quarantined grid point ", i, " (",
+                           p.cfg.label(), ")");
             if (journal)
-                journal->append(keys[i], encodeDsePoint(p));
+                journal->record(keys[i], p);
             continue;
         }
         todo.push_back(i);
@@ -452,7 +388,7 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
                 p.maxBudgetPowerW = worst;
                 p.feasible = p.maxBudgetPowerW <= budgetW_;
                 if (journal)
-                    journal->append(keys[i], encodeDsePoint(p));
+                    journal->record(keys[i], p);
             }
         });
     }

@@ -208,15 +208,26 @@ struct DsePoint
     double maxBudgetPowerW = 0.0;   ///< worst application's budget power
     bool feasible = false;          ///< maxBudgetPowerW <= budget
 
-    /**
-     * False when the point was quarantined: its config failed
-     * validation or its evaluation threw. Quarantined points carry the
-     * diagnostic in @p error, score zero, and are never feasible — the
-     * sweep completes instead of dying with the whole grid's work.
-     */
+    /** False when the config failed validation and the point was
+     *  quarantined: @p error says why, it scores zero, never feasible. */
     bool ok = true;
     std::string error;
 };
+
+/**
+ * DsePoint's journaled fields (core/sweep_journal.hh). The key pins
+ * the config; feasible is judged again under the replaying budget.
+ */
+template <typename F>
+void
+journalFields(DsePoint &p, F &&field)
+{
+    field(p.geomeanFlops);
+    field(p.meanBudgetPowerW);
+    field(p.maxBudgetPowerW);
+    field(p.ok);
+    field(p.error);
+}
 
 /** Best configuration for a single application. */
 struct AppBest
@@ -255,10 +266,10 @@ class DesignSpaceExplorer
 
     /**
      * Score every grid point (for inspection / calibration). Invalid
-     * or throwing points are quarantined (DsePoint::ok == false), not
-     * fatal. Consults ENA_SWEEP_JOURNAL: when set, finished points
-     * stream to that journal and already-journaled points are skipped,
-     * so a killed sweep resumes where it left off.
+     * points are quarantined (DsePoint::ok == false), not fatal.
+     * Consults ENA_SWEEP_JOURNAL: when set, finished points stream to
+     * that journal and already-journaled points are skipped, so a
+     * killed sweep resumes where it left off.
      */
     std::vector<DsePoint> sweep(const PowerOptConfig &opts) const;
 

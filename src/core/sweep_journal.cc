@@ -4,8 +4,6 @@
 #include <sstream>
 
 #include "telemetry/metrics.hh"
-#include "util/logging.hh"
-#include "util/string_utils.hh"
 
 namespace ena {
 
@@ -67,23 +65,6 @@ unescape(const std::string &s, std::string *out)
 
 namespace {
 
-telemetry::Counter &
-hitsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.journal_hits",
-        "grid points skipped because the journal already had them");
-    return c;
-}
-
-telemetry::Counter &
-appendsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.journal_appends", "grid points written to the journal");
-    return c;
-}
-
 /**
  * Parse one journal line; true when it is an intact v1 record.
  * Partial trailing lines (mid-write kill) and bit rot both land here
@@ -94,40 +75,31 @@ parseRecord(const std::string &line, std::string *key,
             std::string *payload)
 {
     // v1 \t crc \t key \t payload  (key/payload still escaped).
-    if (line.rfind("v1\t", 0) != 0)
+    const std::size_t crc_end = line.find('\t', 3);
+    if (line.rfind("v1\t", 0) != 0 || crc_end == std::string::npos)
         return false;
-    std::size_t crc_end = line.find('\t', 3);
-    if (crc_end == std::string::npos)
-        return false;
-    std::size_t key_end = line.find('\t', crc_end + 1);
-    if (key_end == std::string::npos)
-        return false;
-
-    const std::string crc_text = line.substr(3, crc_end - 3);
+    const std::size_t key_end = line.find('\t', crc_end + 1);
     char *end = nullptr;
-    unsigned long crc = std::strtoul(crc_text.c_str(), &end, 16);
-    if (end == crc_text.c_str() || *end != '\0')
-        return false;
-    const std::string body = line.substr(crc_end + 1);
-    if (crc32(body) != static_cast<std::uint32_t>(crc))
-        return false;
-
-    const std::string ekey = line.substr(crc_end + 1,
-                                         key_end - crc_end - 1);
-    const std::string epayload = line.substr(key_end + 1);
-    return unescape(ekey, key) && unescape(epayload, payload);
+    const unsigned long crc = std::strtoul(line.c_str() + 3, &end, 16);
+    return key_end != std::string::npos && crc_end > 3 &&
+           end == line.c_str() + crc_end &&
+           crc32(line.substr(crc_end + 1)) == crc &&
+           unescape(line.substr(crc_end + 1, key_end - crc_end - 1), key) &&
+           unescape(line.substr(key_end + 1), payload);
 }
 
 } // anonymous namespace
 
-} // namespace journal_detail
-
-std::string
-journalNodeKey(const NodeConfig &cfg)
+void
+countQuarantined()
 {
-    return strformat("%dcu@%aGHz/%aTBps:o%d", cfg.cus, cfg.freqGhz,
-                     cfg.bwTbs, powerOptBits(cfg.opts));
+    static telemetry::Counter &c = telemetry::counter(
+        "sweep.configs_failed",
+        "grid points quarantined instead of evaluated");
+    c.add();
 }
+
+} // namespace journal_detail
 
 Expected<std::unique_ptr<SweepJournal>>
 SweepJournal::open(const std::string &path)
@@ -135,42 +107,28 @@ SweepJournal::open(const std::string &path)
     std::unique_ptr<SweepJournal> j(new SweepJournal);
     j->path_ = path;
 
-    // A mid-write kill leaves the file without a trailing newline; the
-    // next append must not concatenate onto the torn record, so start
-    // it with one.
-    bool needs_newline = false;
-    {
-        std::ifstream tail(path, std::ios::binary);
-        if (tail) {
-            tail.seekg(0, std::ios::end);
-            if (tail.tellg() > 0) {
-                tail.seekg(-1, std::ios::end);
-                needs_newline = tail.get() != '\n';
-            }
+    // Load whatever an earlier (possibly killed) run left behind. A
+    // mid-write kill leaves a last line without its newline; the next
+    // append must not concatenate onto the torn record, so it starts
+    // with one.
+    bool torn = false;
+    std::ifstream in(path);
+    std::string line;
+    for (int lineno = 1; std::getline(in, line); ++lineno) {
+        torn = in.eof();
+        if (line.empty())
+            continue;
+        std::string key, payload;
+        if (!journal_detail::parseRecord(line, &key, &payload)) {
+            // A mid-write kill leaves one partial trailing line; anything
+            // else here is corruption. Either way the point is simply
+            // recomputed.
+            warn("sweep journal ", path, ":", lineno,
+                 ": dropping corrupt or partial record");
+            ++j->dropped_;
+            continue;
         }
-    }
-
-    // Load whatever an earlier (possibly killed) run left behind.
-    {
-        std::ifstream in(path);
-        std::string line;
-        int lineno = 0;
-        while (in && std::getline(in, line)) {
-            ++lineno;
-            if (line.empty())
-                continue;
-            std::string key, payload;
-            if (!journal_detail::parseRecord(line, &key, &payload)) {
-                // A mid-write kill leaves one partial trailing line;
-                // anything else here is corruption. Either way the
-                // point is simply recomputed.
-                warn("sweep journal ", path, ":", lineno,
-                     ": dropping corrupt or partial record");
-                ++j->dropped_;
-                continue;
-            }
-            j->loaded_[key] = payload;
-        }
+        j->loaded_[key] = payload;
     }
 
     j->out_.open(path, std::ios::app);
@@ -178,7 +136,7 @@ SweepJournal::open(const std::string &path)
         return Status::ioError("cannot open sweep journal '", path,
                                "' for append");
     }
-    if (needs_newline)
+    if (torn)
         j->out_ << "\n";
     return j;
 }
@@ -207,7 +165,10 @@ SweepJournal::lookup(const std::string &key, std::string *payload) const
     if (it == loaded_.end())
         return false;
     *payload = it->second;
-    journal_detail::hitsCounter().add();
+    static telemetry::Counter &hits = telemetry::counter(
+        "sweep.journal_hits",
+        "grid points skipped because the journal already had them");
+    hits.add();
     return true;
 }
 
@@ -226,7 +187,9 @@ SweepJournal::append(const std::string &key, const std::string &payload)
     out_ << rec.str();
     out_.flush();
     ++appended_;
-    journal_detail::appendsCounter().add();
+    static telemetry::Counter &appends = telemetry::counter(
+        "sweep.journal_appends", "grid points written to the journal");
+    appends.add();
 }
 
 } // namespace ena

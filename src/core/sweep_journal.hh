@@ -1,7 +1,7 @@
 /**
  * @file
- * Append-only sweep journal: checkpoint/resume for the DSE and cluster
- * sweeps.
+ * Append-only sweep journal, and the cell steps the quarantining
+ * sweeps share (runSweepCell; the DSE uses its replay/quarantine/record).
  *
  * A sweep streams one record per finished grid point to a journal file
  * (one CRC-guarded line each, flushed as written). When a run is killed
@@ -20,10 +20,12 @@
  * dropped with a warning on load and simply recomputed. Keys and
  * payloads are escaped so they may contain tabs and newlines.
  *
- * A key names every input its point reads (journalNodeKey() for the
- * node, plus whatever else the sweep varies or takes as an argument),
- * so one journal file can serve different sweeps without replaying a
- * point computed for other inputs.
+ * A key names every input its point reads: journalKey() walks each
+ * config struct's configFields list (util/config.hh) at exact bits,
+ * plus whatever else the sweep passes, so one journal file can serve
+ * different sweeps without replaying a point computed for other
+ * inputs. A payload walks the point type's journalFields list, which
+ * names its computed doubles and bools, then ok, then error (last).
  *
  * The journal is activated either explicitly (open a journal and hand
  * it to the sweep overloads that take one) or ambiently via the
@@ -37,24 +39,100 @@
 #define ENA_CORE_SWEEP_JOURNAL_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 
-#include "common/node_config.hh"
+#include "util/logging.hh"
 #include "util/status.hh"
+#include "util/string_utils.hh"
 
 namespace ena {
 
+namespace journal_detail {
+
+/** CRC-32 (IEEE, reflected) over @p data. */
+std::uint32_t crc32(const std::string &data);
+
+/** Escape tabs, newlines, and backslashes for one-line records. */
+std::string escape(const std::string &s);
+
+/** Inverse of escape(); false when the escaping is malformed. */
+bool unescape(const std::string &s, std::string *out);
+
+/** Count one quarantined cell in sweep.configs_failed. */
+void countQuarantined();
+
+/** journalFields visitor: each number and a space, then the error. */
+struct PayloadWriter
+{
+    void operator()(double v) { text += strformat("%a ", v); }
+    void operator()(bool v) { text += v ? "1 " : "0 "; }
+    void operator()(const std::string &v) { text += v; }
+
+    std::string text;
+};
+
+/** journalFields visitor: the inverse of PayloadWriter. */
+struct PayloadReader
+{
+    void operator()(double &v) { v = std::strtod(at, &num); next(num); }
+    void operator()(bool &v) { v = *at == '1'; next(at + (v || *at == '0')); }
+    void operator()(std::string &v) { v.assign(at, last); }
+
+    /** Step past a token that ends at @p end and its space, or fail. */
+    void
+    next(const char *end)
+    {
+        ok = ok && end != at && *end == ' ';
+        at = ok ? end + 1 : last;
+    }
+
+    const char *at, *last;   ///< the unread payload
+    char *num = nullptr;     ///< where strtod stopped
+    bool ok = true;
+};
+
 /**
- * The node part of every sweep-journal key: the exact bits of the
- * three DSE knobs (the CU count, then frequency and bandwidth as
- * hexfloats) and the power-opt bits. Unlike NodeConfig::label(), which
- * rounds, two configs share it only when those inputs are bit-equal.
+ * Append ":" and one key part at exact bits: a double as a hexfloat,
+ * an enum or integer as its value, a config struct as every field on
+ * its configFields list.
  */
-std::string journalNodeKey(const NodeConfig &cfg);
+template <typename T>
+void
+appendKeyPart(std::string &key, const T &v)
+{
+    if constexpr (std::is_floating_point_v<T>) {
+        key += strformat(":%a", v);
+    } else if constexpr (std::is_enum_v<T> || std::is_integral_v<T>) {
+        key += ":" + std::to_string(static_cast<long long>(v));
+    } else {
+        T s = v;   // configFields takes the struct it binds mutably
+        configFields(s, [&](const char *, auto &field, auto &&...) {
+            appendKeyPart(key, field);
+        });
+    }
+}
+
+} // namespace journal_detail
+
+/**
+ * The journal key of cell @p index of @p sweep: "sweep[index]" and
+ * then every part at exact bits (journal_detail::appendKeyPart).
+ */
+template <typename... Parts>
+std::string
+journalKey(const char *sweep, std::size_t index, const Parts &...parts)
+{
+    std::string key = strformat("%s[%zu]", sweep, index);
+    (journal_detail::appendKeyPart(key, parts), ...);
+    return key;
+}
 
 class SweepJournal
 {
@@ -80,8 +158,39 @@ class SweepJournal
      */
     bool lookup(const std::string &key, std::string *payload) const;
 
+    /** Replay @p key's record into @p p's journalFields; false, with
+     *  @p p untouched, when none decodes (a bad payload warns). */
+    template <typename P>
+    bool
+    replay(const std::string &key, P *p) const
+    {
+        std::string payload;
+        if (!lookup(key, &payload))
+            return false;
+        P q = *p;
+        journal_detail::PayloadReader in{payload.data(),
+                                         payload.data() + payload.size()};
+        journalFields(q, in);
+        if (in.ok)
+            *p = std::move(q);
+        else
+            warn("sweep journal: undecodable payload for '", key,
+                 "'; recomputing");
+        return in.ok;
+    }
+
     /** Append one record and flush it to disk. Thread-safe. */
     void append(const std::string &key, const std::string &payload);
+
+    /** Append @p p's journalFields under @p key. Thread-safe. */
+    template <typename P>
+    void
+    record(const std::string &key, P p)
+    {
+        journal_detail::PayloadWriter out;
+        journalFields(p, out);
+        append(key, out.text);
+    }
 
     const std::string &path() const { return path_; }
 
@@ -111,18 +220,67 @@ class SweepJournal
     std::size_t appended_ = 0;
 };
 
-namespace journal_detail {
+/**
+ * Quarantine @p p: ok = false with @p error, counted in
+ * sweep.configs_failed, and warned as "<where...>: <error>".
+ */
+template <typename P, typename... Where>
+void
+quarantineCell(P &p, std::string error, const Where &...where)
+{
+    p.ok = false;
+    p.error = std::move(error);
+    journal_detail::countQuarantined();
+    warn(where..., ": ", p.error);
+}
 
-/** CRC-32 (IEEE, reflected) over @p data. */
-std::uint32_t crc32(const std::string &data);
+/**
+ * One sweep cell without a journal. @p p arrives with its identity
+ * fields set and its computed fields at their defaults; when
+ * @p validate() is ok, @p compute(p) fills the computed fields. A
+ * validation error, or an exception with the computed fields reset,
+ * quarantines the cell as "<sweep>: quarantined cell <i>".
+ */
+template <typename P, typename ValidateFn, typename ComputeFn>
+P
+runSweepCell(const char *sweep, std::size_t i, P p, ValidateFn &&validate,
+             ComputeFn &&compute)
+{
+    const Status valid = validate();
+    if (!valid.ok()) {
+        quarantineCell(p, valid.toString(), sweep, ": quarantined cell ",
+                       i);
+        return p;
+    }
+    const P identity = p;
+    try {
+        compute(p);
+    } catch (const std::exception &e) {
+        p = identity;
+        quarantineCell(p, e.what(), sweep, ": quarantined cell ", i);
+    }
+    return p;
+}
 
-/** Escape tabs, newlines, and backslashes for one-line records. */
-std::string escape(const std::string &s);
-
-/** Inverse of escape(); false when the escaping is malformed. */
-bool unescape(const std::string &s, std::string *out);
-
-} // namespace journal_detail
+/**
+ * The same cell through @p journal (may be null): replay it under
+ * @p key() when journaled, else run it and record it.
+ */
+template <typename P, typename KeyFn, typename ValidateFn,
+          typename ComputeFn>
+P
+runSweepCell(SweepJournal *journal, KeyFn &&key, const char *sweep,
+             std::size_t i, P p, ValidateFn &&validate, ComputeFn &&compute)
+{
+    if (!journal)
+        return runSweepCell(sweep, i, std::move(p), validate, compute);
+    const std::string k = key();
+    if (!journal->replay(k, &p)) {
+        p = runSweepCell(sweep, i, std::move(p), validate, compute);
+        journal->record(k, p);
+    }
+    return p;
+}
 
 } // namespace ena
 

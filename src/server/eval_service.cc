@@ -232,15 +232,12 @@ EvalService::dispatch(const std::string &op, const wire::JsonValue &req,
     auto start = std::chrono::steady_clock::now();
 
     Status status = [&]() -> Status {
-        // Status is the only error channel across this boundary: the
-        // evaluation layers throw StatusError from pool tasks (after
-        // retries), and anything else unexpected maps to Internal.
+        // Status is the only error channel across this boundary: an
+        // unexpected exception maps to Internal.
         try {
             if (slot == kNumOps)
                 return Status::notFound("unknown op '", op, "'");
             return (this->*kOps[slot].handler)(req, out);
-        } catch (const StatusError &e) {
-            return e.status();
         } catch (const std::exception &e) {
             return Status::internal("unhandled exception in op '", op,
                                     "': ", e.what());

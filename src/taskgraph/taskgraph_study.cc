@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/sweep_journal.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -17,15 +18,6 @@ sweepCellCounter()
     static telemetry::Counter &c = telemetry::counter(
         "taskgraph.sweep_cells",
         "scheduler x topology x node-count cells evaluated");
-    return c;
-}
-
-telemetry::Counter &
-quarantinedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
     return c;
 }
 
@@ -61,48 +53,32 @@ TaskGraphStudy::sweep(const TaskDag &dag, const NodeConfig &cfg,
             // Explicit torus dims only fit the base node count.
             cc.torusX = cc.torusY = cc.torusZ = 0;
 
-            Status valid = cc.tryValidate();
-            if (valid.ok())
-                valid = cfg.tryValidate();
-            if (valid.ok())
-                valid = dag.tryValidate();
-            if (!valid.ok()) {
-                p.ok = false;
-                p.error =
-                    valid.withContext("taskgraph sweep cell ", i).toString();
-                quarantinedCounter().add();
-                warn("taskgraph sweep: quarantined cell ", i, ": ",
-                     p.error);
-                return p;
-            }
-
-            try {
-                InterNodeNetwork net(cc);
-                DagCostModel cost =
-                    DagCostModel::build(dag, eval_, cfg, net);
-                Schedule s = scheduleDag(dag, cost,
-                                         schedulers[p.scheduler], p.nodes);
-                p.makespanSeconds = s.makespanSeconds;
-                p.criticalPathSeconds = criticalPathSeconds(dag, cost);
-                p.speedup = s.speedup();
-                p.efficiency = s.efficiency();
-                p.utilization = s.utilization();
-                p.commSeconds = s.totalCommSeconds;
-                p.edgesCosted = s.edgesCosted;
-                sweepCellCounter().add();
-            } catch (const std::exception &e) {
-                const std::size_t sched = p.scheduler;
-                p = TaskGraphSweepPoint{};
-                p.scheduler = sched;
-                p.topology = topologies[(i / nn) % nt];
-                p.nodes = node_counts[i % nn];
-                p.ok = false;
-                p.error = e.what();
-                quarantinedCounter().add();
-                warn("taskgraph sweep: quarantined cell ", i, ": ",
-                     p.error);
-            }
-            return p;
+            return runSweepCell(
+                "taskgraph sweep", i, p,
+                [&] {
+                    Status valid = cc.tryValidate();
+                    if (valid.ok())
+                        valid = cfg.tryValidate();
+                    if (valid.ok())
+                        valid = dag.tryValidate();
+                    return valid.withContext("taskgraph sweep cell ", i);
+                },
+                [&](TaskGraphSweepPoint &q) {
+                    InterNodeNetwork net(cc);
+                    DagCostModel cost =
+                        DagCostModel::build(dag, eval_, cfg, net);
+                    Schedule s = scheduleDag(dag, cost,
+                                             schedulers[q.scheduler],
+                                             q.nodes);
+                    q.makespanSeconds = s.makespanSeconds;
+                    q.criticalPathSeconds = criticalPathSeconds(dag, cost);
+                    q.speedup = s.speedup();
+                    q.efficiency = s.efficiency();
+                    q.utilization = s.utilization();
+                    q.commSeconds = s.totalCommSeconds;
+                    q.edgesCosted = s.edgesCosted;
+                    sweepCellCounter().add();
+                });
         });
 }
 

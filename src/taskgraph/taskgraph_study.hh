@@ -11,8 +11,10 @@
  *    tests/taskgraph);
  *  - each cell prices the DAG with DagCostModel::build, which calls
  *    the node evaluator once per distinct app, not once per task;
- *  - invalid cells are quarantined (ok == false, error says why), not
- *    fatal — one bad topology/node-count pairing cannot kill a sweep.
+ *  - each cell runs through runSweepCell (core/sweep_journal.hh): an
+ *    invalid or throwing cell is quarantined (ok == false, error says
+ *    why), not fatal — one bad topology/node-count pairing cannot kill
+ *    a sweep. The sweep keeps no journal.
  *
  * The job-mix study models interference the way CommModel models
  * congestion: co-scheduled jobs split the machine evenly and the
@@ -82,8 +84,8 @@ class TaskGraphStudy
 
     /**
      * Scheduler x topology x node-count sweep, flattened
-     * scheduler-major then topology-major then node-count. Invalid
-     * cells are quarantined (ok == false), not fatal.
+     * scheduler-major then topology-major then node-count. Invalid or
+     * throwing cells are quarantined (ok == false), not fatal.
      */
     std::vector<TaskGraphSweepPoint> sweep(
         const TaskDag &dag, const NodeConfig &cfg,

@@ -14,9 +14,6 @@
  *  - Expected<T>: a value or a non-ok Status.
  *  - ENA_TRY / ENA_ASSIGN_OR_RETURN: early-return plumbing so try*
  *    functions compose without pyramid-of-doom checks.
- *  - StatusError: the exception bridge for code running under the
- *    ThreadPool, whose join barrier propagates task failures; sweeps
- *    catch it per grid point and quarantine the config.
  *
  * Conversion pattern used across the repo: the entry point is try*()
  * returning Status/Expected, and a CLI that exits on error unwraps it
@@ -29,7 +26,6 @@
 #define ENA_UTIL_STATUS_HH
 
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -190,25 +186,6 @@ class Status
 };
 
 /**
- * Exception bridge for contexts that must throw (ThreadPool tasks):
- * carries the Status across the join barrier so the sweep layer can
- * quarantine the failing config with its full diagnostic.
- */
-class StatusError : public std::runtime_error
-{
-  public:
-    explicit StatusError(Status status)
-        : std::runtime_error(status.toString()), status_(std::move(status))
-    {
-    }
-
-    const Status &status() const { return status_; }
-
-  private:
-    Status status_;
-};
-
-/**
  * A T, or the Status explaining why there is none. The error
  * constructor requires a non-ok Status (constructing from Ok is a
  * programming error and panics).
@@ -301,14 +278,6 @@ checkOrFatal(const Status &s)
 {
     if (!s.ok())
         ENA_FATAL(s.message());
-}
-
-/** Throw the Status as a StatusError unless it is Ok. */
-inline void
-throwIfError(Status s)
-{
-    if (!s.ok())
-        throw StatusError(std::move(s));
 }
 
 #define ENA_STATUS_CONCAT2(a, b) a##b

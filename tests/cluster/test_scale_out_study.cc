@@ -1,12 +1,14 @@
 /**
  * @file
  * ScaleOutStudy: weak/strong scaling shapes, the communication-aware
- * Fig. 14 sweep's analytic column, and serial/parallel determinism of
- * the sharded topology sweep.
+ * Fig. 14 sweep's analytic column, serial/parallel determinism of the
+ * sharded topology sweep, and its journal keys and replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 
 #include "cluster/scale_out_study.hh"
@@ -30,6 +32,12 @@ study()
 }
 
 const std::vector<int> counts = {1, 64, 512, 4096, 32768};
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
 
 } // anonymous namespace
 
@@ -135,14 +143,21 @@ TEST(ScaleOutStudy, TopologySweepIsTopologyMajor)
 TEST(ScaleOutStudy, TopologySweepJournalKeysIncludeTheApp)
 {
     // A journal shared with a LULESH sweep must not replay LULESH's
-    // cells into a CoMD sweep of the same fabric.
+    // cells into a CoMD sweep of the same fabric, nor a default node's
+    // cells into a sweep of a node with fewer GPU chiplets: the key
+    // names every node field, not only the DSE knobs.
     const std::string path = "test_scale_out_journal_app.tmp";
     std::remove(path.c_str());
     const std::vector<ClusterTopology> fat_tree = {ClusterTopology::FatTree};
     const std::vector<int> sizes = {1024};
     const NodeConfig cfg = NodeConfig::bestMean();
+    NodeConfig four_chiplets = cfg;
+    four_chiplets.gpuChiplets = 4;
     const auto fresh = study().topologySweep(cfg, App::CoMD, CommSpec{},
                                              fat_tree, sizes, nullptr);
+    const auto fresh4 = study().topologySweep(
+        four_chiplets, App::CoMD, CommSpec{}, fat_tree, sizes, nullptr);
+    ASSERT_NE(fresh4[0].systemMw, fresh[0].systemMw);
 
     study().topologySweep(cfg, App::LULESH, CommSpec{}, fat_tree, sizes,
                           std::move(SweepJournal::open(path)).value().get());
@@ -154,5 +169,58 @@ TEST(ScaleOutStudy, TopologySweepJournalKeysIncludeTheApp)
     EXPECT_EQ(shared[0].systemExaflops, fresh[0].systemExaflops);
     EXPECT_EQ(shared[0].efficiency, fresh[0].efficiency);
     EXPECT_EQ(shared[0].systemMw, fresh[0].systemMw);
+
+    j = std::move(SweepJournal::open(path)).value();
+    const auto shared4 = study().topologySweep(
+        four_chiplets, App::CoMD, CommSpec{}, fat_tree, sizes, j.get());
+    EXPECT_EQ(j->appendedRecords(), 1u);   // recomputed, not replayed
+    ASSERT_EQ(shared4.size(), 1u);
+    EXPECT_EQ(shared4[0].systemExaflops, fresh4[0].systemExaflops);
+    EXPECT_EQ(shared4[0].systemMw, fresh4[0].systemMw);
+    std::remove(path.c_str());
+}
+
+TEST(ScaleOutStudy, TopologySweepReplaysItsOwnJournalBitForBit)
+{
+    // Node count 0 quarantines its cells, so the replay covers the
+    // error text too.
+    const std::string path = "test_scale_out_journal_replay.tmp";
+    std::remove(path.c_str());
+    CommSpec a2a;
+    a2a.pattern = CommPattern::AllToAll;
+    const std::vector<int> sizes = {0, 1000, 27000};
+    const NodeConfig cfg = NodeConfig::bestMean();
+    const auto sweep = [&](SweepJournal *j) {
+        return study().topologySweep(cfg, App::CoMD, a2a,
+                                     allClusterTopologies(), sizes, j);
+    };
+    std::vector<TopologyPoint> fresh;
+    {
+        auto j = std::move(SweepJournal::open(path)).value();
+        fresh = sweep(j.get());
+        EXPECT_EQ(j->appendedRecords(), fresh.size());
+    }
+    auto j = std::move(SweepJournal::open(path)).value();
+    const auto replayed = sweep(j.get());
+    EXPECT_EQ(j->appendedRecords(), 0u);   // every cell replayed
+
+    ASSERT_EQ(replayed.size(), fresh.size());
+    int quarantined = 0;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+        const TopologyPoint &a = fresh[i], &b = replayed[i];
+        EXPECT_EQ(b.topology, a.topology);
+        EXPECT_EQ(b.nodes, a.nodes);
+        EXPECT_EQ(bits(b.avgHops), bits(a.avgHops));
+        EXPECT_EQ(bits(b.bisectionGbs), bits(a.bisectionGbs));
+        EXPECT_EQ(bits(b.efficiency), bits(a.efficiency));
+        EXPECT_EQ(bits(b.systemExaflops), bits(a.systemExaflops));
+        EXPECT_EQ(bits(b.systemMw), bits(a.systemMw));
+        EXPECT_EQ(b.ok, a.ok);
+        EXPECT_EQ(b.error, a.error);
+        quarantined += !a.ok;
+    }
+    EXPECT_EQ(quarantined, 3);
+    EXPECT_EQ(fresh[0].error, "[out_of_range] topology sweep cell 0: "
+                              "ClusterConfig: bad node count 0");
     std::remove(path.c_str());
 }

@@ -2,22 +2,105 @@
  * @file
  * Tests for the append-only sweep journal: record round-trips, CRC
  * rejection of corruption, recovery from the torn trailing record a
- * mid-write kill leaves behind, and the ENA_SWEEP_JOURNAL ambient
- * entry point.
+ * mid-write kill leaves behind, the ENA_SWEEP_JOURNAL ambient entry
+ * point, the exact-bits journal keys, and the sweep-cell runner's
+ * quarantine and replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
+#include "cluster/cluster_config_io.hh"
+#include "cluster/resilient_cluster_io.hh"
+#include "common/node_config_io.hh"
 #include "core/sweep_journal.hh"
+#include "telemetry/metrics.hh"
 
 using namespace ena;
 
 namespace {
+
+/** A sweep point: one identity field, computed fields, the verdict. */
+struct CellPoint
+{
+    int id = 0;
+    double value = 0.0;
+    double slowdown = 1.0;   ///< a computed field whose default is not 0
+    bool flag = false;
+    bool ok = true;
+    std::string error;
+};
+
+template <typename F>
+void
+journalFields(CellPoint &p, F &&field)
+{
+    field(p.value);
+    field(p.slowdown);
+    field(p.flag);
+    field(p.ok);
+    field(p.error);
+}
+
+CellPoint
+identity(int id)
+{
+    CellPoint p;
+    p.id = id;
+    return p;
+}
+
+std::uint64_t
+quarantinedSoFar()
+{
+    return telemetry::counter("sweep.configs_failed").value();
+}
+
+/**
+ * Change field @p k of @p s's configFields list: the next double, the
+ * next int or enum value, the other bool.
+ */
+template <typename S>
+S
+withFieldChanged(S s, int k)
+{
+    int at = 0;
+    configFields(s, [&](const char *, auto &f, auto &&...) {
+        using T = std::decay_t<decltype(f)>;
+        if (at++ != k)
+            return;
+        if constexpr (std::is_floating_point_v<T>)
+            f = std::nextafter(f, INFINITY);
+        else if constexpr (std::is_same_v<T, bool>)
+            f = !f;
+        else if constexpr (std::is_enum_v<T>)
+            f = static_cast<T>(static_cast<int>(f) + 1);
+        else
+            f += 1;
+    });
+    return s;
+}
+
+/** Every field on @p S's list, changed alone, changes the key. */
+template <typename S>
+void
+expectEveryFieldInTheKey(const S &base, int fields)
+{
+    const std::string key = journalKey("cell", 0, base);
+    for (int k = 0; k < fields; ++k) {
+        EXPECT_NE(journalKey("cell", 0, withFieldChanged(base, k)), key)
+            << "field " << k << " of " << fields;
+    }
+    EXPECT_EQ(journalKey("cell", 0, withFieldChanged(base, fields)), key);
+}
 
 /** A journal path unique to the test, removed on scope exit. */
 struct TempJournal
@@ -209,4 +292,120 @@ TEST(SweepJournal, OpenFromEnvironmentHonorsTheVariable)
     ASSERT_EQ(setenv("ENA_SWEEP_JOURNAL", "no/such/dir/j", 1), 0);
     EXPECT_EQ(SweepJournal::openFromEnvironment(), nullptr);
     ASSERT_EQ(unsetenv("ENA_SWEEP_JOURNAL"), 0);
+}
+
+TEST(JournalKey, NamesEveryFieldOfEveryInputStructAtExactBits)
+{
+    expectEveryFieldInTheKey(NodeConfig{}, 18);
+    expectEveryFieldInTheKey(ClusterConfig{}, 12);
+    expectEveryFieldInTheKey(ResilienceSpec::paper(), 11);
+
+    EXPECT_EQ(journalKey("topo", 3), "topo[3]");
+    EXPECT_EQ(journalKey("dse", 0, 1.0, 2, true), "dse[0]:0x1p+0:2:1");
+    EXPECT_NE(journalKey("dse", 0, 1.0), journalKey("dse", 1, 1.0));
+}
+
+TEST(SweepCell, AThrowingComputeIsQuarantinedWithItsComputedFieldsReset)
+{
+    const std::uint64_t before = quarantinedSoFar();
+    const CellPoint p = runSweepCell(
+        "test sweep", 3, identity(7), [] { return Status(); },
+        [](CellPoint &q) {
+            q.value = 42.0;
+            q.slowdown = 2.0;
+            q.flag = true;
+            q.error = "partial";
+            throw std::runtime_error("model blew up");
+        });
+    EXPECT_FALSE(p.ok);
+    EXPECT_EQ(p.id, 7);
+    EXPECT_EQ(p.value, 0.0);
+    EXPECT_EQ(p.slowdown, 1.0);
+    EXPECT_FALSE(p.flag);
+    EXPECT_EQ(p.error, "model blew up");
+    EXPECT_EQ(quarantinedSoFar(), before + 1);
+}
+
+TEST(SweepCell, AnInvalidCellIsQuarantinedWithoutComputing)
+{
+    const std::uint64_t before = quarantinedSoFar();
+    bool computed = false;
+    const CellPoint p = runSweepCell(
+        "test sweep", 0, identity(5),
+        [] { return Status::outOfRange("bad cell"); },
+        [&](CellPoint &) { computed = true; });
+    EXPECT_FALSE(computed);
+    EXPECT_FALSE(p.ok);
+    EXPECT_EQ(p.id, 5);
+    EXPECT_EQ(p.error, "[out_of_range] bad cell");
+    EXPECT_EQ(quarantinedSoFar(), before + 1);
+
+    const CellPoint good = runSweepCell(
+        "test sweep", 1, identity(6), [] { return Status(); },
+        [](CellPoint &q) { q.value = 1.5; });
+    EXPECT_TRUE(good.ok);
+    EXPECT_EQ(good.value, 1.5);
+    EXPECT_EQ(quarantinedSoFar(), before + 1);
+}
+
+TEST(SweepCell, AJournaledCellReplaysBitForBitInsteadOfRecomputing)
+{
+    TempJournal t("cell_replay");
+    auto cell = [](SweepJournal *j, int id, int *computed) {
+        return runSweepCell(
+            j, [&] { return journalKey("cell", id); }, "test sweep", id,
+            identity(id),
+            [&] {
+                return id == 1 ? Status::invalidArgument("no\tgood\ncell")
+                               : Status();
+            },
+            [&](CellPoint &q) {
+                ++*computed;
+                q.value = 0.1 * id;
+                q.slowdown = INFINITY;
+                q.flag = true;
+            });
+    };
+    int computed = 0;
+    std::vector<CellPoint> fresh;
+    {
+        auto j = mustOpen(t.path);
+        for (int id = 0; id < 3; ++id)
+            fresh.push_back(cell(j.get(), id, &computed));
+        EXPECT_EQ(j->appendedRecords(), 3u);
+    }
+    EXPECT_EQ(computed, 2);
+
+    auto j = mustOpen(t.path);
+    for (int id = 0; id < 3; ++id) {
+        const CellPoint p = cell(j.get(), id, &computed);
+        EXPECT_EQ(p.id, id);
+        EXPECT_EQ(p.value, fresh[id].value);
+        EXPECT_EQ(p.slowdown, fresh[id].slowdown);
+        EXPECT_EQ(p.flag, fresh[id].flag);
+        EXPECT_EQ(p.ok, fresh[id].ok);
+        EXPECT_EQ(p.error, fresh[id].error);
+    }
+    EXPECT_EQ(j->appendedRecords(), 0u);   // every cell replayed
+    EXPECT_EQ(computed, 2);
+    EXPECT_EQ(fresh[1].error, "[invalid_argument] no\tgood\ncell");
+}
+
+TEST(SweepCell, AnUndecodablePayloadIsRecomputed)
+{
+    TempJournal t("cell_undecodable");
+    mustOpen(t.path)->append(journalKey("cell", 0), "0x1p+0 not-a-number");
+    auto j = mustOpen(t.path);
+    int computed = 0;
+    const CellPoint p = runSweepCell(
+        j.get(), [] { return journalKey("cell", 0); }, "test sweep", 0,
+        identity(0), [] { return Status(); },
+        [&](CellPoint &q) {
+            ++computed;
+            q.value = 2.0;
+        });
+    EXPECT_EQ(computed, 1);
+    EXPECT_EQ(p.value, 2.0);
+    EXPECT_TRUE(p.ok);
+    EXPECT_EQ(j->appendedRecords(), 1u);
 }

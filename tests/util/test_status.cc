@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the ena::Status / ena::Expected error substrate: codes,
- * context chaining, the ENA_TRY / ENA_ASSIGN_OR_RETURN plumbing, and
- * the StatusError exception bridge.
+ * context chaining, and the ENA_TRY / ENA_ASSIGN_OR_RETURN plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -193,23 +192,6 @@ TEST(StatusMacros, AssignOrReturnBindsOrPropagates)
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.status().code(), ErrorCode::OutOfRange);
     EXPECT_EQ(bad.status().message(), "want a positive value, got -1");
-}
-
-TEST(StatusError, CarriesTheStatusAcrossAThrow)
-{
-    try {
-        throwIfError(Status::internal("invariant violated"));
-        FAIL() << "throwIfError did not throw";
-    } catch (const StatusError &e) {
-        EXPECT_EQ(e.status().code(), ErrorCode::Internal);
-        EXPECT_EQ(e.status().message(), "invariant violated");
-        EXPECT_STREQ(e.what(), "[internal] invariant violated");
-    }
-}
-
-TEST(StatusError, ThrowIfErrorPassesOkThrough)
-{
-    EXPECT_NO_THROW(throwIfError(Status()));
 }
 
 TEST(StatusShims, CheckOrFatalExitsWithTheDiagnostic)
