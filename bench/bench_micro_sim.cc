@@ -9,9 +9,7 @@
 
 #include "core/ena.hh"
 #include "core/thermal_study.hh"
-#include "cpu/cpu_core.hh"
 #include "mem/cache.hh"
-#include "mem/compression.hh"
 #include "mem/hbm_stack.hh"
 #include "noc/detailed_network.hh"
 #include "noc/interposer_network.hh"
@@ -182,38 +180,6 @@ BM_DetailedNocTraversal(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DetailedNocTraversal);
-
-void
-BM_LineCompression(benchmark::State &state)
-{
-    SyntheticData gen(13);
-    std::vector<CacheLine> lines;
-    for (int i = 0; i < 256; ++i)
-        lines.push_back(gen.line(DataKind::SmoothField));
-    size_t i = 0;
-    for (auto _ : state) {
-        size_t sz = LineCompressor::compressedSize(
-            lines[i++ % lines.size()], CompressScheme::Best);
-        benchmark::DoNotOptimize(sz);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_LineCompression);
-
-void
-BM_CpuCoreExecution(benchmark::State &state)
-{
-    for (auto _ : state) {
-        Simulation sim;
-        auto *core = sim.create<CpuCore>("c", CpuCoreParams{},
-                                         SerialSectionProfile{}, 7);
-        core->execute(10000);
-        sim.run();
-        benchmark::DoNotOptimize(core->ipc());
-    }
-    state.SetItemsProcessed(state.iterations() * 10000);
-}
-BENCHMARK(BM_CpuCoreExecution);
 
 /** Windowed PDES throughput: Arg is the domain count (1 = the plain
  *  single-queue kernel). Workers exchange cross-domain messages at one

@@ -62,7 +62,7 @@ main()
     std::cout << "  dse: best-mean config " << best.label() << "\n";
 
     // 2. Cycle-level simulation: a burst of HBM accesses through the
-    //    event queue ("sim" span, sim.* stat gauges at dump).
+    //    event queue ("sim" span, sim.events_processed counter).
     {
         Simulation sim;
         auto *stack = sim.create<HbmStack>(

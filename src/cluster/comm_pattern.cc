@@ -51,12 +51,6 @@ tryCommPatternFromName(const std::string &name)
         "' (want halo, allreduce, or all-to-all)");
 }
 
-CommPattern
-commPatternFromName(const std::string &name)
-{
-    return unwrapOrFatal(tryCommPatternFromName(name));
-}
-
 const std::vector<CommPattern> &
 allCommPatterns()
 {

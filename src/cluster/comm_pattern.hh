@@ -43,7 +43,6 @@ enum class CommPattern
 
 std::string commPatternName(CommPattern p);
 Expected<CommPattern> tryCommPatternFromName(const std::string &name);
-CommPattern commPatternFromName(const std::string &name);
 const std::vector<CommPattern> &allCommPatterns();
 
 /** How the problem grows with the machine. */

@@ -290,12 +290,6 @@ ChipletStudy::compare(App app, const ChipletStudyParams &params) const
     return row;
 }
 
-Fig7Row
-ChipletStudy::compare(App app) const
-{
-    return compare(app, ChipletStudyParams::forApp(app));
-}
-
 std::vector<Fig7Row>
 ChipletStudy::compareAll(const std::vector<App> &apps, int domains) const
 {

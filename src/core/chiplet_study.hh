@@ -113,13 +113,11 @@ class ChipletStudy
     /** Run both modes and compare (one Fig. 7 entry). */
     Fig7Row compare(App app, const ChipletStudyParams &params) const;
 
-    /** compare() with the per-app default parameters. */
-    Fig7Row compare(App app) const;
-
     /**
-     * compare() for a whole app list with default parameters, running
-     * every (app, mode) simulation on the process-wide ThreadPool.
-     * Results are identical to calling compare(app) in a loop.
+     * compare() for a whole app list with each app's default parameters
+     * (ChipletStudyParams::forApp), running every (app, mode) simulation
+     * on the process-wide ThreadPool. Results are identical to calling
+     * compare() in a loop.
      * @p domains > 1 shards each chiplet-mode simulation into that
      * study's PDES domain layout (see ChipletStudyParams::domains).
      */

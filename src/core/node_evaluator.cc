@@ -36,15 +36,6 @@ NodeEvaluator::evaluateAll(const NodeConfig &cfg) const
 }
 
 double
-NodeEvaluator::meanBudgetPower(const NodeConfig &cfg) const
-{
-    std::vector<double> powers;
-    for (App app : allApps())
-        powers.push_back(evaluate(cfg, app).power.budgetPower());
-    return mean(powers);
-}
-
-double
 NodeEvaluator::maxBudgetPower(const NodeConfig &cfg) const
 {
     double worst = 0.0;

@@ -37,19 +37,13 @@ class NodeEvaluator
     EvalResult evaluate(const NodeConfig &cfg, App app) const;
 
     /**
-     * Retired name (core/eval_batch.hh): element i holds
-     * geomeanFlops/meanBudgetPower/maxBudgetPower of batch.at(i).
+     * Retired name (core/eval_batch.hh): element i holds the geomean
+     * flops and the mean and max budget power of batch.at(i).
      */
     BatchAggregates evaluateBatchAll(const NodeConfigBatch &batch) const;
 
     /** Evaluate every Table I application on one configuration. */
     std::vector<EvalResult> evaluateAll(const NodeConfig &cfg) const;
-
-    /**
-     * Budget-scope power (package + provisioned external static power)
-     * averaged over all applications.
-     */
-    double meanBudgetPower(const NodeConfig &cfg) const;
 
     /**
      * Worst-case budget-scope power across all applications — the

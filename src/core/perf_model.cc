@@ -58,13 +58,6 @@ PerfModel::externalRateGbs(const NodeConfig &cfg, const KernelProfile &k)
     return std::min(cfg.ext.aggregateGbs(), littles_gbs);
 }
 
-Activity
-PerfModel::makeActivity(const NodeConfig &cfg, const KernelProfile &k,
-                        double flops, double peak) const
-{
-    return perf_terms::makeActivity(cfg.bwTbs, k, flops, peak);
-}
-
 PerfResult
 PerfModel::evaluate(const NodeConfig &cfg, const KernelProfile &k) const
 {

@@ -88,10 +88,6 @@ class PerfModel
 
     /** Memory roofline for a given effective bandwidth. */
     static double memoryRate(double eff_bw_gbs, const KernelProfile &k);
-
-    /** Fill the Activity vector from an achieved performance point. */
-    Activity makeActivity(const NodeConfig &cfg, const KernelProfile &k,
-                          double flops, double peak) const;
 };
 
 } // namespace ena

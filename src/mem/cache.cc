@@ -131,31 +131,4 @@ Cache::probe(std::uint64_t addr) const
     return false;
 }
 
-bool
-Cache::invalidate(std::uint64_t addr)
-{
-    std::uint32_t set = setIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    std::uint32_t base = set * params_.ways;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        Line &line = lines_[base + w];
-        if (line.valid && line.tag == tag) {
-            bool dirty = line.dirty;
-            line.valid = false;
-            line.dirty = false;
-            return dirty;
-        }
-    }
-    return false;
-}
-
-void
-Cache::flush()
-{
-    for (Line &line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
-}
-
 } // namespace ena

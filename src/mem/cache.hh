@@ -59,12 +59,6 @@ class Cache
     /** Hit check without side effects. */
     bool probe(std::uint64_t addr) const;
 
-    /** Drop a line if present; returns true when it was dirty. */
-    bool invalidate(std::uint64_t addr);
-
-    /** Invalidate everything (kernel boundary). */
-    void flush();
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t writebacks() const { return writebacks_; }

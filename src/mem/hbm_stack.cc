@@ -101,18 +101,6 @@ HbmStack::access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
     eventq().scheduleLambda(finish, std::move(done), "hbm completion");
 }
 
-Tick
-HbmStack::peekServiceLatency(std::uint64_t addr) const
-{
-    const Channel &ch = channels_[channelOf(addr)];
-    std::uint32_t bank = bankOf(addr);
-    bool row_hit = ch.openRow[bank] == rowOf(addr);
-    double access_ns = row_hit ? params_.rowHitNs : params_.rowMissNs;
-    Tick start = std::max(curTick(), ch.busyUntil);
-    return (start - curTick()) +
-           static_cast<Tick>(access_ns * tickPerNs);
-}
-
 double
 HbmStack::rowHitRate() const
 {

@@ -57,10 +57,6 @@ class HbmStack : public SimObject
     void access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
                 Callback done);
 
-    /** Completion tick an access issued now would see (no side effects
-     *  beyond reserving the channel — used by tests). */
-    Tick peekServiceLatency(std::uint64_t addr) const;
-
     const HbmParams &params() const { return params_; }
 
     double rowHitRate() const;

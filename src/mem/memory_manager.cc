@@ -82,8 +82,6 @@ MemoryManager::runEpochMigration()
     std::vector<std::pair<std::uint64_t, std::uint64_t>> hot_ext;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> cold_in;
     for (auto &[page, info] : pages_) {
-        if (info.pinned)
-            continue;
         if (info.level == MemLevel::External && info.epochCount > 0)
             hot_ext.emplace_back(info.epochCount, page);
         else if (info.level == MemLevel::InPackage)
@@ -151,31 +149,6 @@ MemoryManager::accessStatic(std::uint64_t page) const
         static_cast<double>(params_.inPackageBytes +
                             params_.externalBytes);
     return u < in_frac ? MemLevel::InPackage : MemLevel::External;
-}
-
-void
-MemoryManager::pin(std::uint64_t addr, std::uint64_t bytes,
-                   MemLevel level)
-{
-    if (params_.mode != MemMode::SoftwareManaged)
-        ENA_FATAL("pin() requires SoftwareManaged mode");
-    std::uint64_t first = pageOf(addr);
-    std::uint64_t last = pageOf(addr + (bytes ? bytes - 1 : 0));
-    for (std::uint64_t p = first; p <= last; ++p) {
-        PageInfo &info = pages_[p];
-        if (info.level != level) {
-            if (level == MemLevel::InPackage) {
-                if (inPkgPagesUsed_ >= inPkgPageCapacity_)
-                    ENA_FATAL("pin: in-package capacity exhausted");
-                ++inPkgPagesUsed_;
-            } else if (info.level == MemLevel::InPackage) {
-                --inPkgPagesUsed_;
-            }
-            info.level = level;
-            ++migrations_;
-        }
-        info.pinned = true;
-    }
 }
 
 double

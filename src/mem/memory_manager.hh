@@ -63,9 +63,6 @@ class MemoryManager
     /** Fraction of accesses serviced in-package so far. */
     double inPackageHitRate() const;
 
-    /** Explicit user-level placement API (Section II-B3's user API). */
-    void pin(std::uint64_t addr, std::uint64_t bytes, MemLevel level);
-
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t inPackageAccesses() const { return inPkgAccesses_; }
     std::uint64_t migrations() const { return migrations_; }
@@ -80,7 +77,6 @@ class MemoryManager
     {
         MemLevel level = MemLevel::External;
         std::uint64_t epochCount = 0;
-        bool pinned = false;
     };
 
     std::uint64_t pageOf(std::uint64_t addr) const;

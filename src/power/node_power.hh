@@ -71,10 +71,6 @@ struct PowerBreakdown
     {
         return total() - cuDyn - externalPower();
     }
-
-    /** Component-wise sum (for averaging across applications). */
-    PowerBreakdown &operator+=(const PowerBreakdown &o);
-    PowerBreakdown &operator*=(double k);
 };
 
 /**

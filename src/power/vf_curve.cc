@@ -14,12 +14,6 @@ VfCurve::VfCurve()
 {
 }
 
-VfCurve::VfCurve(double base, double slope, double v_min, double v_nominal)
-    : base_(base), slope_(slope), vMin_(v_min), vNominal_(v_nominal)
-{
-    ENA_ASSERT(slope >= 0.0 && v_nominal > 0.0, "bad VF curve parameters");
-}
-
 double
 VfCurve::voltage(double f_ghz) const
 {

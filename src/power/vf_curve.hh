@@ -20,9 +20,6 @@ class VfCurve
     /** Curve with default calibration constants. */
     VfCurve();
 
-    /** Custom curve (volts = base + slope * f_ghz, clamped to vmin). */
-    VfCurve(double base, double slope, double v_min, double v_nominal);
-
     /** Supply voltage at @p f_ghz on the standard curve. */
     double voltage(double f_ghz) const;
 

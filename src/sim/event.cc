@@ -43,14 +43,6 @@ EventQueue::deschedule(Event *ev)
     // The heap entry is left in place and skipped lazily when popped.
 }
 
-void
-EventQueue::reschedule(Event *ev, Tick when)
-{
-    if (ev->scheduled_)
-        deschedule(ev);
-    schedule(ev, when);
-}
-
 EventFunctionWrapper *
 EventQueue::scheduleLambda(Tick when, std::function<void()> fn,
                            std::string desc)

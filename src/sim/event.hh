@@ -104,9 +104,6 @@ class EventQueue
     /** Remove a scheduled event from the queue. */
     void deschedule(Event *ev);
 
-    /** Move a scheduled (or idle) event to a new tick. */
-    void reschedule(Event *ev, Tick when);
-
     /**
      * Schedule a one-shot callable; the kernel allocates and later frees
      * the wrapper event. The returned pointer stays valid until the

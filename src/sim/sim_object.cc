@@ -17,12 +17,6 @@ SimObject::eventq() const
     return sim_.eventq(domain_);
 }
 
-StatRegistry &
-SimObject::stats() const
-{
-    return sim_.stats();
-}
-
 Tick
 SimObject::curTick() const
 {

@@ -51,7 +51,6 @@ class SimObject
     /** Convenience accessors; eventq()/curTick() are this object's
      *  domain queue and its clock. */
     EventQueue &eventq() const;
-    StatRegistry &stats() const;
     Tick curTick() const;
 
     /** Schedule relative to the current tick. */

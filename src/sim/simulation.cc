@@ -147,8 +147,6 @@ Simulation::run(Tick limit)
         "sim.events_processed",
         "events executed across all cycle-level simulations");
     processed.add(events);
-    if (telemetry::metricsEnabled())
-        publishStats();
     return events;
 }
 
@@ -233,27 +231,6 @@ Simulation::deliverOutboxes()
         eventq(m.dst).scheduleLambda(m.when, std::move(m.fn),
                                      std::move(m.desc));
     }
-}
-
-void
-Simulation::publishStats() const
-{
-    stats_.forEach([](const StatBase &s) {
-        if (const auto *sc = dynamic_cast<const StatScalar *>(&s)) {
-            telemetry::gauge("sim." + sc->name(), sc->desc())
-                .set(sc->value());
-        } else if (const auto *f =
-                       dynamic_cast<const StatFormula *>(&s)) {
-            telemetry::gauge("sim." + f->name(), f->desc())
-                .set(f->value());
-        } else if (const auto *d =
-                       dynamic_cast<const StatDistribution *>(&s)) {
-            telemetry::gauge("sim." + d->name() + ".samples", d->desc())
-                .set(static_cast<double>(d->samples()));
-            telemetry::gauge("sim." + d->name() + ".mean", d->desc())
-                .set(d->mean());
-        }
-    });
 }
 
 } // namespace ena

@@ -166,20 +166,11 @@ class Simulation
      * Returns number of events processed. With multiple domains this
      * executes conservative windows with barrier message exchange;
      * domain clocks all advance to the limit (or the global last event
-     * tick) before returning. Traced as a "sim" span; when metrics are
-     * enabled the stat registry is bridged into the telemetry registry
-     * afterwards (see publishStats()).
+     * tick) before returning. Traced as a "sim" span, and the events
+     * are added to the process-wide "sim.events_processed" counter; the
+     * simulation's own stats stay in stats().
      */
     std::uint64_t run(Tick limit = maxTick);
-
-    /**
-     * Mirror every scalar/formula stat into the process-wide telemetry
-     * registry as gauge "sim.<name>" (distributions become
-     * "sim.<name>.samples"/".mean"). Called automatically at the end
-     * of run() when ENA_METRICS is active; last writer wins if several
-     * simulations share stat names.
-     */
-    void publishStats() const;
 
     size_t numObjects() const { return objects_.size(); }
 

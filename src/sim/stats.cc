@@ -81,32 +81,6 @@ StatDistribution::render() const
 }
 
 void
-StatDistribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    samples_ = 0;
-    sum_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
-StatFormula::StatFormula(StatRegistry &registry, std::string name,
-                         std::string desc, std::function<double()> fn)
-    : StatBase(registry, std::move(name), std::move(desc)),
-      fn_(std::move(fn))
-{
-    ENA_ASSERT(fn_, "formula stat '", this->name(), "' needs a function");
-}
-
-std::string
-StatFormula::render() const
-{
-    return strformat("%.6g", fn_());
-}
-
-void
 StatRegistry::add(StatBase *stat)
 {
     auto [it, inserted] = stats_.emplace(stat->name(), stat);
@@ -137,8 +111,6 @@ StatRegistry::value(const std::string &name) const
         ENA_FATAL("no stat named '", name, "'");
     if (auto *sc = dynamic_cast<StatScalar *>(s))
         return sc->value();
-    if (auto *f = dynamic_cast<StatFormula *>(s))
-        return f->value();
     ENA_FATAL("stat '", name, "' has no scalar value");
 }
 
@@ -149,21 +121,6 @@ StatRegistry::dump(std::ostream &os) const
         os << name << " " << stat->render() << " # " << stat->desc()
            << "\n";
     }
-}
-
-void
-StatRegistry::forEach(
-    const std::function<void(const StatBase &)> &fn) const
-{
-    for (const auto &[name, stat] : stats_)
-        fn(*stat);
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &[name, stat] : stats_)
-        stat->reset();
 }
 
 } // namespace ena

@@ -1,15 +1,14 @@
 /**
  * @file
  * Lightweight statistics package for the event-driven simulator, in the
- * spirit of gem5's stats: named scalars, distributions, and formulas
- * registered in a per-simulation registry and dumped as a sorted report.
+ * spirit of gem5's stats: named scalars and distributions registered in
+ * a per-simulation registry and dumped as a sorted report.
  */
 
 #ifndef ENA_SIM_STATS_HH
 #define ENA_SIM_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -35,9 +34,6 @@ class StatBase
     /** One-line textual rendering of the value(s). */
     virtual std::string render() const = 0;
 
-    /** Reset to the just-constructed state. */
-    virtual void reset() = 0;
-
   private:
     StatRegistry *registry_;
     std::string name_;
@@ -57,7 +53,6 @@ class StatScalar : public StatBase
     double value() const { return value_; }
 
     std::string render() const override;
-    void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -82,7 +77,6 @@ class StatDistribution : public StatBase
     std::uint64_t overflows() const { return overflow_; }
 
     std::string render() const override;
-    void reset() override;
 
   private:
     double lo_;
@@ -95,22 +89,6 @@ class StatDistribution : public StatBase
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/** A derived value computed on demand (ratios, rates). */
-class StatFormula : public StatBase
-{
-  public:
-    StatFormula(StatRegistry &registry, std::string name, std::string desc,
-                std::function<double()> fn);
-
-    double value() const { return fn_(); }
-
-    std::string render() const override;
-    void reset() override {}
-
-  private:
-    std::function<double()> fn_;
 };
 
 /** Owner of all statistics for one simulation. */
@@ -131,17 +109,11 @@ class StatRegistry
     /** Find by exact name; nullptr when absent. */
     StatBase *find(const std::string &name) const;
 
-    /** Scalar/formula value by name; fatal() when absent or wrong type. */
+    /** Scalar value by name; fatal() when absent or not a scalar. */
     double value(const std::string &name) const;
 
     /** Dump "name value # desc" lines sorted by name. */
     void dump(std::ostream &os) const;
-
-    /** Visit every registered stat in name order. */
-    void forEach(const std::function<void(const StatBase &)> &fn) const;
-
-    /** Reset every registered stat. */
-    void resetAll();
 
     size_t size() const { return stats_.size(); }
 

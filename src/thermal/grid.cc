@@ -14,15 +14,6 @@ LayerTemps::peak() const
     return *std::max_element(t.begin(), t.end());
 }
 
-double
-LayerTemps::mean() const
-{
-    double s = 0.0;
-    for (double v : t)
-        s += v;
-    return s / static_cast<double>(t.size());
-}
-
 ThermalGrid::ThermalGrid(ThermalGridParams params,
                          std::vector<Layer> layers)
     : params_(params), layers_(std::move(layers))
@@ -141,127 +132,6 @@ ThermalGrid::solve()
     }
     solved_ = true;
     return iter + 1;
-}
-
-double
-ThermalGrid::stableDtS() const
-{
-    // Conservative bound: C_min / G_max over layers.
-    const double dx = params_.widthM / static_cast<double>(nx_);
-    const double dy = params_.depthM / static_cast<double>(ny_);
-    double worst = 1e30;
-    for (size_t l = 0; l < layers_.size(); ++l) {
-        double cap = layers_[l].heatCapacity * dx * dy *
-                     layers_[l].thicknessM;
-        double glx = layers_[l].conductivity * layers_[l].thicknessM *
-                     dy / dx;
-        double gly = layers_[l].conductivity * layers_[l].thicknessM *
-                     dx / dy;
-        double gup = 0.0;
-        double gdn = 0.0;
-        double area = dx * dy;
-        if (l + 1 < layers_.size()) {
-            double r = layers_[l].thicknessM /
-                           (2.0 * layers_[l].conductivity) +
-                       layers_[l + 1].thicknessM /
-                           (2.0 * layers_[l + 1].conductivity);
-            gup = area / r;
-        } else {
-            gup = 1.0 / (params_.sinkResistance *
-                         static_cast<double>(nx_ * ny_));
-        }
-        if (l > 0) {
-            double r = layers_[l].thicknessM /
-                           (2.0 * layers_[l].conductivity) +
-                       layers_[l - 1].thicknessM /
-                           (2.0 * layers_[l - 1].conductivity);
-            gdn = area / r;
-        }
-        double gtot = 2.0 * glx + 2.0 * gly + gup + gdn;
-        worst = std::min(worst, cap / gtot);
-    }
-    return 0.5 * worst;
-}
-
-int
-ThermalGrid::stepTransient(double seconds)
-{
-    ENA_ASSERT(seconds > 0.0, "transient needs positive duration");
-    const size_t nl = layers_.size();
-    const double dx = params_.widthM / static_cast<double>(nx_);
-    const double dy = params_.depthM / static_cast<double>(ny_);
-    const double area = dx * dy;
-
-    std::vector<double> glx(nl);
-    std::vector<double> gly(nl);
-    std::vector<double> gup(nl, 0.0);
-    std::vector<double> cap(nl);
-    for (size_t l = 0; l < nl; ++l) {
-        glx[l] = layers_[l].conductivity * layers_[l].thicknessM * dy /
-                 dx;
-        gly[l] = layers_[l].conductivity * layers_[l].thicknessM * dx /
-                 dy;
-        cap[l] = layers_[l].heatCapacity * area * layers_[l].thicknessM;
-        if (l + 1 < nl) {
-            double r = layers_[l].thicknessM /
-                           (2.0 * layers_[l].conductivity) +
-                       layers_[l + 1].thicknessM /
-                           (2.0 * layers_[l + 1].conductivity);
-            gup[l] = area / r;
-        }
-    }
-    double g_sink =
-        1.0 / (params_.sinkResistance * static_cast<double>(nx_ * ny_));
-
-    double dt = stableDtS();
-    int steps = static_cast<int>(seconds / dt) + 1;
-    dt = seconds / steps;
-
-    std::vector<double> next(temps_.size());
-    for (int step = 0; step < steps; ++step) {
-        for (size_t l = 0; l < nl; ++l) {
-            const PowerMap &pm = layers_[l].power;
-            for (size_t y = 0; y < ny_; ++y) {
-                for (size_t x = 0; x < nx_; ++x) {
-                    size_t i = idx(l, x, y);
-                    double t = temps_[i];
-                    double q = pm.at(x, y);
-                    if (x > 0)
-                        q += glx[l] * (temps_[idx(l, x - 1, y)] - t);
-                    if (x + 1 < nx_)
-                        q += glx[l] * (temps_[idx(l, x + 1, y)] - t);
-                    if (y > 0)
-                        q += gly[l] * (temps_[idx(l, x, y - 1)] - t);
-                    if (y + 1 < ny_)
-                        q += gly[l] * (temps_[idx(l, x, y + 1)] - t);
-                    if (l > 0)
-                        q += gup[l - 1] *
-                             (temps_[idx(l - 1, x, y)] - t);
-                    if (l + 1 < nl) {
-                        q += gup[l] * (temps_[idx(l + 1, x, y)] - t);
-                    } else {
-                        q += g_sink * (params_.ambientC - t);
-                    }
-                    next[i] = t + dt * q / cap[l];
-                }
-            }
-        }
-        temps_.swap(next);
-    }
-
-    layerTemps_.clear();
-    for (size_t l = 0; l < nl; ++l) {
-        LayerTemps lt;
-        lt.name = layers_[l].name;
-        lt.nx = nx_;
-        lt.ny = ny_;
-        lt.t.assign(temps_.begin() + static_cast<long>(idx(l, 0, 0)),
-                    temps_.begin() +
-                        static_cast<long>(idx(l, 0, 0) + nx_ * ny_));
-        layerTemps_.push_back(std::move(lt));
-    }
-    solved_ = true;
-    return steps;
 }
 
 const std::vector<LayerTemps> &

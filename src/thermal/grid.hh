@@ -27,8 +27,6 @@ struct Layer
     std::string name;
     double thicknessM = 100e-6;     ///< meters
     double conductivity = 120.0;    ///< W/(m K); silicon ~ 110-150
-    /** Volumetric heat capacity, J/(m^3 K); silicon ~ 1.66e6. */
-    double heatCapacity = 1.66e6;
     PowerMap power;                 ///< dissipation per cell (W)
 };
 
@@ -55,7 +53,6 @@ struct LayerTemps
 
     double at(size_t x, size_t y) const { return t[y * nx + x]; }
     double peak() const;
-    double mean() const;
 };
 
 class ThermalGrid
@@ -65,20 +62,6 @@ class ThermalGrid
 
     /** Run SOR to convergence; returns iterations used. */
     int solve();
-
-    /**
-     * Advance the transient solution by @p seconds with explicit Euler
-     * steps of at most the stability limit (power maps and boundary
-     * held constant). Starts from the current field (ambient initially,
-     * or the last solve()/step result). Returns the steps taken.
-     */
-    int stepTransient(double seconds);
-
-    /**
-     * Largest stable explicit time step (min over cells of
-     * capacitance / total conductance).
-     */
-    double stableDtS() const;
 
     /** Per-layer temperatures (solve() must have been called). */
     const std::vector<LayerTemps> &temperatures() const;

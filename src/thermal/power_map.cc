@@ -1,7 +1,5 @@
 #include "thermal/power_map.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace ena {
@@ -48,12 +46,6 @@ PowerMap::totalWatts() const
     for (double c : cells_)
         s += c;
     return s;
-}
-
-double
-PowerMap::maxCell() const
-{
-    return *std::max_element(cells_.begin(), cells_.end());
 }
 
 } // namespace ena

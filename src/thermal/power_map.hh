@@ -42,8 +42,6 @@ class PowerMap
     /** Sum over all cells. */
     double totalWatts() const;
 
-    double maxCell() const;
-
     const std::vector<double> &cells() const { return cells_; }
 
   private:

@@ -122,15 +122,6 @@ Config::origin(const std::string &key) const
 }
 
 Expected<std::string>
-Config::tryGetString(const std::string &key) const
-{
-    const Entry *e = lookup(key);
-    if (!e)
-        return Status::notFound("missing config key '", key, "'");
-    return e->value;
-}
-
-Expected<std::string>
 Config::tryGetString(const std::string &key,
                      const std::string &dflt) const
 {
@@ -218,13 +209,6 @@ Config::keysWithPrefix(const std::string &prefix) const
             out.push_back(k);
     }
     return out;
-}
-
-void
-Config::merge(const Config &other)
-{
-    for (const auto &[k, v] : other.values_)
-        values_[k] = v;
 }
 
 std::string

@@ -6,7 +6,7 @@
  * Keys are dotted strings ("ehp.cus", "extmem.nvm_fraction"); values are
  * stored as strings and converted on access. Supports parsing from
  * "key = value" text (one per line, '#' comments) so examples and benches
- * can be driven from config files, and merging/overriding for sweeps.
+ * can be driven from config files.
  *
  * Errors are values: every entry point returns ena::Status /
  * ena::Expected with precise source:line/key diagnostics, so a sweep
@@ -81,7 +81,6 @@ class Config
      * is absent but still report a present-but-bad value. Diagnostics
      * carry the key and its source:line origin.
      */
-    Expected<std::string> tryGetString(const std::string &key) const;
     Expected<std::string> tryGetString(const std::string &key,
                                        const std::string &dflt) const;
     Expected<double> tryGetDouble(const std::string &key) const;
@@ -96,15 +95,12 @@ class Config
     /** All keys with the given prefix (e.g. "extmem."). */
     std::vector<std::string> keysWithPrefix(const std::string &prefix) const;
 
-    /** Merge @p other into this config; other's values win. */
-    void merge(const Config &other);
-
     /** Serialize back to "key = value" lines in sorted key order. */
     std::string toString() const;
 
     /**
      * Where a key was parsed from ("cfg.ini:12"); empty for keys added
-     * via set()/merge or when unknown. Used in diagnostics.
+     * via set() or when unknown. Used in diagnostics.
      */
     std::string origin(const std::string &key) const;
 

@@ -112,12 +112,5 @@ informImpl(const std::string &msg)
         emitLine(LogLevel::Info, "info: " + msg, false);
 }
 
-void
-debugImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Debug)
-        emitLine(LogLevel::Debug, "debug: " + msg, false);
-}
-
 } // namespace detail
 } // namespace ena

@@ -24,7 +24,7 @@ enum class LogLevel { Silent, Error, Warn, Info, Debug };
 /** Get the current global log level. */
 LogLevel logLevel();
 
-/** Set the global log level (affects inform/warn/debug output). */
+/** Set the global log level (affects inform/warn output). */
 void setLogLevel(LogLevel level);
 
 /**
@@ -48,7 +48,6 @@ namespace detail {
                             const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Format a parameter pack into a single string via ostringstream. */
 template <typename... Args>
@@ -102,14 +101,6 @@ void
 inform(Args &&...args)
 {
     detail::informImpl(detail::formatMsg(std::forward<Args>(args)...));
-}
-
-/** Verbose debugging output, only shown at LogLevel::Debug. */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    detail::debugImpl(detail::formatMsg(std::forward<Args>(args)...));
 }
 
 } // namespace ena

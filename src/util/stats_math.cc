@@ -33,18 +33,6 @@ geomean(const std::vector<double> &xs)
 }
 
 double
-stdev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    double m = mean(xs);
-    double s = 0.0;
-    for (double x : xs)
-        s += (x - m) * (x - m);
-    return std::sqrt(s / static_cast<double>(xs.size() - 1));
-}
-
-double
 percentile(std::vector<double> xs, double p)
 {
     if (xs.empty())
@@ -60,18 +48,6 @@ percentile(std::vector<double> xs, double p)
     return xs[lo] + frac * (xs[lo + 1] - xs[lo]);
 }
 
-std::vector<double>
-linspace(double lo, double hi, size_t n)
-{
-    ENA_ASSERT(n >= 2, "linspace needs n >= 2");
-    std::vector<double> out(n);
-    double step = (hi - lo) / static_cast<double>(n - 1);
-    for (size_t i = 0; i < n; ++i)
-        out[i] = lo + step * static_cast<double>(i);
-    out.back() = hi;
-    return out;
-}
-
 double
 clamp(double v, double lo, double hi)
 {
@@ -84,72 +60,6 @@ smoothMin(double a, double b, double p)
     ENA_ASSERT(a > 0.0 && b > 0.0, "smoothMin needs positive rates");
     ENA_ASSERT(p > 0.0, "smoothMin needs positive norm");
     return std::pow(std::pow(a, -p) + std::pow(b, -p), -1.0 / p);
-}
-
-double
-interpolate(const std::vector<double> &xs, const std::vector<double> &ys,
-            double x)
-{
-    ENA_ASSERT(xs.size() == ys.size() && !xs.empty(),
-               "interpolate needs matching non-empty vectors");
-    if (x <= xs.front())
-        return ys.front();
-    if (x >= xs.back())
-        return ys.back();
-    auto it = std::upper_bound(xs.begin(), xs.end(), x);
-    size_t i = static_cast<size_t>(it - xs.begin());
-    double t = (x - xs[i - 1]) / (xs[i] - xs[i - 1]);
-    return ys[i - 1] + t * (ys[i] - ys[i - 1]);
-}
-
-void
-Summary::add(double v)
-{
-    if (n_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++n_;
-    sum_ += v;
-    sumSq_ += v * v;
-}
-
-double
-Summary::mean() const
-{
-    if (n_ == 0)
-        ENA_FATAL("Summary::mean with no samples");
-    return sum_ / static_cast<double>(n_);
-}
-
-double
-Summary::min() const
-{
-    if (n_ == 0)
-        ENA_FATAL("Summary::min with no samples");
-    return min_;
-}
-
-double
-Summary::max() const
-{
-    if (n_ == 0)
-        ENA_FATAL("Summary::max with no samples");
-    return max_;
-}
-
-double
-Summary::stdev() const
-{
-    if (n_ < 2)
-        return 0.0;
-    double m = sum_ / static_cast<double>(n_);
-    double var = (sumSq_ - static_cast<double>(n_) * m * m) /
-                 static_cast<double>(n_ - 1);
-    return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
 } // namespace ena

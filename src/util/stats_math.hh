@@ -1,14 +1,12 @@
 /**
  * @file
- * Small numeric helpers: means, geomean, linspace, clamping, smooth
- * minimum (used by the analytic roofline model), and a simple online
- * summary accumulator.
+ * Small numeric helpers: means, geomean, percentiles, clamping and the
+ * smooth minimum used by the analytic roofline model.
  */
 
 #ifndef ENA_UTIL_STATS_MATH_HH
 #define ENA_UTIL_STATS_MATH_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace ena {
@@ -19,9 +17,6 @@ double mean(const std::vector<double> &xs);
 /** Geometric mean; fatal() on empty input or non-positive values. */
 double geomean(const std::vector<double> &xs);
 
-/** Sample standard deviation (n-1); zero for fewer than two samples. */
-double stdev(const std::vector<double> &xs);
-
 /**
  * The @p p-th percentile (0..100) by linear interpolation between
  * order statistics: rank = p/100 * (n-1). A one-element input returns
@@ -29,9 +24,6 @@ double stdev(const std::vector<double> &xs);
  * [0, 100].
  */
 double percentile(std::vector<double> xs, double p);
-
-/** @p n evenly spaced points from @p lo to @p hi inclusive (n >= 2). */
-std::vector<double> linspace(double lo, double hi, size_t n);
 
 /** Clamp @p v into [lo, hi]. */
 double clamp(double v, double lo, double hi);
@@ -42,30 +34,6 @@ double clamp(double v, double lo, double hi);
  * p ~ 4..8 gives the rounded roofline knees seen in measured GPU data.
  */
 double smoothMin(double a, double b, double p = 6.0);
-
-/** Linear interpolation of y(x) over sorted sample points (clamped). */
-double interpolate(const std::vector<double> &xs,
-                   const std::vector<double> &ys, double x);
-
-/** Online accumulator for count/mean/min/max/stdev. */
-class Summary
-{
-  public:
-    void add(double v);
-
-    size_t count() const { return n_; }
-    double mean() const;
-    double min() const;
-    double max() const;
-    double stdev() const;
-
-  private:
-    size_t n_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace ena
 

@@ -104,27 +104,6 @@ TEST(Cache, WriteHitMarksDirty)
     EXPECT_TRUE(saw_wb);
 }
 
-TEST(Cache, InvalidateReturnsDirtyState)
-{
-    Cache c(smallCache());
-    c.access(0x100, true);
-    EXPECT_TRUE(c.invalidate(0x100));
-    EXPECT_FALSE(c.probe(0x100));
-    c.access(0x200, false);
-    EXPECT_FALSE(c.invalidate(0x200));
-    EXPECT_FALSE(c.invalidate(0x300));   // not present
-}
-
-TEST(Cache, FlushClearsEverything)
-{
-    Cache c(smallCache());
-    for (std::uint64_t i = 0; i < 32; ++i)
-        c.access(i * 64, true);
-    c.flush();
-    for (std::uint64_t i = 0; i < 32; ++i)
-        EXPECT_FALSE(c.probe(i * 64));
-}
-
 TEST(Cache, HitRate)
 {
     Cache c(smallCache());

@@ -126,43 +126,6 @@ TEST(MemoryManager, StaticInterleaveMatchesCapacityRatio)
     EXPECT_NEAR(mgr.inPackageHitRate(), 0.25, 0.02);
 }
 
-TEST(MemoryManager, PinForcesPlacement)
-{
-    MemoryManager mgr(smallParams(MemMode::SoftwareManaged));
-    mgr.pin(500 * 4096, 2 * 4096, MemLevel::InPackage);
-    EXPECT_EQ(static_cast<int>(mgr.access(500 * 4096, false)),
-              static_cast<int>(MemLevel::InPackage));
-    EXPECT_EQ(static_cast<int>(mgr.access(501 * 4096, false)),
-              static_cast<int>(MemLevel::InPackage));
-}
-
-TEST(MemoryManager, PinnedPagesResistMigration)
-{
-    MemoryManager mgr(smallParams(MemMode::SoftwareManaged));
-    mgr.pin(0, 64ull * 4096, MemLevel::InPackage);   // fill + pin
-    // Hammer external pages: nothing may displace the pinned ones.
-    Rng rng(4);
-    for (int i = 0; i < 5000; ++i)
-        mgr.access((100 + rng.below(50)) * 4096, false);
-    for (std::uint64_t p = 0; p < 64; ++p)
-        EXPECT_EQ(static_cast<int>(mgr.access(p * 4096, false)),
-                  static_cast<int>(MemLevel::InPackage));
-}
-
-TEST(MemoryManagerDeathTest, PinBeyondCapacityIsFatal)
-{
-    MemoryManager mgr(smallParams(MemMode::SoftwareManaged));
-    EXPECT_EXIT(mgr.pin(0, 65ull * 4096, MemLevel::InPackage),
-                testing::ExitedWithCode(1), "capacity exhausted");
-}
-
-TEST(MemoryManagerDeathTest, PinRequiresSoftwareMode)
-{
-    MemoryManager mgr(smallParams(MemMode::HwCache));
-    EXPECT_EXIT(mgr.pin(0, 4096, MemLevel::InPackage),
-                testing::ExitedWithCode(1), "SoftwareManaged");
-}
-
 TEST(MemoryManager, AccessCountersConsistent)
 {
     MemoryManager mgr(smallParams(MemMode::StaticInterleave));

@@ -183,22 +183,6 @@ TEST(NodePower, IdleActivityStillBurnsPower)
     EXPECT_GT(p.total(), 50.0);
 }
 
-TEST(NodePower, BreakdownArithmetic)
-{
-    PowerBreakdown a;
-    a.cuDyn = 10.0;
-    a.sys = 2.0;
-    PowerBreakdown b;
-    b.cuDyn = 5.0;
-    b.extMemDyn = 1.0;
-    a += b;
-    EXPECT_DOUBLE_EQ(a.cuDyn, 15.0);
-    EXPECT_DOUBLE_EQ(a.extMemDyn, 1.0);
-    a *= 0.5;
-    EXPECT_DOUBLE_EQ(a.cuDyn, 7.5);
-    EXPECT_DOUBLE_EQ(a.sys, 1.0);
-}
-
 TEST(NodePower, ActivityHelper)
 {
     Activity a;

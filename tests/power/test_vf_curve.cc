@@ -64,15 +64,9 @@ TEST(VfCurve, NtcFadesOutAtHighFrequency)
 
 TEST(VfCurve, NtcNeverBelowVmin)
 {
-    VfCurve vf(0.3, 0.1, 0.45, 0.7);
-    EXPECT_GE(vf.voltageNtc(0.5), 0.45);
-}
-
-TEST(VfCurve, CustomCurve)
-{
-    VfCurve vf(0.4, 0.25, 0.45, 0.65);
-    EXPECT_NEAR(vf.voltage(1.0), 0.65, 1e-12);
-    EXPECT_NEAR(vf.dynScale(1.0), 1.0, 1e-12);
+    // Unclamped, the NTC curve would give 0.5 + 0.2 * 0.2 - 0.13 V.
+    VfCurve vf;
+    EXPECT_DOUBLE_EQ(vf.voltageNtc(0.2), 0.45);
 }
 
 TEST(VfCurveDeathTest, NonPositiveFrequencyPanics)

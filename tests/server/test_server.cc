@@ -10,6 +10,7 @@
  * reads, joined reader threads and descriptor exhaustion.
  */
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -19,6 +20,8 @@
 
 #include <fcntl.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -1026,15 +1029,19 @@ TEST(EvalServer, ReadersOfClosedConnectionsAreJoined)
 
 TEST(EvalServer, AcceptRecoversFromRunningOutOfDescriptors)
 {
-    ServerOptions opts;
-    opts.endpoint = Endpoint::unixPath(testSocketPath("emfile"));
-    opts.workers = 2;
-    auto server = EvalServer::start(opts);
-    ASSERT_TRUE(server.ok()) << server.status().toString();
+    // Linux accept() takes its descriptor slot before it waits for a
+    // connection, so every slot must be full before the accept thread
+    // exists: the client's socket is opened first, then the limit
+    // leaves exactly one slot, which the listener takes. Each accept
+    // then fails with EMFILE until the limit is raised again.
+    const std::string path = testSocketPath("emfile");
+    Socket client(::socket(AF_UNIX, SOCK_STREAM, 0));
+    ASSERT_TRUE(client.valid()) << std::strerror(errno);
+    ASSERT_LT(path.size(), sizeof(sockaddr_un::sun_path));
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size());
 
-    // Allow descriptors only below the lowest free one plus one: the
-    // client's socket takes that one, so the daemon's accept of the
-    // connection fails with EMFILE until the limit is raised again.
     rlimit saved{};
     ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
     const int lowestFree = ::open("/dev/null", O_RDONLY);
@@ -1043,15 +1050,40 @@ TEST(EvalServer, AcceptRecoversFromRunningOutOfDescriptors)
     rlimit lowered = saved;
     lowered.rlim_cur = static_cast<rlim_t>(lowestFree) + 1;
     ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
-    auto sock = connectTo((*server)->endpoint());
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
-    ASSERT_TRUE(sock.ok()) << sock.status().toString();
 
-    ASSERT_TRUE(sock->setRecvTimeout(10.0).ok());
-    Expected<std::string> pong = roundTrip(*sock, "{\"op\":\"ping\"}");
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(path);
+    opts.workers = 2;
+    auto server = EvalServer::start(opts);
+    int connected = -1;
+    int connectErrno = 0;
+    if (server.ok()) {
+        connected = ::connect(client.fd(),
+                              reinterpret_cast<sockaddr *>(&addr),
+                              sizeof addr);
+        connectErrno = errno;
+    }
+    const Status sent = client.sendAll("{\"op\":\"ping\"}\n");
+    const Status bounded = client.setRecvTimeout(0.2);
+    std::string buffer;
+    std::string line;
+    const Expected<bool> early = client.recvLine(&buffer, &line);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+    ASSERT_EQ(connected, 0) << std::strerror(connectErrno);
+    ASSERT_TRUE(sent.ok()) << sent.toString();
+    ASSERT_TRUE(bounded.ok()) << bounded.toString();
+    // The daemon cannot accept the connection yet, so nothing answers.
+    ASSERT_FALSE(early.ok()) << "reply while out of descriptors: " << line;
+    EXPECT_NE(early.status().message().find("timed out"), std::string::npos)
+        << early.status().toString();
+
+    ASSERT_TRUE(client.setRecvTimeout(10.0).ok());
+    const Expected<bool> pong = client.recvLine(&buffer, &line);
     ASSERT_TRUE(pong.ok()) << pong.status().toString();
-    EXPECT_NE(pong->find("\"ok\":true"), std::string::npos) << *pong;
+    ASSERT_TRUE(*pong) << "EOF before the pong";
+    EXPECT_NE(line.find("\"ok\":true"), std::string::npos) << line;
 
     (*server)->stop();
 }

@@ -82,7 +82,8 @@ TEST(EventQueue, RescheduleMovesEvent)
     RecordingEvent b(log, 2);
     q.schedule(&a, 10);
     q.schedule(&b, 20);
-    q.reschedule(&a, 30);
+    q.deschedule(&a);
+    q.schedule(&a, 30);
     q.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
     EXPECT_EQ(q.curTick(), 30u);
@@ -189,13 +190,16 @@ TEST(EventQueue, DescheduledLambdaFreedOnDestruction)
 
 TEST(EventQueue, RescheduledLambdaFreedOnceOnDestruction)
 {
-    // A rescheduled event leaves lazily-deleted heap entries behind;
-    // the destructor must free the wrapper exactly once even when it
-    // appears in several entries (double-free checked under ASan).
+    // Descheduling and scheduling again leaves lazily-deleted heap
+    // entries behind; the destructor must free the wrapper exactly once
+    // even when it appears in several entries (double-free checked
+    // under ASan).
     auto *q = new EventQueue;
     EventFunctionWrapper *ev = q->scheduleLambda(10, [] {});
-    q->reschedule(ev, 30);
-    q->reschedule(ev, 50);
+    q->deschedule(ev);
+    q->schedule(ev, 30);
+    q->deschedule(ev);
+    q->schedule(ev, 50);
     delete q;
     SUCCEED();
 }

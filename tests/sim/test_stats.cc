@@ -20,8 +20,6 @@ TEST(Stats, ScalarAccumulates)
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
     s.set(10.0);
     EXPECT_DOUBLE_EQ(s.value(), 10.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Stats, RegistryLookupAndValue)
@@ -92,31 +90,6 @@ TEST(Stats, DistributionWeightedSamples)
     EXPECT_DOUBLE_EQ(d.mean(), 5.0);
 }
 
-TEST(Stats, DistributionReset)
-{
-    StatRegistry reg;
-    StatDistribution d(reg, "d", "x", 0.0, 10.0, 5);
-    d.sample(5.0);
-    d.reset();
-    EXPECT_EQ(d.samples(), 0u);
-    EXPECT_EQ(d.buckets()[2], 0u);
-}
-
-TEST(Stats, FormulaEvaluatesOnDemand)
-{
-    StatRegistry reg;
-    StatScalar hits(reg, "hits", "x");
-    StatScalar total(reg, "total", "x");
-    StatFormula rate(reg, "rate", "hit rate", [&] {
-        return total.value() > 0.0 ? hits.value() / total.value() : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(rate.value(), 0.0);
-    hits += 3;
-    total += 4;
-    EXPECT_DOUBLE_EQ(rate.value(), 0.75);
-    EXPECT_DOUBLE_EQ(reg.value("rate"), 0.75);
-}
-
 TEST(Stats, DumpContainsAllStats)
 {
     StatRegistry reg;
@@ -130,18 +103,6 @@ TEST(Stats, DumpContainsAllStats)
     // Sorted order: a.first before z.last.
     EXPECT_LT(out.find("a.first"), out.find("z.last"));
     EXPECT_NE(out.find("# first stat"), std::string::npos);
-}
-
-TEST(Stats, ResetAll)
-{
-    StatRegistry reg;
-    StatScalar a(reg, "a", "x");
-    StatScalar b(reg, "b", "x");
-    a += 5;
-    b += 7;
-    reg.resetAll();
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    EXPECT_DOUBLE_EQ(b.value(), 0.0);
 }
 
 TEST(Stats, DistributionIgnoresZeroCountSamples)

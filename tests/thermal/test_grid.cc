@@ -154,67 +154,6 @@ TEST(ThermalGrid, SolverConvergesWithinBudget)
     EXPECT_LT(iters, p.maxIterations);
 }
 
-TEST(ThermalGrid, TransientApproachesSteadyState)
-{
-    ThermalGridParams p;
-    std::vector<Layer> layers;
-    layers.push_back(makeLayer("die", 8, 20.0));
-    ThermalGrid steady(p, {makeLayer("die", 8, 20.0)});
-    steady.solve();
-    double target = steady.peak("die");
-
-    ThermalGrid transient(p, std::move(layers));
-    // A short transient undershoots; a long one converges.
-    transient.stepTransient(1e-4);
-    double early = transient.peak("die");
-    EXPECT_LT(early, target - 1.0);
-    transient.stepTransient(60.0);
-    EXPECT_NEAR(transient.peak("die"), target, 0.25);
-}
-
-TEST(ThermalGrid, TransientHeatsMonotonically)
-{
-    ThermalGridParams p;
-    std::vector<Layer> layers;
-    layers.push_back(makeLayer("die", 8, 15.0));
-    ThermalGrid grid(p, std::move(layers));
-    double prev = p.ambientC;
-    for (int i = 0; i < 5; ++i) {
-        grid.stepTransient(0.05);
-        double t = grid.peak("die");
-        EXPECT_GE(t, prev - 1e-9);
-        prev = t;
-    }
-    EXPECT_GT(prev, p.ambientC);
-}
-
-TEST(ThermalGrid, TransientReachesHotStateAndDtIsSane)
-{
-    ThermalGridParams p;
-    std::vector<Layer> layers;
-    layers.push_back(makeLayer("die", 8, 15.0));
-    ThermalGrid grid(p, std::move(layers));
-    grid.stepTransient(60.0);   // reach (near) steady state
-    EXPECT_GT(grid.peak("die"), p.ambientC + 5.0);
-    // The explicit-Euler stability step must be positive and far below
-    // the stack's thermal time constant (seconds).
-    EXPECT_GT(grid.stableDtS(), 0.0);
-    EXPECT_LT(grid.stableDtS(), 1.0);
-}
-
-TEST(ThermalGrid, HigherHeatCapacitySlowsTheTransient)
-{
-    ThermalGridParams p;
-    auto rise_after = [&](double cap) {
-        Layer die = makeLayer("die", 8, 15.0);
-        die.heatCapacity = cap;
-        ThermalGrid grid(p, {die});
-        grid.stepTransient(0.02);
-        return grid.peak("die") - p.ambientC;
-    };
-    EXPECT_GT(rise_after(0.5e6), rise_after(4e6) + 0.2);
-}
-
 TEST(ThermalGridDeathTest, MismatchedLayersAreFatal)
 {
     ThermalGridParams p;

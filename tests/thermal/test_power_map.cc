@@ -44,7 +44,6 @@ TEST(PowerMap, LayersAccumulate)
     EXPECT_NEAR(m.totalWatts(), 20.0, 1e-9);
     EXPECT_NEAR(m.at(0, 0), 2.0, 1e-12);
     EXPECT_NEAR(m.at(3, 3), 1.0, 1e-12);
-    EXPECT_NEAR(m.maxCell(), 2.0, 1e-12);
 }
 
 TEST(PowerMap, SetAndAdd)

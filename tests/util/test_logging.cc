@@ -31,7 +31,6 @@ TEST(Logging, WarnAndInformDoNotTerminate)
     setLogLevel(LogLevel::Silent);
     warn("suppressed warning ", 42);
     inform("suppressed info");
-    debugLog("suppressed debug");
     setLogLevel(LogLevel::Warn);
     SUCCEED();
 }

@@ -30,22 +30,6 @@ TEST(StatsMathDeathTest, GeomeanRejectsNonPositive)
                 "positive");
 }
 
-TEST(StatsMath, Stdev)
-{
-    EXPECT_DOUBLE_EQ(stdev({1.0}), 0.0);
-    EXPECT_NEAR(stdev({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}),
-                2.13809, 1e-4);
-}
-
-TEST(StatsMath, Linspace)
-{
-    auto v = linspace(0.0, 1.0, 5);
-    ASSERT_EQ(v.size(), 5u);
-    EXPECT_DOUBLE_EQ(v.front(), 0.0);
-    EXPECT_DOUBLE_EQ(v[2], 0.5);
-    EXPECT_DOUBLE_EQ(v.back(), 1.0);
-}
-
 TEST(StatsMath, Clamp)
 {
     EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 1.0), 1.0);
@@ -82,28 +66,6 @@ TEST(StatsMath, SmoothMinEqualInputs)
     // p-norm of equal rates: a * 2^(-1/p).
     double s = smoothMin(4.0, 4.0, 6.0);
     EXPECT_NEAR(s, 4.0 * std::pow(2.0, -1.0 / 6.0), 1e-12);
-}
-
-TEST(StatsMath, InterpolateWithinAndOutside)
-{
-    std::vector<double> xs = {0.0, 1.0, 2.0};
-    std::vector<double> ys = {0.0, 10.0, 40.0};
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, 0.5), 5.0);
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, 1.5), 25.0);
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, -1.0), 0.0);   // clamped
-    EXPECT_DOUBLE_EQ(interpolate(xs, ys, 3.0), 40.0);   // clamped
-}
-
-TEST(StatsMath, SummaryAccumulates)
-{
-    Summary s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_NEAR(s.stdev(), 1.29099, 1e-4);
 }
 
 TEST(StatsMathDeathTest, MeanRejectsEmpty)
@@ -149,12 +111,4 @@ TEST(StatsMathDeathTest, PercentileRejectsEmptyAndBadP)
                 "0, 100");
     EXPECT_EXIT(percentile({1.0}, 100.5), testing::ExitedWithCode(1),
                 "0, 100");
-}
-
-TEST(StatsMath, SummarySingleSample)
-{
-    Summary s;
-    s.add(7.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 7.0);
-    EXPECT_DOUBLE_EQ(s.stdev(), 0.0);
 }
