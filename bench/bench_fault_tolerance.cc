@@ -132,8 +132,14 @@ main(int argc, char **argv)
 
     const NodeEvaluator &eval = bench::evaluator();
     const DseGrid grid = benchGrid();
-    DesignSpaceExplorer dse(eval, grid, cal::nodePowerBudgetW);
     const PowerOptConfig opts = PowerOptConfig::none();
+    // Every run is a fresh explorer's first sweep: a second sweep on
+    // one explorer reuses the first one's flops, so its pool tasks
+    // would not recompute what the comparison is about.
+    auto sweep = [&](SweepJournal *journal) {
+        return DesignSpaceExplorer(eval, grid, cal::nodePowerBudgetW)
+            .sweep(opts, journal);
+    };
 
     std::cout << "grid: " << grid.size() << " configurations; "
               << threads << " thread(s)\n";
@@ -142,7 +148,7 @@ main(int argc, char **argv)
     std::cout << "\n[a] fault injection + retry vs fault-free serial\n";
     fault_inject::clearFaultPlan();
     ThreadPool::setGlobalThreads(1);
-    const std::vector<DsePoint> serial = dse.sweep(opts, nullptr);
+    const std::vector<DsePoint> serial = sweep(nullptr);
 
     ThreadPool::setGlobalThreads(threads);
     ThreadPool::global().setRetryPolicy(RetryPolicy::attempts(4));
@@ -152,7 +158,7 @@ main(int argc, char **argv)
     plan.faultsPerTask = 2;   // transient: absorbed within 3 attempts
     const std::uint64_t before = fault_inject::faultsInjected();
     fault_inject::setFaultPlan(plan);
-    const std::vector<DsePoint> faulted = dse.sweep(opts, nullptr);
+    const std::vector<DsePoint> faulted = sweep(nullptr);
     fault_inject::clearFaultPlan();
     const std::uint64_t injected = fault_inject::faultsInjected() - before;
 
@@ -170,11 +176,11 @@ main(int argc, char **argv)
     std::remove(jpath.c_str());
     std::remove(jcut.c_str());
 
-    const std::vector<DsePoint> reference = dse.sweep(opts, nullptr);
+    const std::vector<DsePoint> reference = sweep(nullptr);
 
     {
         auto j = mustOpen(jpath);
-        const std::vector<DsePoint> journaled = dse.sweep(opts, j.get());
+        const std::vector<DsePoint> journaled = sweep(j.get());
         check(identical(reference, journaled),
               "journaled sweep matches unjournaled sweep");
         check(j->appendedRecords() == grid.size(),
@@ -185,7 +191,7 @@ main(int argc, char **argv)
         auto j = mustOpen(jpath);
         check(j->loadedRecords() == grid.size(),
               "journal reloads every record intact");
-        const std::vector<DsePoint> replay = dse.sweep(opts, j.get());
+        const std::vector<DsePoint> replay = sweep(j.get());
         check(identical(reference, replay),
               "fully-journaled replay round-trips bit-identically");
         check(j->appendedRecords() == 0, "replay recomputed nothing");
@@ -198,7 +204,7 @@ main(int argc, char **argv)
               "truncated journal keeps only the intact records");
         check(j->droppedRecords() == 1,
               "the torn trailing record is dropped");
-        const std::vector<DsePoint> resumed = dse.sweep(opts, j.get());
+        const std::vector<DsePoint> resumed = sweep(j.get());
         check(identical(reference, resumed),
               "resumed sweep reproduces the uninterrupted table "
               "bit-identically");

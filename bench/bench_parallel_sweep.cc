@@ -11,6 +11,15 @@
  * Timing alternates between the two pool sizes, one round at a time,
  * and reports per-side medians: a host stall or a shift in core speed
  * then lands on both sides alike instead of deciding the verdict.
+ * Every timed search runs on a fresh explorer, built outside the
+ * timer: a later search on one explorer reuses the first one's flops
+ * and prices only power.
+ *
+ * Just before the timed rounds, a probe runs fixed arithmetic on N
+ * plain std::threads and on one, with no pool, lock or shared data.
+ * Its speedup, printed beside the sweep's, is what the host gave this
+ * process then: a failed speedup gate with a probe near 1x is the
+ * host's doing, not the pool's.
  *
  * Usage: bench_parallel_sweep [THREADS] [--json <path>]
  *   (THREADS default: ENA_THREADS / all)
@@ -18,6 +27,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -50,21 +60,57 @@ struct DseOutputs
 };
 
 /** One round on a fresh @p threads pool: an untimed warm-up sweep,
- *  then one timed sweep and one timed Table II search. */
+ *  then one timed sweep and one timed Table II search, each the first
+ *  search of its own explorer. */
 void
-timeRound(const DesignSpaceExplorer &dse, const NodeConfig &best_mean,
-          int threads, DseOutputs &out)
+timeRound(const DseGrid &grid, const NodeConfig &best_mean, int threads,
+          DseOutputs &out)
 {
+    auto explorer = [&] {
+        return DesignSpaceExplorer(bench::evaluator(), grid,
+                                   cal::nodePowerBudgetW);
+    };
     ThreadPool::setGlobalThreads(threads);
-    dse.sweep(PowerOptConfig::none(), nullptr);
+    explorer().sweep(PowerOptConfig::none(), nullptr);
 
+    const DesignSpaceExplorer sweep_dse = explorer();
     auto t0 = std::chrono::steady_clock::now();
-    out.points = dse.sweep(PowerOptConfig::none(), nullptr);
+    out.points = sweep_dse.sweep(PowerOptConfig::none(), nullptr);
     out.sweepSec.push_back(secondsSince(t0));
 
+    const DesignSpaceExplorer table_dse = explorer();
     t0 = std::chrono::steady_clock::now();
-    out.rows = dse.tableII(best_mean);
+    out.rows = table_dse.tableII(best_mean);
     out.tableSec.push_back(secondsSince(t0));
+}
+
+/** Seconds @p threads plain threads take for a fixed total of integer
+ *  arithmetic, split evenly between them. */
+double
+probeSeconds(int threads)
+{
+    const std::uint64_t total_steps = std::uint64_t{1} << 24;
+    std::vector<std::uint64_t> out(threads);
+    auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&out, t, steps = total_steps / threads] {
+            std::uint64_t x = 0x9e3779b97f4a7c15ull + t;   // xorshift64
+            for (std::uint64_t i = 0; i < steps; ++i) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+            }
+            out[t] = x;
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    const double sec = secondsSince(t0);
+    volatile std::uint64_t sink = 0;
+    for (std::uint64_t x : out)
+        sink = sink + x;
+    return sec;
 }
 
 double
@@ -123,9 +169,7 @@ main(int argc, char **argv)
                   "search) serial vs parallel,\nand a bitwise "
                   "serial/parallel equivalence check.");
 
-    const NodeEvaluator &eval = bench::evaluator();
     DseGrid grid = DseGrid::paperGrid();
-    DesignSpaceExplorer dse(eval, grid, cal::nodePowerBudgetW);
     const NodeConfig best_mean = bench::bestMean();
 
     std::cout << "grid: " << grid.size() << " configurations x "
@@ -133,10 +177,19 @@ main(int argc, char **argv)
               << std::thread::hardware_concurrency()
               << "; parallel run uses " << threads << " thread(s)\n\n";
 
+    std::vector<double> probe_serial, probe_parallel;
+    for (int r = 0; r < 3; ++r) {
+        probe_serial.push_back(probeSeconds(1));
+        probe_parallel.push_back(probeSeconds(threads));
+    }
+    const double probe_serial_s = median(probe_serial);
+    const double probe_parallel_s = median(probe_parallel);
+    const double probe_speedup = probe_serial_s / probe_parallel_s;
+
     DseOutputs serial, parallel;
     for (int r = 0; r < rounds; ++r) {
-        timeRound(dse, best_mean, 1, serial);
-        timeRound(dse, best_mean, threads, parallel);
+        timeRound(grid, best_mean, 1, serial);
+        timeRound(grid, best_mean, threads, parallel);
     }
     ThreadPool::setGlobalThreads(0);
 
@@ -158,6 +211,11 @@ main(int argc, char **argv)
         .add(serial_table * 1e3, "%.3f")
         .add(parallel_table * 1e3, "%.3f")
         .add(table_speedup, "%.2fx");
+    t.row()
+        .add("plain-thread probe")
+        .add(probe_serial_s * 1e3, "%.3f")
+        .add(probe_parallel_s * 1e3, "%.3f")
+        .add(probe_speedup, "%.2fx");
     bench::show(t, "parallel_sweep");
 
     const bool bit_identical = identical(serial, parallel);
@@ -174,6 +232,7 @@ main(int argc, char **argv)
         report.metric("tableII_serial_ms", serial_table * 1e3);
         report.metric("tableII_parallel_ms", parallel_table * 1e3);
         report.metric("tableII_speedup", table_speedup);
+        report.metric("thread_probe_speedup", probe_speedup);
         report.metric("bit_identical", bit_identical ? 1.0 : 0.0);
         if (!report.writeTo(json_path))
             return 1;
@@ -192,11 +251,15 @@ main(int argc, char **argv)
     if (std::thread::hardware_concurrency() >= 4 && threads >= 4) {
         if (sweep_speedup < 2.0) {
             std::cerr << "FAIL: sweep speedup " << sweep_speedup
-                      << "x < 2x with " << threads << " threads\n";
+                      << "x < 2x with " << threads
+                      << " threads (plain-thread probe: " << probe_speedup
+                      << "x)\n";
             return 1;
         }
         std::cout << "speedup gate: " << sweep_speedup
-                  << "x >= 2x with " << threads << " threads — ok\n";
+                  << "x >= 2x with " << threads
+                  << " threads (plain-thread probe: " << probe_speedup
+                  << "x) — ok\n";
     } else {
         std::cout << "speedup gate skipped (need 4+ hardware threads; "
                      "this host has "

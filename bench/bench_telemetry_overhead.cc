@@ -6,10 +6,11 @@
  *  1. Disabled overhead: with tracing and metrics off, the instrumented
  *     DesignSpaceExplorer::sweep must stay within 2% of a bench-local
  *     replica of the same algorithm with no telemetry calls of its
- *     own. Both sides build one DseGridScorer and make the same
- *     score() calls over the same pool chunks (so they share the
- *     scorer's and the pool's telemetry); the gate measures only the
- *     spans, counters and gauge the sweep adds around them.
+ *     own. Each timed sweep is a fresh explorer's first sweep, built
+ *     outside the timer. Both sides build one DseGridScorer and make
+ *     the same score() calls over the same pool chunks (so they share
+ *     the scorer's and the pool's telemetry); the gate measures only
+ *     the spans, counters and gauge the sweep adds around them.
  *
  *  2. Determinism: with tracing AND metrics enabled (in memory), the
  *     parallel sweep must stay element-for-element bit-identical to
@@ -48,14 +49,16 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * DesignSpaceExplorer::sweep(none, no journal) without its telemetry:
- * the same enumeration and validation, one DseGridScorer, then the
- * same score() calls and per-point folds over the same sweepChunkSize
- * chunks on the pool, results into per-index slots.
+ * A fresh explorer's first sweep(none, no journal) without its
+ * telemetry: the same enumeration and validation, one DseGridScorer,
+ * then the same score() calls, pricing flops, and per-point folds
+ * over the same sweepChunkSize chunks on the pool, results into
+ * per-index slots; then the copy of the flops table that the explorer
+ * keeps, into @p kept_flops.
  */
 std::vector<DsePoint>
 plainSweep(const NodeEvaluator &eval, const DseGrid &grid,
-           double budget_w)
+           double budget_w, std::vector<double> &kept_flops)
 {
     const PowerOptConfig opts = PowerOptConfig::none();
     std::vector<DsePoint> points(grid.size());
@@ -68,7 +71,7 @@ plainSweep(const NodeEvaluator &eval, const DseGrid &grid,
     }
 
     const std::vector<App> &apps = allApps();
-    const DseGridScorer scorer(eval, grid, apps, {opts});
+    const DseGridScorer scorer(eval, grid, {opts});
     GridScores scores = scorer.makeScores();
     const std::size_t chunk =
         sweepChunkSize(todo.size(), ThreadPool::global().threads());
@@ -94,6 +97,7 @@ plainSweep(const NodeEvaluator &eval, const DseGrid &grid,
             p.feasible = p.maxBudgetPowerW <= budget_w;
         }
     });
+    kept_flops = scores.flopsTable();
     return points;
 }
 
@@ -135,7 +139,6 @@ main(int argc, char **argv)
 
     const NodeEvaluator &eval = bench::evaluator();
     DseGrid grid = DseGrid::paperGrid();
-    DesignSpaceExplorer dse(eval, grid, cal::nodePowerBudgetW);
 
     // A run under ENA_TRACE/ENA_METRICS would invalidate the
     // disabled-mode measurement; make the state explicit instead.
@@ -158,10 +161,14 @@ main(int argc, char **argv)
          ++attempt) {
         plain_best = instr_best = 1e30;
         for (int r = 0; r < repeats; ++r) {
+            std::vector<double> plain_flops;
             auto t0 = std::chrono::steady_clock::now();
-            plain_pts = plainSweep(eval, grid, cal::nodePowerBudgetW);
+            plain_pts = plainSweep(eval, grid, cal::nodePowerBudgetW,
+                                   plain_flops);
             plain_best = std::min(plain_best, secondsSince(t0));
 
+            const DesignSpaceExplorer dse(eval, grid,
+                                          cal::nodePowerBudgetW);
             t0 = std::chrono::steady_clock::now();
             instr_pts = dse.sweep(PowerOptConfig::none(), nullptr);
             instr_best = std::min(instr_best, secondsSince(t0));
@@ -197,10 +204,12 @@ main(int argc, char **argv)
 
     ThreadPool::setGlobalThreads(1);
     std::vector<DsePoint> serial =
-        dse.sweep(PowerOptConfig::none(), nullptr);
+        DesignSpaceExplorer(eval, grid, cal::nodePowerBudgetW)
+            .sweep(PowerOptConfig::none(), nullptr);
     ThreadPool::setGlobalThreads(threads);
     std::vector<DsePoint> parallel =
-        dse.sweep(PowerOptConfig::none(), nullptr);
+        DesignSpaceExplorer(eval, grid, cal::nodePowerBudgetW)
+            .sweep(PowerOptConfig::none(), nullptr);
 
     telemetry::disableTracing();
     telemetry::disableMetrics();

@@ -150,9 +150,10 @@ DseGrid::at(std::size_t i, const PowerOptConfig &opts) const
 }
 
 DseGridScorer::DseGridScorer(const NodeEvaluator &eval,
-                             const DseGrid &grid, std::vector<App> apps,
-                             std::vector<PowerOptConfig> settings)
-    : grid_(grid), apps_(std::move(apps)), settings_(std::move(settings))
+                             const DseGrid &grid,
+                             std::vector<PowerOptConfig> settings,
+                             const std::vector<double> *flops)
+    : grid_(grid), settings_(std::move(settings)), flops_(flops)
 {
     const std::size_t nc = grid_.cus.size();
     const std::size_t nf = grid_.freqsGhz.size();
@@ -183,14 +184,41 @@ DseGridScorer::DseGridScorer(const NodeEvaluator &eval,
         }
     }
 
-    const std::size_t na = apps_.size();
+    const std::vector<App> &apps = allApps();
+    const std::size_t na = apps.size();
+    for (App app : apps)
+        profiles_.push_back(&profileFor(app));
+    ENA_ASSERT(!flops_ || flops_->size() == grid_.size() * na,
+               "flops table of the wrong shape");
+
+    const VfCurve &vf_curve = eval.powerModel().vfCurve();
+    vf_.assign(settings_.size() * nf, {});
+    for (std::size_t s = 0; s < settings_.size(); ++s) {
+        for (std::size_t fi = 0; fi < nf; ++fi) {
+            if (freqOk_[fi]) {
+                vf_[s * nf + fi] = power_terms::vfScales(
+                    vf_curve, grid_.freqsGhz[fi], settings_[s].ntc);
+            }
+        }
+    }
+    hbmStaticW_.assign(nb, 0.0);
+    for (std::size_t bi = 0; bi < nb; ++bi) {
+        if (bwOk_[bi]) {
+            hbmStaticW_[bi] = power_terms::hbmStaticW(grid_.bwsTbs[bi],
+                                                      base_.gpuChiplets);
+        }
+    }
+    extStatic_ = power_terms::extStaticW(base_.ext);
+
+    // The performance terms; a scorer given flops prices only power.
+    if (flops_)
+        return;
     computeRate_.assign(na * nc * nf, 0.0);
     powCompute_.assign(na * nc * nf, 0.0);
     usableGbs_.assign(na * nb, 0.0);
     std::vector<double> cu_scale(nc), f_scale(nf);
     for (std::size_t a = 0; a < na; ++a) {
-        const KernelProfile &k = profileFor(apps_[a]);
-        profiles_.push_back(&k);
+        const KernelProfile &k = *profiles_[a];
         for (std::size_t ci = 0; ci < nc; ++ci) {
             if (cuOk_[ci])
                 cu_scale[ci] = perf_terms::cuScale(grid_.cus[ci], k);
@@ -216,25 +244,6 @@ DseGridScorer::DseGridScorer(const NodeEvaluator &eval,
             }
         }
     }
-
-    const VfCurve &vf_curve = eval.powerModel().vfCurve();
-    vf_.assign(settings_.size() * nf, {});
-    for (std::size_t s = 0; s < settings_.size(); ++s) {
-        for (std::size_t fi = 0; fi < nf; ++fi) {
-            if (freqOk_[fi]) {
-                vf_[s * nf + fi] = power_terms::vfScales(
-                    vf_curve, grid_.freqsGhz[fi], settings_[s].ntc);
-            }
-        }
-    }
-    hbmStaticW_.assign(nb, 0.0);
-    for (std::size_t bi = 0; bi < nb; ++bi) {
-        if (bwOk_[bi]) {
-            hbmStaticW_[bi] = power_terms::hbmStaticW(grid_.bwsTbs[bi],
-                                                      base_.gpuChiplets);
-        }
-    }
-    extStatic_ = power_terms::extStaticW(base_.ext);
 }
 
 void
@@ -244,8 +253,9 @@ DseGridScorer::score(std::span<const std::size_t> indices,
     const std::size_t nc = grid_.cus.size();
     const std::size_t nf = grid_.freqsGhz.size();
     const std::size_t nb = grid_.bwsTbs.size();
-    const std::size_t na = apps_.size();
-    evalsCounter().add(indices.size() * na);
+    const std::size_t na = profiles_.size();
+    if (!flops_)
+        evalsCounter().add(indices.size() * na);
 
     for (std::size_t i : indices) {
         const std::size_t ci = i / (nf * nb);
@@ -256,13 +266,21 @@ DseGridScorer::score(std::span<const std::size_t> indices,
         const int cus = grid_.cus[ci];
         const double f = grid_.freqsGhz[fi];
         const double bw = grid_.bwsTbs[bi];
+        const double peak = peak_[ci * nf + fi];
 
         for (std::size_t a = 0; a < na; ++a) {
-            const std::size_t cf = (a * nc + ci) * nf + fi;
-            PerfResult perf = perf_terms::evaluatePerfPre(
-                cus, f, bw, *profiles_[a], peak_[ci * nf + fi],
-                computeRate_[cf], powCompute_[cf],
-                usableGbs_[a * nb + bi]);
+            const KernelProfile &k = *profiles_[a];
+            PerfResult perf;   // power reads only its flops and activity
+            if (flops_) {
+                perf.flops = (*flops_)[a * grid_.size() + i];
+                perf.activity =
+                    perf_terms::makeActivity(bw, k, perf.flops, peak);
+            } else {
+                const std::size_t cf = (a * nc + ci) * nf + fi;
+                perf = perf_terms::evaluatePerfPre(
+                    cus, f, bw, k, peak, computeRate_[cf], powCompute_[cf],
+                    usableGbs_[a * nb + bi]);
+            }
             out.flops(a, i) = perf.flops;
             for (std::size_t s = 0; s < settings_.size(); ++s) {
                 PowerBreakdown power = power_terms::evaluatePower(
@@ -282,15 +300,44 @@ DesignSpaceExplorer::DesignSpaceExplorer(const NodeEvaluator &eval,
         ENA_FATAL("empty DSE grid");
 }
 
+template <typename Fold>
 GridScores
-DesignSpaceExplorer::scoreGrid(const DseGridScorer &scorer) const
+DesignSpaceExplorer::price(std::vector<PowerOptConfig> settings,
+                           const std::vector<std::size_t> &table_points,
+                           const std::vector<std::size_t> &todo,
+                           Fold &&fold) const
+{
+    // No lock is held while pricing, so a pass that throws keeps
+    // nothing and a search inside a pool task cannot deadlock; racing
+    // first searches each price flops, and the first to finish keeps.
+    const bool kept = haveFlops_.load(std::memory_order_acquire);
+    const std::vector<std::size_t> &points = kept ? todo : table_points;
+    const DseGridScorer scorer(eval_, grid_, std::move(settings),
+                               kept ? &flops_ : nullptr);
+    GridScores scores = scorer.makeScores();
+    forEachChunk(points.size(), [&](std::size_t begin, std::size_t end) {
+        const std::span<const std::size_t> chunk(points.data() + begin,
+                                                 end - begin);
+        scorer.score(chunk, scores);
+        fold(scores, chunk);
+    });
+    if (!kept) {
+        std::lock_guard<std::mutex> lock(flopsMutex_);
+        if (!haveFlops_.load(std::memory_order_relaxed)) {
+            flops_ = scores.flopsTable();
+            haveFlops_.store(true, std::memory_order_release);
+        }
+    }
+    return scores;
+}
+
+GridScores
+DesignSpaceExplorer::priceGrid(std::vector<PowerOptConfig> settings) const
 {
     std::vector<std::size_t> indices(grid_.size());
     std::iota(indices.begin(), indices.end(), std::size_t{0});
-    GridScores scores = scorer.makeScores();
-    forEachChunk(indices.size(), [&](std::size_t begin, std::size_t end) {
-        scorer.score({indices.data() + begin, end - begin}, scores);
-    });
+    GridScores scores =
+        price(std::move(settings), indices, indices, [](auto &&...) {});
     configsCounter().add(grid_.size());
     return scores;
 }
@@ -326,19 +373,21 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
                            SweepJournal *journal) const
 {
     // Two phases. Phase 1 (serial, cheap): replay journaled points and
-    // quarantine invalid configs, collecting the surviving indices.
-    // Phase 2: the survivors are scored in pool chunks and folded into
-    // their own slots, so the output is identical to the serial
-    // enumeration for any thread count; with a journal every finished
-    // slot also streams to disk so a killed run resumes instead of
-    // recomputing.
+    // quarantine invalid configs, collecting the valid indices and the
+    // ones left to score. Phase 2: those are scored in pool chunks and
+    // folded into their own slots, so the output is identical to the
+    // serial enumeration for any thread count; with a journal every
+    // finished slot also streams to disk so a killed run resumes
+    // instead of recomputing.
     ENA_SPAN("dse", "sweep");
     const double t0 = telemetry::nowUs();
     const std::size_t n = grid_.size();
     std::vector<DsePoint> points(n);
     std::vector<std::string> keys(journal ? n : 0);
+    std::vector<bool> replayed(n);
 
-    std::vector<std::size_t> todo;
+    std::vector<std::size_t> valid, todo;
+    valid.reserve(n);
     todo.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         DsePoint &p = points[i];
@@ -346,40 +395,40 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
 
         if (journal) {
             keys[i] = journalKey("dse", i, p.cfg);
-            if (journal->replay(keys[i], &p)) {
+            replayed[i] = journal->replay(keys[i], &p);
+            if (replayed[i])
                 p.feasible = p.ok && p.maxBudgetPowerW <= budgetW_;
-                continue;
-            }
         }
 
-        Status valid = p.cfg.tryValidate();
-        if (!valid.ok()) {
-            quarantineCell(p, valid.toString(),
+        Status status = p.cfg.tryValidate();
+        if (status.ok()) {
+            valid.push_back(i);
+            if (!replayed[i])
+                todo.push_back(i);
+        } else if (!replayed[i]) {
+            quarantineCell(p, status.toString(),
                            "DSE: quarantined grid point ", i, " (",
                            p.cfg.label(), ")");
             if (journal)
                 journal->record(keys[i], p);
-            continue;
         }
-        todo.push_back(i);
     }
 
     if (!todo.empty()) {
-        const std::vector<App> &apps = allApps();
-        const DseGridScorer scorer(eval_, grid_, apps, {opts});
-        GridScores scores = scorer.makeScores();
-        forEachChunk(todo.size(), [&](std::size_t begin, std::size_t end) {
-            scorer.score({todo.data() + begin, end - begin}, scores);
-            // Fold exactly as the scalar helpers do: geomean and mean
-            // over allApps() order, max from 0.0.
-            std::vector<double> tmp(apps.size());
-            for (std::size_t j = begin; j < end; ++j) {
-                const std::size_t i = todo[j];
+        // Fold exactly as the scalar helpers do: geomean and mean over
+        // allApps() order, max from 0.0. Replayed points keep their
+        // journaled scores.
+        price({opts}, valid, todo, [&](const GridScores &scores,
+                                       std::span<const std::size_t> chunk) {
+            std::vector<double> tmp(allApps().size());
+            for (std::size_t i : chunk) {
+                if (replayed[i])
+                    continue;
                 DsePoint &p = points[i];
-                for (std::size_t a = 0; a < apps.size(); ++a)
+                for (std::size_t a = 0; a < tmp.size(); ++a)
                     tmp[a] = scores.flops(a, i);
                 p.geomeanFlops = geomean(tmp);
-                for (std::size_t a = 0; a < apps.size(); ++a)
+                for (std::size_t a = 0; a < tmp.size(); ++a)
                     tmp[a] = scores.budgetPowerW(0, a, i);
                 p.meanBudgetPowerW = mean(tmp);
                 double worst = 0.0;
@@ -424,22 +473,23 @@ DesignSpaceExplorer::findBestForApp(App app,
 {
     telemetry::ScopedSpan span(
         "dse", std::string("find_best_for_app:") + appName(app));
-    const DseGridScorer scorer(eval_, grid_, {app}, {opts});
-    return bestFeasible(scoreGrid(scorer), 0, 0, app, opts);
+    const std::vector<App> &apps = allApps();
+    const std::size_t pos =
+        std::find(apps.begin(), apps.end(), app) - apps.begin();
+    return bestFeasible(priceGrid({opts}), pos, 0, app, opts);
 }
 
 std::vector<TableIIRow>
 DesignSpaceExplorer::tableII(const NodeConfig &best_mean) const
 {
     // Performance does not depend on the power optimizations, so one
-    // pass prices every (point, app) once under both settings; the
+    // pass prices every (point, app) under both settings; the
     // per-(app, setting) argmaxes then run on the caller.
     ENA_SPAN("dse", "table2");
     const std::vector<App> &apps = allApps();
     const PowerOptConfig none = PowerOptConfig::none();
     const PowerOptConfig all = PowerOptConfig::all();
-    const DseGridScorer scorer(eval_, grid_, apps, {none, all});
-    const GridScores scores = scoreGrid(scorer);
+    const GridScores scores = priceGrid({none, all});
 
     std::vector<TableIIRow> rows;
     rows.reserve(apps.size());

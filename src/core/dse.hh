@@ -16,7 +16,9 @@
 #ifndef ENA_CORE_DSE_HH
 #define ENA_CORE_DSE_HH
 
+#include <atomic>
 #include <cstddef>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -93,9 +95,8 @@ Expected<std::vector<NodeConfig>> trySweepConfigs(
 
 /**
  * Scores written by DseGridScorer::score(), stored by grid index:
- * each scored application's flops, and its budget-scope power under
- * each scored power setting. Applications and settings are addressed
- * by their position in the scorer's lists.
+ * every application's flops, in allApps() order, and its budget-scope
+ * power under each of the scorer's settings, in their list order.
  */
 class GridScores
 {
@@ -118,6 +119,9 @@ class GridScores
         return flops_[app * points_ + i];
     }
 
+    /** Every flops slot, [app][point]: what a power-only score() reads. */
+    const std::vector<double> &flopsTable() const { return flops_; }
+
     double
     budgetPowerW(std::size_t setting, std::size_t app, std::size_t i) const
     {
@@ -138,8 +142,8 @@ class GridScores
 };
 
 /**
- * Prices DseGrid points for a list of applications under a list of
- * power settings: the DSE's evaluation engine.
+ * Prices DseGrid points for every application under a list of power
+ * settings: the DSE's evaluation engine.
  *
  * Every pow()-heavy term of the model reads one axis value or one
  * (CU, frequency) pair, so the constructor computes each of them once
@@ -151,7 +155,10 @@ class GridScores
  * HBM static power of every bandwidth. score() then makes one
  * perf_terms::evaluatePerfPre call per (point, application), whose
  * result no power optimization changes, and one
- * power_terms::evaluatePower call per setting on top of it.
+ * power_terms::evaluatePower call per setting on top of it. A scorer
+ * given the flops an earlier one priced skips the performance terms:
+ * perf_terms::makeActivity rebuilds each activity from the flops, as
+ * evaluatePerfPre builds it, and only power is priced.
  *
  * Same inputs, same functions, same operation order: every score is
  * bit-identical to NodeEvaluator::evaluate on DseGrid::at(i, setting),
@@ -161,31 +168,34 @@ class GridScores
 class DseGridScorer
 {
   public:
+    /** With @p flops, the flopsTable() an earlier scorer filled for
+     *  the points this one scores, score() copies their flops from it
+     *  and prices only power. @p flops must outlive the scorer. */
     DseGridScorer(const NodeEvaluator &eval, const DseGrid &grid,
-                  std::vector<App> apps,
-                  std::vector<PowerOptConfig> settings);
+                  std::vector<PowerOptConfig> settings,
+                  const std::vector<double> *flops = nullptr);
 
     /** Empty slots for every grid point, shaped for score(). */
     GridScores
     makeScores() const
     {
-        return GridScores(grid_.size(), apps_.size(), settings_.size());
+        return GridScores(grid_.size(), profiles_.size(), settings_.size());
     }
 
     /**
      * Score the grid points at @p indices into their slots of @p out.
      * Disjoint index lists may be scored concurrently into one @p out.
      * A point that fails NodeConfig validation is fatal with the
-     * scalar evaluator's diagnostic. Counts one node.evaluations per
-     * (point, application).
+     * scalar evaluator's diagnostic. A scorer that prices flops counts
+     * one node.evaluations per (point, application).
      */
     void score(std::span<const std::size_t> indices,
                GridScores &out) const;
 
   private:
     DseGrid grid_;
-    std::vector<App> apps_;
     std::vector<PowerOptConfig> settings_;
+    const std::vector<double> *flops_;   ///< null: price flops too
     NodeConfig base_;   ///< every field the grid does not sweep
 
     std::vector<const KernelProfile *> profiles_;   ///< [app]
@@ -255,8 +265,10 @@ struct TableIIRow
  * argmax reductions happen on the caller in grid-enumeration order.
  *
  * Every search builds one DseGridScorer and scores its points in
- * sweepChunkSize() chunks on the pool; nothing is cached across
- * searches.
+ * sweepChunkSize() chunks on the pool. The first search to complete
+ * keeps every application's flops at every valid grid point, which no
+ * power optimization changes; later searches price only power from
+ * them. Searches may run concurrently; an explorer cannot be copied.
  */
 class DesignSpaceExplorer
 {
@@ -306,8 +318,20 @@ class DesignSpaceExplorer
     }
 
   private:
-    /** Score every grid point with @p scorer on the pool. */
-    GridScores scoreGrid(const DseGridScorer &scorer) const;
+    /**
+     * Score points under @p settings in sweepChunkSize() chunks on the
+     * pool, calling @p fold(scores, chunk) after each chunk: @p todo
+     * from the kept flops, or, before any are kept, @p table_points
+     * (every valid point and all of @p todo), keeping their flops.
+     */
+    template <typename Fold>
+    GridScores price(std::vector<PowerOptConfig> settings,
+                     const std::vector<std::size_t> &table_points,
+                     const std::vector<std::size_t> &todo,
+                     Fold &&fold) const;
+
+    /** price() every grid point, with no fold (whole-grid searches). */
+    GridScores priceGrid(std::vector<PowerOptConfig> settings) const;
 
     /**
      * Argmax of one scored (app, setting) column: points over budget
@@ -321,6 +345,10 @@ class DesignSpaceExplorer
     const NodeEvaluator &eval_;
     DseGrid grid_;
     double budgetW_;
+    /** The kept flops, [app][point]: written once, then only read. */
+    mutable std::vector<double> flops_;
+    mutable std::atomic<bool> haveFlops_{false};   ///< flops_ is written
+    mutable std::mutex flopsMutex_;   ///< orders the one write of flops_
 };
 
 } // namespace ena

@@ -13,13 +13,18 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/dse.hh"
 #include "core/sweep_journal.hh"
+#include "telemetry/metrics.hh"
+#include "util/fault_inject.hh"
 #include "util/rng.hh"
+#include "util/stats_math.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
@@ -152,6 +157,33 @@ struct TempJournal
     std::string path;
 };
 
+/** tableII(best_mean) as serial argmaxes over evaluate(). */
+std::vector<TableIIRow>
+scalarTableIIRows(const DseGrid &g, const NodeConfig &best_mean,
+                  double budget)
+{
+    std::vector<TableIIRow> rows;
+    for (App app : allApps()) {
+        TableIIRow row;
+        row.app = app;
+        const double base = evaluator().evaluate(best_mean, app).perf.flops;
+        for (bool with_opt : {false, true}) {
+            PowerOptConfig opts =
+                with_opt ? PowerOptConfig::all() : PowerOptConfig::none();
+            std::optional<AppBest> top =
+                scalarBestForApp(g, app, opts, budget);
+            EXPECT_TRUE(top.has_value()) << appName(app);
+            const AppBest best = top.value_or(AppBest{});
+            const double benefit = (best.flops / base - 1.0) * 100.0;
+            (with_opt ? row.bestConfigOpt : row.bestConfig) = best.cfg;
+            (with_opt ? row.benefitWithOptPct : row.benefitNoOptPct) =
+                benefit;
+        }
+        rows.push_back(row);
+    }
+    return rows;
+}
+
 /** findBestMean(none) + tableII as a serial argmax over evaluate(). */
 struct ScalarAnswer
 {
@@ -175,26 +207,145 @@ scalarTableII(const DseGrid &g, double budget)
         }
     }
     EXPECT_TRUE(best.has_value()) << "no feasible best-mean point";
-
-    for (App app : allApps()) {
-        TableIIRow row;
-        row.app = app;
-        const double base = evaluator().evaluate(a.bestMean, app).perf.flops;
-        for (bool with_opt : {false, true}) {
-            PowerOptConfig opts =
-                with_opt ? PowerOptConfig::all() : PowerOptConfig::none();
-            std::optional<AppBest> top =
-                scalarBestForApp(g, app, opts, budget);
-            EXPECT_TRUE(top.has_value()) << appName(app);
-            const AppBest best = top.value_or(AppBest{});
-            const double benefit = (best.flops / base - 1.0) * 100.0;
-            (with_opt ? row.bestConfigOpt : row.bestConfig) = best.cfg;
-            (with_opt ? row.benefitWithOptPct : row.benefitNoOptPct) =
-                benefit;
-        }
-        a.rows.push_back(row);
-    }
+    a.rows = scalarTableIIRows(g, a.bestMean, budget);
     return a;
+}
+
+/** sweep(opts) as a serial fold over evaluate(). */
+std::vector<DsePoint>
+scalarSweep(const DseGrid &g, const PowerOptConfig &opts, double budget)
+{
+    std::vector<DsePoint> points(g.size());
+    std::vector<double> flops(allApps().size());
+    std::vector<double> power(allApps().size());
+    for (std::size_t i = 0; i < g.size(); ++i) {
+        DsePoint &p = points[i];
+        p.cfg = gridPoint(g, i, opts);
+        for (std::size_t a = 0; a < allApps().size(); ++a) {
+            EvalResult r = evaluator().evaluate(p.cfg, allApps()[a]);
+            flops[a] = r.perf.flops;
+            power[a] = r.power.budgetPower();
+        }
+        p.geomeanFlops = geomean(flops);
+        p.meanBudgetPowerW = mean(power);
+        for (double w : power)
+            p.maxBudgetPowerW = std::max(p.maxBudgetPowerW, w);
+        p.feasible = p.maxBudgetPowerW <= budget;
+    }
+    return points;
+}
+
+/** Every double of a search result in hex: equal text, equal bits. */
+std::string
+exactConfig(const NodeConfig &c)
+{
+    std::ostringstream os;
+    os << std::hexfloat << c.cus << ' ' << c.freqGhz << ' ' << c.bwTbs
+       << ' ' << powerOptBits(c.opts) << ';';
+    return os.str();
+}
+
+std::string
+exactPoints(const std::vector<DsePoint> &points)
+{
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const DsePoint &p : points) {
+        os << exactConfig(p.cfg) << p.geomeanFlops << ' '
+           << p.meanBudgetPowerW << ' ' << p.maxBudgetPowerW << ' '
+           << p.feasible << ' ' << p.ok << '\n';
+    }
+    return os.str();
+}
+
+std::string
+exactBests(const std::vector<AppBest> &bests)
+{
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const AppBest &b : bests)
+        os << exactConfig(b.cfg) << b.flops << ' ' << b.budgetPowerW << '\n';
+    return os.str();
+}
+
+std::string
+exactRows(const std::vector<TableIIRow> &rows)
+{
+    std::ostringstream os;
+    os << std::hexfloat;
+    for (const TableIIRow &r : rows) {
+        os << appName(r.app) << ' ' << exactConfig(r.bestConfig)
+           << r.benefitNoOptPct << ' ' << exactConfig(r.bestConfigOpt)
+           << r.benefitWithOptPct << '\n';
+    }
+    return os.str();
+}
+
+/** The searches the reuse tests mix, by name; "(all)" means all opts. */
+const std::vector<std::string> &
+searchNames()
+{
+    static const std::vector<std::string> names = {
+        "sweep(none)",          "sweep(all)",
+        "findBestMean(none)",   "findBestMean(all)",
+        "findBestForApp(none)", "findBestForApp(all)",
+        "tableII"};
+    return names;
+}
+
+PowerOptConfig
+searchOpts(const std::string &name)
+{
+    return name.ends_with("(all)") ? PowerOptConfig::all()
+                                   : PowerOptConfig::none();
+}
+
+/** Search @p name on @p dse, printed exactly. */
+std::string
+explorerSearch(const DesignSpaceExplorer &dse, const std::string &name,
+               const NodeConfig &best_mean)
+{
+    const PowerOptConfig opts = searchOpts(name);
+    if (name.starts_with("sweep"))
+        return exactPoints(dse.sweep(opts, nullptr));
+    if (name.starts_with("findBestMean"))
+        return exactConfig(dse.findBestMean(opts));
+    if (name.starts_with("findBestForApp")) {
+        std::vector<AppBest> bests;
+        for (App app : allApps())
+            bests.push_back(dse.findBestForApp(app, opts));
+        return exactBests(bests);
+    }
+    return exactRows(dse.tableII(best_mean));
+}
+
+/** The same search as serial scalar argmaxes and folds. */
+std::string
+scalarSearch(const DseGrid &g, const std::string &name,
+             const NodeConfig &best_mean, double budget)
+{
+    const PowerOptConfig opts = searchOpts(name);
+    if (name.starts_with("sweep"))
+        return exactPoints(scalarSweep(g, opts, budget));
+    if (name.starts_with("findBestMean")) {
+        const DsePoint *best = nullptr;
+        const std::vector<DsePoint> points = scalarSweep(g, opts, budget);
+        for (const DsePoint &p : points) {
+            if (p.feasible && (!best || p.geomeanFlops > best->geomeanFlops))
+                best = &p;
+        }
+        EXPECT_NE(best, nullptr) << name;
+        return best ? exactConfig(best->cfg) : "";
+    }
+    if (name.starts_with("findBestForApp")) {
+        std::vector<AppBest> bests;
+        for (App app : allApps()) {
+            bests.push_back(scalarBestForApp(g, app, opts, budget)
+                                .value_or(AppBest{}));
+        }
+        return exactBests(bests);
+    }
+    return exactRows(scalarTableIIRows(g, best_mean, budget));
 }
 
 void
@@ -331,12 +482,17 @@ TEST(DseGridScorer, ScoresEqualTheScalarEvaluatorBitForBit)
 
     const std::vector<App> &apps = allApps();
     for (const DseGrid &grid : grids) {
-        DseGridScorer scorer(evaluator(), grid, apps, settings);
+        DseGridScorer scorer(evaluator(), grid, settings);
         GridScores scores = scorer.makeScores();
         std::vector<std::size_t> indices(grid.size());
         for (std::size_t i = 0; i < indices.size(); ++i)
             indices[i] = i;
         scorer.score(indices, scores);
+        // The power-only pass, from the flops the first pass priced.
+        DseGridScorer power_only(evaluator(), grid, settings,
+                                 &scores.flopsTable());
+        GridScores repriced = power_only.makeScores();
+        power_only.score(indices, repriced);
 
         std::size_t mismatches = 0;
         std::string first;
@@ -347,6 +503,9 @@ TEST(DseGridScorer, ScoresEqualTheScalarEvaluatorBitForBit)
                     EvalResult want = evaluator().evaluate(cfg, apps[a]);
                     if (scores.flops(a, i) == want.perf.flops &&
                         scores.budgetPowerW(s, a, i) ==
+                            want.power.budgetPower() &&
+                        repriced.flops(a, i) == want.perf.flops &&
+                        repriced.budgetPowerW(s, a, i) ==
                             want.power.budgetPower())
                         continue;
                     if (mismatches++ == 0) {
@@ -550,6 +709,173 @@ TEST(Dse, TableIIMatchesScalarOracle)
     }
 }
 
+TEST(Dse, SearchOrdersOnOneExplorerMatchFreshExplorersAndTheOracle)
+{
+    // The first search on an explorer keeps its flops; later searches
+    // price only power from them. Each order starts with a different
+    // kind of search, and every result must equal the same search on a
+    // fresh explorer and the serial scalar oracle, bit for bit.
+    const std::vector<std::vector<std::string>> orders = {
+        {"tableII", "findBestForApp(all)", "sweep(all)",
+         "findBestMean(none)"},
+        {"sweep(none)", "tableII", "findBestMean(all)",
+         "findBestForApp(none)"},
+        {"findBestForApp(none)", "sweep(all)", "tableII", "sweep(none)"},
+        {"findBestMean(all)", "findBestForApp(all)",
+         "findBestMean(none)", "tableII"},
+    };
+    for (const DseGrid &grid : oracleGrids()) {
+        const NodeConfig best = scalarTableII(grid, 160.0).bestMean;
+        std::vector<std::string> want;
+        for (const std::string &name : searchNames())
+            want.push_back(scalarSearch(grid, name, best, 160.0));
+        auto wanted = [&](const std::string &name) {
+            for (std::size_t k = 0; k < searchNames().size(); ++k) {
+                if (searchNames()[k] == name)
+                    return want[k];
+            }
+            ADD_FAILURE() << "unknown search " << name;
+            return std::string();
+        };
+
+        for (int threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            const std::string at = std::to_string(grid.size()) +
+                                   "-point grid, " +
+                                   std::to_string(threads) + " thread(s)";
+            for (const std::string &name : searchNames()) {
+                DesignSpaceExplorer fresh(evaluator(), grid, 160.0);
+                EXPECT_TRUE(explorerSearch(fresh, name, best) ==
+                            wanted(name))
+                    << name << " on a fresh explorer, " << at;
+            }
+            for (std::size_t o = 0; o < orders.size(); ++o) {
+                DesignSpaceExplorer dse(evaluator(), grid, 160.0);
+                for (std::size_t step = 0; step < orders[o].size(); ++step) {
+                    const std::string &name = orders[o][step];
+                    EXPECT_TRUE(explorerSearch(dse, name, best) ==
+                                wanted(name))
+                        << name << ", search " << step << " of order " << o
+                        << ", " << at;
+                }
+            }
+            ThreadPool::setGlobalThreads(0);
+        }
+    }
+}
+
+TEST(Dse, BestMeanThenTableIIPricesEachPointsFlopsOnce)
+{
+    // Table II reuses the flops the best-mean search priced. The 8
+    // extra evaluations are tableII's evaluate() of the best-mean
+    // baseline, one per app.
+    telemetry::Counter &evals = telemetry::counter("node.evaluations");
+    const std::size_t apps = allApps().size();
+    for (const DseGrid &grid : oracleGrids()) {
+        DesignSpaceExplorer dse(evaluator(), grid, 160.0);
+        const std::uint64_t before = evals.value();
+        dse.tableII(dse.findBestMean(PowerOptConfig::none()));
+        EXPECT_EQ(evals.value() - before, (grid.size() + 1) * apps)
+            << grid.size() << "-point grid";
+    }
+}
+
+TEST(Dse, PartlyReplayedSweepKeepsTheReplayedPointsFlops)
+{
+    // A journal from a grid whose CU axis is a prefix of this one
+    // replays the first points of the sweep. The sweep still prices the
+    // replayed points' flops for later searches: otherwise they would
+    // read zeros.
+    const DseGrid grid = DseGrid::paperGrid();
+    DseGrid prefix = grid;
+    prefix.cus.resize(4);
+    TempJournal t("partial_replay");
+    DesignSpaceExplorer(evaluator(), prefix, 160.0)
+        .sweep(PowerOptConfig::none(), t.open().get());
+
+    DesignSpaceExplorer fresh(evaluator(), grid, 160.0);
+    const NodeConfig best = fresh.findBestMean(PowerOptConfig::none());
+    const std::string want_sweep =
+        exactPoints(fresh.sweep(PowerOptConfig::none(), nullptr));
+    const std::string want_all =
+        exactPoints(fresh.sweep(PowerOptConfig::all(), nullptr));
+    const std::string want_rows = exactRows(fresh.tableII(best));
+
+    DesignSpaceExplorer dse(evaluator(), grid, 160.0);
+    auto j = t.open();
+    const std::string got_sweep =
+        exactPoints(dse.sweep(PowerOptConfig::none(), j.get()));
+    EXPECT_EQ(j->appendedRecords(), grid.size() - prefix.size());
+    EXPECT_TRUE(got_sweep == want_sweep);
+    EXPECT_TRUE(exactRows(dse.tableII(best)) == want_rows);
+    EXPECT_TRUE(exactPoints(dse.sweep(PowerOptConfig::all(), nullptr)) ==
+                want_all);
+}
+
+TEST(Dse, FailedFirstSearchKeepsNoFlops)
+{
+    // An injected fault with no retries fails the first search part way
+    // through its pass. Nothing it priced may be kept: the next search
+    // prices flops again and equals a fresh explorer's.
+    const DseGrid grid = DseGrid::paperGrid();
+    DesignSpaceExplorer fresh(evaluator(), grid, 160.0);
+    const NodeConfig best = fresh.findBestMean(PowerOptConfig::none());
+    const std::string want = exactRows(fresh.tableII(best));
+    telemetry::Counter &evals = telemetry::counter("node.evaluations");
+
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        ThreadPool::global().setRetryPolicy(RetryPolicy::none());
+        DesignSpaceExplorer dse(evaluator(), grid, 160.0);
+        FaultPlan plan;
+        plan.rate = 0.5;
+        plan.seed = 7;
+        const std::uint64_t faults = fault_inject::faultsInjected();
+        fault_inject::setFaultPlan(plan);
+        EXPECT_THROW(dse.tableII(best), InjectedFault);
+        fault_inject::clearFaultPlan();
+        EXPECT_GT(fault_inject::faultsInjected(), faults);
+
+        const std::uint64_t before = evals.value();
+        EXPECT_TRUE(exactRows(dse.tableII(best)) == want)
+            << threads << " thread(s)";
+        EXPECT_EQ(evals.value() - before,
+                  (grid.size() + 1) * allApps().size());
+        ThreadPool::setGlobalThreads(0);
+    }
+}
+
+TEST(Dse, ConcurrentSearchesOnOneExplorerMatchFreshExplorers)
+{
+    // Two threads race the first search on one explorer, each running a
+    // different pipeline; both must read what fresh explorers give.
+    const DseGrid grid = DseGrid::paperGrid();
+    const NodeConfig best = NodeConfig::bestMean();
+    auto run = [&](const DesignSpaceExplorer &dse, int which) {
+        if (which == 0) {
+            return explorerSearch(dse, "findBestMean(none)", best) +
+                   explorerSearch(dse, "tableII", best);
+        }
+        return explorerSearch(dse, "tableII", best) +
+               explorerSearch(dse, "sweep(all)", best);
+    };
+    ThreadPool::setGlobalThreads(4);
+    std::string want[2];
+    for (int which : {0, 1})
+        want[which] = run(DesignSpaceExplorer(evaluator(), grid, 160.0),
+                          which);
+    for (int round = 0; round < 8; ++round) {
+        DesignSpaceExplorer dse(evaluator(), grid, 160.0);
+        std::string got[2];
+        std::thread other([&] { got[1] = run(dse, 1); });
+        got[0] = run(dse, 0);
+        other.join();
+        EXPECT_TRUE(got[0] == want[0]) << "round " << round;
+        EXPECT_TRUE(got[1] == want[1]) << "round " << round;
+    }
+    ThreadPool::setGlobalThreads(0);
+}
+
 TEST(Dse, InvalidGridPointIsQuarantinedNotFatal)
 {
     DseGrid g = tinyGrid();
@@ -665,6 +991,21 @@ TEST(DseDeathTest, ImpossibleBudgetIsFatal)
     EXPECT_EXIT(dse.tableII(NodeConfig::bestMean()),
                 testing::ExitedWithCode(1),
                 "no feasible configuration for MaxFlops");
+}
+
+TEST(DseDeathTest, TableIIAfterAQuarantiningSweepDiesOnTheInvalidPoint)
+{
+    // The sweep quarantines the -64 CU points and keeps flops only for
+    // the valid ones; Table II stays fatal on the invalid points.
+    DseGrid g = tinyGrid();
+    g.cus.push_back(-64);
+    DesignSpaceExplorer dse(evaluator(), g, 160.0);
+    EXPECT_EXIT(
+        {
+            dse.sweep(PowerOptConfig::none(), nullptr);
+            dse.tableII(NodeConfig::bestMean());
+        },
+        testing::ExitedWithCode(1), "bad CU count");
 }
 
 TEST(DseDeathTest, EmptyGridIsFatal)

@@ -25,7 +25,9 @@ evaluator()
 }
 
 /** Runs fn twice — serial pool, then oversubscribed pool — and hands
- *  both results to check for exact comparison. */
+ *  both results to check for exact comparison. A DSE fn builds its own
+ *  explorer: a second search on one explorer would reuse the first
+ *  one's flops instead of computing them again. */
 template <typename Fn, typename Check>
 void
 serialVsParallel(Fn &&fn, Check &&check)
@@ -42,9 +44,12 @@ serialVsParallel(Fn &&fn, Check &&check)
 
 TEST(ParallelSweep, SweepIsBitIdenticalToSerial)
 {
-    DesignSpaceExplorer dse(evaluator(), DseGrid::paperGrid(), 160.0);
     serialVsParallel(
-        [&] { return dse.sweep(PowerOptConfig::none()); },
+        [] {
+            return DesignSpaceExplorer(evaluator(), DseGrid::paperGrid(),
+                                       160.0)
+                .sweep(PowerOptConfig::none());
+        },
         [](const std::vector<DsePoint> &a,
            const std::vector<DsePoint> &b) {
             ASSERT_EQ(a.size(), b.size());
@@ -62,9 +67,12 @@ TEST(ParallelSweep, SweepIsBitIdenticalToSerial)
 
 TEST(ParallelSweep, BestMeanMatchesSerial)
 {
-    DesignSpaceExplorer dse(evaluator(), DseGrid::paperGrid(), 160.0);
     serialVsParallel(
-        [&] { return dse.findBestMean(PowerOptConfig::none()); },
+        [] {
+            return DesignSpaceExplorer(evaluator(), DseGrid::paperGrid(),
+                                       160.0)
+                .findBestMean(PowerOptConfig::none());
+        },
         [](const NodeConfig &a, const NodeConfig &b) {
             EXPECT_EQ(a.cus, b.cus);
             EXPECT_EQ(a.freqGhz, b.freqGhz);
@@ -74,10 +82,13 @@ TEST(ParallelSweep, BestMeanMatchesSerial)
 
 TEST(ParallelSweep, BestForAppMatchesSerial)
 {
-    DesignSpaceExplorer dse(evaluator(), DseGrid::paperGrid(), 160.0);
     for (App app : {App::MaxFlops, App::XSBench, App::LULESH}) {
         serialVsParallel(
-            [&] { return dse.findBestForApp(app, PowerOptConfig::all()); },
+            [&] {
+                return DesignSpaceExplorer(evaluator(),
+                                           DseGrid::paperGrid(), 160.0)
+                    .findBestForApp(app, PowerOptConfig::all());
+            },
             [](const AppBest &a, const AppBest &b) {
                 EXPECT_EQ(a.cfg.cus, b.cfg.cus);
                 EXPECT_EQ(a.cfg.freqGhz, b.cfg.freqGhz);
@@ -90,9 +101,12 @@ TEST(ParallelSweep, BestForAppMatchesSerial)
 
 TEST(ParallelSweep, TableIIMatchesSerial)
 {
-    DesignSpaceExplorer dse(evaluator(), DseGrid::paperGrid(), 160.0);
     serialVsParallel(
-        [&] { return dse.tableII(NodeConfig::bestMean()); },
+        [] {
+            return DesignSpaceExplorer(evaluator(), DseGrid::paperGrid(),
+                                       160.0)
+                .tableII(NodeConfig::bestMean());
+        },
         [](const std::vector<TableIIRow> &a,
            const std::vector<TableIIRow> &b) {
             ASSERT_EQ(a.size(), b.size());
