@@ -122,13 +122,13 @@ main(int argc, char **argv)
     ThreadPool::setGlobalThreads(1);
     auto t0 = std::chrono::steady_clock::now();
     auto serial = study.topologySweep(best, App::CoMD, a2a, topos,
-                                      sizes, nullptr);
+                                      sizes);
     double serial_sec = secondsSince(t0);
 
     ThreadPool::setGlobalThreads(threads);
     t0 = std::chrono::steady_clock::now();
     auto parallel = study.topologySweep(best, App::CoMD, a2a, topos,
-                                        sizes, nullptr);
+                                        sizes);
     double parallel_sec = secondsSince(t0);
 
     if (!identical(serial, parallel)) {

@@ -71,11 +71,11 @@ timeRound(const DseGrid &grid, const NodeConfig &best_mean, int threads,
                                    cal::nodePowerBudgetW);
     };
     ThreadPool::setGlobalThreads(threads);
-    explorer().sweep(PowerOptConfig::none(), nullptr);
+    explorer().sweep(PowerOptConfig::none());
 
     const DesignSpaceExplorer sweep_dse = explorer();
     auto t0 = std::chrono::steady_clock::now();
-    out.points = sweep_dse.sweep(PowerOptConfig::none(), nullptr);
+    out.points = sweep_dse.sweep(PowerOptConfig::none());
     out.sweepSec.push_back(secondsSince(t0));
 
     const DesignSpaceExplorer table_dse = explorer();

@@ -120,13 +120,13 @@ main(int argc, char **argv)
     ThreadPool::setGlobalThreads(1);
     auto t0 = std::chrono::steady_clock::now();
     auto serial = study.sweep(best, App::CoMD, CommSpec{}, variants,
-                              topos, sizes, nullptr);
+                              topos, sizes);
     double serial_sec = secondsSince(t0);
 
     ThreadPool::setGlobalThreads(threads);
     t0 = std::chrono::steady_clock::now();
     auto parallel = study.sweep(best, App::CoMD, CommSpec{}, variants,
-                                topos, sizes, nullptr);
+                                topos, sizes);
     double parallel_sec = secondsSince(t0);
 
     if (!identical(serial, parallel)) {

@@ -49,7 +49,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * A fresh explorer's first sweep(none, no journal) without its
+ * A fresh explorer's first sweep(none) without its
  * telemetry: the same enumeration and validation, one DseGridScorer,
  * then the same score() calls, pricing flops, and per-point folds
  * over the same sweepChunkSize chunks on the pool, results into
@@ -170,7 +170,7 @@ main(int argc, char **argv)
             const DesignSpaceExplorer dse(eval, grid,
                                           cal::nodePowerBudgetW);
             t0 = std::chrono::steady_clock::now();
-            instr_pts = dse.sweep(PowerOptConfig::none(), nullptr);
+            instr_pts = dse.sweep(PowerOptConfig::none());
             instr_best = std::min(instr_best, secondsSince(t0));
         }
         overhead_pct = (instr_best / plain_best - 1.0) * 100.0;
@@ -205,11 +205,11 @@ main(int argc, char **argv)
     ThreadPool::setGlobalThreads(1);
     std::vector<DsePoint> serial =
         DesignSpaceExplorer(eval, grid, cal::nodePowerBudgetW)
-            .sweep(PowerOptConfig::none(), nullptr);
+            .sweep(PowerOptConfig::none());
     ThreadPool::setGlobalThreads(threads);
     std::vector<DsePoint> parallel =
         DesignSpaceExplorer(eval, grid, cal::nodePowerBudgetW)
-            .sweep(PowerOptConfig::none(), nullptr);
+            .sweep(PowerOptConfig::none());
 
     telemetry::disableTracing();
     telemetry::disableMetrics();

@@ -10,13 +10,30 @@
  */
 
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/chiplet_study.hh"
+#include "util/logging.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 #include "workloads/kernel_profile.hh"
 
 using namespace ena;
+
+namespace {
+
+/** @p arg, argument @p what, as a number; fatal unless all of it parses. */
+double
+numberArg(const char *what, const std::string &arg)
+{
+    const std::optional<double> v = parseDouble(arg);
+    if (!v)
+        ENA_FATAL(what, " '", arg, "' is not a number");
+    return *v;
+}
+
+} // anonymous namespace
 
 int
 main(int argc, char **argv)
@@ -33,7 +50,7 @@ main(int argc, char **argv)
         if (eq == std::string::npos)
             continue;
         std::string key = a.substr(0, eq);
-        double v = std::stod(a.substr(eq + 1));
+        double v = numberArg(key.c_str(), a.substr(eq + 1));
         if (key == "seed")
             params.seed = static_cast<std::uint64_t>(v);
         else if (key == "cpu")

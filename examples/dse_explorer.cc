@@ -12,13 +12,30 @@
 
 #include <algorithm>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/ena.hh"
+#include "util/logging.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
+
+namespace {
+
+/** @p arg, argument @p what, as a number; fatal unless all of it parses. */
+double
+numberArg(const char *what, const std::string &arg)
+{
+    const std::optional<double> v = parseDouble(arg);
+    if (!v)
+        ENA_FATAL(what, " '", arg, "' is not a number");
+    return *v;
+}
+
+} // anonymous namespace
 
 int
 main(int argc, char **argv)
@@ -28,7 +45,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--budget" && i + 1 < argc) {
-            budget = std::stod(argv[++i]);
+            budget = numberArg("--budget", argv[++i]);
         } else if (arg == "--verbose") {
             verbose = true;
         } else {

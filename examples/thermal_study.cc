@@ -7,14 +7,42 @@
  * Usage: thermal_study [APP [CUS FREQ_GHZ BW_TBS]]
  */
 
+#include <climits>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/ena.hh"
 #include "core/thermal_study.hh"
+#include "util/logging.hh"
+#include "util/string_utils.hh"
 #include "util/table.hh"
 
 using namespace ena;
+
+namespace {
+
+/** @p arg, argument @p what, as a number; fatal unless all of it parses. */
+double
+numberArg(const char *what, const std::string &arg)
+{
+    const std::optional<double> v = parseDouble(arg);
+    if (!v)
+        ENA_FATAL(what, " '", arg, "' is not a number");
+    return *v;
+}
+
+/** @p arg, argument @p what, as an int; fatal unless all of it parses. */
+int
+intArg(const char *what, const std::string &arg)
+{
+    const std::optional<long long> v = parseInt(arg);
+    if (!v || *v < INT_MIN || *v > INT_MAX)
+        ENA_FATAL(what, " '", arg, "' is not an int");
+    return static_cast<int>(*v);
+}
+
+} // anonymous namespace
 
 int
 main(int argc, char **argv)
@@ -25,9 +53,9 @@ main(int argc, char **argv)
 
     NodeConfig cfg = NodeConfig::bestMean();
     if (argc > 4) {
-        cfg.cus = std::stoi(argv[2]);
-        cfg.freqGhz = std::stod(argv[3]);
-        cfg.bwTbs = std::stod(argv[4]);
+        cfg.cus = intArg("CUS", argv[2]);
+        cfg.freqGhz = numberArg("FREQ_GHZ", argv[3]);
+        cfg.bwTbs = numberArg("BW_TBS", argv[4]);
         cfg.validate();
     }
 

@@ -2,9 +2,7 @@
 
 #include <limits>
 
-#include "cluster/cluster_config_io.hh"
-#include "cluster/resilient_cluster_io.hh"
-#include "common/node_config_io.hh"
+#include "core/sweep_cell.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/thread_pool.hh"
@@ -118,18 +116,6 @@ ResilientScaleOutStudy::sweep(
     const std::vector<ClusterTopology> &topologies,
     const std::vector<int> &node_counts) const
 {
-    auto journal = SweepJournal::openFromEnvironment();
-    return sweep(cfg, app, comm, variants, topologies, node_counts,
-                 journal.get());
-}
-
-std::vector<ResilientSweepPoint>
-ResilientScaleOutStudy::sweep(
-    const NodeConfig &cfg, App app, const CommSpec &comm,
-    const std::vector<ProtectionVariant> &variants,
-    const std::vector<ClusterTopology> &topologies,
-    const std::vector<int> &node_counts, SweepJournal *journal) const
-{
     ENA_SPAN("resilient", "protection_sweep");
     const std::size_t nt = topologies.size();
     const std::size_t nn = node_counts.size();
@@ -148,12 +134,6 @@ ResilientScaleOutStudy::sweep(
             p.topology = cc.topology;
             p.nodes = cc.nodes;
             return runSweepCell(
-                journal,
-                [&] {
-                    return journalKey("ras", i, spec, cc, cfg, app,
-                                      comm.pattern, comm.intensity,
-                                      comm.scaling, comm.syncsPerSecond);
-                },
                 "protection sweep", i, p,
                 [&] {
                     Status valid = cc.tryValidate();

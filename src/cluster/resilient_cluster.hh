@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "cluster/cluster_evaluator.hh"
-#include "core/sweep_journal.hh"
 #include "ras/checkpoint.hh"
 #include "ras/fault_model.hh"
 #include "ras/rmt.hh"
@@ -211,23 +210,6 @@ struct ResilientSweepPoint
     std::string error;
 };
 
-/** ResilientSweepPoint's journaled fields (core/sweep_journal.hh). */
-template <typename F>
-void
-journalFields(ResilientSweepPoint &p, F &&field)
-{
-    field(p.systemMttfHours);
-    field(p.interruptionMttfHours);
-    field(p.commEfficiency);
-    field(p.ckptEfficiency);
-    field(p.rmtSlowdown);
-    field(p.systemExaflops);
-    field(p.effectiveExaflops);
-    field(p.systemMw);
-    field(p.ok);
-    field(p.error);
-}
-
 class ResilientScaleOutStudy
 {
   public:
@@ -240,23 +222,13 @@ class ResilientScaleOutStudy
      * variant-major then topology-major, sharded over the process pool
      * with one output slot per grid point (bit-identical to a serial
      * run at any thread count; gated by bench_ras_scaleout). runSweepCell
-     * quarantines an invalid or throwing cell (ok == false); with
-     * ENA_SWEEP_JOURNAL set, finished cells stream to the journal (keyed
-     * by every input field) and a killed sweep resumes past them.
+     * quarantines an invalid or throwing cell (ok == false).
      */
     std::vector<ResilientSweepPoint> sweep(
         const NodeConfig &cfg, App app, const CommSpec &comm,
         const std::vector<ProtectionVariant> &variants,
         const std::vector<ClusterTopology> &topologies,
         const std::vector<int> &node_counts) const;
-
-    /** Same, with an explicit journal (null = no checkpointing). */
-    std::vector<ResilientSweepPoint> sweep(
-        const NodeConfig &cfg, App app, const CommSpec &comm,
-        const std::vector<ProtectionVariant> &variants,
-        const std::vector<ClusterTopology> &topologies,
-        const std::vector<int> &node_counts,
-        SweepJournal *journal) const;
 
     /** Availability and power constraints for the best-config search. */
     struct SearchConstraints

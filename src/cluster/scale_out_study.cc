@@ -1,7 +1,6 @@
 #include "cluster/scale_out_study.hh"
 
-#include "cluster/cluster_config_io.hh"
-#include "common/node_config_io.hh"
+#include "core/sweep_cell.hh"
 #include "telemetry/telemetry.hh"
 #include "util/thread_pool.hh"
 
@@ -89,17 +88,6 @@ ScaleOutStudy::topologySweep(
     const std::vector<ClusterTopology> &topologies,
     const std::vector<int> &node_counts) const
 {
-    auto journal = SweepJournal::openFromEnvironment();
-    return topologySweep(cfg, app, spec, topologies, node_counts,
-                         journal.get());
-}
-
-std::vector<TopologyPoint>
-ScaleOutStudy::topologySweep(
-    const NodeConfig &cfg, App app, const CommSpec &spec,
-    const std::vector<ClusterTopology> &topologies,
-    const std::vector<int> &node_counts, SweepJournal *journal) const
-{
     ENA_SPAN("cluster", "topology_sweep");
     const std::size_t nn = node_counts.size();
     return ThreadPool::global().parallelMap(
@@ -113,12 +101,6 @@ ScaleOutStudy::topologySweep(
             p.topology = cc.topology;
             p.nodes = cc.nodes;
             return runSweepCell(
-                journal,
-                [&] {
-                    return journalKey("topo", i, cc, cfg, app,
-                                      spec.pattern, spec.intensity,
-                                      spec.scaling, spec.syncsPerSecond);
-                },
                 "topology sweep", i, p,
                 [&] {
                     Status valid = cc.tryValidate();

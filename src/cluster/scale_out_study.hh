@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cluster/cluster_evaluator.hh"
-#include "core/sweep_journal.hh"
 
 namespace ena {
 
@@ -62,20 +61,6 @@ struct TopologyPoint
     std::string error;
 };
 
-/** TopologyPoint's journaled fields (core/sweep_journal.hh). */
-template <typename F>
-void
-journalFields(TopologyPoint &p, F &&field)
-{
-    field(p.avgHops);
-    field(p.bisectionGbs);
-    field(p.efficiency);
-    field(p.systemExaflops);
-    field(p.systemMw);
-    field(p.ok);
-    field(p.error);
-}
-
 class ScaleOutStudy
 {
   public:
@@ -103,21 +88,12 @@ class ScaleOutStudy
     /**
      * Fabric comparison over topologies x node counts (flattened,
      * topology-major, sharded over the process pool). runSweepCell
-     * quarantines an invalid or throwing cell (ok == false); with
-     * ENA_SWEEP_JOURNAL set, finished cells stream to the journal (keyed
-     * by every input field) and a killed sweep resumes past them.
+     * quarantines an invalid or throwing cell (ok == false).
      */
     std::vector<TopologyPoint> topologySweep(
         const NodeConfig &cfg, App app, const CommSpec &spec,
         const std::vector<ClusterTopology> &topologies,
         const std::vector<int> &node_counts) const;
-
-    /** Same, with an explicit journal (null = no checkpointing). */
-    std::vector<TopologyPoint> topologySweep(
-        const NodeConfig &cfg, App app, const CommSpec &spec,
-        const std::vector<ClusterTopology> &topologies,
-        const std::vector<int> &node_counts,
-        SweepJournal *journal) const;
 
     const ClusterConfig &baseConfig() const { return base_; }
 

@@ -48,8 +48,8 @@ struct PowerOptConfig
 };
 
 /**
- * Stable bitmask of the five toggles, one bit each (ntc is bit 0):
- * the o<bits> tag in sweep-journal keys.
+ * Stable bitmask of the five toggles, one bit each (ntc is bit 0), so
+ * one int tells every combination apart.
  */
 inline int
 powerOptBits(const PowerOptConfig &o)

@@ -6,8 +6,8 @@
 #include <optional>
 
 #include "common/calibration.hh"
-#include "common/node_config_io.hh"
 #include "core/perf_terms.hh"
+#include "core/sweep_cell.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
@@ -303,15 +303,13 @@ DesignSpaceExplorer::DesignSpaceExplorer(const NodeEvaluator &eval,
 template <typename Fold>
 GridScores
 DesignSpaceExplorer::price(std::vector<PowerOptConfig> settings,
-                           const std::vector<std::size_t> &table_points,
-                           const std::vector<std::size_t> &todo,
+                           const std::vector<std::size_t> &points,
                            Fold &&fold) const
 {
     // No lock is held while pricing, so a pass that throws keeps
     // nothing and a search inside a pool task cannot deadlock; racing
     // first searches each price flops, and the first to finish keeps.
     const bool kept = haveFlops_.load(std::memory_order_acquire);
-    const std::vector<std::size_t> &points = kept ? todo : table_points;
     const DseGridScorer scorer(eval_, grid_, std::move(settings),
                                kept ? &flops_ : nullptr);
     GridScores scores = scorer.makeScores();
@@ -337,7 +335,7 @@ DesignSpaceExplorer::priceGrid(std::vector<PowerOptConfig> settings) const
     std::vector<std::size_t> indices(grid_.size());
     std::iota(indices.begin(), indices.end(), std::size_t{0});
     GridScores scores =
-        price(std::move(settings), indices, indices, [](auto &&...) {});
+        price(std::move(settings), indices, [](auto &&...) {});
     configsCounter().add(grid_.size());
     return scores;
 }
@@ -362,68 +360,39 @@ DesignSpaceExplorer::bestFeasible(const GridScores &scores,
 }
 
 std::vector<DsePoint>
-DesignSpaceExplorer::sweep(const PowerOptConfig &opts) const
+DesignSpaceExplorer::sweep(const PowerOptConfig &opts, std::nullptr_t) const
 {
-    auto journal = SweepJournal::openFromEnvironment();
-    return sweep(opts, journal.get());
-}
-
-std::vector<DsePoint>
-DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
-                           SweepJournal *journal) const
-{
-    // Two phases. Phase 1 (serial, cheap): replay journaled points and
-    // quarantine invalid configs, collecting the valid indices and the
-    // ones left to score. Phase 2: those are scored in pool chunks and
-    // folded into their own slots, so the output is identical to the
-    // serial enumeration for any thread count; with a journal every
-    // finished slot also streams to disk so a killed run resumes
-    // instead of recomputing.
+    // Two phases. Phase 1 (serial, cheap): quarantine invalid configs,
+    // collecting the valid indices. Phase 2: those are scored in pool
+    // chunks and folded into their own slots, so the output is
+    // identical to the serial enumeration for any thread count.
     ENA_SPAN("dse", "sweep");
     const double t0 = telemetry::nowUs();
     const std::size_t n = grid_.size();
     std::vector<DsePoint> points(n);
-    std::vector<std::string> keys(journal ? n : 0);
-    std::vector<bool> replayed(n);
 
-    std::vector<std::size_t> valid, todo;
+    std::vector<std::size_t> valid;
     valid.reserve(n);
-    todo.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         DsePoint &p = points[i];
         p.cfg = grid_.at(i, opts);
-
-        if (journal) {
-            keys[i] = journalKey("dse", i, p.cfg);
-            replayed[i] = journal->replay(keys[i], &p);
-            if (replayed[i])
-                p.feasible = p.ok && p.maxBudgetPowerW <= budgetW_;
-        }
-
         Status status = p.cfg.tryValidate();
         if (status.ok()) {
             valid.push_back(i);
-            if (!replayed[i])
-                todo.push_back(i);
-        } else if (!replayed[i]) {
+        } else {
             quarantineCell(p, status.toString(),
                            "DSE: quarantined grid point ", i, " (",
                            p.cfg.label(), ")");
-            if (journal)
-                journal->record(keys[i], p);
         }
     }
 
-    if (!todo.empty()) {
+    if (!valid.empty()) {
         // Fold exactly as the scalar helpers do: geomean and mean over
-        // allApps() order, max from 0.0. Replayed points keep their
-        // journaled scores.
-        price({opts}, valid, todo, [&](const GridScores &scores,
-                                       std::span<const std::size_t> chunk) {
+        // allApps() order, max from 0.0.
+        price({opts}, valid, [&](const GridScores &scores,
+                                 std::span<const std::size_t> chunk) {
             std::vector<double> tmp(allApps().size());
             for (std::size_t i : chunk) {
-                if (replayed[i])
-                    continue;
                 DsePoint &p = points[i];
                 for (std::size_t a = 0; a < tmp.size(); ++a)
                     tmp[a] = scores.flops(a, i);
@@ -436,8 +405,6 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts,
                     worst = std::max(worst, w);
                 p.maxBudgetPowerW = worst;
                 p.feasible = p.maxBudgetPowerW <= budgetW_;
-                if (journal)
-                    journal->record(keys[i], p);
             }
         });
     }

@@ -26,8 +26,8 @@
 #include "common/node_config.hh"
 #include "core/eval_memo.hh"
 #include "core/node_evaluator.hh"
-#include "core/sweep_journal.hh"
 #include "power/power_terms.hh"
+#include "util/status.hh"
 #include "workloads/kernel_profile.hh"
 
 namespace ena {
@@ -224,21 +224,6 @@ struct DsePoint
     std::string error;
 };
 
-/**
- * DsePoint's journaled fields (core/sweep_journal.hh). The key pins
- * the config; feasible is judged again under the replaying budget.
- */
-template <typename F>
-void
-journalFields(DsePoint &p, F &&field)
-{
-    field(p.geomeanFlops);
-    field(p.meanBudgetPowerW);
-    field(p.maxBudgetPowerW);
-    field(p.ok);
-    field(p.error);
-}
-
 /** Best configuration for a single application. */
 struct AppBest
 {
@@ -269,6 +254,8 @@ struct TableIIRow
  * keeps every application's flops at every valid grid point, which no
  * power optimization changes; later searches price only power from
  * them. Searches may run concurrently; an explorer cannot be copied.
+ * sweep() quarantines an invalid grid point (core/sweep_cell.hh); the
+ * other searches stay fatal on it.
  */
 class DesignSpaceExplorer
 {
@@ -278,16 +265,12 @@ class DesignSpaceExplorer
 
     /**
      * Score every grid point (for inspection / calibration). Invalid
-     * points are quarantined (DsePoint::ok == false), not fatal.
-     * Consults ENA_SWEEP_JOURNAL: when set, finished points stream to
-     * that journal and already-journaled points are skipped, so a
-     * killed sweep resumes where it left off.
+     * points are quarantined (DsePoint::ok == false), not fatal. Only
+     * perfbench passes the unnamed second argument, a null pointer,
+     * until ROADMAP item 2 moves it off.
      */
-    std::vector<DsePoint> sweep(const PowerOptConfig &opts) const;
-
-    /** Same, with an explicit journal (null = no checkpointing). */
     std::vector<DsePoint> sweep(const PowerOptConfig &opts,
-                                SweepJournal *journal) const;
+                                std::nullptr_t = nullptr) const;
 
     /**
      * Highest geomean-performance configuration whose worst-case
@@ -319,15 +302,14 @@ class DesignSpaceExplorer
 
   private:
     /**
-     * Score points under @p settings in sweepChunkSize() chunks on the
-     * pool, calling @p fold(scores, chunk) after each chunk: @p todo
-     * from the kept flops, or, before any are kept, @p table_points
-     * (every valid point and all of @p todo), keeping their flops.
+     * Score @p points under @p settings in sweepChunkSize() chunks on
+     * the pool, calling @p fold(scores, chunk) after each chunk: from
+     * the kept flops, or, before any are kept, pricing flops too and
+     * keeping them.
      */
     template <typename Fold>
     GridScores price(std::vector<PowerOptConfig> settings,
-                     const std::vector<std::size_t> &table_points,
-                     const std::vector<std::size_t> &todo,
+                     const std::vector<std::size_t> &points,
                      Fold &&fold) const;
 
     /** price() every grid point, with no fold (whole-grid searches). */

@@ -24,9 +24,36 @@
 #include "server/wire.hh"
 #include "util/net.hh"
 #include "util/status.hh"
+// Nothing here uses the pool, but perfbench's server_mix workload reaches
+// ThreadPool::global() through this header (ROADMAP item 2).
 #include "util/thread_pool.hh"
 
 namespace ena {
+
+/**
+ * How ServerClient::call retries a transport failure: up to
+ * maxAttempts tries, sleeping an exponentially growing (capped)
+ * backoff between them.
+ */
+struct RetryPolicy
+{
+    int maxAttempts = 1;          ///< total tries per call (>= 1)
+    double backoffUs = 0.0;       ///< sleep before the first retry
+    double maxBackoffUs = 10000;  ///< cap for the exponential backoff
+
+    /** No retries: first failure is final. */
+    static RetryPolicy none() { return {}; }
+
+    /** @p attempts tries with a short capped backoff. */
+    static RetryPolicy
+    attempts(int attempts)
+    {
+        RetryPolicy p;
+        p.maxAttempts = attempts > 1 ? attempts : 1;
+        p.backoffUs = attempts > 1 ? 50.0 : 0.0;
+        return p;
+    }
+};
 
 struct ClientOptions
 {

@@ -14,6 +14,8 @@
  *   ena-client ENDPOINT resilient APP PATTERN [CONFIG_FILE]
  */
 
+#include <climits>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -21,6 +23,7 @@
 
 #include "common/node_config_io.hh"
 #include "server/client.hh"
+#include "util/string_utils.hh"
 
 using namespace ena;
 
@@ -57,6 +60,30 @@ fail(const Status &s)
 {
     std::cerr << "ena-client: " << s.toString() << "\n";
     return 1;
+}
+
+/** @p arg, argument @p what, as a number; exit 1 unless all of it
+ *  parses. */
+double
+numberArg(const char *what, const char *arg)
+{
+    const std::optional<double> v = parseDouble(arg);
+    if (!v)
+        std::exit(fail(Status::invalidArgument(what, " '", arg,
+                                               "' is not a number")));
+    return *v;
+}
+
+/** @p arg, argument @p what, as an int; exit 1 unless all of it
+ *  parses. */
+int
+intArg(const char *what, const char *arg)
+{
+    const std::optional<long long> v = parseInt(arg);
+    if (!v || *v < INT_MIN || *v > INT_MAX)
+        std::exit(fail(Status::invalidArgument(what, " '", arg,
+                                               "' is not an int")));
+    return static_cast<int>(*v);
 }
 
 int
@@ -112,14 +139,14 @@ main(int argc, char **argv)
         wire::JsonValue params = wire::JsonValue::object();
         params.set("app", argv[3]);
         params.set("axis", argv[4]);
-        params.set("from", std::stod(argv[5]));
-        params.set("to", std::stod(argv[6]));
-        params.set("step", std::stod(argv[7]));
+        params.set("from", numberArg("FROM", argv[5]));
+        params.set("to", numberArg("TO", argv[6]));
+        params.set("step", numberArg("STEP", argv[7]));
         if (argc > 10) {
             NodeConfig base = NodeConfig::bestMean();
-            base.cus = std::stoi(argv[8]);
-            base.freqGhz = std::stod(argv[9]);
-            base.bwTbs = std::stod(argv[10]);
+            base.cus = intArg("CUS", argv[8]);
+            base.freqGhz = numberArg("FREQ", argv[9]);
+            base.bwTbs = numberArg("BW", argv[10]);
             params.set("config", nodeConfigToConfig(base).toString());
         }
         return print(client.call("sweep", std::move(params)));
@@ -128,7 +155,7 @@ main(int argc, char **argv)
     if (cmd == "table2") {
         wire::JsonValue params = wire::JsonValue::object();
         if (argc > 3)
-            params.set("budget_w", std::stod(argv[3]));
+            params.set("budget_w", numberArg("BUDGET_W", argv[3]));
         return print(client.call("table2", std::move(params)));
     }
 

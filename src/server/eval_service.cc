@@ -346,9 +346,8 @@ EvalService::opSweep(const wire::JsonValue &req, wire::JsonWriter &out)
     ENA_ASSIGN_OR_RETURN(std::vector<NodeConfig> configs,
                          trySweepConfigs(base, axis, values));
 
-    // Evaluate the points in chunks on the shared pool. Chunk tasks
-    // are where ENA_FAULT_INJECT strikes; the pool's retry policy
-    // absorbs transient faults without perturbing results.
+    // Evaluate the points in chunks on the shared pool; each chunk
+    // writes only its own slots, so the bytes match any thread count.
     const std::size_t n = values.size();
     const std::size_t chunk =
         sweepChunkSize(n, ThreadPool::global().threads());

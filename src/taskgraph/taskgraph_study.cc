@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/sweep_journal.hh"
+#include "core/sweep_cell.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"

@@ -11,10 +11,10 @@
  *    tests/taskgraph);
  *  - each cell prices the DAG with DagCostModel::build, which calls
  *    the node evaluator once per distinct app, not once per task;
- *  - each cell runs through runSweepCell (core/sweep_journal.hh): an
+ *  - each cell runs through runSweepCell (core/sweep_cell.hh): an
  *    invalid or throwing cell is quarantined (ok == false, error says
  *    why), not fatal — one bad topology/node-count pairing cannot kill
- *    a sweep. The sweep keeps no journal.
+ *    a sweep.
  *
  * The job-mix study models interference the way CommModel models
  * congestion: co-scheduled jobs split the machine evenly and the

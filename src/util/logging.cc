@@ -34,12 +34,12 @@ customSink()
 
 /**
  * Emit one fully formatted line: exactly one locked write to the
- * custom sink or the default stream, plus an instant event on the
- * telemetry trace when tracing is on (so warnings line up with the
- * spans that produced them in the viewer).
+ * custom sink or stderr, plus an instant event on the telemetry trace
+ * when tracing is on (so warnings line up with the spans that
+ * produced them in the viewer).
  */
 void
-emitLine(LogLevel level, const std::string &line, bool to_stderr)
+emitLine(LogLevel level, const std::string &line)
 {
     if (telemetry::tracingEnabled())
         telemetry::instant("log", line);
@@ -48,9 +48,7 @@ emitLine(LogLevel level, const std::string &line, bool to_stderr)
         customSink()(level, line);
         return;
     }
-    std::ostream &os = to_stderr ? std::cerr : std::cout;
-    os << line << '\n';
-    os.flush();
+    std::cerr << line << '\n';
 }
 
 } // anonymous namespace
@@ -81,8 +79,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     emitLine(LogLevel::Error,
              "fatal: " + msg + "\n  at " + file + ":" +
-                 std::to_string(line),
-             true);
+                 std::to_string(line));
     // std::exit runs the telemetry atexit flush, so a fatal() under
     // ENA_TRACE/ENA_METRICS still leaves complete output files.
     std::exit(1);
@@ -93,8 +90,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 {
     emitLine(LogLevel::Error,
              "panic: " + msg + "\n  at " + file + ":" +
-                 std::to_string(line),
-             true);
+                 std::to_string(line));
     std::abort();
 }
 
@@ -102,14 +98,7 @@ void
 warnImpl(const std::string &msg)
 {
     if (logLevel() >= LogLevel::Warn)
-        emitLine(LogLevel::Warn, "warn: " + msg, true);
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (logLevel() >= LogLevel::Info)
-        emitLine(LogLevel::Info, "info: " + msg, false);
+        emitLine(LogLevel::Warn, "warn: " + msg);
 }
 
 } // namespace detail

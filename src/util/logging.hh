@@ -5,7 +5,7 @@
  * Follows the gem5 convention: fatal() terminates the process for
  * user-caused errors (bad configuration, invalid arguments), panic()
  * aborts for conditions that indicate a bug in the simulator itself.
- * warn()/inform() report non-fatal conditions.
+ * warn() reports non-fatal conditions.
  */
 
 #ifndef ENA_UTIL_LOGGING_HH
@@ -24,7 +24,7 @@ enum class LogLevel { Silent, Error, Warn, Info, Debug };
 /** Get the current global log level. */
 LogLevel logLevel();
 
-/** Set the global log level (affects inform/warn output). */
+/** Set the global log level (affects warn output). */
 void setLogLevel(LogLevel level);
 
 /**
@@ -35,7 +35,7 @@ void setLogLevel(LogLevel level);
 using LogSink = std::function<void(LogLevel, const std::string &)>;
 
 /**
- * Replace the default stdout/stderr sink; an empty function restores
+ * Replace the default stderr sink; an empty function restores
  * it. Used by tests and by embedders that redirect simulator output.
  */
 void setLogSink(LogSink sink);
@@ -47,7 +47,6 @@ namespace detail {
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Format a parameter pack into a single string via ostringstream. */
 template <typename... Args>
@@ -93,14 +92,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::formatMsg(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::formatMsg(std::forward<Args>(args)...));
 }
 
 } // namespace ena

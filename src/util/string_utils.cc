@@ -19,23 +19,6 @@ trim(std::string_view s)
     return std::string(s.substr(b, e - b));
 }
 
-std::vector<std::string>
-split(std::string_view s, char delim)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (true) {
-        size_t pos = s.find(delim, start);
-        if (pos == std::string_view::npos) {
-            out.push_back(trim(s.substr(start)));
-            break;
-        }
-        out.push_back(trim(s.substr(start, pos - start)));
-        start = pos + 1;
-    }
-    return out;
-}
-
 std::string
 toLower(std::string_view s)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Small string helpers shared across ena-sim (trim, split, case fold,
- * numeric parsing with error reporting).
+ * Small string helpers shared across ena-sim (trim, case fold, numeric
+ * parsing with error reporting).
  */
 
 #ifndef ENA_UTIL_STRING_UTILS_HH
@@ -10,15 +10,11 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ena {
 
 /** Remove leading and trailing whitespace. */
 std::string trim(std::string_view s);
-
-/** Split @p s on @p delim, trimming each piece; empty pieces kept. */
-std::vector<std::string> split(std::string_view s, char delim);
 
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);

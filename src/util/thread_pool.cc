@@ -3,13 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <string>
 
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
-#include "util/fault_inject.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -22,15 +20,6 @@ busyUsCounter()
     static telemetry::Counter &c = telemetry::counter(
         "threadpool.busy_us",
         "microseconds all threads spent executing parallelFor chunks");
-    return c;
-}
-
-telemetry::Counter &
-retriedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "threadpool.tasks_retried",
-        "task attempts repeated after a failure under the retry policy");
     return c;
 }
 
@@ -59,21 +48,6 @@ destroyGlobalPool()
 }
 
 } // anonymous namespace
-
-RetryPolicy
-RetryPolicy::fromEnvironment()
-{
-    if (const char *env = std::getenv("ENA_TASK_RETRIES")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
-            return RetryPolicy::attempts(
-                static_cast<int>(std::min<long>(v, 100)));
-        warn("ignoring invalid ENA_TASK_RETRIES='", env,
-             "' (want a positive attempt count)");
-    }
-    return RetryPolicy::none();
-}
 
 ThreadPool::ThreadPool(int threads)
     : numThreads_(threads > 0 ? threads : defaultThreads()),
@@ -165,26 +139,17 @@ void
 ThreadPool::parallelFor(std::size_t n,
                         const std::function<void(std::size_t)> &fn)
 {
-    parallelFor(n, fn, retry_);
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &fn,
-                        const RetryPolicy &retry)
-{
     if (n == 0)
         return;
     jobsSubmitted_.fetch_add(1, std::memory_order_relaxed);
     if (numThreads_ <= 1 || n == 1 || in_task) {
-        // Serial/nested fallback: same per-index retry and
-        // lowest-failing-index propagation as the pooled path, so the
-        // failure surfaced is identical at any thread count.
+        // Serial/nested fallback: same lowest-failing-index
+        // propagation as the pooled path, so the failure surfaced is
+        // identical at any thread count.
         ENA_SPAN("threadpool", "parallel_for_inline");
         Job job;
         job.fn = &fn;
         job.n = n;
-        job.retry = retry;
         for (std::size_t i = 0; i < n; ++i)
             runTask(job, i);
         tasksExecuted_.fetch_add(n, std::memory_order_relaxed);
@@ -203,7 +168,6 @@ ThreadPool::parallelFor(std::size_t n,
     Job job;
     job.fn = &fn;
     job.n = n;
-    job.retry = retry;
     job.chunk = std::max<std::size_t>(
         1, n / (static_cast<std::size_t>(numThreads_) * 4));
 
@@ -231,41 +195,21 @@ ThreadPool::parallelFor(std::size_t n,
 }
 
 /**
- * One index, with fault injection, retries, and failure capture. Every
- * index runs regardless of other indices' failures; the job records
- * only the lowest failing index, which the join barrier rethrows.
+ * One index, with failure capture. Every index runs regardless of
+ * other indices' failures; the job records only the lowest failing
+ * index, which the join barrier rethrows.
  */
 void
 ThreadPool::runTask(Job &job, std::size_t index)
 {
-    for (int attempt = 0;; ++attempt) {
-        try {
-            if (fault_inject::enabled())
-                fault_inject::maybeInject(index, attempt);
-            (*job.fn)(index);
-            return;
-        } catch (...) {
-            if (attempt + 1 < job.retry.maxAttempts) {
-                retriedCounter().add();
-                double sleep_us = std::min(
-                    job.retry.backoffUs *
-                        static_cast<double>(1ull << std::min(attempt, 30)),
-                    job.retry.maxBackoffUs);
-                if (sleep_us > 0.0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::micro>(
-                            sleep_us));
-                }
-                continue;
-            }
-            // Attempts exhausted: keep the failure of the lowest index
-            // (ties impossible — one owner per index).
-            std::lock_guard<std::mutex> lk(m_);
-            if (index < job.errorIndex) {
-                job.errorIndex = index;
-                job.error = std::current_exception();
-            }
-            return;
+    try {
+        (*job.fn)(index);
+    } catch (...) {
+        // Ties are impossible: each index has one owner.
+        std::lock_guard<std::mutex> lk(m_);
+        if (index < job.errorIndex) {
+            job.errorIndex = index;
+            job.error = std::current_exception();
         }
     }
 }

@@ -19,14 +19,9 @@
  *     code can parallelize freely without knowing its caller's context.
  *
  *  4. Failure isolation: a throwing task never takes the process (or
- *     the other tasks) down. Every index runs to completion, each
- *     attempt optionally retried under a RetryPolicy with capped
- *     backoff, and the join barrier rethrows the failure of the
- *     *lowest* failing index — deterministic at any thread count.
- *     Deterministic fault injection (ENA_FAULT_INJECT, FaultPlan)
- *     exercises this machinery end-to-end: an injected transient
- *     fault plus a retry must reproduce the fault-free run
- *     bit-identically (gated by bench_fault_tolerance).
+ *     the other tasks) down. Every index runs to completion, and the
+ *     join barrier rethrows the failure of the *lowest* failing index,
+ *     the one a serial loop would surface first, at any thread count.
  *
  * The process-wide pool (ThreadPool::global()) sizes itself from the
  * ENA_THREADS environment variable, defaulting to the hardware thread
@@ -49,37 +44,6 @@
 #include <vector>
 
 namespace ena {
-
-/**
- * How parallelFor handles a throwing task: each index gets up to
- * maxAttempts tries, sleeping an exponentially growing (capped)
- * backoff between them. Retries absorb transient faults — injected or
- * real — without perturbing results, because a retried index still
- * writes only its own slot. The pool default comes from
- * ENA_TASK_RETRIES (attempt count; 1 = no retries).
- */
-struct RetryPolicy
-{
-    int maxAttempts = 1;          ///< total tries per index (>= 1)
-    double backoffUs = 0.0;       ///< sleep before the first retry
-    double maxBackoffUs = 10000;  ///< cap for the exponential backoff
-
-    /** No retries: first failure is final. */
-    static RetryPolicy none() { return {}; }
-
-    /** @p attempts tries with a short capped backoff. */
-    static RetryPolicy
-    attempts(int attempts)
-    {
-        RetryPolicy p;
-        p.maxAttempts = attempts > 1 ? attempts : 1;
-        p.backoffUs = attempts > 1 ? 50.0 : 0.0;
-        return p;
-    }
-
-    /** ENA_TASK_RETRIES when set to a positive integer, else none(). */
-    static RetryPolicy fromEnvironment();
-};
 
 class ThreadPool
 {
@@ -124,28 +88,15 @@ class ThreadPool
     /**
      * Run fn(i) for every i in [0, n), possibly concurrently. Blocks
      * until every index has been processed. Every index executes even
-     * when some fail (failure isolation); each failing attempt is
-     * retried per the policy, and once the job drains, the exception
-     * of the lowest failing index is rethrown on the caller — the same
-     * failure a serial loop would surface first, at any thread count.
+     * when some fail (failure isolation), and once the job drains, the
+     * exception of the lowest failing index is rethrown on the caller:
+     * the same failure a serial loop would surface first, at any
+     * thread count.
      * fn must not assume any particular execution order; results must
      * be written to per-index slots for determinism.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &fn);
-
-    /** parallelFor with an explicit per-task retry policy. */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &fn,
-                     const RetryPolicy &retry);
-
-    /**
-     * Default retry policy applied by the two-argument parallelFor.
-     * Initialized from ENA_TASK_RETRIES; replace only with no job in
-     * flight.
-     */
-    void setRetryPolicy(const RetryPolicy &retry) { retry_ = retry; }
-    const RetryPolicy &retryPolicy() const { return retry_; }
 
     /**
      * Evaluate fn(i) for i in [0, n) and return the results in index
@@ -212,7 +163,6 @@ class ThreadPool
         const std::function<void(std::size_t)> *fn = nullptr;
         std::size_t n = 0;
         std::size_t chunk = 1;
-        RetryPolicy retry;
         std::atomic<std::size_t> next{0};
         /** Lowest failing index and its exception; guarded by m_. */
         std::exception_ptr error;
@@ -225,7 +175,6 @@ class ThreadPool
 
     int numThreads_;
     long ownerPid_;   ///< pid at construction; fork detection in dtor
-    RetryPolicy retry_ = RetryPolicy::fromEnvironment();
     std::vector<std::thread> workers_;
     std::atomic<std::uint64_t> tasksExecuted_{0};
     std::atomic<std::uint64_t> jobsSubmitted_{0};

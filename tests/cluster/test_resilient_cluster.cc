@@ -5,14 +5,13 @@
  * fabric-drained checkpoints, the protection ladder's effect on
  * effective exaflops, determinism of the sharded protection sweep and
  * the availability-constrained best-config search, and the protection
- * sweep's journal keys and replay.
+ * sweep's quarantine of invalid cells.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 
 #include "cluster/cluster_config_io.hh"
 #include "cluster/resilient_cluster.hh"
@@ -254,107 +253,54 @@ TEST(ResilientCluster, SweepMatchesDirectEvaluationAndOrdering)
     }
 }
 
-TEST(ResilientCluster, SweepJournalKeysIncludeTheApp)
+TEST(ResilientCluster, SweepQuarantinesInvalidCells)
 {
-    // A journal shared with a LULESH sweep must not replay LULESH's
-    // cells into a CoMD sweep of the same machines, nor a default
-    // node's cells into a sweep of a node with twice the external
-    // DRAM: the key names every node field, not only the DSE knobs.
-    const std::string path = "test_resilient_journal_app.tmp";
-    std::remove(path.c_str());
+    // Node count 0 fails validation: its cells are quarantined with the
+    // diagnostic and their computed fields at the defaults, and every
+    // other cell equals a sweep without that count, bit for bit. The
+    // unprotected variant's MTTFs are finite and the protected ones'
+    // interruption MTTF may be infinite.
     ResilientScaleOutStudy study(evaluator(), ClusterConfig::exascale());
-    const std::vector<ClusterTopology> fat_tree = {ClusterTopology::FatTree};
-    const std::vector<int> sizes = {1024};
     const NodeConfig cfg = NodeConfig::bestMean();
-    NodeConfig big_dram = cfg;
-    big_dram.ext.dramGb = 1536.0;
-    const auto &variants = standardProtectionVariants();
-    const auto fresh = study.sweep(cfg, App::CoMD, CommSpec{}, variants,
-                                   fat_tree, sizes, nullptr);
-    const auto fresh_big = study.sweep(big_dram, App::CoMD, CommSpec{},
-                                       variants, fat_tree, sizes, nullptr);
-    ASSERT_NE(fresh_big[0].systemMttfHours, fresh[0].systemMttfHours);
-
-    study.sweep(cfg, App::LULESH, CommSpec{}, variants, fat_tree, sizes,
-                std::move(SweepJournal::open(path)).value().get());
-    auto j = std::move(SweepJournal::open(path)).value();
-    const auto shared = study.sweep(cfg, App::CoMD, CommSpec{}, variants,
-                                    fat_tree, sizes, j.get());
-    EXPECT_EQ(j->appendedRecords(), fresh.size());   // nothing replayed
-    ASSERT_EQ(shared.size(), fresh.size());
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        EXPECT_EQ(shared[i].effectiveExaflops, fresh[i].effectiveExaflops)
-            << variants[fresh[i].variant].name;
-        EXPECT_EQ(shared[i].systemExaflops, fresh[i].systemExaflops)
-            << variants[fresh[i].variant].name;
-    }
-
-    j = std::move(SweepJournal::open(path)).value();
-    const auto shared_big = study.sweep(big_dram, App::CoMD, CommSpec{},
-                                        variants, fat_tree, sizes, j.get());
-    EXPECT_EQ(j->appendedRecords(), fresh_big.size());   // nothing replayed
-    ASSERT_EQ(shared_big.size(), fresh_big.size());
-    for (std::size_t i = 0; i < fresh_big.size(); ++i) {
-        EXPECT_EQ(shared_big[i].systemMttfHours,
-                  fresh_big[i].systemMttfHours)
-            << variants[fresh_big[i].variant].name;
-        EXPECT_EQ(shared_big[i].effectiveExaflops,
-                  fresh_big[i].effectiveExaflops)
-            << variants[fresh_big[i].variant].name;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(ResilientCluster, SweepReplaysItsOwnJournalBitForBit)
-{
-    // Node count 0 quarantines its cells, so the replay covers the
-    // error text too; the unprotected variant's MTTFs are finite and
-    // the protected ones' interruption MTTF may be infinite.
-    const std::string path = "test_resilient_journal_replay.tmp";
-    std::remove(path.c_str());
-    ResilientScaleOutStudy study(evaluator(), ClusterConfig::exascale());
-    const std::vector<int> sizes = {0, 1000, 27000};
-    const NodeConfig cfg = NodeConfig::bestMean();
-    const auto sweep = [&](SweepJournal *j) {
+    const auto sweep = [&](const std::vector<int> &sizes) {
         return study.sweep(cfg, App::CoMD, CommSpec{},
                            standardProtectionVariants(),
-                           allClusterTopologies(), sizes, j);
+                           allClusterTopologies(), sizes);
     };
-    std::vector<ResilientSweepPoint> fresh;
-    {
-        auto j = std::move(SweepJournal::open(path)).value();
-        fresh = sweep(j.get());
-        EXPECT_EQ(j->appendedRecords(), fresh.size());
-    }
-    auto j = std::move(SweepJournal::open(path)).value();
-    const auto replayed = sweep(j.get());
-    EXPECT_EQ(j->appendedRecords(), 0u);   // every cell replayed
+    const auto points = sweep({0, 1000, 27000});
+    const auto clean = sweep({1000, 27000});
 
-    ASSERT_EQ(replayed.size(), fresh.size());
+    ASSERT_EQ(points.size(), 27u);
+    ASSERT_EQ(clean.size(), 18u);
     int quarantined = 0;
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        const ResilientSweepPoint &a = fresh[i], &b = replayed[i];
-        EXPECT_EQ(b.variant, a.variant);
-        EXPECT_EQ(b.topology, a.topology);
-        EXPECT_EQ(b.nodes, a.nodes);
-        EXPECT_EQ(bits(b.systemMttfHours), bits(a.systemMttfHours));
-        EXPECT_EQ(bits(b.interruptionMttfHours),
-                  bits(a.interruptionMttfHours));
-        EXPECT_EQ(bits(b.commEfficiency), bits(a.commEfficiency));
-        EXPECT_EQ(bits(b.ckptEfficiency), bits(a.ckptEfficiency));
-        EXPECT_EQ(bits(b.rmtSlowdown), bits(a.rmtSlowdown));
-        EXPECT_EQ(bits(b.systemExaflops), bits(a.systemExaflops));
-        EXPECT_EQ(bits(b.effectiveExaflops), bits(a.effectiveExaflops));
-        EXPECT_EQ(bits(b.systemMw), bits(a.systemMw));
-        EXPECT_EQ(b.ok, a.ok);
-        EXPECT_EQ(b.error, a.error);
-        quarantined += !a.ok;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const ResilientSweepPoint &p = points[i];
+        if (i % 3 == 0) {
+            ++quarantined;
+            EXPECT_FALSE(p.ok) << i;
+            EXPECT_EQ(p.nodes, 0) << i;
+            EXPECT_EQ(p.rmtSlowdown, 1.0) << i;   // the default
+            EXPECT_EQ(p.effectiveExaflops, 0.0) << i;
+            continue;
+        }
+        const ResilientSweepPoint &q = clean[i / 3 * 2 + i % 3 - 1];
+        EXPECT_TRUE(p.ok) << p.error;
+        EXPECT_EQ(p.variant, q.variant);
+        EXPECT_EQ(p.topology, q.topology);
+        EXPECT_EQ(p.nodes, q.nodes);
+        EXPECT_EQ(bits(p.systemMttfHours), bits(q.systemMttfHours));
+        EXPECT_EQ(bits(p.interruptionMttfHours),
+                  bits(q.interruptionMttfHours));
+        EXPECT_EQ(bits(p.commEfficiency), bits(q.commEfficiency));
+        EXPECT_EQ(bits(p.ckptEfficiency), bits(q.ckptEfficiency));
+        EXPECT_EQ(bits(p.rmtSlowdown), bits(q.rmtSlowdown));
+        EXPECT_EQ(bits(p.systemExaflops), bits(q.systemExaflops));
+        EXPECT_EQ(bits(p.effectiveExaflops), bits(q.effectiveExaflops));
+        EXPECT_EQ(bits(p.systemMw), bits(q.systemMw));
     }
     EXPECT_EQ(quarantined, 9);   // 3 variants x 3 topologies at 0 nodes
-    EXPECT_EQ(fresh[0].error,
+    EXPECT_EQ(points[0].error,
               "[out_of_range] ClusterConfig: bad node count 0");
-    EXPECT_EQ(fresh[0].rmtSlowdown, 1.0);   // quarantined: the default
-    std::remove(path.c_str());
 }
 
 TEST(ResilientCluster, SweepIsDeterministicAcrossThreadCounts)

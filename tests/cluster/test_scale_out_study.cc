@@ -2,14 +2,13 @@
  * @file
  * ScaleOutStudy: weak/strong scaling shapes, the communication-aware
  * Fig. 14 sweep's analytic column, serial/parallel determinism of the
- * sharded topology sweep, and its journal keys and replay.
+ * sharded topology sweep, and the sweep's quarantine of invalid cells.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 
 #include "cluster/scale_out_study.hh"
 #include "util/thread_pool.hh"
@@ -140,87 +139,45 @@ TEST(ScaleOutStudy, TopologySweepIsTopologyMajor)
     EXPECT_EQ(sweep[5].topology, ClusterTopology::Torus3D);
 }
 
-TEST(ScaleOutStudy, TopologySweepJournalKeysIncludeTheApp)
+TEST(ScaleOutStudy, TopologySweepQuarantinesInvalidCells)
 {
-    // A journal shared with a LULESH sweep must not replay LULESH's
-    // cells into a CoMD sweep of the same fabric, nor a default node's
-    // cells into a sweep of a node with fewer GPU chiplets: the key
-    // names every node field, not only the DSE knobs.
-    const std::string path = "test_scale_out_journal_app.tmp";
-    std::remove(path.c_str());
-    const std::vector<ClusterTopology> fat_tree = {ClusterTopology::FatTree};
-    const std::vector<int> sizes = {1024};
-    const NodeConfig cfg = NodeConfig::bestMean();
-    NodeConfig four_chiplets = cfg;
-    four_chiplets.gpuChiplets = 4;
-    const auto fresh = study().topologySweep(cfg, App::CoMD, CommSpec{},
-                                             fat_tree, sizes, nullptr);
-    const auto fresh4 = study().topologySweep(
-        four_chiplets, App::CoMD, CommSpec{}, fat_tree, sizes, nullptr);
-    ASSERT_NE(fresh4[0].systemMw, fresh[0].systemMw);
-
-    study().topologySweep(cfg, App::LULESH, CommSpec{}, fat_tree, sizes,
-                          std::move(SweepJournal::open(path)).value().get());
-    auto j = std::move(SweepJournal::open(path)).value();
-    const auto shared = study().topologySweep(cfg, App::CoMD, CommSpec{},
-                                              fat_tree, sizes, j.get());
-    EXPECT_EQ(j->appendedRecords(), 1u);   // recomputed, not replayed
-    ASSERT_EQ(shared.size(), 1u);
-    EXPECT_EQ(shared[0].systemExaflops, fresh[0].systemExaflops);
-    EXPECT_EQ(shared[0].efficiency, fresh[0].efficiency);
-    EXPECT_EQ(shared[0].systemMw, fresh[0].systemMw);
-
-    j = std::move(SweepJournal::open(path)).value();
-    const auto shared4 = study().topologySweep(
-        four_chiplets, App::CoMD, CommSpec{}, fat_tree, sizes, j.get());
-    EXPECT_EQ(j->appendedRecords(), 1u);   // recomputed, not replayed
-    ASSERT_EQ(shared4.size(), 1u);
-    EXPECT_EQ(shared4[0].systemExaflops, fresh4[0].systemExaflops);
-    EXPECT_EQ(shared4[0].systemMw, fresh4[0].systemMw);
-    std::remove(path.c_str());
-}
-
-TEST(ScaleOutStudy, TopologySweepReplaysItsOwnJournalBitForBit)
-{
-    // Node count 0 quarantines its cells, so the replay covers the
-    // error text too.
-    const std::string path = "test_scale_out_journal_replay.tmp";
-    std::remove(path.c_str());
+    // Node count 0 fails validation: its cells are quarantined with the
+    // diagnostic and their computed fields at the defaults, and every
+    // other cell equals a sweep without that count, bit for bit.
     CommSpec a2a;
     a2a.pattern = CommPattern::AllToAll;
-    const std::vector<int> sizes = {0, 1000, 27000};
     const NodeConfig cfg = NodeConfig::bestMean();
-    const auto sweep = [&](SweepJournal *j) {
+    const auto sweep = [&](const std::vector<int> &sizes) {
         return study().topologySweep(cfg, App::CoMD, a2a,
-                                     allClusterTopologies(), sizes, j);
+                                     allClusterTopologies(), sizes);
     };
-    std::vector<TopologyPoint> fresh;
-    {
-        auto j = std::move(SweepJournal::open(path)).value();
-        fresh = sweep(j.get());
-        EXPECT_EQ(j->appendedRecords(), fresh.size());
-    }
-    auto j = std::move(SweepJournal::open(path)).value();
-    const auto replayed = sweep(j.get());
-    EXPECT_EQ(j->appendedRecords(), 0u);   // every cell replayed
+    const auto points = sweep({0, 1000, 27000});
+    const auto clean = sweep({1000, 27000});
 
-    ASSERT_EQ(replayed.size(), fresh.size());
+    ASSERT_EQ(points.size(), 9u);
+    ASSERT_EQ(clean.size(), 6u);
     int quarantined = 0;
-    for (std::size_t i = 0; i < fresh.size(); ++i) {
-        const TopologyPoint &a = fresh[i], &b = replayed[i];
-        EXPECT_EQ(b.topology, a.topology);
-        EXPECT_EQ(b.nodes, a.nodes);
-        EXPECT_EQ(bits(b.avgHops), bits(a.avgHops));
-        EXPECT_EQ(bits(b.bisectionGbs), bits(a.bisectionGbs));
-        EXPECT_EQ(bits(b.efficiency), bits(a.efficiency));
-        EXPECT_EQ(bits(b.systemExaflops), bits(a.systemExaflops));
-        EXPECT_EQ(bits(b.systemMw), bits(a.systemMw));
-        EXPECT_EQ(b.ok, a.ok);
-        EXPECT_EQ(b.error, a.error);
-        quarantined += !a.ok;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const TopologyPoint &p = points[i];
+        if (i % 3 == 0) {
+            ++quarantined;
+            EXPECT_FALSE(p.ok) << i;
+            EXPECT_EQ(p.nodes, 0) << i;
+            EXPECT_EQ(p.systemExaflops, 0.0) << i;
+            EXPECT_EQ(p.avgHops, 0.0) << i;
+            continue;
+        }
+        const TopologyPoint &q = clean[i / 3 * 2 + i % 3 - 1];
+        EXPECT_TRUE(p.ok) << p.error;
+        EXPECT_EQ(p.topology, q.topology);
+        EXPECT_EQ(p.nodes, q.nodes);
+        EXPECT_EQ(bits(p.avgHops), bits(q.avgHops));
+        EXPECT_EQ(bits(p.bisectionGbs), bits(q.bisectionGbs));
+        EXPECT_EQ(bits(p.efficiency), bits(q.efficiency));
+        EXPECT_EQ(bits(p.systemExaflops), bits(q.systemExaflops));
+        EXPECT_EQ(bits(p.systemMw), bits(q.systemMw));
     }
     EXPECT_EQ(quarantined, 3);
-    EXPECT_EQ(fresh[0].error, "[out_of_range] topology sweep cell 0: "
-                              "ClusterConfig: bad node count 0");
-    std::remove(path.c_str());
+    EXPECT_EQ(points[0].error, "[out_of_range] topology sweep cell 0: "
+                               "ClusterConfig: bad node count 0");
 }

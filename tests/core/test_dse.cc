@@ -7,10 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -20,9 +17,7 @@
 #include <vector>
 
 #include "core/dse.hh"
-#include "core/sweep_journal.hh"
 #include "telemetry/metrics.hh"
-#include "util/fault_inject.hh"
 #include "util/rng.hh"
 #include "util/stats_math.hh"
 #include "util/thread_pool.hh"
@@ -137,25 +132,6 @@ scalarBestForApp(const DseGrid &g, App app, const PowerOptConfig &opts,
     }
     return best;
 }
-
-/** A temporary journal path, removed on construction and scope exit. */
-struct TempJournal
-{
-    explicit TempJournal(const std::string &name)
-        : path("test_dse_" + name + ".tmp")
-    {
-        std::remove(path.c_str());
-    }
-    ~TempJournal() { std::remove(path.c_str()); }
-
-    std::unique_ptr<SweepJournal>
-    open() const
-    {
-        return std::move(SweepJournal::open(path)).value();
-    }
-
-    std::string path;
-};
 
 /** tableII(best_mean) as serial argmaxes over evaluate(). */
 std::vector<TableIIRow>
@@ -307,7 +283,7 @@ explorerSearch(const DesignSpaceExplorer &dse, const std::string &name,
 {
     const PowerOptConfig opts = searchOpts(name);
     if (name.starts_with("sweep"))
-        return exactPoints(dse.sweep(opts, nullptr));
+        return exactPoints(dse.sweep(opts));
     if (name.starts_with("findBestMean"))
         return exactConfig(dse.findBestMean(opts));
     if (name.starts_with("findBestForApp")) {
@@ -780,71 +756,6 @@ TEST(Dse, BestMeanThenTableIIPricesEachPointsFlopsOnce)
     }
 }
 
-TEST(Dse, PartlyReplayedSweepKeepsTheReplayedPointsFlops)
-{
-    // A journal from a grid whose CU axis is a prefix of this one
-    // replays the first points of the sweep. The sweep still prices the
-    // replayed points' flops for later searches: otherwise they would
-    // read zeros.
-    const DseGrid grid = DseGrid::paperGrid();
-    DseGrid prefix = grid;
-    prefix.cus.resize(4);
-    TempJournal t("partial_replay");
-    DesignSpaceExplorer(evaluator(), prefix, 160.0)
-        .sweep(PowerOptConfig::none(), t.open().get());
-
-    DesignSpaceExplorer fresh(evaluator(), grid, 160.0);
-    const NodeConfig best = fresh.findBestMean(PowerOptConfig::none());
-    const std::string want_sweep =
-        exactPoints(fresh.sweep(PowerOptConfig::none(), nullptr));
-    const std::string want_all =
-        exactPoints(fresh.sweep(PowerOptConfig::all(), nullptr));
-    const std::string want_rows = exactRows(fresh.tableII(best));
-
-    DesignSpaceExplorer dse(evaluator(), grid, 160.0);
-    auto j = t.open();
-    const std::string got_sweep =
-        exactPoints(dse.sweep(PowerOptConfig::none(), j.get()));
-    EXPECT_EQ(j->appendedRecords(), grid.size() - prefix.size());
-    EXPECT_TRUE(got_sweep == want_sweep);
-    EXPECT_TRUE(exactRows(dse.tableII(best)) == want_rows);
-    EXPECT_TRUE(exactPoints(dse.sweep(PowerOptConfig::all(), nullptr)) ==
-                want_all);
-}
-
-TEST(Dse, FailedFirstSearchKeepsNoFlops)
-{
-    // An injected fault with no retries fails the first search part way
-    // through its pass. Nothing it priced may be kept: the next search
-    // prices flops again and equals a fresh explorer's.
-    const DseGrid grid = DseGrid::paperGrid();
-    DesignSpaceExplorer fresh(evaluator(), grid, 160.0);
-    const NodeConfig best = fresh.findBestMean(PowerOptConfig::none());
-    const std::string want = exactRows(fresh.tableII(best));
-    telemetry::Counter &evals = telemetry::counter("node.evaluations");
-
-    for (int threads : {1, 4}) {
-        ThreadPool::setGlobalThreads(threads);
-        ThreadPool::global().setRetryPolicy(RetryPolicy::none());
-        DesignSpaceExplorer dse(evaluator(), grid, 160.0);
-        FaultPlan plan;
-        plan.rate = 0.5;
-        plan.seed = 7;
-        const std::uint64_t faults = fault_inject::faultsInjected();
-        fault_inject::setFaultPlan(plan);
-        EXPECT_THROW(dse.tableII(best), InjectedFault);
-        fault_inject::clearFaultPlan();
-        EXPECT_GT(fault_inject::faultsInjected(), faults);
-
-        const std::uint64_t before = evals.value();
-        EXPECT_TRUE(exactRows(dse.tableII(best)) == want)
-            << threads << " thread(s)";
-        EXPECT_EQ(evals.value() - before,
-                  (grid.size() + 1) * allApps().size());
-        ThreadPool::setGlobalThreads(0);
-    }
-}
-
 TEST(Dse, ConcurrentSearchesOnOneExplorerMatchFreshExplorers)
 {
     // Two threads race the first search on one explorer, each running a
@@ -881,7 +792,7 @@ TEST(Dse, InvalidGridPointIsQuarantinedNotFatal)
     DseGrid g = tinyGrid();
     g.cus.push_back(-64);   // fails NodeConfig::tryValidate
     DesignSpaceExplorer dse(evaluator(), g, 160.0);
-    auto points = dse.sweep(PowerOptConfig::none(), nullptr);
+    auto points = dse.sweep(PowerOptConfig::none());
     ASSERT_EQ(points.size(), g.size());
     int quarantined = 0;
     for (const DsePoint &p : points) {
@@ -896,88 +807,13 @@ TEST(Dse, InvalidGridPointIsQuarantinedNotFatal)
         }
     }
     EXPECT_EQ(quarantined, 4);   // -64 crossed with 2 freqs x 2 bws
-}
 
-TEST(Dse, JournaledSweepResumesWithoutRecomputing)
-{
-    const std::string path = "test_dse_journal.tmp";
-    std::remove(path.c_str());
-    DesignSpaceExplorer dse(evaluator(), tinyGrid(), 160.0);
-    const auto reference = dse.sweep(PowerOptConfig::none(), nullptr);
-
-    {
-        auto j = std::move(SweepJournal::open(path)).value();
-        dse.sweep(PowerOptConfig::none(), j.get());
-        EXPECT_EQ(j->appendedRecords(), reference.size());
-    }
-    auto j = std::move(SweepJournal::open(path)).value();
-    ASSERT_EQ(j->loadedRecords(), reference.size());
-    const auto resumed = dse.sweep(PowerOptConfig::none(), j.get());
-    EXPECT_EQ(j->appendedRecords(), 0u);   // every point replayed
-
-    ASSERT_EQ(resumed.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-        // Bitwise equality: the journal stores hexfloats.
-        EXPECT_EQ(resumed[i].geomeanFlops, reference[i].geomeanFlops);
-        EXPECT_EQ(resumed[i].meanBudgetPowerW,
-                  reference[i].meanBudgetPowerW);
-        EXPECT_EQ(resumed[i].maxBudgetPowerW,
-                  reference[i].maxBudgetPowerW);
-        EXPECT_EQ(resumed[i].feasible, reference[i].feasible);
-        EXPECT_EQ(resumed[i].ok, reference[i].ok);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Dse, JournalTellsApartKnobsTheLabelRoundsTogether)
-{
-    // label() prints 0.700 and 0.701 GHz alike; a journal keyed by it
-    // replayed the first sweep's point into the second.
-    TempJournal t("journal_bits");
-    DesignSpaceExplorer a(evaluator(), DseGrid{{192}, {0.700}, {1.0}},
-                          160.0);
-    DesignSpaceExplorer b(evaluator(), DseGrid{{192}, {0.701}, {1.0}},
-                          160.0);
-    const auto fresh = b.sweep(PowerOptConfig::none(), nullptr);
-
-    a.sweep(PowerOptConfig::none(), t.open().get());
-    auto j = t.open();
-    const auto shared = b.sweep(PowerOptConfig::none(), j.get());
-    EXPECT_EQ(j->appendedRecords(), 1u);   // recomputed, not replayed
-    ASSERT_EQ(shared.size(), 1u);
-    EXPECT_EQ(shared[0].geomeanFlops, fresh[0].geomeanFlops);
-    EXPECT_EQ(shared[0].maxBudgetPowerW, fresh[0].maxBudgetPowerW);
-}
-
-TEST(Dse, JournalReplayJudgesFeasibilityUnderTheCurrentBudget)
-{
-    // A journal written under 200 W must not hand its feasible flags
-    // to a 120 W run: the replayed point keeps its scores, and the
-    // explorer judges them against its own budget.
-    TempJournal t("journal_budget");
-    DesignSpaceExplorer loose(evaluator(), DseGrid::paperGrid(), 200.0);
-    DesignSpaceExplorer tight(evaluator(), DseGrid::paperGrid(), 120.0);
-    const auto fresh = tight.sweep(PowerOptConfig::none(), nullptr);
-
-    loose.sweep(PowerOptConfig::none(), t.open().get());
-    auto j = t.open();
-    const auto replayed = tight.sweep(PowerOptConfig::none(), j.get());
-    EXPECT_EQ(j->appendedRecords(), 0u);   // every point replayed
-    ASSERT_EQ(replayed.size(), fresh.size());
-    std::size_t flipped = 0;
-    for (std::size_t i = 0; i < fresh.size(); ++i)
-        flipped += replayed[i].feasible != fresh[i].feasible;
-    EXPECT_EQ(flipped, 0u) << "feasible flags differ from a fresh run";
-
-    // The same through findBestMean and ENA_SWEEP_JOURNAL.
-    const NodeConfig want = tight.findBestMean(PowerOptConfig::none());
-    EXPECT_EQ(want.label(), "224cu@0.70GHz/3.0TBps");
-    TempJournal env("journal_budget_env");
-    ASSERT_EQ(setenv("ENA_SWEEP_JOURNAL", env.path.c_str(), 1), 0);
-    loose.findBestMean(PowerOptConfig::none());
-    const NodeConfig got = tight.findBestMean(PowerOptConfig::none());
-    ASSERT_EQ(unsetenv("ENA_SWEEP_JOURNAL"), 0);
-    expectSameConfig(got, want, "120 W best mean after a 200 W run");
+    // The healthy points, which come first, equal a sweep of the grid
+    // without the bad value, bit for bit.
+    const auto clean = DesignSpaceExplorer(evaluator(), tinyGrid(), 160.0)
+                           .sweep(PowerOptConfig::none());
+    EXPECT_EQ(exactPoints({points.begin(), points.begin() + clean.size()}),
+              exactPoints(clean));
 }
 
 TEST(DseDeathTest, ImpossibleBudgetIsFatal)
@@ -1002,7 +838,7 @@ TEST(DseDeathTest, TableIIAfterAQuarantiningSweepDiesOnTheInvalidPoint)
     DesignSpaceExplorer dse(evaluator(), g, 160.0);
     EXPECT_EXIT(
         {
-            dse.sweep(PowerOptConfig::none(), nullptr);
+            dse.sweep(PowerOptConfig::none());
             dse.tableII(NodeConfig::bestMean());
         },
         testing::ExitedWithCode(1), "bad CU count");

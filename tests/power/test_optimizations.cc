@@ -46,7 +46,7 @@ TEST(PowerOpts, MakeOptConfigSelectsOneTechnique)
 TEST(PowerOpts, BitsDistinguishEverySetting)
 {
     // Each toggle flips its own bit, so every combination gets its own
-    // sweep-journal key.
+    // bitmask.
     EXPECT_EQ(powerOptBits(PowerOptConfig::none()), 0);
     PowerOptConfig o;
     o.ntc = true;

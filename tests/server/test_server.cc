@@ -2,7 +2,8 @@
  * @file
  * Tests for the evaluation server stack: endpoint parsing, socket-free
  * EvalService dispatch (including the bit-identity of server-side
- * evaluation against the scalar oracle and fault-injected sweeps), and
+ * evaluation against the scalar oracle, and an op that throws), the
+ * client's retry policy, and
  * end-to-end daemon tests over a Unix socket — among them the
  * concurrent multi-client sweep that must be bit-identical to serial
  * local evaluation with exact request accounting, and the serving
@@ -12,8 +13,12 @@
 
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +34,6 @@
 #include "core/ena.hh"
 #include "server/client.hh"
 #include "server/server.hh"
-#include "util/fault_inject.hh"
 #include "util/net.hh"
 #include "util/thread_pool.hh"
 
@@ -338,67 +342,29 @@ TEST(EvalService, SweepRejectsBadAxisAndRange)
     EXPECT_EQ(resp.find("error")->find("code")->str(), "out_of_range");
 }
 
-TEST(EvalService, FaultInjectedSweepIsBitIdenticalToFaultFree)
+TEST(EvalService, AnOpThatThrowsReturnsAnInternalError)
 {
-    // Every pool task faults on its first attempt; the retry policy
-    // absorbs them all, so the sweep must reproduce the fault-free
-    // scalar run bit-for-bit (the server-side ENA_FAULT_INJECT gate).
-    ThreadPool &pool = ThreadPool::global();
-    RetryPolicy saved = pool.retryPolicy();
-    pool.setRetryPolicy(RetryPolicy::attempts(3));
-    FaultPlan plan;
-    plan.rate = 1.0;
-    plan.seed = 11;
-    plan.faultsPerTask = 1;
-    fault_inject::setFaultPlan(plan);
-    std::uint64_t before = fault_inject::faultsInjected();
-
+    // The stats op has written part of its result when the probe
+    // throws: handle() cuts the line back to the envelope.
     EvalService svc;
-    JsonValue req = request("sweep");
-    req.set("app", "hpgmg");
-    req.set("axis", "freq");
-    req.set("from", 0.8);
-    req.set("to", 1.4);
-    req.set("step", 0.1);
-    JsonValue resp = handled(svc, req);
-
-    fault_inject::clearFaultPlan();
-    pool.setRetryPolicy(saved);
-
-    ASSERT_TRUE(resp.find("ok")->boolean()) << resp.dump();
-    EXPECT_GT(fault_inject::faultsInjected(), before);
-    expectSweepMatchesLocal(*resp.find("result"), App::HPGMG, "freq",
-                            0.8, 1.4, 0.1, NodeConfig::bestMean());
+    svc.setQueueDepthProbe(
+        []() -> std::size_t { throw std::runtime_error("probe failed"); });
+    JsonValue req = request("stats");
+    req.set("id", 1);
+    EXPECT_EQ(svc.handle(req),
+              "{\"id\":1,\"ok\":false,\"error\":{\"code\":\"internal\","
+              "\"message\":\"unhandled exception in op 'stats': "
+              "probe failed\"}}");
+    EXPECT_EQ(svc.errorsReturned(), 1u);
 }
 
-TEST(EvalService, SweepWithExhaustedRetriesReturnsAnError)
+TEST(RetryPolicy, FactoriesAndDefaults)
 {
-    // faultsPerTask above the retry budget: the pool rethrows the
-    // injected fault, which must surface as a structured error
-    // response, never a crash.
-    ThreadPool &pool = ThreadPool::global();
-    RetryPolicy saved = pool.retryPolicy();
-    pool.setRetryPolicy(RetryPolicy::none());
-    FaultPlan plan;
-    plan.rate = 1.0;
-    plan.seed = 3;
-    plan.faultsPerTask = 100;
-    fault_inject::setFaultPlan(plan);
-
-    EvalService svc;
-    JsonValue req = request("sweep");
-    req.set("app", "lulesh");
-    req.set("axis", "bw");
-    req.set("from", 1.0);
-    req.set("to", 2.0);
-    req.set("step", 0.5);
-    JsonValue resp = handled(svc, req);
-
-    fault_inject::clearFaultPlan();
-    pool.setRetryPolicy(saved);
-
-    EXPECT_FALSE(resp.find("ok")->boolean());
-    EXPECT_EQ(svc.errorsReturned(), 1u);
+    EXPECT_EQ(RetryPolicy::none().maxAttempts, 1);
+    EXPECT_EQ(RetryPolicy::attempts(4).maxAttempts, 4);
+    EXPECT_GT(RetryPolicy::attempts(4).backoffUs, 0.0);
+    EXPECT_EQ(RetryPolicy::attempts(0).maxAttempts, 1);   // clamped
+    EXPECT_EQ(RetryPolicy::attempts(1).backoffUs, 0.0);
 }
 
 TEST(EvalService, ShutdownSetsTheStopFlag)
@@ -918,46 +884,71 @@ TEST(EvalServer, AClientThatNeverReadsStallsOnlyItself)
 
 TEST(EvalServer, StopLeavesARequestWaitingForASlotUnevaluated)
 {
-    // The one slot is held by a one-point sweep whose pool task faults
-    // once and is retried after a 3 s backoff. The guard restores the
-    // pool once the server below has been stopped.
-    struct RestorePool
-    {
-        RetryPolicy saved = ThreadPool::global().retryPolicy();
-        ~RestorePool()
+    // The pool runs one top-level job at a time. A helper's job holds
+    // both threads of a 2-thread pool on a latch, so a sweep of two
+    // chunks blocks in parallelFor while it holds the one slot. The
+    // guard opens the latch, joins every thread and restores the pool
+    // on any exit; every wait has a deadline.
+    ThreadPool::setGlobalThreads(2);
+    ThreadPool &pool = ThreadPool::global();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    int entered = 0;
+    const auto openLatch = [&] {
         {
-            fault_inject::clearFaultPlan();
-            ThreadPool::global().setRetryPolicy(saved);
+            std::lock_guard<std::mutex> lock(mu);
+            open = true;
         }
-    } restorePool;
-    RetryPolicy slow;
-    slow.maxAttempts = 2;
-    slow.backoffUs = 3e6;
-    slow.maxBackoffUs = 3e6;
-    ThreadPool::global().setRetryPolicy(slow);
-    FaultPlan plan;
-    plan.rate = 1.0;
-    plan.seed = 5;
-    plan.faultsPerTask = 1;
-    fault_inject::setFaultPlan(plan);
-    const std::uint64_t faultsBefore = fault_inject::faultsInjected();
+        cv.notify_all();
+    };
+    const std::uint64_t jobsBefore = pool.jobsSubmitted();
+    std::thread helper([&] {
+        pool.parallelFor(2, [&](std::size_t) {
+            std::unique_lock<std::mutex> lock(mu);
+            ++entered;
+            cv.notify_all();
+            cv.wait_until(lock, deadline, [&] { return open; });
+        });
+    });
 
     ServerOptions opts;
     opts.endpoint = Endpoint::unixPath(testSocketPath("gate"));
     opts.workers = 1;
     auto server = EvalServer::start(opts);
+    std::thread stopper;
+    struct Guard
+    {
+        std::function<void()> fn;
+        ~Guard() { fn(); }
+    } guard{[&] {
+        openLatch();
+        helper.join();
+        if (stopper.joinable())
+            stopper.join();
+        if (server.ok())
+            (*server)->stop();
+        ThreadPool::setGlobalThreads(0);
+    }};
     ASSERT_TRUE(server.ok()) << server.status().toString();
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        ASSERT_TRUE(cv.wait_until(lock, deadline,
+                                  [&] { return entered == 2; }));
+    }
+    ASSERT_EQ(pool.jobsSubmitted(), jobsBefore + 1);
 
+    // The holder's sweep counts its job before it waits for the pool.
     auto holder = connectTo((*server)->endpoint());
     ASSERT_TRUE(holder.ok()) << holder.status().toString();
-    ASSERT_TRUE(holder->sendAll(sweepRequest(1, 1) + "\n").ok());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (fault_inject::faultsInjected() == faultsBefore &&
+    ASSERT_TRUE(holder->sendAll(sweepRequest(1, 64) + "\n").ok());
+    while (pool.jobsSubmitted() == jobsBefore + 1 &&
            std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    ASSERT_GT(fault_inject::faultsInjected(), faultsBefore);
+    ASSERT_GT(pool.jobsSubmitted(), jobsBefore + 1);
 
     auto waiter = connectTo((*server)->endpoint());
     ASSERT_TRUE(waiter.ok()) << waiter.status().toString();
@@ -969,13 +960,17 @@ TEST(EvalServer, StopLeavesARequestWaitingForASlotUnevaluated)
     }
     EXPECT_EQ(statsOf(**server).find("queue_depth")->number(), 1.0);
 
-    (*server)->stop();
+    // stop() joins the holder's reader, which finishes only once the
+    // latch opens, so it runs on a thread of its own.
+    stopper = std::thread([&] { (*server)->stop(); });
 
     // The waiting ping was dropped, never evaluated or answered.
     std::string buffer;
     std::string line;
     Expected<bool> got = waiter->recvLine(&buffer, &line);
     EXPECT_TRUE(!got.ok() || !*got) << line;
+    openLatch();
+    stopper.join();
     const JsonValue stats = statsOf(**server);
     EXPECT_EQ(stats.find("per_op")->find("ping"), nullptr)
         << stats.dump();

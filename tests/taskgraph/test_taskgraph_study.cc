@@ -1,9 +1,9 @@
 /**
  * @file
  * TaskGraphStudy and ResilientDagScheduler: sweep shape and
- * quarantine, serial/parallel and fault-injected bit-identity (the
- * ENA_FAULT_INJECT retry path), the job-mix interference model, and
- * the RAS layer's exact reduction under ResilienceSpec::none().
+ * quarantine, serial/parallel bit-identity, the job-mix interference
+ * model, and the RAS layer's exact reduction under
+ * ResilienceSpec::none().
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "taskgraph/resilient_schedule.hh"
 #include "taskgraph/taskgraph_study.hh"
-#include "util/fault_inject.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
@@ -104,39 +103,6 @@ TEST(TaskGraphStudy, ParallelSweepIsBitIdenticalToSerial)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_TRUE(samePoint(serial[i], parallel[i])) << i;
-}
-
-TEST(TaskGraphStudy, FaultInjectedSweepIsBitIdenticalToFaultFree)
-{
-    // Every pool task faults once; the retry policy absorbs the
-    // injected faults and the sweep must reproduce the clean run
-    // bit-for-bit (the ENA_FAULT_INJECT schedule-stability gate).
-    TaskDag dag = TaskDag::stencilHalo(12, 8, 48e9, 16e6, App::HPGMG);
-    TaskGraphStudy study(evaluator(), smallCluster());
-    const NodeConfig cfg = NodeConfig::bestMean();
-    auto clean = study.sweep(dag, cfg, allDagSchedulers(), topologies,
-                             counts);
-
-    ThreadPool &pool = ThreadPool::global();
-    RetryPolicy saved = pool.retryPolicy();
-    pool.setRetryPolicy(RetryPolicy::attempts(3));
-    FaultPlan plan;
-    plan.rate = 1.0;
-    plan.seed = 23;
-    plan.faultsPerTask = 1;
-    fault_inject::setFaultPlan(plan);
-    std::uint64_t before = fault_inject::faultsInjected();
-
-    auto faulty = study.sweep(dag, cfg, allDagSchedulers(), topologies,
-                              counts);
-
-    fault_inject::clearFaultPlan();
-    pool.setRetryPolicy(saved);
-
-    EXPECT_GT(fault_inject::faultsInjected(), before);
-    ASSERT_EQ(clean.size(), faulty.size());
-    for (std::size_t i = 0; i < clean.size(); ++i)
-        EXPECT_TRUE(samePoint(clean[i], faulty[i])) << i;
 }
 
 TEST(TaskGraphStudy, InvalidCellsAreQuarantinedNotFatal)

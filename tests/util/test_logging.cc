@@ -26,11 +26,10 @@ TEST(Logging, LevelRoundTrip)
     setLogLevel(before);
 }
 
-TEST(Logging, WarnAndInformDoNotTerminate)
+TEST(Logging, WarnDoesNotTerminate)
 {
     setLogLevel(LogLevel::Silent);
     warn("suppressed warning ", 42);
-    inform("suppressed info");
     setLogLevel(LogLevel::Warn);
     SUCCEED();
 }
@@ -65,12 +64,10 @@ TEST(Logging, SinkReceivesFormattedLines)
     });
     setLogLevel(LogLevel::Info);
     warn("watch out ", 7);
-    inform("hello");
-    setLogSink({});   // restore the default stdout/stderr sink
+    setLogSink({});   // restore the default stderr sink
     setLogLevel(LogLevel::Warn);
-    ASSERT_EQ(lines.size(), 2u);
+    ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0], "warn: watch out 7");
-    EXPECT_EQ(lines[1], "info: hello");
 }
 
 TEST(Logging, SinkRespectsLogLevel)
@@ -79,7 +76,6 @@ TEST(Logging, SinkRespectsLogLevel)
     setLogSink([&](LogLevel, const std::string &) { ++calls; });
     setLogLevel(LogLevel::Silent);
     warn("dropped");
-    inform("dropped");
     setLogSink({});
     setLogLevel(LogLevel::Warn);
     EXPECT_EQ(calls, 0);

@@ -18,29 +18,6 @@ TEST(StringUtils, TrimRemovesSurroundingWhitespace)
     EXPECT_EQ(trim("   "), "");
 }
 
-TEST(StringUtils, SplitOnDelimiter)
-{
-    auto parts = split("a, b ,c", ',');
-    ASSERT_EQ(parts.size(), 3u);
-    EXPECT_EQ(parts[0], "a");
-    EXPECT_EQ(parts[1], "b");
-    EXPECT_EQ(parts[2], "c");
-}
-
-TEST(StringUtils, SplitKeepsEmptyPieces)
-{
-    auto parts = split("a,,b", ',');
-    ASSERT_EQ(parts.size(), 3u);
-    EXPECT_EQ(parts[1], "");
-}
-
-TEST(StringUtils, SplitSinglePiece)
-{
-    auto parts = split("alone", ',');
-    ASSERT_EQ(parts.size(), 1u);
-    EXPECT_EQ(parts[0], "alone");
-}
-
 TEST(StringUtils, ToLower)
 {
     EXPECT_EQ(toLower("CoMD-LJ"), "comd-lj");

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "util/fault_inject.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
@@ -164,100 +163,6 @@ TEST(ThreadPool, DestructionJoinsCleanlyAfterAThrowingJob)
         // Pool destroyed here; a deterministic join must succeed.
     }
     SUCCEED();
-}
-
-TEST(ThreadPool, RetryAbsorbsTransientFailures)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> attempts(64);
-    pool.parallelFor(
-        64,
-        [&](std::size_t i) {
-            // Every index fails its first two attempts, then succeeds.
-            if (attempts[i].fetch_add(1) < 2)
-                throw std::runtime_error("transient");
-        },
-        RetryPolicy::attempts(3));
-    for (auto &a : attempts)
-        EXPECT_EQ(a.load(), 3);
-}
-
-TEST(ThreadPool, RetryGivesUpAfterMaxAttempts)
-{
-    ThreadPool pool(2);
-    std::atomic<int> attempts{0};
-    EXPECT_THROW(pool.parallelFor(
-                     1,
-                     [&](std::size_t) {
-                         ++attempts;
-                         throw std::runtime_error("permanent");
-                     },
-                     RetryPolicy::attempts(3)),
-                 std::runtime_error);
-    EXPECT_EQ(attempts.load(), 3);
-}
-
-TEST(ThreadPool, RetryAbsorbsInjectedFaultsBitIdentically)
-{
-    // The bench_fault_tolerance invariant in miniature: a fault-injected
-    // run with retries matches the fault-free serial run bitwise.
-    auto work = [](std::size_t i) {
-        double x = static_cast<double>(i) + 0.5;
-        return std::sqrt(x) / (x + 1.0);
-    };
-    ThreadPool serial(1);
-    auto reference = serial.parallelMap(500, work);
-
-    FaultPlan plan;
-    plan.rate = 0.4;
-    plan.seed = 2024;
-    plan.faultsPerTask = 2;
-    fault_inject::setFaultPlan(plan);
-    const std::uint64_t before = fault_inject::faultsInjected();
-    ThreadPool pool(4);
-    pool.setRetryPolicy(RetryPolicy::attempts(3));
-    auto faulted = pool.parallelMap(500, work);
-    fault_inject::clearFaultPlan();
-
-    EXPECT_GT(fault_inject::faultsInjected(), before);
-    ASSERT_EQ(faulted.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_EQ(faulted[i], reference[i]) << "index " << i;
-}
-
-TEST(RetryPolicy, FactoriesAndDefaults)
-{
-    EXPECT_EQ(RetryPolicy::none().maxAttempts, 1);
-    EXPECT_EQ(RetryPolicy::attempts(4).maxAttempts, 4);
-    EXPECT_GT(RetryPolicy::attempts(4).backoffUs, 0.0);
-    EXPECT_EQ(RetryPolicy::attempts(0).maxAttempts, 1);   // clamped
-    EXPECT_EQ(RetryPolicy::attempts(1).backoffUs, 0.0);
-}
-
-TEST(RetryPolicy, FromEnvironmentHonorsEnaTaskRetries)
-{
-    ASSERT_EQ(setenv("ENA_TASK_RETRIES", "5", 1), 0);
-    EXPECT_EQ(RetryPolicy::fromEnvironment().maxAttempts, 5);
-    ASSERT_EQ(setenv("ENA_TASK_RETRIES", "garbage", 1), 0);
-    EXPECT_EQ(RetryPolicy::fromEnvironment().maxAttempts, 1);
-    ASSERT_EQ(unsetenv("ENA_TASK_RETRIES"), 0);
-    EXPECT_EQ(RetryPolicy::fromEnvironment().maxAttempts, 1);
-}
-
-TEST(ThreadPool, SetRetryPolicyIsTheJobDefault)
-{
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.retryPolicy().maxAttempts,
-              RetryPolicy::fromEnvironment().maxAttempts);
-    pool.setRetryPolicy(RetryPolicy::attempts(2));
-    std::atomic<int> attempts{0};
-    EXPECT_THROW(pool.parallelFor(1,
-                                  [&](std::size_t) {
-                                      ++attempts;
-                                      throw std::runtime_error("p");
-                                  }),
-                 std::runtime_error);
-    EXPECT_EQ(attempts.load(), 2);   // the pool default applied
 }
 
 TEST(ThreadPool, NestedParallelForRunsInline)

@@ -58,7 +58,7 @@ fi
 
 keep=$root/tools/unreached_symbols.keep
 if grep -Ev '^(#|$)' "$keep" |
-        grep -Ev '  # (oracle|seam|perfbench|journal|item 8): [^ ]' >"$tmp/bad"; then
+        grep -Ev '  # (oracle|seam|perfbench|item 8): [^ ]' >"$tmp/bad"; then
     echo "names in $keep without a '  # <reason>: <why>' comment:" >&2
     cat "$tmp/bad" >&2
     exit 1
