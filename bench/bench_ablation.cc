@@ -11,12 +11,14 @@
  */
 
 #include <iostream>
+#include <vector>
 
 #include "bench_util.hh"
 #include "core/chiplet_study.hh"
 #include "core/dse.hh"
 #include "core/studies.hh"
 #include "util/table.hh"
+#include "util/thread_pool.hh"
 
 using namespace ena;
 
@@ -43,20 +45,50 @@ main()
     }
     bench::show(a, "ablation_budget");
 
+    // ---- the nine Fig. 7 comparisons of (b), (c) and (e) --------------
+    // Independent simulations: run them as one pooled job, each into
+    // its own slot, and print them below in section order.
+    const std::vector<int> wavefronts = {4, 8, 12};
+    const std::vector<double> placements = {0.0, 0.25, 0.5, 0.75};
+    struct Case
+    {
+        App app;
+        ChipletStudyParams params;
+    };
+    std::vector<Case> cases;
+    for (int wf : wavefronts) {
+        ChipletStudyParams p = ChipletStudyParams::forApp(App::XSBench);
+        p.wavefrontsPerCu = wf;
+        cases.push_back({App::XSBench, p});
+    }
+    for (double frac : placements) {
+        ChipletStudyParams p = ChipletStudyParams::forApp(App::CoMD);
+        p.localPlacementFrac = frac;
+        cases.push_back({App::CoMD, p});
+    }
+    for (bool detailed : {false, true}) {
+        ChipletStudyParams p = ChipletStudyParams::forApp(App::XSBench);
+        p.detailedNoc = detailed;
+        cases.push_back({App::XSBench, p});
+    }
+    ChipletStudy study;
+    const std::vector<Fig7Row> rows = parallel_map(
+        cases.size(), [&](std::size_t i) {
+            return study.compare(cases[i].app, cases[i].params);
+        });
+    auto row = rows.begin();
+
     // ---- (b) latency tolerance -----------------------------------------
     std::cout << "\n(b) Chiplet penalty (XSBench) vs latency tolerance "
                  "(wavefronts per CU):\n";
-    ChipletStudy study;
     TextTable b({"latency tolerance", "perf vs monolithic (%)"});
     // The chiplet penalty is a latency effect; the wavefront count per
     // CU sets how much of the extra interposer latency can be hidden.
-    for (int wf : {4, 8, 12}) {
-        ChipletStudyParams p = ChipletStudyParams::forApp(App::XSBench);
-        p.wavefrontsPerCu = wf;
-        Fig7Row row = study.compare(App::XSBench, p);
+    for (int wf : wavefronts) {
         b.row()
             .add(strformat("%d wavefronts/CU", wf))
-            .add(row.perfVsMonolithicPct, "%.1f");
+            .add(row->perfVsMonolithicPct, "%.1f");
+        ++row;
     }
     bench::show(b, "ablation_latency_tolerance");
 
@@ -65,14 +97,12 @@ main()
                  "placement (CoMD):\n";
     TextTable c({"local placement", "remote traffic (%)",
                  "perf vs monolithic (%)"});
-    for (double frac : {0.0, 0.25, 0.5, 0.75}) {
-        ChipletStudyParams p = ChipletStudyParams::forApp(App::CoMD);
-        p.localPlacementFrac = frac;
-        Fig7Row row = study.compare(App::CoMD, p);
+    for (double frac : placements) {
         c.row()
             .add(frac, "%.2f")
-            .add(row.remoteTrafficPct, "%.1f")
-            .add(row.perfVsMonolithicPct, "%.1f");
+            .add(row->remoteTrafficPct, "%.1f")
+            .add(row->perfVsMonolithicPct, "%.1f");
+        ++row;
     }
     bench::show(c, "ablation_numa");
 
@@ -96,19 +126,12 @@ main()
                  "XY-routed) interposer model (Fig. 7,\nXSBench):\n";
     TextTable e({"NoC model", "perf vs monolithic (%)",
                  "remote traffic (%)"});
-    {
-        ChipletStudyParams p = ChipletStudyParams::forApp(App::XSBench);
-        Fig7Row vc = study.compare(App::XSBench, p);
-        p.detailedNoc = true;
-        Fig7Row det = study.compare(App::XSBench, p);
+    for (const char *model : {"virtual circuit", "detailed router"}) {
         e.row()
-            .add("virtual circuit")
-            .add(vc.perfVsMonolithicPct, "%.1f")
-            .add(vc.remoteTrafficPct, "%.1f");
-        e.row()
-            .add("detailed router")
-            .add(det.perfVsMonolithicPct, "%.1f")
-            .add(det.remoteTrafficPct, "%.1f");
+            .add(model)
+            .add(row->perfVsMonolithicPct, "%.1f")
+            .add(row->remoteTrafficPct, "%.1f");
+        ++row;
     }
     bench::show(e, "ablation_noc_fidelity");
 

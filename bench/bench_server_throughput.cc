@@ -8,6 +8,11 @@
  *  (b) throughput: requests/sec for single-point eval_node calls, and
  *      points/sec for one large sweep request.
  *
+ * With ENA_METRICS set it also prints, for each of the two phases, how
+ * many socket reads that had to wait were served inside recvLine's
+ * poll window (net.recv_polled) rather than by the blocking recv
+ * (net.recv_blocked); client and server reads both count.
+ *
  * Usage: bench_server_throughput [REQUESTS] [--json <path>]
  *        (default 2000 eval_node requests)
  */
@@ -24,6 +29,8 @@
 #include "common/node_config_io.hh"
 #include "server/client.hh"
 #include "server/server.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/telemetry.hh"
 
 using namespace ena;
 
@@ -75,6 +82,36 @@ requestConfigs(int n)
     }
     return cfgs;
 }
+
+/** Socket reads that waited: inside the poll window, and past it. */
+struct RecvWaits
+{
+    std::uint64_t polled = 0;
+    std::uint64_t blocked = 0;
+
+    static RecvWaits
+    now()
+    {
+        return {telemetry::counter("net.recv_polled").value(),
+                telemetry::counter("net.recv_blocked").value()};
+    }
+
+    RecvWaits
+    since(const RecvWaits &start) const
+    {
+        return {polled - start.polled, blocked - start.blocked};
+    }
+
+    std::string
+    describe() const
+    {
+        const std::uint64_t waits = polled + blocked;
+        return strformat("%llu of %llu waits polled (%.1f%%)",
+                         static_cast<unsigned long long>(polled),
+                         static_cast<unsigned long long>(waits),
+                         waits ? 100.0 * polled / waits : 0.0);
+    }
+};
 
 double
 evalNodePhase(ServerClient &client, const std::vector<NodeConfig> &cfgs,
@@ -156,13 +193,17 @@ main(int argc, char **argv)
           "server sweep is bit-identical to serial local evaluation");
 
     // --- (b) throughput: eval_node requests/sec.
+    const RecvWaits evalStart = RecvWaits::now();
     double evalRps =
         evalNodePhase(client, requestConfigs(requests), "hpgmg");
+    const RecvWaits evalWaits = RecvWaits::now().since(evalStart);
 
     // One large sweep request.
+    const RecvWaits sweepStart = RecvWaits::now();
     auto t0 = std::chrono::steady_clock::now();
     auto big = client.sweepAxis("comd", "freq", 0.5, 1.5, 0.0005);
     double sweepSec = secondsSince(t0);
+    const RecvWaits sweepWaits = RecvWaits::now().since(sweepStart);
     if (!big.ok()) {
         std::cerr << "large sweep failed: " << big.status().toString()
                   << "\n";
@@ -174,6 +215,12 @@ main(int argc, char **argv)
               << "\neval_node requests/sec: " << evalRps
               << "\nsweep points/sec:       " << sweepPps << " ("
               << big->size() << " points in one request)\n";
+    if (telemetry::metricsEnabled()) {
+        std::cout << "\nsocket reads served by the poll window:"
+                  << "\n  eval_node phase: " << evalWaits.describe()
+                  << "\n  sweep phase:     " << sweepWaits.describe()
+                  << "\n";
+    }
 
     (*server)->stop();
 

@@ -78,13 +78,17 @@ class Socket
     explicit Socket(int fd) : fd_(fd) {}
     ~Socket() { close(); }
 
-    Socket(Socket &&o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
+    Socket(Socket &&o) noexcept : fd_(o.fd_), pollWaits_(o.pollWaits_)
+    {
+        o.fd_ = -1;
+    }
     Socket &
     operator=(Socket &&o) noexcept
     {
         if (this != &o) {
             close();
             fd_ = o.fd_;
+            pollWaits_ = o.pollWaits_;
             o.fd_ = -1;
         }
         return *this;
@@ -106,6 +110,17 @@ class Socket
      * once the line is known to be longer than @p maxLine bytes, with
      * the bytes read so far left in @p buffer. Each call searches every
      * received byte for the newline once.
+     *
+     * When no complete line is buffered, the read polls first: for
+     * about 50 us it retries a non-blocking recv, yielding the CPU
+     * between tries, and only then blocks. A reply or request that
+     * arrives inside that window is read without waking a sleeping
+     * thread; an idle connection still parks its reader in the
+     * blocking recv, which alone honours setRecvTimeout() and
+     * shutdownBoth(). The socket's first wait blocks at once: on a
+     * new connection the peer is still starting up. Telemetry
+     * counters net.recv_polled and net.recv_blocked count the waits
+     * each way.
      */
     Expected<bool> recvLine(std::string *buffer, std::string *line,
                             std::size_t maxLine = SIZE_MAX);
@@ -138,6 +153,7 @@ class Socket
 
   private:
     int fd_ = -1;
+    bool pollWaits_ = false; ///< set once a read on this socket waited
 };
 
 /** Connect to @p ep (blocking). */
