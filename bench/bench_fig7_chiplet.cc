@@ -5,9 +5,7 @@
  * from the cycle-level simulator (paper Section V-A).
  *
  * The paper plots XSBench, SNAP, and CoMD; pass --all to run every
- * application (slower). --domains N (N > 1) shards each chiplet-mode
- * simulation into PDES domains (hub + one per GPU chiplet); results
- * stay a pure function of the domain layout, independent of threads.
+ * application (slower). Any other argument is a usage error (exit 2).
  */
 
 #include <cstring>
@@ -16,7 +14,6 @@
 
 #include "bench_util.hh"
 #include "core/chiplet_study.hh"
-#include "util/string_utils.hh"
 #include "util/table.hh"
 
 using namespace ena;
@@ -24,21 +21,14 @@ using namespace ena;
 int
 main(int argc, char **argv)
 {
-    bool all = bench::hasFlag(argc, argv, "--all");
-    int domains = 1;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--domains") == 0) {
-            std::optional<long long> n = parseInt(argv[i + 1]);
-            if (!n || *n < 1) {
-                std::cerr << "bench_fig7_chiplet: --domains needs a "
-                             "positive integer, got '"
-                          << argv[i + 1]
-                          << "'\nUsage: bench_fig7_chiplet [--all] "
-                             "[--domains N]\n";
-                return 2;
-            }
-            domains = static_cast<int>(*n);
+    bool all = false;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--all") != 0) {
+            std::cerr << "bench_fig7_chiplet: unknown argument '"
+                      << argv[i] << "'\nUsage: bench_fig7_chiplet [--all]\n";
+            return 2;
         }
+        all = true;
     }
 
     bench::banner("Figure 7",
@@ -54,11 +44,7 @@ main(int argc, char **argv)
     TextTable t({"Application", "Out-of-chiplet traffic (%)",
                  "EHP perf vs monolithic (%)", "chiplet us",
                  "monolithic us", "L2 hit", "mean hops"});
-    if (domains > 1) {
-        std::cout << "(chiplet-mode simulations sharded into hub + "
-                  << "per-chiplet PDES domains)\n";
-    }
-    for (const Fig7Row &row : study.compareAll(apps, domains)) {
+    for (const Fig7Row &row : study.compareAll(apps)) {
         t.row()
             .add(appName(row.app))
             .add(row.remoteTrafficPct, "%.1f")

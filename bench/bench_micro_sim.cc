@@ -181,63 +181,6 @@ BM_DetailedNocTraversal(benchmark::State &state)
 }
 BENCHMARK(BM_DetailedNocTraversal);
 
-/** Windowed PDES throughput: Arg is the domain count (1 = the plain
- *  single-queue kernel). Workers exchange cross-domain messages at one
- *  lookahead of latency, so multi-domain runs pay window barriers. */
-void
-BM_PdesShardedSim(benchmark::State &state)
-{
-    constexpr Tick lookahead = 1000;
-    struct Node : SimObject
-    {
-        EventFunctionWrapper ev;
-        Node *peer = nullptr;
-        std::uint64_t count = 0;
-        std::uint64_t recv = 0;
-        Node(Simulation &s, const std::string &n)
-            : SimObject(s, n), ev([this] { tick(); }, n + ".tick")
-        {
-        }
-        void startup() override { schedule(ev, 100); }
-        void
-        tick()
-        {
-            ++count;
-            if (count % 4 == 0) {
-                Node *p = peer;
-                sim().postCrossDomain(p->domain(),
-                                      curTick() + lookahead,
-                                      [p] { ++p->recv; }, "msg");
-            }
-            if (count < 2000)
-                schedule(ev, 250);
-        }
-    };
-
-    const int domains = static_cast<int>(state.range(0));
-    const int workers = 8;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        Simulation sim;
-        if (domains > 1) {
-            sim.setDomains(domains);
-            sim.setLookahead(lookahead);
-        }
-        std::vector<Node *> nodes;
-        for (int i = 0; i < workers; ++i) {
-            Simulation::DomainScope scope(
-                sim, domains > 1 ? i % domains : 0);
-            nodes.push_back(
-                sim.create<Node>("n" + std::to_string(i)));
-        }
-        for (int i = 0; i < workers; ++i)
-            nodes[i]->peer = nodes[(i + 1) % workers];
-        events += sim.run();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_PdesShardedSim)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 } // anonymous namespace
 
 BENCHMARK_MAIN();

@@ -142,17 +142,6 @@ jsonPathFromArgs(int argc, char **argv)
     return "";
 }
 
-/** True when @p flag (e.g. "--all") appears anywhere in argv. */
-inline bool
-hasFlag(int argc, char **argv, const std::string &flag)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (flag == argv[i])
-            return true;
-    }
-    return false;
-}
-
 /** Evaluator shared by all benches in one process. */
 inline const NodeEvaluator &
 evaluator()

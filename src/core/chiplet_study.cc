@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "cpu/cpu_cluster.hh"
@@ -80,17 +79,6 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
     const KernelProfile &profile = profileFor(app);
     Simulation sim;
 
-    // Domain layout when sharded: 0 = hub (network, dispatcher, CPU
-    // clusters), 1 + i = GPU chiplet i with its CUs, HBM stack, and
-    // stack endpoint. The chiplet-local TSV fast path never leaves a
-    // domain; every interposer crossing is a cross-domain channel.
-    const bool sharded = !monolithic && params.domains > 1;
-    if (sharded) {
-        sim.setDomains(1 + params.gpuChiplets);
-        sim.setSerialWindows(params.serialWindows);
-    }
-    auto domainOf = [&](int chiplet) { return sharded ? 1 + chiplet : 0; };
-
     Topology topo = Topology::ehp(params.gpuChiplets, params.cpuClusters);
 
     Network *network = nullptr;
@@ -107,8 +95,6 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
         dn.tsvCycles = 1;
         dn.linkBytesPerCycle = 256;
         network = sim.create<DetailedNetwork>("noc", topo, dn);
-        if (sharded)
-            sim.setLookahead(dn.tsvCycles * dn.cycle());
     } else {
         InterposerParams ip;
         ip.routerCycles = 2;
@@ -116,8 +102,6 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
         ip.tsvCycles = 1;
         ip.linkBytesPerCycle = 256;
         network = sim.create<InterposerNetwork>("noc", topo, ip);
-        if (sharded)
-            sim.setLookahead(ip.tsvCycles * ip.cycle());
     }
 
     // Address layout: shared region at 0, per-chiplet private arenas
@@ -142,7 +126,6 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
         params.aggregateBwGbs, params.gpuChiplets);
     std::vector<HbmStack *> stacks;
     for (int i = 0; i < params.gpuChiplets; ++i) {
-        Simulation::DomainScope scope(sim, domainOf(i));
         auto *stack =
             sim.create<HbmStack>(strformat("hbm%d", i), hbm);
         stacks.push_back(stack);
@@ -156,7 +139,6 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
     gp.monolithic = monolithic;
     std::vector<GpuChiplet *> chiplets;
     for (int i = 0; i < params.gpuChiplets; ++i) {
-        Simulation::DomainScope scope(sim, domainOf(i));
         NodeId node = topo.nodeOf(NodeKind::GpuChiplet, i);
         auto *chiplet = sim.create<GpuChiplet>(
             strformat("gpu%d", i), i, node, gp, addr_map, *network);
@@ -247,15 +229,7 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
         row_total += stack->bytesServed();
     }
     r.hbmRowHitRate = row_total > 0.0 ? row_hits / row_total : 0.0;
-    r.memOps = 0;
-    r.eventsProcessed = 0;
-    for (int d = 0; d < sim.numDomains(); ++d)
-        r.eventsProcessed += sim.eventsProcessedIn(d);
-    if (params.captureStats) {
-        std::ostringstream ss;
-        sim.stats().dump(ss);
-        r.statsDump = ss.str();
-    }
+    r.eventsProcessed = sim.eventq().eventsProcessed();
 
     if (params.dumpStats) {
         std::cout << "---------- " << appName(app)
@@ -291,16 +265,14 @@ ChipletStudy::compare(App app, const ChipletStudyParams &params) const
 }
 
 std::vector<Fig7Row>
-ChipletStudy::compareAll(const std::vector<App> &apps, int domains) const
+ChipletStudy::compareAll(const std::vector<App> &apps) const
 {
     // One task per (app, mode) pair: all simulations are independent,
     // and per-app results assemble in index order afterwards.
     std::vector<ChipletRunResult> runs = ThreadPool::global().parallelMap(
         2 * apps.size(), [&](std::size_t i) {
             App app = apps[i / 2];
-            ChipletStudyParams p = ChipletStudyParams::forApp(app);
-            p.domains = domains;
-            return run(app, p, i % 2 == 1);
+            return run(app, ChipletStudyParams::forApp(app), i % 2 == 1);
         });
     std::vector<Fig7Row> rows(apps.size());
     for (std::size_t a = 0; a < apps.size(); ++a) {

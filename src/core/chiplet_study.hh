@@ -46,29 +46,11 @@ struct ChipletStudyParams
     std::uint64_t seed = 1;
     /** Dump the full gem5-style stat registry after the run. */
     bool dumpStats = false;
-    /** Capture the stat-registry dump into ChipletRunResult::statsDump
-     *  (the PDES determinism gates compare these bitwise). */
-    bool captureStats = false;
     /** Use the detailed (buffered, XY-routed) router model instead of
      *  the virtual-circuit interposer approximation. */
     bool detailedNoc = false;
-    /**
-     * Event-queue domains for the chiplet-mode model. 1 (the default)
-     * is the plain serial kernel — the oracle behind every published
-     * number. Any value > 1 shards the simulation into a hub domain
-     * (interposer network, dispatcher, CPU clusters) plus one domain
-     * per GPU chiplet (chiplet + CUs + its HBM stack + endpoint),
-     * running conservative PDES windows sized by the TSV-crossing
-     * latency. Sharding makes CU-completion signals pay one lookahead
-     * of interposer latency, so a sharded run is its own (slightly
-     * different) timing model: its determinism gate compares pooled
-     * against serial-window execution at the same domain count.
-     * Ignored (forced serial) for the monolithic crossbar model.
-     */
+    /** Retired and ignored; only perfbench sets them (ROADMAP item 2). */
     int domains = 1;
-    /** With domains > 1: execute each window's domains serially on the
-     *  calling thread instead of the ThreadPool — the bitwise oracle
-     *  for pooled execution. */
     bool serialWindows = false;
 
     /** Per-application defaults (placement, working set). */
@@ -86,8 +68,6 @@ struct ChipletRunResult
     double hbmRowHitRate = 0.0;
     std::uint64_t memOps = 0;
     std::uint64_t eventsProcessed = 0;
-    /** Full stat-registry dump (only when captureStats is set). */
-    std::string statsDump;
 };
 
 /** One Fig. 7 bar pair. */
@@ -118,11 +98,8 @@ class ChipletStudy
      * (ChipletStudyParams::forApp), running every (app, mode) simulation
      * on the process-wide ThreadPool. Results are identical to calling
      * compare() in a loop.
-     * @p domains > 1 shards each chiplet-mode simulation into that
-     * study's PDES domain layout (see ChipletStudyParams::domains).
      */
-    std::vector<Fig7Row> compareAll(const std::vector<App> &apps,
-                                    int domains = 1) const;
+    std::vector<Fig7Row> compareAll(const std::vector<App> &apps) const;
 };
 
 } // namespace ena

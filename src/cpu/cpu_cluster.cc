@@ -20,7 +20,7 @@ CpuCluster::CpuCluster(Simulation &sim, const std::string &name,
     ENA_ASSERT(params_.cores > 0, "CPU cluster needs cores");
     ENA_ASSERT(params_.sharedSize >= params_.dataBytes,
                "shared region too small");
-    network_.attach(nodeId_, this, domain());
+    network_.attach(nodeId_, this);
 }
 
 void

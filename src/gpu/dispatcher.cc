@@ -1,6 +1,5 @@
 #include "gpu/dispatcher.hh"
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -55,19 +54,7 @@ Dispatcher::assign(ComputeUnit &cu, int chiplet_index)
             profile_, layout, params_.seed + nextWfId_++));
     }
     ++cus_;
-    cu.setDoneCallback([this] {
-        // The CU retires in its own domain; completion crosses the
-        // interposer back to the dispatch queue, so it pays one
-        // lookahead of latency when the domains differ (serially the
-        // branch is never taken and the callback stays synchronous).
-        if (sim().crossesDomain(domain())) {
-            sim().postCrossDomain(domain(),
-                                  sim().now() + sim().lookahead(),
-                                  [this] { cuDone(); }, "cu done");
-        } else {
-            cuDone();
-        }
-    });
+    cu.setDoneCallback([this] { cuDone(); });
 }
 
 void

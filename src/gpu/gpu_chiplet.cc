@@ -20,7 +20,7 @@ GpuChiplet::GpuChiplet(Simulation &sim, const std::string &name,
       statExternalBytes_(sim.stats(), name + ".externalBytes",
                          "post-L2 bytes serviced off-package")
 {
-    network_.attach(nodeId_, this, domain());
+    network_.attach(nodeId_, this);
 }
 
 void

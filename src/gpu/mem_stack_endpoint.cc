@@ -14,7 +14,7 @@ MemStackEndpoint::MemStackEndpoint(Simulation &sim,
     : SimObject(sim, name), nodeId_(node_id), stack_(stack),
       network_(network), dataBytes_(data_bytes), ackBytes_(ack_bytes)
 {
-    network_.attach(nodeId_, this, domain());
+    network_.attach(nodeId_, this);
 }
 
 void

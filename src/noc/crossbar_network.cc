@@ -21,11 +21,6 @@ CrossbarNetwork::CrossbarNetwork(Simulation &sim, const std::string &name,
 void
 CrossbarNetwork::send(const Packet &pkt)
 {
-    // The monolithic model has no interposer channel to hide a window
-    // behind, so it is never domain-sharded.
-    ENA_ASSERT(!sim().crossesDomain(domain()),
-               "CrossbarNetwork is single-domain; packet from node ",
-               pkt.src, " sent from a foreign domain");
     Tick cycle = clockPeriod(params_.clockGhz);
 
     // Occupancy charged against the shared aggregate capacity.

@@ -68,14 +68,6 @@ DetailedNetwork::send(const Packet &pkt)
         ++occ_[port];
         arriveAtRouter(copy, r, injectPort, 0);
     };
-    if (sim().crossesDomain(domain())) {
-        // TSV descent doubles as the cross-domain channel, exactly as
-        // in the virtual-circuit model.
-        sim().postCrossDomain(
-            domain(), sim().now() + params_.tsvCycles * params_.cycle(),
-            std::move(inject), "inject");
-        return;
-    }
     eventq().scheduleLambda(
         curTick() + params_.tsvCycles * params_.cycle(),
         std::move(inject), "inject");

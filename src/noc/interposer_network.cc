@@ -33,30 +33,13 @@ InterposerNetwork::serialization(std::uint32_t bytes) const
 void
 InterposerNetwork::send(const Packet &pkt)
 {
-    if (sim().crossesDomain(domain())) {
-        // The TSV descent from the sender's chiplet is the
-        // cross-domain channel into the interposer domain; its latency
-        // is what the conservative lookahead is sized against.
-        Tick inject = sim().now();
-        Packet copy = pkt;
-        sim().postCrossDomain(
-            domain(), inject + params_.tsvCycles * params_.cycle(),
-            [this, copy, inject] { route(copy, inject); }, "noc inject");
-        return;
-    }
-    route(pkt, curTick());
-}
-
-void
-InterposerNetwork::route(const Packet &pkt, Tick inject)
-{
     const TopologyNode &src = topo_.node(pkt.src);
     const TopologyNode &dst = topo_.node(pkt.dst);
     Tick cycle = params_.cycle();
     Tick ser = serialization(pkt.bytes);
 
     // Descend into the interposer.
-    Tick t = inject + params_.tsvCycles * cycle;
+    Tick t = curTick() + params_.tsvCycles * cycle;
 
     std::uint32_t hops = 0;
     std::uint32_t at = src.router;
@@ -78,7 +61,7 @@ InterposerNetwork::route(const Packet &pkt, Tick inject)
     t += params_.tsvCycles * cycle;
 
     recordPacket(pkt, hops);
-    scheduleDelivery(pkt, t, inject);
+    scheduleDelivery(pkt, t);
 }
 
 Tick

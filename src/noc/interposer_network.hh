@@ -56,15 +56,6 @@ class InterposerNetwork : public Network
     const Topology &topology() const { return topo_; }
 
   private:
-    /**
-     * Walk the packet from its source router to the destination,
-     * starting from injection tick @p inject (the source chiplet's
-     * clock when send() was called). Runs in the network's own domain;
-     * when the sender lives in another domain, send() posts this walk
-     * across the TSV-descent channel instead of running it inline.
-     */
-    void route(const Packet &pkt, Tick inject);
-
     Tick serialization(std::uint32_t bytes) const;
 
     const Topology &topo_;

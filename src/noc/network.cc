@@ -9,7 +9,6 @@ Network::Network(Simulation &sim, const std::string &name,
                  size_t num_nodes)
     : SimObject(sim, name),
       endpoints_(num_nodes, nullptr),
-      endpointDomains_(num_nodes, 0),
       statPackets_(sim.stats(), name + ".packets", "packets injected"),
       statBytes_(sim.stats(), name + ".bytes", "payload bytes injected"),
       statHops_(sim.stats(), name + ".hops", "total router hops"),
@@ -21,37 +20,24 @@ Network::Network(Simulation &sim, const std::string &name,
 }
 
 void
-Network::attach(NodeId id, NetworkEndpoint *ep, int dom)
+Network::attach(NodeId id, NetworkEndpoint *ep)
 {
     ENA_ASSERT(id < endpoints_.size(), "attach: bad node id ", id);
     ENA_ASSERT(!endpoints_[id], "node ", id, " already attached");
-    ENA_ASSERT(dom >= -1 && dom < sim().numDomains(),
-               "attach: bad domain ", dom, " for node ", id);
     endpoints_[id] = ep;
-    endpointDomains_[id] = dom < 0 ? domain() : dom;
 }
 
 void
 Network::scheduleDelivery(const Packet &pkt, Tick arrival)
-{
-    scheduleDelivery(pkt, arrival, curTick());
-}
-
-void
-Network::scheduleDelivery(const Packet &pkt, Tick arrival, Tick injected)
 {
     ENA_ASSERT(pkt.dst < endpoints_.size(), "send: bad dst node ",
                pkt.dst);
     NetworkEndpoint *ep = endpoints_[pkt.dst];
     ENA_ASSERT(ep, "send: node ", pkt.dst, " has no endpoint");
     statLatency_.sample(
-        static_cast<double>(arrival - injected) / tickPerNs);
-    // postCrossDomain degenerates to a plain scheduleLambda when the
-    // endpoint shares the executing domain (always true serially), so
-    // the single-domain kernel behaves exactly as before.
-    sim().postCrossDomain(
-        endpointDomains_[pkt.dst], arrival,
-        [ep, pkt] { ep->receivePacket(pkt); }, "packet delivery");
+        static_cast<double>(arrival - curTick()) / tickPerNs);
+    eventq().scheduleLambda(
+        arrival, [ep, pkt] { ep->receivePacket(pkt); }, "packet delivery");
 }
 
 void

@@ -30,13 +30,8 @@ class Network : public SimObject
   public:
     Network(Simulation &sim, const std::string &name, size_t num_nodes);
 
-    /**
-     * Attach the endpoint object for node @p id. @p domain is the
-     * event-queue domain the endpoint's receivePacket() must run in;
-     * the default (-1) means the network's own domain, which is always
-     * correct for single-domain simulations.
-     */
-    void attach(NodeId id, NetworkEndpoint *ep, int domain = -1);
+    /** Attach the endpoint object for node @p id. */
+    void attach(NodeId id, NetworkEndpoint *ep);
 
     /**
      * Inject a packet at the current tick; the destination endpoint's
@@ -65,20 +60,15 @@ class Network : public SimObject
 
   protected:
     /**
-     * Schedule delivery to the endpoint at @p arrival, in the
-     * endpoint's own domain. Latency is sampled from @p injected (the
-     * tick the packet entered the fabric); the two-argument form uses
-     * the network's current tick, which is the legacy behaviour for
-     * same-domain sends.
+     * Schedule delivery to the endpoint at @p arrival, sampling the
+     * latency from the current tick to @p arrival.
      */
     void scheduleDelivery(const Packet &pkt, Tick arrival);
-    void scheduleDelivery(const Packet &pkt, Tick arrival, Tick injected);
 
     /** Record per-packet accounting. */
     void recordPacket(const Packet &pkt, std::uint32_t hops);
 
     std::vector<NetworkEndpoint *> endpoints_;
-    std::vector<int> endpointDomains_;
 
     StatScalar statPackets_;
     StatScalar statBytes_;

@@ -83,13 +83,6 @@ EventQueue::nextTick() const
     return heap_.top().when;
 }
 
-Tick
-EventQueue::nextTickOr(Tick fallback) const
-{
-    skim();
-    return heap_.empty() ? fallback : heap_.top().when;
-}
-
 bool
 EventQueue::serviceOne()
 {
@@ -131,18 +124,12 @@ EventQueue::run(Tick limit)
     // A bounded run simulates the whole window [entry tick, limit]:
     // even when the queue drains early or the next event lies past the
     // limit, time advances to the window boundary so that repeated
-    // run(limit) segments (the PDES barrier pattern) observe monotone,
-    // non-stale time. An unbounded run keeps the last event's tick.
+    // run(limit) segments (the chiplet study's time slices) observe
+    // monotone, non-stale time. An unbounded run keeps the last event's
+    // tick.
     if (limit != maxTick && curTick_ < limit)
         curTick_ = limit;
     return n;
-}
-
-void
-EventQueue::advanceTo(Tick when)
-{
-    if (when > curTick_)
-        curTick_ = when;
 }
 
 } // namespace ena

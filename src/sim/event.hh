@@ -120,13 +120,6 @@ class EventQueue
     /** Tick of the next live event; fatal() when empty. */
     Tick nextTick() const;
 
-    /** Tick of the next live event, or @p fallback when empty. */
-    Tick nextTickOr(Tick fallback) const;
-
-    /** Move time forward to @p when with no event processing (never
-     *  backwards); used by windowed multi-queue execution. */
-    void advanceTo(Tick when);
-
     /** Execute the single next event; returns false when queue empty. */
     bool serviceOne();
 

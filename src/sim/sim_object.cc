@@ -6,7 +6,7 @@
 namespace ena {
 
 SimObject::SimObject(Simulation &sim, std::string name)
-    : sim_(sim), name_(std::move(name)), domain_(sim.buildDomain())
+    : sim_(sim), name_(std::move(name))
 {
     ENA_ASSERT(!name_.empty(), "SimObject requires a name");
 }
@@ -14,7 +14,7 @@ SimObject::SimObject(Simulation &sim, std::string name)
 EventQueue &
 SimObject::eventq() const
 {
-    return sim_.eventq(domain_);
+    return sim_.eventq();
 }
 
 Tick

@@ -41,15 +41,7 @@ class SimObject
     /** The owning simulation. */
     Simulation &sim() const { return sim_; }
 
-    /**
-     * Event-queue domain this object belongs to (captured from the
-     * simulation's build domain at construction; 0 in the plain serial
-     * kernel). The object's events run only on this domain's queue.
-     */
-    int domain() const { return domain_; }
-
-    /** Convenience accessors; eventq()/curTick() are this object's
-     *  domain queue and its clock. */
+    /** Convenience accessors for the simulation's queue and clock. */
     EventQueue &eventq() const;
     Tick curTick() const;
 
@@ -59,7 +51,6 @@ class SimObject
   private:
     Simulation &sim_;
     std::string name_;
-    int domain_;
 };
 
 } // namespace ena

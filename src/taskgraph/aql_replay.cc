@@ -33,7 +33,7 @@ replayOnAqlQueues(Simulation &sim, const TaskDag &dag,
 
     std::function<void(TaskId)> dispatch = [&](TaskId id) {
         done[id].waitZero([&, id] {
-            out.finishedAt[id] = sim.now();
+            out.finishedAt[id] = sim.curTick();
             for (const DagEdge &s : dag.succs(id)) {
                 if (--pending[s.task] == 0)
                     dispatch(s.task);

@@ -58,12 +58,6 @@ TextTable::add(long long v)
     return add(std::to_string(v));
 }
 
-TextTable &
-TextTable::add(size_t v)
-{
-    return add(std::to_string(v));
-}
-
 void
 TextTable::print(std::ostream &os) const
 {

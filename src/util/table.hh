@@ -34,7 +34,6 @@ class TextTable
     TextTable &add(double v, const char *fmt = "%.3g");
     TextTable &add(int v);
     TextTable &add(long long v);
-    TextTable &add(size_t v);
 
     /** Number of data rows so far. */
     size_t numRows() const { return rows_.size(); }

@@ -279,15 +279,6 @@ TEST(EventQueue, SegmentedRunMatchesSingleRun)
     EXPECT_EQ(segmented.eventsProcessed(), single.eventsProcessed());
 }
 
-TEST(EventQueue, NextTickOrFallback)
-{
-    EventQueue q;
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.nextTickOr(123), 123u);
-    q.scheduleLambda(10, [] {});
-    EXPECT_EQ(q.nextTickOr(123), 10u);
-}
-
 TEST(EventQueue, NextTickSkimsDescheduledTop)
 {
     EventQueue q;
@@ -297,21 +288,8 @@ TEST(EventQueue, NextTickSkimsDescheduledTop)
     q.schedule(&b, 20);
     q.deschedule(&a);
     EXPECT_EQ(q.nextTick(), 20u);
-    EXPECT_EQ(q.nextTickOr(999), 20u);
     q.deschedule(&b);
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.nextTickOr(999), 999u);
-}
-
-TEST(EventQueue, AdvanceToIsForwardOnly)
-{
-    EventQueue q;
-    q.scheduleLambda(10, [] {});
-    q.run();
-    q.advanceTo(40);
-    EXPECT_EQ(q.curTick(), 40u);
-    q.advanceTo(20); // never moves backwards
-    EXPECT_EQ(q.curTick(), 40u);
 }
 
 TEST(EventQueueDeathTest, SchedulingInPastPanics)
