@@ -4,9 +4,11 @@
  *
  * Runs the event-driven EHP model in chiplet and monolithic modes for
  * one application and prints the traffic split, cache behaviour, and
- * relative performance.
+ * relative performance. An argument after APP that is not one of the
+ * KEY=VALUE settings below is a usage error (exit 2).
  *
- * Usage: chiplet_vs_monolithic [APP]
+ * Usage: chiplet_vs_monolithic [APP [seed=N] [cpu=0|1] [local=FRAC]
+ *                              [bw=GBS] [wf=N]]
  */
 
 #include <iostream>
@@ -22,6 +24,19 @@
 using namespace ena;
 
 namespace {
+
+constexpr const char *usage =
+    "Usage: chiplet_vs_monolithic [APP [seed=N] [cpu=0|1] [local=FRAC] "
+    "[bw=GBS] [wf=N]]";
+
+/** Report @p arg as unknown, print the usage line, and return 2. */
+int
+usageError(const std::string &arg)
+{
+    std::cerr << "chiplet_vs_monolithic: unknown argument '" << arg
+              << "'\n" << usage << "\n";
+    return 2;
+}
 
 /** @p arg, argument @p what, as a number; fatal unless all of it parses. */
 double
@@ -45,24 +60,24 @@ main(int argc, char **argv)
     ChipletStudy study;
     ChipletStudyParams params = ChipletStudyParams::forApp(app);
     for (int i = 2; i < argc; ++i) {
-        std::string a = argv[i];
-        auto eq = a.find('=');
+        const std::string a = argv[i];
+        const auto eq = a.find('=');
         if (eq == std::string::npos)
-            continue;
-        std::string key = a.substr(0, eq);
-        double v = numberArg(key.c_str(), a.substr(eq + 1));
+            return usageError(a);
+        const std::string key = a.substr(0, eq);
+        auto value = [&] { return numberArg(key.c_str(), a.substr(eq + 1)); };
         if (key == "seed")
-            params.seed = static_cast<std::uint64_t>(v);
+            params.seed = static_cast<std::uint64_t>(value());
         else if (key == "cpu")
-            params.cpuTraffic = v != 0.0;
+            params.cpuTraffic = value() != 0.0;
         else if (key == "local")
-            params.localPlacementFrac = v;
+            params.localPlacementFrac = value();
         else if (key == "bw")
-            params.aggregateBwGbs = v;
+            params.aggregateBwGbs = value();
         else if (key == "wf")
-            params.wavefrontsPerCu = static_cast<int>(v);
-        else if (key == "stats")
-            params.dumpStats = v != 0.0;
+            params.wavefrontsPerCu = static_cast<int>(value());
+        else
+            return usageError(a);
     }
 
     std::cout << "Running " << appName(app) << " on the scaled EHP ("

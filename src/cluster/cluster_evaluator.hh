@@ -64,7 +64,6 @@ class ClusterEvaluator
     const ClusterConfig &clusterConfig() const { return cluster_; }
     const InterNodeNetwork &network() const { return net_; }
     const ExascaleProjector &projector() const { return proj_; }
-    const NodeEvaluator &nodeEvaluator() const { return eval_; }
 
   private:
     const NodeEvaluator &eval_;

@@ -56,9 +56,6 @@ class InterNodeNetwork
     /** Switches in the fabric (torus: one per node). */
     std::uint64_t switchCount() const { return switches_; }
 
-    /** Switch-to-switch SerDes links in the fabric. */
-    std::uint64_t fabricLinkCount() const { return fabricLinks_; }
-
     /**
      * Bandwidth one node can sustain under a pattern (GB/s): injection
      * for neighbor/tree traffic, bisection-limited for all-to-all.

@@ -166,8 +166,6 @@ class ResilientClusterEvaluator
     double checkpointDrainBps() const;
 
     const ResilienceSpec &spec() const { return spec_; }
-    const ClusterEvaluator &clusterEvaluator() const { return ce_; }
-    const FaultModel &faultModel() const { return fm_; }
 
   private:
     const ClusterEvaluator &ce_;
@@ -275,8 +273,6 @@ class ResilientScaleOutStudy
         return bestUnderAvailability(configs, variants, node_counts, app,
                                      comm, SearchConstraints());
     }
-
-    const ClusterConfig &baseConfig() const { return base_; }
 
   private:
     const NodeEvaluator &eval_;

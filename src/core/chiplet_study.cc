@@ -20,8 +20,6 @@
 #include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
-#include <iostream>
-
 namespace ena {
 
 ChipletStudyParams
@@ -230,13 +228,6 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
     }
     r.hbmRowHitRate = row_total > 0.0 ? row_hits / row_total : 0.0;
     r.eventsProcessed = sim.eventq().eventsProcessed();
-
-    if (params.dumpStats) {
-        std::cout << "---------- " << appName(app)
-                  << (monolithic ? " (monolithic)" : " (chiplet)")
-                  << " stats ----------\n";
-        sim.stats().dump(std::cout);
-    }
     return r;
 }
 
@@ -245,15 +236,9 @@ ChipletStudy::compare(App app, const ChipletStudyParams &params) const
 {
     // The chiplet and monolithic runs are independent simulations
     // (each builds its own Simulation and RNG state), so run them
-    // concurrently; stat dumps stay serial to keep output readable.
-    std::vector<ChipletRunResult> results;
-    if (params.dumpStats) {
-        results.push_back(run(app, params, false));
-        results.push_back(run(app, params, true));
-    } else {
-        results = ThreadPool::global().parallelMap(
-            2, [&](std::size_t i) { return run(app, params, i == 1); });
-    }
+    // concurrently.
+    std::vector<ChipletRunResult> results = ThreadPool::global().parallelMap(
+        2, [&](std::size_t i) { return run(app, params, i == 1); });
     Fig7Row row;
     row.app = app;
     row.chiplet = results[0];

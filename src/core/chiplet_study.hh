@@ -44,8 +44,6 @@ struct ChipletStudyParams
     std::uint64_t sharedBytes = 128ull << 20;
     bool cpuTraffic = true;
     std::uint64_t seed = 1;
-    /** Dump the full gem5-style stat registry after the run. */
-    bool dumpStats = false;
     /** Use the detailed (buffered, XY-routed) router model instead of
      *  the virtual-circuit interposer approximation. */
     bool detailedNoc = false;

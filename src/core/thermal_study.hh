@@ -49,8 +49,6 @@ class ThermalStudy
     /** Fig. 11: ASCII heat map of the bottom DRAM die. */
     std::string heatMap(const NodeConfig &cfg, App app) const;
 
-    const EhpPackageModel &model() const { return model_; }
-
   private:
     const NodeEvaluator &eval_;
     EhpPackageModel model_;

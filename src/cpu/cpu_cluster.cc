@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -12,10 +11,7 @@ CpuCluster::CpuCluster(Simulation &sim, const std::string &name,
                        const AddressMap &addr_map, Network &network)
     : SimObject(sim, name), nodeId_(node_id), params_(params),
       addrMap_(addr_map), network_(network), rng_(params.seed),
-      issueEvent_([this] { issueNext(); }, name + ".issue"),
-      statAccesses_(sim.stats(), name + ".accesses",
-                    "memory accesses issued"),
-      statBytes_(sim.stats(), name + ".bytes", "request bytes issued")
+      issueEvent_([this] { issueNext(); }, name + ".issue")
 {
     ENA_ASSERT(params_.cores > 0, "CPU cluster needs cores");
     ENA_ASSERT(params_.sharedSize >= params_.dataBytes,
@@ -64,12 +60,9 @@ CpuCluster::issueNext()
     pkt.bytes = is_write ? params_.dataBytes : params_.reqBytes;
     pkt.addr = addr;
     pkt.isWrite = is_write;
-    pkt.injectTick = curTick();
     network_.send(pkt);
 
     ++issued_;
-    ++statAccesses_;
-    statBytes_ += pkt.bytes;
 
     // Exponential-ish think time around the configured mean.
     double gap_ns = params_.accessNsPerCore / params_.cores;

@@ -69,8 +69,6 @@ class CpuCluster : public SimObject, public NetworkEndpoint
     bool quiesced_ = false;
 
     EventFunctionWrapper issueEvent_;
-    StatScalar statAccesses_;
-    StatScalar statBytes_;
 };
 
 } // namespace ena

@@ -1,6 +1,5 @@
 #include "gpu/gpu_chiplet.hh"
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -10,15 +9,7 @@ GpuChiplet::GpuChiplet(Simulation &sim, const std::string &name,
                        const AddressMap &addr_map, Network &network)
     : SimObject(sim, name), index_(index), nodeId_(node_id),
       params_(params), addrMap_(addr_map), network_(network),
-      l2_(std::make_unique<Cache>(params.l2, 7 + index)),
-      statL2Hits_(sim.stats(), name + ".l2Hits", "L2 hits"),
-      statL2Misses_(sim.stats(), name + ".l2Misses", "L2 misses"),
-      statLocalBytes_(sim.stats(), name + ".localBytes",
-                      "post-L2 bytes staying on-chiplet"),
-      statRemoteBytes_(sim.stats(), name + ".remoteBytes",
-                       "post-L2 bytes leaving the chiplet"),
-      statExternalBytes_(sim.stats(), name + ".externalBytes",
-                         "post-L2 bytes serviced off-package")
+      l2_(std::make_unique<Cache>(params.l2, 7 + index))
 {
     network_.attach(nodeId_, this);
 }
@@ -53,18 +44,15 @@ GpuChiplet::requestMemory(std::uint64_t addr, bool is_write,
 {
     CacheOutcome l2 = l2_->access(addr, is_write);
     if (l2.hit) {
-        ++statL2Hits_;
         eventq().scheduleLambda(
             curTick() + params_.l2HitCycles * cycle(), std::move(done),
             "l2 hit");
         return;
     }
-    ++statL2Misses_;
     if (memManager_ &&
         memManager_->access(addr, is_write) == MemLevel::External) {
         // Off-package: cross the interposer to an external interface,
         // then the SerDes chain services the request.
-        statExternalBytes_ += params_.reqBytes + params_.dataBytes;
         Tick to_edge = 4 * cycle();   // interposer traversal to the I/O
         Callback cb = std::move(done);
         std::uint64_t a = addr;
@@ -94,9 +82,9 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
         is_write ? params_.reqBytes : params_.dataBytes;
 
     if (local) {
-        statLocalBytes_ += req_bytes + resp_bytes;
+        localBytes_ += req_bytes + resp_bytes;
     } else {
-        statRemoteBytes_ += req_bytes + resp_bytes;
+        remoteBytes_ += req_bytes + resp_bytes;
     }
 
     if (local && !params_.monolithic) {
@@ -133,7 +121,6 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
     pkt.bytes = req_bytes;
     pkt.addr = addr;
     pkt.isWrite = is_write;
-    pkt.injectTick = curTick();
     pending_[pkt.id] = std::move(done);
     network_.send(pkt);
 }
@@ -144,9 +131,9 @@ GpuChiplet::writeback(std::uint64_t addr)
     int home = addrMap_.stackFor(addr);
     bool local = home == localStackIndex_;
     if (local) {
-        statLocalBytes_ += params_.dataBytes;
+        localBytes_ += params_.dataBytes;
     } else {
-        statRemoteBytes_ += params_.dataBytes;
+        remoteBytes_ += params_.dataBytes;
     }
 
     if (local && !params_.monolithic) {
@@ -174,7 +161,6 @@ GpuChiplet::writeback(std::uint64_t addr)
     pkt.addr = addr;
     pkt.isWrite = true;
     pkt.needsResponse = false;
-    pkt.injectTick = curTick();
     network_.send(pkt);
 }
 

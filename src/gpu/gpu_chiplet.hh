@@ -72,19 +72,18 @@ class GpuChiplet : public SimObject, public NetworkEndpoint
     void receivePacket(const Packet &pkt) override;
 
     int index() const { return index_; }
-    NodeId nodeId() const { return nodeId_; }
     const Cache &l2() const { return *l2_; }
 
-    double localBytes() const { return statLocalBytes_.value(); }
-    double remoteBytes() const { return statRemoteBytes_.value(); }
-    double externalBytes() const { return statExternalBytes_.value(); }
+    /** Post-L2 bytes that stayed on the chiplet / left it. */
+    std::uint64_t localBytes() const { return localBytes_; }
+    std::uint64_t remoteBytes() const { return remoteBytes_; }
 
     /** Fraction of post-L2 traffic that left the chiplet. */
     double
     remoteTrafficFraction() const
     {
-        double total = statLocalBytes_.value() + statRemoteBytes_.value();
-        return total > 0.0 ? statRemoteBytes_.value() / total : 0.0;
+        std::uint64_t total = localBytes_ + remoteBytes_;
+        return total ? static_cast<double>(remoteBytes_) / total : 0.0;
     }
 
   private:
@@ -112,11 +111,8 @@ class GpuChiplet : public SimObject, public NetworkEndpoint
     std::uint64_t nextPktId_ = 1;
     std::unordered_map<std::uint64_t, Callback> pending_;
 
-    StatScalar statL2Hits_;
-    StatScalar statL2Misses_;
-    StatScalar statLocalBytes_;
-    StatScalar statRemoteBytes_;
-    StatScalar statExternalBytes_;
+    std::uint64_t localBytes_ = 0;
+    std::uint64_t remoteBytes_ = 0;
 };
 
 } // namespace ena

@@ -1,6 +1,5 @@
 #include "gpu/mem_stack_endpoint.hh"
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -38,11 +37,7 @@ MemStackEndpoint::receivePacket(const Packet &pkt)
     resp.isWrite = pkt.isWrite;
 
     stack_.access(pkt.addr, dataBytes_, pkt.isWrite,
-                  [this, resp] {
-                      Packet r = resp;
-                      r.injectTick = curTick();
-                      network_.send(r);
-                  });
+                  [this, resp] { network_.send(resp); });
 }
 
 } // namespace ena

@@ -24,8 +24,6 @@ class MemStackEndpoint : public SimObject, public NetworkEndpoint
 
     void receivePacket(const Packet &pkt) override;
 
-    NodeId nodeId() const { return nodeId_; }
-
   private:
     NodeId nodeId_;
     HbmStack &stack_;

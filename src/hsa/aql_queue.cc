@@ -1,18 +1,12 @@
 #include "hsa/aql_queue.hh"
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
 
 AqlQueue::AqlQueue(Simulation &sim, const std::string &name,
                    AqlQueueParams params)
-    : SimObject(sim, name), params_(params),
-      statDispatched_(sim.stats(), name + ".dispatched",
-                      "packets dispatched"),
-      statQueueDepth_(sim.stats(), name + ".depth",
-                      "ring occupancy at submit", 0.0,
-                      static_cast<double>(params.ringSlots), 16)
+    : SimObject(sim, name), params_(params)
 {
     ENA_ASSERT(params_.ringSlots > 0, "queue needs ring slots");
     ENA_ASSERT(params_.deviceConcurrency > 0,
@@ -25,7 +19,6 @@ AqlQueue::submit(const AqlPacket &pkt)
     if (ring_.size() >= params_.ringSlots)
         ENA_FATAL("AQL ring '", name(), "' overflow (", params_.ringSlots,
                   " slots); the submitter must back-pressure");
-    statQueueDepth_.sample(static_cast<double>(ring_.size()));
     ring_.push_back(pkt);
     // Doorbell: wake the packet processor.
     pump();
@@ -46,7 +39,7 @@ void
 AqlQueue::launch(AqlPacket pkt)
 {
     ++running_;
-    ++statDispatched_;
+    ++dispatched_;
     Tick done = curTick() + params_.dispatchLatency + pkt.kernelTicks;
     eventq().scheduleLambda(
         done,

@@ -64,10 +64,7 @@ class AqlQueue : public SimObject
         return ring_.empty() && running_ == 0;
     }
 
-    std::uint64_t packetsDispatched() const
-    {
-        return static_cast<std::uint64_t>(statDispatched_.value());
-    }
+    std::uint64_t packetsDispatched() const { return dispatched_; }
 
   private:
     /** Try to launch the head packet. */
@@ -77,9 +74,7 @@ class AqlQueue : public SimObject
     AqlQueueParams params_;
     std::deque<AqlPacket> ring_;
     int running_ = 0;
-
-    StatScalar statDispatched_;
-    StatDistribution statQueueDepth_;
+    std::uint64_t dispatched_ = 0;
 };
 
 } // namespace ena

@@ -34,9 +34,6 @@ class AddressMap
     /** Home stack of an address. */
     int stackFor(std::uint64_t addr) const;
 
-    int numStacks() const { return numStacks_; }
-    std::uint64_t pageBytes() const { return pageBytes_; }
-
   private:
     struct Region
     {

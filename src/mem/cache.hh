@@ -70,7 +70,6 @@ class Cache
         return n ? static_cast<double>(hits_) / n : 0.0;
     }
 
-    std::uint32_t numSets() const { return numSets_; }
     const CacheParams &params() const { return params_; }
 
   private:

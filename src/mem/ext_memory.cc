@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
 
@@ -13,14 +12,7 @@ ExternalMemoryNetwork::ExternalMemoryNetwork(Simulation &sim,
                                              const std::string &name,
                                              const ExtMemConfig &cfg,
                                              ExtMemTiming timing)
-    : SimObject(sim, name), timing_(timing),
-      statReads_(sim.stats(), name + ".reads", "read accesses"),
-      statWrites_(sim.stats(), name + ".writes", "write accesses"),
-      statBytes_(sim.stats(), name + ".bytes", "bytes served"),
-      statNvmAccesses_(sim.stats(), name + ".nvmAccesses",
-                       "accesses served by NVM modules"),
-      statLatency_(sim.stats(), name + ".latency",
-                   "access latency (ns)", 0.0, 2000.0, 50)
+    : SimObject(sim, name), timing_(timing)
 {
     ENA_ASSERT(cfg.interfaces > 0, "need at least one interface");
     timing_.interfaceGbs = cfg.interfaceGbs;
@@ -125,19 +117,13 @@ ExternalMemoryNetwork::access(std::uint64_t addr, std::uint32_t bytes,
         dev_ns = timing_.dramAccessNs;
     } else {
         dev_ns = is_write ? timing_.nvmWriteNs : timing_.nvmReadNs;
-        ++statNvmAccesses_;
+        ++nvmAccesses_;
     }
     Tick finish =
         start + ser +
         static_cast<Tick>((hops_ns + dev_ns) * tickPerNs);
 
-    if (is_write)
-        ++statWrites_;
-    else
-        ++statReads_;
-    statBytes_ += bytes;
-    statLatency_.sample(static_cast<double>(finish - curTick()) /
-                        tickPerNs);
+    bytes_ += bytes;
     eventq().scheduleLambda(finish, std::move(done), "extmem completion");
 }
 

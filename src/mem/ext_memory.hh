@@ -64,8 +64,8 @@ class ExternalMemoryNetwork : public SimObject
     int numInterfaces() const { return static_cast<int>(chains_.size()); }
     int totalModules() const;
 
-    double bytesServed() const { return statBytes_.value(); }
-    double nvmAccesses() const { return statNvmAccesses_.value(); }
+    std::uint64_t bytesServed() const { return bytes_; }
+    std::uint64_t nvmAccesses() const { return nvmAccesses_; }
 
   private:
     struct Module
@@ -88,11 +88,8 @@ class ExternalMemoryNetwork : public SimObject
     std::vector<Chain> chains_;
     std::uint64_t interleaveBytes_ = 1ull << 20;   ///< 1 MiB stripes
 
-    StatScalar statReads_;
-    StatScalar statWrites_;
-    StatScalar statBytes_;
-    StatScalar statNvmAccesses_;
-    StatDistribution statLatency_;
+    std::uint64_t bytes_ = 0;
+    std::uint64_t nvmAccesses_ = 0;
 };
 
 } // namespace ena

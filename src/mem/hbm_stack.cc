@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -20,15 +19,7 @@ HbmParams::forAggregateBandwidth(double total_gbs, int stacks)
 
 HbmStack::HbmStack(Simulation &sim, const std::string &name,
                    HbmParams params)
-    : SimObject(sim, name), params_(params),
-      statReads_(sim.stats(), name + ".reads", "read accesses"),
-      statWrites_(sim.stats(), name + ".writes", "write accesses"),
-      statBytes_(sim.stats(), name + ".bytes", "bytes served"),
-      statRowHits_(sim.stats(), name + ".rowHits", "row-buffer hits"),
-      statRowMisses_(sim.stats(), name + ".rowMisses",
-                     "row-buffer misses"),
-      statLatency_(sim.stats(), name + ".latency",
-                   "access latency (ns)", 0.0, 500.0, 50)
+    : SimObject(sim, name), params_(params)
 {
     ENA_ASSERT(params_.channels > 0 && params_.banksPerChannel > 0,
                "bad HBM geometry");
@@ -61,8 +52,8 @@ HbmStack::rowOf(std::uint64_t addr) const
 }
 
 void
-HbmStack::access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
-                 Callback done)
+HbmStack::access(std::uint64_t addr, std::uint32_t bytes,
+                 bool /* is_write */, Callback done)
 {
     ENA_ASSERT(done, "HBM access needs a completion callback");
     Channel &ch = channels_[channelOf(addr)];
@@ -72,9 +63,9 @@ HbmStack::access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
     bool row_hit = ch.openRow[bank] == row;
     ch.openRow[bank] = row;
     if (row_hit)
-        ++statRowHits_;
+        ++rowHits_;
     else
-        ++statRowMisses_;
+        ++rowMisses_;
 
     double access_ns = row_hit ? params_.rowHitNs : params_.rowMissNs;
     Tick access_ticks = static_cast<Tick>(access_ns * tickPerNs);
@@ -90,22 +81,15 @@ HbmStack::access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
     // overlaps with other banks' work, so only the burst serializes.
     ch.busyUntil = start + burst_ticks;
 
-    if (is_write)
-        ++statWrites_;
-    else
-        ++statReads_;
-    statBytes_ += bytes;
-    statLatency_.sample(static_cast<double>(finish - curTick()) /
-                        tickPerNs);
-
+    bytes_ += bytes;
     eventq().scheduleLambda(finish, std::move(done), "hbm completion");
 }
 
 double
 HbmStack::rowHitRate() const
 {
-    double total = statRowHits_.value() + statRowMisses_.value();
-    return total > 0.0 ? statRowHits_.value() / total : 0.0;
+    std::uint64_t total = rowHits_ + rowMisses_;
+    return total ? static_cast<double>(rowHits_) / total : 0.0;
 }
 
 } // namespace ena

@@ -53,6 +53,7 @@ class HbmStack : public SimObject
     /**
      * Issue one access; @p done runs at completion time.
      * Addresses map to channels/banks/rows by block interleaving.
+     * Reads and writes take the same time.
      */
     void access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
                 Callback done);
@@ -60,7 +61,7 @@ class HbmStack : public SimObject
     const HbmParams &params() const { return params_; }
 
     double rowHitRate() const;
-    double bytesServed() const { return statBytes_.value(); }
+    std::uint64_t bytesServed() const { return bytes_; }
 
   private:
     struct Channel
@@ -76,12 +77,9 @@ class HbmStack : public SimObject
     HbmParams params_;
     std::vector<Channel> channels_;
 
-    StatScalar statReads_;
-    StatScalar statWrites_;
-    StatScalar statBytes_;
-    StatScalar statRowHits_;
-    StatScalar statRowMisses_;
-    StatDistribution statLatency_;
+    std::uint64_t bytes_ = 0;
+    std::uint64_t rowHits_ = 0;
+    std::uint64_t rowMisses_ = 0;
 };
 
 } // namespace ena

@@ -3,23 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
 
 CrossbarNetwork::CrossbarNetwork(Simulation &sim, const std::string &name,
                                  size_t num_nodes, CrossbarParams params)
-    : Network(sim, name, num_nodes), params_(params),
-      statStallTicks_(sim.stats(), name + ".stallTicks",
-                      "ticks packets waited on fabric capacity")
+    : Network(sim, name, num_nodes), params_(params)
 {
     ENA_ASSERT(params_.aggregateBytesPerCycle > 0.0,
                "zero crossbar capacity");
 }
 
 void
-CrossbarNetwork::send(const Packet &pkt)
+CrossbarNetwork::route(const Packet &pkt)
 {
     Tick cycle = clockPeriod(params_.clockGhz);
 
@@ -31,12 +28,10 @@ CrossbarNetwork::send(const Packet &pkt)
                               std::ceil(cycles_needed * cycle)));
 
     Tick depart = std::max(curTick(), busyUntil_);
-    statStallTicks_ += static_cast<double>(depart - curTick());
     busyUntil_ = depart + occupancy;
 
     Tick arrival = depart + occupancy + params_.latencyCycles * cycle;
-    recordPacket(pkt, 1);
-    scheduleDelivery(pkt, arrival);
+    deliver(pkt, 1, arrival);
 }
 
 Tick

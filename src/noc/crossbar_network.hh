@@ -25,17 +25,16 @@ class CrossbarNetwork : public Network
     CrossbarNetwork(Simulation &sim, const std::string &name,
                     size_t num_nodes, CrossbarParams params);
 
-    void send(const Packet &pkt) override;
-
     Tick zeroLoadLatency(std::uint32_t bytes) const;
+
+  protected:
+    void route(const Packet &pkt) override;
 
   private:
     CrossbarParams params_;
     /** Aggregate-capacity horizon: the fabric can move
      *  aggregateBytesPerCycle each cycle; excess serializes. */
     Tick busyUntil_ = 0;
-
-    StatScalar statStallTicks_;
 };
 
 } // namespace ena

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -18,9 +17,7 @@ DetailedNetwork::DetailedNetwork(Simulation &sim, const std::string &name,
                                  const Topology &topo,
                                  DetailedParams params)
     : Network(sim, name, topo.nodes().size()), topo_(topo),
-      params_(params),
-      statBufferStalls_(sim.stats(), name + ".bufferStalls",
-                        "hops parked on full downstream buffers")
+      params_(params)
 {
     ENA_ASSERT(params_.bufferPackets > 0, "need buffer capacity");
     ENA_ASSERT(topo_.columns() > 0, "topology lacks mesh geometry");
@@ -51,7 +48,7 @@ DetailedNetwork::nextHopXY(std::uint32_t at, std::uint32_t to) const
 }
 
 void
-DetailedNetwork::send(const Packet &pkt)
+DetailedNetwork::route(const Packet &pkt)
 {
     const TopologyNode &src = topo_.node(pkt.src);
     Packet copy = pkt;
@@ -61,7 +58,7 @@ DetailedNetwork::send(const Packet &pkt)
         // buffer like any other input.
         PortKey port{r, injectPort};
         if (occ_[port] >= params_.bufferPackets) {
-            ++statBufferStalls_;
+            ++bufferStalls_;
             waiting_[port].push_back({copy, r, injectPort, 0});
             return;
         }
@@ -94,9 +91,7 @@ DetailedNetwork::departRouter(Packet pkt, std::uint32_t r,
     if (r == dst_router) {
         // Ascend to the endpoint; the input buffer frees now.
         releaseSlot(r, in_port);
-        recordPacket(pkt, hops);
-        scheduleDelivery(pkt, curTick() +
-                                  params_.tsvCycles * params_.cycle());
+        deliver(pkt, hops, curTick() + params_.tsvCycles * params_.cycle());
         return;
     }
     tryTraverse(pkt, r, in_port, nextHopXY(r, dst_router), hops);
@@ -110,7 +105,7 @@ DetailedNetwork::tryTraverse(Packet pkt, std::uint32_t r,
     // The downstream input port for the r -> nh link is keyed by r.
     PortKey down{nh, r};
     if (occ_[down] >= params_.bufferPackets) {
-        ++statBufferStalls_;
+        ++bufferStalls_;
         waiting_[down].push_back({pkt, r, in_port, hops});
         return;
     }

@@ -44,15 +44,16 @@ class DetailedNetwork : public Network
     DetailedNetwork(Simulation &sim, const std::string &name,
                     const Topology &topo, DetailedParams params);
 
-    void send(const Packet &pkt) override;
-
     /** XY next hop (column first, then row); deadlock-free on the
      *  mesh. */
     std::uint32_t nextHopXY(std::uint32_t at, std::uint32_t to) const;
 
-    double bufferStalls() const { return statBufferStalls_.value(); }
+    std::uint64_t bufferStalls() const { return bufferStalls_; }
 
     const Topology &topology() const { return topo_; }
+
+  protected:
+    void route(const Packet &pkt) override;
 
   private:
     /** (router, upstream router or injectPort). */
@@ -91,7 +92,8 @@ class DetailedNetwork : public Network
     std::map<PortKey, std::deque<Waiting>> waiting_;
     std::map<std::pair<std::uint32_t, std::uint32_t>, Tick> linkBusy_;
 
-    StatScalar statBufferStalls_;
+    /** Hops parked on full downstream buffers. */
+    std::uint64_t bufferStalls_ = 0;
 };
 
 } // namespace ena

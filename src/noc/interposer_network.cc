@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
@@ -12,9 +11,7 @@ InterposerNetwork::InterposerNetwork(Simulation &sim,
                                      const Topology &topo,
                                      InterposerParams params)
     : Network(sim, name, topo.nodes().size()),
-      topo_(topo), params_(params),
-      statLinkStallTicks_(sim.stats(), name + ".linkStallTicks",
-                          "ticks packets waited on busy links")
+      topo_(topo), params_(params)
 {
     ENA_ASSERT(params_.linkBytesPerCycle > 0, "zero link width");
 }
@@ -31,7 +28,7 @@ InterposerNetwork::serialization(std::uint32_t bytes) const
 }
 
 void
-InterposerNetwork::send(const Packet &pkt)
+InterposerNetwork::route(const Packet &pkt)
 {
     const TopologyNode &src = topo_.node(pkt.src);
     const TopologyNode &dst = topo_.node(pkt.dst);
@@ -49,7 +46,6 @@ InterposerNetwork::send(const Packet &pkt)
         t += params_.routerCycles * cycle;
         Tick &busy = linkBusy_[{at, nh}];
         Tick depart = std::max(t, busy);
-        statLinkStallTicks_ += static_cast<double>(depart - t);
         busy = depart + ser;
         t = depart + ser + params_.linkCycles * cycle;
         at = nh;
@@ -60,8 +56,7 @@ InterposerNetwork::send(const Packet &pkt)
     t += params_.routerCycles * cycle;
     t += params_.tsvCycles * cycle;
 
-    recordPacket(pkt, hops);
-    scheduleDelivery(pkt, t);
+    deliver(pkt, hops, t);
 }
 
 Tick

@@ -47,13 +47,14 @@ class InterposerNetwork : public Network
     InterposerNetwork(Simulation &sim, const std::string &name,
                       const Topology &topo, InterposerParams params);
 
-    void send(const Packet &pkt) override;
-
     /** Zero-load latency between two nodes (for tests/inspection). */
     Tick zeroLoadLatency(NodeId src, NodeId dst,
                          std::uint32_t bytes) const;
 
     const Topology &topology() const { return topo_; }
+
+  protected:
+    void route(const Packet &pkt) override;
 
   private:
     Tick serialization(std::uint32_t bytes) const;
@@ -63,8 +64,6 @@ class InterposerNetwork : public Network
 
     /** busy-until per directed link (from,to). */
     std::map<std::pair<std::uint32_t, std::uint32_t>, Tick> linkBusy_;
-
-    StatScalar statLinkStallTicks_;
 };
 
 } // namespace ena

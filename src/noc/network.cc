@@ -1,21 +1,12 @@
 #include "noc/network.hh"
 
-#include "sim/simulation.hh"
 #include "util/logging.hh"
 
 namespace ena {
 
 Network::Network(Simulation &sim, const std::string &name,
                  size_t num_nodes)
-    : SimObject(sim, name),
-      endpoints_(num_nodes, nullptr),
-      statPackets_(sim.stats(), name + ".packets", "packets injected"),
-      statBytes_(sim.stats(), name + ".bytes", "payload bytes injected"),
-      statHops_(sim.stats(), name + ".hops", "total router hops"),
-      statByteHops_(sim.stats(), name + ".byteHops",
-                    "byte-hops traversed (energy proxy)"),
-      statLatency_(sim.stats(), name + ".latency",
-                   "packet latency (ns)", 0.0, 1000.0, 50)
+    : SimObject(sim, name), endpoints_(num_nodes, nullptr)
 {
 }
 
@@ -28,25 +19,27 @@ Network::attach(NodeId id, NetworkEndpoint *ep)
 }
 
 void
-Network::scheduleDelivery(const Packet &pkt, Tick arrival)
+Network::send(Packet pkt)
+{
+    pkt.injectTick = curTick();
+    route(pkt);
+}
+
+void
+Network::deliver(const Packet &pkt, std::uint32_t hops, Tick arrival)
 {
     ENA_ASSERT(pkt.dst < endpoints_.size(), "send: bad dst node ",
                pkt.dst);
     NetworkEndpoint *ep = endpoints_[pkt.dst];
     ENA_ASSERT(ep, "send: node ", pkt.dst, " has no endpoint");
-    statLatency_.sample(
-        static_cast<double>(arrival - curTick()) / tickPerNs);
+    ++packets_;
+    bytes_ += pkt.bytes;
+    hops_ += hops;
+    byteHops_ += static_cast<std::uint64_t>(pkt.bytes) * hops;
+    latencySumNs_ +=
+        static_cast<double>(arrival - pkt.injectTick) / tickPerNs;
     eventq().scheduleLambda(
         arrival, [ep, pkt] { ep->receivePacket(pkt); }, "packet delivery");
-}
-
-void
-Network::recordPacket(const Packet &pkt, std::uint32_t hops)
-{
-    ++statPackets_;
-    statBytes_ += pkt.bytes;
-    statHops_ += hops;
-    statByteHops_ += static_cast<double>(pkt.bytes) * hops;
 }
 
 } // namespace ena

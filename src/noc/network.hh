@@ -34,47 +34,51 @@ class Network : public SimObject
     void attach(NodeId id, NetworkEndpoint *ep);
 
     /**
-     * Inject a packet at the current tick; the destination endpoint's
-     * receivePacket() runs at the computed arrival tick.
+     * Inject a packet at the current tick, which becomes its
+     * injectTick; the destination endpoint's receivePacket() runs at
+     * the computed arrival tick.
      */
-    virtual void send(const Packet &pkt) = 0;
+    void send(Packet pkt);
 
     /** Total payload bytes injected. */
-    double bytesInjected() const { return statBytes_.value(); }
+    std::uint64_t bytesInjected() const { return bytes_; }
 
     /** Total byte-hops traversed (energy proxy). */
-    double byteHops() const { return statByteHops_.value(); }
+    std::uint64_t byteHops() const { return byteHops_; }
 
-    double packetsSent() const { return statPackets_.value(); }
+    std::uint64_t packetsSent() const { return packets_; }
 
-    /** Mean end-to-end packet latency in nanoseconds. */
-    double meanLatencyNs() const { return statLatency_.mean(); }
+    /** Mean packet latency in nanoseconds, from send() to delivery. */
+    double
+    meanLatencyNs() const
+    {
+        return packets_ ? latencySumNs_ / packets_ : 0.0;
+    }
 
     /** Mean router hops per packet. */
     double
     meanHops() const
     {
-        double n = statPackets_.value();
-        return n > 0.0 ? statHops_.value() / n : 0.0;
+        return packets_ ? static_cast<double>(hops_) / packets_ : 0.0;
     }
 
   protected:
+    /** Carry @p pkt, just stamped by send(), on to deliver(). */
+    virtual void route(const Packet &pkt) = 0;
+
     /**
-     * Schedule delivery to the endpoint at @p arrival, sampling the
-     * latency from the current tick to @p arrival.
+     * Count @p pkt and its @p hops, and schedule its delivery to the
+     * endpoint at @p arrival; its latency runs from pkt.injectTick.
      */
-    void scheduleDelivery(const Packet &pkt, Tick arrival);
+    void deliver(const Packet &pkt, std::uint32_t hops, Tick arrival);
 
-    /** Record per-packet accounting. */
-    void recordPacket(const Packet &pkt, std::uint32_t hops);
-
+  private:
     std::vector<NetworkEndpoint *> endpoints_;
-
-    StatScalar statPackets_;
-    StatScalar statBytes_;
-    StatScalar statHops_;
-    StatScalar statByteHops_;
-    StatDistribution statLatency_;
+    std::uint64_t packets_ = 0;
+    std::uint64_t bytes_ = 0;
+    std::uint64_t hops_ = 0;
+    std::uint64_t byteHops_ = 0;
+    double latencySumNs_ = 0.0;
 };
 
 } // namespace ena

@@ -29,6 +29,7 @@ struct Packet
     NodeId dst = invalidNode;
     std::uint32_t bytes = 0;
     bool isResponse = false;
+    /** Set by Network::send(). */
     Tick injectTick = 0;
     /** Memory address carried for the memory-side endpoints. */
     std::uint64_t addr = 0;

@@ -71,7 +71,6 @@ class Topology
 
     /** Mesh geometry: routers form a 2 x columns() grid, row-major. */
     std::uint32_t columns() const { return cols_; }
-    std::uint32_t rows() const { return numRouters_ / cols_; }
 
     const TopologyNode &node(NodeId id) const;
 

@@ -30,9 +30,6 @@ class VfCurve
      */
     double voltageNtc(double f_ghz) const;
 
-    /** Nominal voltage used for normalizing dynamic power. */
-    double nominal() const { return vNominal_; }
-
     /**
      * Dynamic-power scale factor (V/Vnom)^2 at @p f_ghz.
      * @param ntc use the NTC curve.

@@ -71,16 +71,6 @@ class RmtModel
     /** Evaluate one kernel's activity under a policy. */
     RmtOutcome evaluate(const Activity &act, RmtPolicy policy) const;
 
-    /**
-     * Detection coverage for GPU logic faults: redundant execution
-     * detects faults in the covered fraction of the computation.
-     */
-    double
-    detectionCoverage(const Activity &act, RmtPolicy policy) const
-    {
-        return evaluate(act, policy).coverage;
-    }
-
   private:
     double compareOverhead_;
 };

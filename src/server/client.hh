@@ -112,8 +112,6 @@ class ServerClient
         const std::string &app, const std::string &axis, double from,
         double to, double step, const NodeConfig *base = nullptr);
 
-    const ClientOptions &options() const { return opts_; }
-
   private:
     Status ensureConnected();
     /** One send/receive round trip; IoError resets the connection. */

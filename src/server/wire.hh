@@ -72,7 +72,6 @@ class JsonValue
     bool isNumber() const { return kind_ == Kind::Number; }
     bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
 
     bool boolean() const { return bool_; }
     double number() const { return num_; }

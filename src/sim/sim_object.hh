@@ -3,8 +3,9 @@
  * Base class for simulated hardware components.
  *
  * A SimObject has a hierarchical name ("ehp.gpu3.cu12"), access to its
- * Simulation's event queue and stat registry, and init()/startup() hooks
- * called before the first event fires.
+ * Simulation's event queue, and init()/startup() hooks called before
+ * the first event fires. Components count what they report in plain
+ * members behind accessors.
  */
 
 #ifndef ENA_SIM_SIM_OBJECT_HH
@@ -13,7 +14,6 @@
 #include <string>
 
 #include "sim/event.hh"
-#include "sim/stats.hh"
 #include "util/units.hh"
 
 namespace ena {
@@ -37,9 +37,6 @@ class SimObject
 
     /** Kick-off pass: schedule initial events. */
     virtual void startup() {}
-
-    /** The owning simulation. */
-    Simulation &sim() const { return sim_; }
 
     /** Convenience accessors for the simulation's queue and clock. */
     EventQueue &eventq() const;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Top-level owner of one event-driven simulation: the event queue, the
- * stat registry, and every SimObject created through it.
+ * Top-level owner of one event-driven simulation: the event queue and
+ * every SimObject created through it.
  *
  * Every simulation runs serially on its one EventQueue. Parallelism
  * lives one level up: independent simulations (Fig. 7's app x mode
@@ -18,7 +18,6 @@
 
 #include "sim/event.hh"
 #include "sim/sim_object.hh"
-#include "sim/stats.hh"
 
 namespace ena {
 
@@ -48,9 +47,6 @@ class Simulation
     EventQueue &eventq() { return queue_; }
     const EventQueue &eventq() const { return queue_; }
 
-    StatRegistry &stats() { return stats_; }
-    const StatRegistry &stats() const { return stats_; }
-
     /** Current simulated time (after run() with a finite limit, exactly
      *  the limit). */
     Tick curTick() const { return queue_.curTick(); }
@@ -62,7 +58,7 @@ class Simulation
      * initAll() if needed, then run to completion or @p limit ticks.
      * Returns number of events processed. Traced as a "sim" span, and
      * the events are added to the process-wide "sim.events_processed"
-     * counter; the simulation's own stats stay in stats().
+     * counter.
      */
     std::uint64_t run(Tick limit = maxTick);
 
@@ -71,8 +67,7 @@ class Simulation
   private:
     // Destruction runs in reverse declaration order: queue_ dies first
     // (its destructor inspects Events still owned by live SimObjects),
-    // then objects_ (whose stats deregister from stats_), then stats_.
-    StatRegistry stats_;
+    // then objects_.
     std::vector<std::unique_ptr<SimObject>> objects_;
     EventQueue queue_;
     bool initDone_ = false;

@@ -84,7 +84,6 @@ class ResilientDagScheduler
                                int spare_nodes) const;
 
     const ResilienceSpec &spec() const { return spec_; }
-    const FaultModel &faultModel() const { return fm_; }
 
   private:
     const NodeEvaluator &eval_;

@@ -104,8 +104,6 @@ class TaskGraphStudy
                         const NodeConfig &cfg, DagScheduler policy,
                         int total_nodes) const;
 
-    const ClusterConfig &baseConfig() const { return base_; }
-
   private:
     const NodeEvaluator &eval_;
     ClusterConfig base_;

@@ -73,7 +73,6 @@ class ThermalGrid
     std::string asciiHeatMap(const std::string &layer_name,
                              int levels = 10) const;
 
-    size_t numLayers() const { return layers_.size(); }
     const ThermalGridParams &params() const { return params_; }
 
   private:

@@ -42,8 +42,6 @@ class PowerMap
     /** Sum over all cells. */
     double totalWatts() const;
 
-    const std::vector<double> &cells() const { return cells_; }
-
   private:
     size_t idx(size_t x, size_t y) const;
 

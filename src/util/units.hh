@@ -41,9 +41,6 @@ constexpr std::uint64_t gib = 1024ull * mib;
 /** Convert GHz to Hz. */
 constexpr double ghzToHz(double ghz) { return ghz * giga; }
 
-/** Convert GB/s (decimal) to bytes per second. */
-constexpr double gbsToBytesPerSec(double gbs) { return gbs * giga; }
-
 /** Convert picojoules to joules. */
 constexpr double pjToJ(double pj) { return pj * pico; }
 

@@ -116,8 +116,6 @@ TEST_F(StackFixture, StatsAccumulate)
     timedAccess(0, false);
     timedAccess(4096, true);
     EXPECT_DOUBLE_EQ(stack->bytesServed(), 128.0);
-    EXPECT_DOUBLE_EQ(sim.stats().value("hbm.reads"), 1.0);
-    EXPECT_DOUBLE_EQ(sim.stats().value("hbm.writes"), 1.0);
 }
 
 TEST(HbmParams, AggregateSizingScalesWithStacks)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "noc/detailed_network.hh"
+#include "noc/interposer_network.hh"
 #include "noc/topology.hh"
 #include "sim/simulation.hh"
 
@@ -174,4 +175,36 @@ TEST_F(DetailedFixture, MoreBuffersNeverSlowTotalDrain)
         return local.curTick();
     };
     EXPECT_LE(drain_time(16), drain_time(1));
+}
+
+// A packet's latency runs from send() to delivery on both interposer
+// models. The detailed one forwards hop by hop after send() returns,
+// so it must not time the trip from the final router's departure.
+TEST(NetworkLatency, MeanLatencyRunsFromSendToDelivery)
+{
+    const Topology topo = Topology::ehp(8, 2);
+    const NodeId last = static_cast<NodeId>(topo.nodes().size() - 1);
+    const Tick sent = 5 * tickPerNs;
+    auto check = [&](Simulation &sim, Network &net) {
+        std::vector<Sink> sinks(topo.nodes().size());
+        for (NodeId i = 0; i < sinks.size(); ++i) {
+            sinks[i].clock = &sim.eventq();
+            net.attach(i, &sinks[i]);
+        }
+        Packet p;
+        p.src = 0;
+        p.dst = last;
+        p.bytes = 64;
+        sim.eventq().scheduleLambda(sent, [&net, p] { net.send(p); });
+        sim.run();
+        ASSERT_EQ(sinks[last].arrivals.size(), 1u);
+        double trip_ns =
+            static_cast<double>(sinks[last].arrivals[0].second - sent) /
+            tickPerNs;
+        EXPECT_DOUBLE_EQ(net.meanLatencyNs(), trip_ns);
+    };
+    Simulation a;
+    check(a, *a.create<InterposerNetwork>("noc", topo, InterposerParams{}));
+    Simulation b;
+    check(b, *b.create<DetailedNetwork>("dnoc", topo, DetailedParams{}));
 }

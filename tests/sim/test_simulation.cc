@@ -16,8 +16,7 @@ class Widget : public SimObject
   public:
     Widget(Simulation &sim, const std::string &name, int fire_at)
         : SimObject(sim, name), fireAt_(fire_at),
-          ev_([this] { fired = true; }, name + ".ev"),
-          stat_(sim.stats(), name + ".count", "fires")
+          ev_([this] { fired = true; }, name + ".ev")
     {}
 
     void init() override { initialized = true; }
@@ -36,7 +35,6 @@ class Widget : public SimObject
   private:
     int fireAt_;
     EventFunctionWrapper ev_;
-    StatScalar stat_;
 };
 
 } // anonymous namespace
@@ -73,15 +71,6 @@ TEST(Simulation, MultipleObjectsShareQueue)
     EXPECT_TRUE(a->fired);
     EXPECT_TRUE(b->fired);
     EXPECT_EQ(sim.curTick(), 20u);
-}
-
-TEST(Simulation, StatsRegisteredPerObject)
-{
-    Simulation sim;
-    sim.create<Widget>("x", 1);
-    sim.create<Widget>("y", 1);
-    EXPECT_NE(sim.stats().find("x.count"), nullptr);
-    EXPECT_NE(sim.stats().find("y.count"), nullptr);
 }
 
 TEST(Simulation, RunWithLimit)
