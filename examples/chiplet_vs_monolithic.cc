@@ -4,19 +4,27 @@
  *
  * Runs the event-driven EHP model in chiplet and monolithic modes for
  * one application and prints the traffic split, cache behaviour, and
- * relative performance. An argument after APP that is not one of the
- * KEY=VALUE settings below is a usage error (exit 2).
+ * relative performance. Every argument is checked before the model is
+ * built: an unknown APP, an argument after it that is not one of the
+ * KEY=VALUE settings below, or a value out of its range is a usage
+ * error (exit 2, with the reason).
  *
  * Usage: chiplet_vs_monolithic [APP [seed=N] [cpu=0|1] [local=FRAC]
  *                              [bw=GBS] [wf=N]]
+ *
+ * seed is an unsigned 64-bit integer, local a fraction in [0, 1], bw a
+ * positive, finite GB/s, and wf a whole number of wavefronts per CU
+ * from 1 to 40 (a GCN CU's wavefront slots).
  */
 
+#include <charconv>
+#include <cmath>
 #include <iostream>
 #include <optional>
 #include <string>
 
 #include "core/chiplet_study.hh"
-#include "util/logging.hh"
+#include "util/status.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
 #include "workloads/kernel_profile.hh"
@@ -29,23 +37,77 @@ constexpr const char *usage =
     "Usage: chiplet_vs_monolithic [APP [seed=N] [cpu=0|1] [local=FRAC] "
     "[bw=GBS] [wf=N]]";
 
-/** Report @p arg as unknown, print the usage line, and return 2. */
-int
-usageError(const std::string &arg)
+/** A GCN CU's wavefront slots: 10 on each of its 4 SIMDs. */
+constexpr int kMaxWavefrontsPerCu = 40;
+
+/** @p text as a whole decimal T, or nullopt. */
+template <typename T>
+std::optional<T>
+wholeNumber(const std::string &text)
 {
-    std::cerr << "chiplet_vs_monolithic: unknown argument '" << arg
-              << "'\n" << usage << "\n";
-    return 2;
+    T v{};
+    const char *end = text.data() + text.size();
+    const std::from_chars_result r = std::from_chars(text.data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end)
+        return std::nullopt;
+    return v;
 }
 
-/** @p arg, argument @p what, as a number; fatal unless all of it parses. */
-double
-numberArg(const char *what, const std::string &arg)
+/** Apply one KEY=VALUE argument to @p p; InvalidArgument says why not. */
+Status
+applySetting(const std::string &arg, ChipletStudyParams &p)
 {
-    const std::optional<double> v = parseDouble(arg);
-    if (!v)
-        ENA_FATAL(what, " '", arg, "' is not a number");
-    return *v;
+    const auto eq = arg.find('=');
+    if (eq == std::string::npos)
+        return Status::invalidArgument("unknown argument '", arg, "'");
+    const std::string key = arg.substr(0, eq);
+    const std::string value = arg.substr(eq + 1);
+    if (key == "seed") {
+        const auto n = wholeNumber<std::uint64_t>(value);
+        if (!n) {
+            return Status::invalidArgument(
+                "seed '", value, "' is not an unsigned 64-bit integer");
+        }
+        p.seed = *n;
+    } else if (key == "cpu") {
+        if (value != "0" && value != "1")
+            return Status::invalidArgument("cpu '", value, "' is not 0 or 1");
+        p.cpuTraffic = value == "1";
+    } else if (key == "local") {
+        const std::optional<double> f = parseDouble(value);
+        if (!f || !(*f >= 0.0 && *f <= 1.0)) {
+            return Status::invalidArgument(
+                "local '", value, "' is not a fraction in [0, 1]");
+        }
+        p.localPlacementFrac = *f;
+    } else if (key == "bw") {
+        const std::optional<double> gbs = parseDouble(value);
+        if (!gbs || !std::isfinite(*gbs) || *gbs <= 0.0) {
+            return Status::invalidArgument(
+                "bw '", value, "' is not a positive, finite GB/s");
+        }
+        p.aggregateBwGbs = *gbs;
+    } else if (key == "wf") {
+        const auto n = wholeNumber<int>(value);
+        if (!n || *n < 1 || *n > kMaxWavefrontsPerCu) {
+            return Status::invalidArgument(
+                "wf '", value, "' is not a whole number from 1 to ",
+                kMaxWavefrontsPerCu);
+        }
+        p.wavefrontsPerCu = *n;
+    } else {
+        return Status::invalidArgument("unknown argument '", arg, "'");
+    }
+    return Status();
+}
+
+/** Print @p why and the usage line; the exit status of a usage error. */
+int
+usageError(const Status &why)
+{
+    std::cerr << "chiplet_vs_monolithic: " << why.message() << "\n"
+              << usage << "\n";
+    return 2;
 }
 
 } // anonymous namespace
@@ -54,30 +116,19 @@ int
 main(int argc, char **argv)
 {
     App app = App::XSBench;
-    if (argc > 1)
-        app = appFromName(argv[1]);
+    if (argc > 1) {
+        Expected<App> named = tryAppFromName(argv[1]);
+        if (!named.ok())
+            return usageError(named.status());
+        app = *named;
+    }
 
     ChipletStudy study;
     ChipletStudyParams params = ChipletStudyParams::forApp(app);
     for (int i = 2; i < argc; ++i) {
-        const std::string a = argv[i];
-        const auto eq = a.find('=');
-        if (eq == std::string::npos)
-            return usageError(a);
-        const std::string key = a.substr(0, eq);
-        auto value = [&] { return numberArg(key.c_str(), a.substr(eq + 1)); };
-        if (key == "seed")
-            params.seed = static_cast<std::uint64_t>(value());
-        else if (key == "cpu")
-            params.cpuTraffic = value() != 0.0;
-        else if (key == "local")
-            params.localPlacementFrac = value();
-        else if (key == "bw")
-            params.aggregateBwGbs = value();
-        else if (key == "wf")
-            params.wavefrontsPerCu = static_cast<int>(value());
-        else
-            return usageError(a);
+        const Status set = applySetting(argv[i], params);
+        if (!set.ok())
+            return usageError(set);
     }
 
     std::cout << "Running " << appName(app) << " on the scaled EHP ("

@@ -149,7 +149,11 @@ class JsonWriter
     std::string *out_;
 };
 
-/** Parse one JSON document (leading/trailing whitespace allowed). */
+/**
+ * Parse one JSON document (leading/trailing whitespace allowed). The
+ * parser reuses stacks kept per thread; between documents a thread
+ * keeps at most 7 KiB of them.
+ */
 Expected<JsonValue> tryParseJson(std::string_view text);
 
 /**

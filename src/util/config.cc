@@ -1,5 +1,7 @@
 #include "util/config.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -10,40 +12,63 @@
 
 namespace ena {
 
+namespace {
+
+/**
+ * @p v at 15 significant digits, the %.15g bytes Config has always
+ * written, unless those read back as another double: then at 16 or 17,
+ * whichever is first to read back exactly.
+ */
+std::string
+roundTripText(double v)
+{
+    char buf[32];
+    for (int digits = 15;; ++digits) {
+        const std::to_chars_result r = std::to_chars(
+            buf, buf + sizeof buf, v, std::chars_format::general, digits);
+        double back = 0.0;
+        std::from_chars(buf, r.ptr, back);
+        if (back == v || digits == 17)
+            return std::string(buf, r.ptr);
+    }
+}
+
+} // anonymous namespace
+
 Expected<Config>
-Config::tryFromString(std::string_view text, const std::string &source)
+Config::tryFromString(std::string_view text, std::string_view source)
 {
     Config cfg;
-    std::istringstream in{std::string(text)};
-    std::string line;
+    cfg.source_ = source;
+    std::set<std::string_view> warned;   // views into text
     int lineno = 0;
-    std::set<std::string> warned;
-    while (std::getline(in, line)) {
+    for (size_t pos = 0; pos < text.size();) {
+        const size_t end = std::min(text.find('\n', pos), text.size());
+        std::string_view line = text.substr(pos, end - pos);
+        pos = end + 1;
         ++lineno;
-        size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::string t = trim(line);
-        if (t.empty())
+        line = trim(line.substr(0, line.find('#')));
+        if (line.empty())
             continue;
-        size_t eq = t.find('=');
-        if (eq == std::string::npos) {
+        size_t eq = line.find('=');
+        if (eq == std::string_view::npos) {
             return Status::parseError(source, ":", lineno,
-                                      ": missing '=' in '", t, "'");
+                                      ": missing '=' in '", line, "'");
         }
-        std::string key = trim(t.substr(0, eq));
-        std::string value = trim(t.substr(eq + 1));
+        std::string_view key = trim(line.substr(0, eq));
         if (key.empty())
             return Status::parseError(source, ":", lineno, ": empty key");
-        auto it = cfg.values_.find(key);
-        if (it != cfg.values_.end() && warned.insert(key).second) {
+        const size_t keys = cfg.values_.size();
+        Entry &e = cfg.slot(key);
+        const bool repeated = cfg.values_.size() == keys;
+        if (repeated && warned.insert(key).second) {
             // Duplicates are almost always a typo; keep the legacy
             // last-write-wins behavior but say so (once per key).
             warn(source, ":", lineno, ": duplicate key '", key,
-                 "' overrides earlier value from ", it->second.origin);
+                 "' overrides earlier value from ", source, ":", e.line);
         }
-        cfg.values_[key] = Entry{value, source + ":" +
-                                            std::to_string(lineno)};
+        e.value = trim(line.substr(eq + 1));
+        e.line = lineno;
     }
     return cfg;
 }
@@ -59,78 +84,86 @@ Config::tryFromFile(const std::string &path)
     return tryFromString(buf.str(), path);
 }
 
-void
-Config::set(const std::string &key, const std::string &value)
+Config::Entry &
+Config::slot(std::string_view key)
 {
-    values_[key] = Entry{value, ""};
+    auto it = values_.lower_bound(key);
+    if (it == values_.end() || it->first != key)
+        it = values_.emplace_hint(it, std::string(key), Entry{});
+    return it->second;
 }
 
 void
-Config::set(const std::string &key, double value)
+Config::set(std::string_view key, std::string value)
 {
-    std::ostringstream os;
-    os.precision(15);
-    os << value;
-    values_[key] = Entry{os.str(), ""};
+    slot(key) = Entry{std::move(value), 0};
 }
 
 void
-Config::set(const std::string &key, long long value)
+Config::set(std::string_view key, double value)
 {
-    values_[key] = Entry{std::to_string(value), ""};
+    set(key, roundTripText(value));
 }
 
 void
-Config::set(const std::string &key, int value)
+Config::set(std::string_view key, long long value)
 {
-    values_[key] = Entry{std::to_string(value), ""};
+    set(key, std::to_string(value));
 }
 
 void
-Config::set(const std::string &key, bool value)
+Config::set(std::string_view key, int value)
 {
-    values_[key] = Entry{value ? "true" : "false", ""};
+    set(key, std::to_string(value));
+}
+
+void
+Config::set(std::string_view key, bool value)
+{
+    set(key, std::string(value ? "true" : "false"));
 }
 
 bool
-Config::has(const std::string &key) const
+Config::has(std::string_view key) const
 {
     return values_.count(key) > 0;
 }
 
 const Config::Entry *
-Config::lookup(const std::string &key) const
+Config::lookup(std::string_view key) const
 {
     auto it = values_.find(key);
     return it == values_.end() ? nullptr : &it->second;
 }
 
 std::string
-Config::describeKey(const std::string &key) const
+Config::describeKey(std::string_view key) const
 {
-    const Entry *e = lookup(key);
-    if (e && !e->origin.empty())
-        return "'" + key + "' (" + e->origin + ")";
-    return "'" + key + "'";
+    const std::string where = origin(key);
+    std::string out = "'" + std::string(key) + "'";
+    if (!where.empty())
+        out += " (" + where + ")";
+    return out;
 }
 
 std::string
-Config::origin(const std::string &key) const
+Config::origin(std::string_view key) const
 {
     const Entry *e = lookup(key);
-    return e ? e->origin : "";
+    if (!e || e->line == 0)
+        return "";
+    return source_ + ":" + std::to_string(e->line);
 }
 
 Expected<std::string>
-Config::tryGetString(const std::string &key,
-                     const std::string &dflt) const
+Config::tryGetString(std::string_view key, const std::string &dflt) const
 {
     const Entry *e = lookup(key);
     return e ? e->value : dflt;
 }
 
 Expected<double>
-Config::tryGetDouble(const std::string &key) const
+Config::tryGetDouble(std::string_view key) const
 {
     const Entry *e = lookup(key);
     if (!e)
@@ -149,7 +182,7 @@ Config::tryGetDouble(const std::string &key) const
 }
 
 Expected<double>
-Config::tryGetDouble(const std::string &key, double dflt) const
+Config::tryGetDouble(std::string_view key, double dflt) const
 {
     if (!lookup(key))
         return dflt;
@@ -157,7 +190,7 @@ Config::tryGetDouble(const std::string &key, double dflt) const
 }
 
 Expected<long long>
-Config::tryGetInt(const std::string &key) const
+Config::tryGetInt(std::string_view key) const
 {
     const Entry *e = lookup(key);
     if (!e)
@@ -171,7 +204,7 @@ Config::tryGetInt(const std::string &key) const
 }
 
 Expected<long long>
-Config::tryGetInt(const std::string &key, long long dflt) const
+Config::tryGetInt(std::string_view key, long long dflt) const
 {
     if (!lookup(key))
         return dflt;
@@ -179,7 +212,7 @@ Config::tryGetInt(const std::string &key, long long dflt) const
 }
 
 Expected<bool>
-Config::tryGetBool(const std::string &key) const
+Config::tryGetBool(std::string_view key) const
 {
     const Entry *e = lookup(key);
     if (!e)
@@ -193,31 +226,35 @@ Config::tryGetBool(const std::string &key) const
 }
 
 Expected<bool>
-Config::tryGetBool(const std::string &key, bool dflt) const
+Config::tryGetBool(std::string_view key, bool dflt) const
 {
     if (!lookup(key))
         return dflt;
     return tryGetBool(key);
 }
 
-std::vector<std::string>
-Config::keysWithPrefix(const std::string &prefix) const
+std::vector<std::string_view>
+Config::keysWithPrefix(std::string_view prefix) const
 {
-    std::vector<std::string> out;
-    for (const auto &[k, v] : values_) {
-        if (startsWith(k, prefix))
-            out.push_back(k);
-    }
+    // Keys that share a prefix are adjacent in key order.
+    std::vector<std::string_view> out;
+    for (auto it = values_.lower_bound(prefix);
+         it != values_.end() && it->first.starts_with(prefix); ++it)
+        out.push_back(it->first);
     return out;
 }
 
 std::string
 Config::toString() const
 {
-    std::ostringstream os;
-    for (const auto &[k, v] : values_)
-        os << k << " = " << v.value << "\n";
-    return os.str();
+    std::string out;
+    for (const auto &[k, e] : values_) {
+        out += k;
+        out += " = ";
+        out += e.value;
+        out += '\n';
+    }
+    return out;
 }
 
 } // namespace ena

@@ -11,10 +11,14 @@
  * Errors are values: every entry point returns ena::Status /
  * ena::Expected with precise source:line/key diagnostics, so a sweep
  * can quarantine one bad config instead of dying; CLIs unwrap at their
- * own boundary (unwrapOrFatal). Parsing tracks each key's origin
- * ("file.ini:12") and warns once per key on duplicates (last occurrence
- * wins); typed numeric accessors reject NaN/inf and trailing garbage
- * ("3.0x").
+ * own boundary (unwrapOrFatal). A parsed config keeps its source name
+ * once and each key's line number, and spells a key's origin
+ * ("file.ini:12") only for a diagnostic. Parsing warns once per key on
+ * duplicates (last occurrence wins); typed numeric accessors reject
+ * NaN/inf and trailing garbage ("3.0x").
+ *
+ * Lookups take std::string_view and allocate nothing: a server request
+ * decodes its config text without a temporary string per key.
  *
  * A config struct names its keys once, in a field list next to it:
  *
@@ -37,6 +41,7 @@
 
 #include <climits>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <optional>
@@ -58,20 +63,25 @@ class Config
      * diagnostics and key origins (defaults to "<string>").
      */
     static Expected<Config> tryFromString(
-        std::string_view text, const std::string &source = "<string>");
+        std::string_view text, std::string_view source = "<string>");
 
     /** Load from a file; IoError if unreadable, ParseError if bad. */
     static Expected<Config> tryFromFile(const std::string &path);
 
-    /** Set (or overwrite) a key. */
-    void set(const std::string &key, const std::string &value);
-    void set(const std::string &key, double value);
-    void set(const std::string &key, long long value);
-    void set(const std::string &key, int value);
-    void set(const std::string &key, bool value);
+    /**
+     * Set (or overwrite) a key; it then has no origin. A double is
+     * written as %.15g when that reads back as the same double, and
+     * with 16 or 17 significant digits otherwise, so every finite
+     * double survives toString() and tryFromString() bit for bit.
+     */
+    void set(std::string_view key, std::string value);
+    void set(std::string_view key, double value);
+    void set(std::string_view key, long long value);
+    void set(std::string_view key, int value);
+    void set(std::string_view key, bool value);
 
     /** True if the key exists. */
-    bool has(const std::string &key) const;
+    bool has(std::string_view key) const;
 
     /**
      * Typed accessors. The no-default forms return NotFound when the
@@ -81,19 +91,22 @@ class Config
      * is absent but still report a present-but-bad value. Diagnostics
      * carry the key and its source:line origin.
      */
-    Expected<std::string> tryGetString(const std::string &key,
+    Expected<std::string> tryGetString(std::string_view key,
                                        const std::string &dflt) const;
-    Expected<double> tryGetDouble(const std::string &key) const;
-    Expected<double> tryGetDouble(const std::string &key,
-                                  double dflt) const;
-    Expected<long long> tryGetInt(const std::string &key) const;
-    Expected<long long> tryGetInt(const std::string &key,
+    Expected<double> tryGetDouble(std::string_view key) const;
+    Expected<double> tryGetDouble(std::string_view key, double dflt) const;
+    Expected<long long> tryGetInt(std::string_view key) const;
+    Expected<long long> tryGetInt(std::string_view key,
                                   long long dflt) const;
-    Expected<bool> tryGetBool(const std::string &key) const;
-    Expected<bool> tryGetBool(const std::string &key, bool dflt) const;
+    Expected<bool> tryGetBool(std::string_view key) const;
+    Expected<bool> tryGetBool(std::string_view key, bool dflt) const;
 
-    /** All keys with the given prefix (e.g. "extmem."). */
-    std::vector<std::string> keysWithPrefix(const std::string &prefix) const;
+    /**
+     * The keys with the given prefix (e.g. "extmem."), in key order.
+     * The views point into this Config and last until it next changes.
+     */
+    std::vector<std::string_view> keysWithPrefix(
+        std::string_view prefix) const;
 
     /** Serialize back to "key = value" lines in sorted key order. */
     std::string toString() const;
@@ -102,10 +115,10 @@ class Config
      * Where a key was parsed from ("cfg.ini:12"); empty for keys added
      * via set() or when unknown. Used in diagnostics.
      */
-    std::string origin(const std::string &key) const;
+    std::string origin(std::string_view key) const;
 
     /** "'key'" or "'key' (cfg.ini:12)" for diagnostics. */
-    std::string describeKey(const std::string &key) const;
+    std::string describeKey(std::string_view key) const;
 
     size_t size() const { return values_.size(); }
 
@@ -113,12 +126,15 @@ class Config
     struct Entry
     {
         std::string value;
-        std::string origin;   ///< "source:line" when parsed from text
+        int line = 0;   ///< line in source_ when parsed; 0 after set()
     };
 
-    const Entry *lookup(const std::string &key) const;
+    const Entry *lookup(std::string_view key) const;
+    /** The entry for @p key, default-constructed if it is new. */
+    Entry &slot(std::string_view key);
 
-    std::map<std::string, Entry> values_;
+    std::string source_;   ///< what tryFromString() parsed, for origins
+    std::map<std::string, Entry, std::less<>> values_;
 };
 
 /**
@@ -245,7 +261,7 @@ Expected<S>
 readConfigFields(const Config &cfg, const ConfigFieldScope &scope)
 {
     S s;
-    for (const std::string &key : cfg.keysWithPrefix(scope.prefix)) {
+    for (std::string_view key : cfg.keysWithPrefix(scope.prefix)) {
         bool known = false;
         for (const char *other : scope.ownedElsewhere)
             known = known || key.rfind(other, 0) == 0;

@@ -152,7 +152,7 @@ Endpoint::toString() const
 Expected<Endpoint>
 tryParseEndpoint(const std::string &text)
 {
-    std::string s = trim(text);
+    std::string s(trim(text));
     if (s.empty())
         return Status::invalidArgument("empty endpoint");
 

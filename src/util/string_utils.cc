@@ -7,7 +7,7 @@
 
 namespace ena {
 
-std::string
+std::string_view
 trim(std::string_view s)
 {
     size_t b = 0;
@@ -16,7 +16,7 @@ trim(std::string_view s)
         ++b;
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         --e;
-    return std::string(s.substr(b, e - b));
+    return s.substr(b, e - b);
 }
 
 std::string
@@ -31,7 +31,7 @@ toLower(std::string_view s)
 std::optional<double>
 parseDouble(std::string_view s)
 {
-    std::string t = trim(s);
+    std::string t(trim(s));
     if (t.empty())
         return std::nullopt;
     char *end = nullptr;
@@ -44,7 +44,7 @@ parseDouble(std::string_view s)
 std::optional<long long>
 parseInt(std::string_view s)
 {
-    std::string t = trim(s);
+    std::string t(trim(s));
     if (t.empty())
         return std::nullopt;
     char *end = nullptr;

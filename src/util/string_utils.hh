@@ -13,8 +13,8 @@
 
 namespace ena {
 
-/** Remove leading and trailing whitespace. */
-std::string trim(std::string_view s);
+/** @p s without leading and trailing whitespace: a view into @p s. */
+std::string_view trim(std::string_view s);
 
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);

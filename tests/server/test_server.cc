@@ -697,6 +697,44 @@ TEST(EvalServer, ConcurrentClientsMatchSerialLocalEvaluationBitExactly)
     (*server)->stop();
 }
 
+TEST(EvalServer, SweepAxisWithAnInexactBaseMatchesLocalEvaluationBitExactly)
+{
+    // 0.93333333333333335 needs 16 significant digits: the base config
+    // the client sends must carry it exactly, or every point runs at
+    // another frequency.
+    NodeConfig base = NodeConfig::bestMean();
+    base.freqGhz = 1.0 / 3.0 + 0.6;
+    const std::vector<double> values = {192.0, 256.0, 320.0};
+    Expected<std::vector<NodeConfig>> configs =
+        trySweepConfigs(base, "cus", values);
+    ASSERT_TRUE(configs.ok()) << configs.status().toString();
+
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("inexact"));
+    opts.workers = 1;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+    ClientOptions copts;
+    copts.endpoint = (*server)->endpoint();
+    ServerClient client(copts);
+    auto got = client.sweepAxis("xsbench", "cus", 192.0, 320.0, 64.0, &base);
+    (*server)->stop();
+
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    ASSERT_EQ(got->size(), configs->size());
+    NodeEvaluator eval;
+    for (std::size_t i = 0; i < configs->size(); ++i) {
+        const EvalResult r = eval.evaluate((*configs)[i], App::XSBench);
+        EXPECT_EQ(bitsOf((*got)[i].freqGhz), bitsOf(base.freqGhz))
+            << "point " << i;
+        EXPECT_EQ((*got)[i].cus, (*configs)[i].cus);
+        EXPECT_EQ(bitsOf((*got)[i].flops), bitsOf(r.perf.flops))
+            << "point " << i;
+        EXPECT_EQ(bitsOf((*got)[i].totalW), bitsOf(r.power.total()))
+            << "point " << i;
+    }
+}
+
 TEST(EvalServer, OverlongRequestLineGetsAnErrorAndItsConnectionCloses)
 {
     ServerOptions opts;

@@ -3,22 +3,31 @@
  * Unit tests for the server's hand-rolled JSON (server/wire.hh): exact
  * double round-trips (the wire protocol's bit-identity guarantee), the
  * number codec's bytes pinned to %.17g and its accept/reject set to
- * strtod's, string escaping, parser error paths, and the typed
- * accessors.
+ * strtod's, string escaping, parser error paths, the typed accessors,
+ * the parser's per-thread stacks, and request decoding (JSON and
+ * config text) on several threads at once.
  */
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <gtest/gtest.h>
 
+#include "common/node_config_io.hh"
 #include "server/wire.hh"
+#include "util/config.hh"
 #include "util/rng.hh"
 
 using namespace ena;
@@ -381,6 +390,138 @@ TEST(Wire, TypedAccessors)
     // Present but mistyped: error even with a default.
     EXPECT_FALSE(wire::tryGetNumber(*obj, "s", 1.0).ok());
     EXPECT_FALSE(wire::tryGetBool(*obj, "n", true).ok());
+}
+
+TEST(Wire, AFailedParseLeavesTheNextParseOnItsThreadUnchanged)
+{
+    const std::string next = R"({"a":[1,{"b":[2,3]}],"c":{"d":"e"}})";
+    for (const char *broken : {R"({"a":[1,{"b":[2,3)",
+                               R"([{"x":1},{"y":[true,)",
+                               R"({"k":{"l":{"m":)", R"([[[[1,2],[3)"}) {
+        ASSERT_FALSE(tryParseJson(broken).ok()) << broken;
+        Expected<JsonValue> v = tryParseJson(next);
+        ASSERT_TRUE(v.ok()) << v.status().toString();
+        EXPECT_EQ(v->dump(), next) << "after " << broken;
+        EXPECT_EQ(v->size(), 2u);
+        EXPECT_EQ(v->find("a")->size(), 2u);
+    }
+}
+
+#if defined(__GLIBC__)
+/** Bytes this process has allocated and not freed, by glibc's count. */
+long long
+heapInUse()
+{
+    const struct mallinfo2 m = mallinfo2();
+    return static_cast<long long>(m.uordblks + m.hblkhd);
+}
+#endif
+
+TEST(Wire, AThreadKeepsABoundedParserMemoryAfterA1MiBDocument)
+{
+#if !defined(__GLIBC__)
+    GTEST_SKIP() << "counts heap bytes with glibc's mallinfo2";
+#else
+    // About 131,000 elements: the element stack grows to 12 MiB.
+    std::string doc = "[";
+    while (doc.size() < (1u << 20))
+        doc += "1234567,";
+    doc.back() = ']';
+    const std::string cut = doc.substr(0, doc.size() - 1);
+    long long kept[2] = {0, 0};
+    std::thread([&] {
+        ASSERT_TRUE(tryParseJson("[0]").ok());   // the thread's heap
+        for (int i = 0; i < 2; ++i) {
+            const long long before = heapInUse();
+            EXPECT_EQ(tryParseJson(i == 0 ? doc : cut).ok(), i == 0);
+            kept[i] = heapInUse() - before;
+        }
+    }).join();
+    // The stacks keep at most 32 entries each (7 KiB); the rest is
+    // slack for the allocator's own caches.
+    EXPECT_LT(kept[0], 16 * 1024) << "after a parsed document";
+    EXPECT_LT(kept[1], 16 * 1024) << "after a failed document";
+#endif
+}
+
+/**
+ * Decode every input the way a server reader thread does: the request
+ * configs through Config and the node field list, the JSON lines
+ * through the parser. Each result is its canonical text or its error.
+ */
+std::vector<std::string>
+decodeAll(const std::vector<std::string> &configs,
+          const std::vector<std::string> &lines)
+{
+    std::vector<std::string> out;
+    for (const std::string &text : configs) {
+        Expected<Config> cfg = Config::tryFromString(text, "request");
+        if (!cfg.ok()) {
+            out.push_back(cfg.status().toString());
+            continue;
+        }
+        Expected<NodeConfig> node = tryNodeConfigFromConfig(*cfg);
+        out.push_back(cfg->toString() +
+                      (node.ok() ? nodeConfigToConfig(*node).toString()
+                                 : node.status().toString()));
+    }
+    for (const std::string &line : lines) {
+        Expected<JsonValue> v = tryParseJson(line);
+        out.push_back(v.ok() ? v->dump() : v.status().toString());
+    }
+    return out;
+}
+
+TEST(WireConfigDecode, FourThreadsDecodeLikeOneThread)
+{
+    const std::vector<std::string> configs = {
+        "ehp.cus = 256\nehp.freq_ghz = 0.925\nehp.bw_tbs = 3.5\n"
+        "opts.ntc = true\nopts.lp_links = true\n",
+        "ehp.cus = 384\r\nehp.freq_ghz = 1.25 # turbo\r\n"
+        "extmem.dram_gb = 768\r\n",
+        "ehp.cus = 320\nehp.bw_tbs = fast\n",
+        "ehp.cuz = 320\n",
+        "ehp.cus = 0\n",
+        "just a line\n",
+        "cluster.nodes = 100\nehp.freq_ghz = 0.9333333333333333\n",
+    };
+    std::string sweep = R"({"id":7,"ok":true,"result":{"points":[)";
+    for (int i = 0; i < 50; ++i) {
+        sweep += (i ? "," : "") + std::string(R"({"value":)") +
+                 std::to_string(i) + R"(,"flops":1.2345678901234567e+15})";
+    }
+    sweep += "]}}";
+    const std::vector<std::string> lines = {
+        R"({"op":"eval_node","app":"lulesh",)"
+        R"("config":"ehp.cus = 256\n","id":1})",
+        R"({"id":2,"ok":true,"result":{"app":"LULESH","cus":256,)"
+        R"("freq_ghz":0.92500000000000004,"memory_bound":true}})",
+        sweep,
+        R"({"id":3,"ok":false,)"
+        R"("error":{"code":"parse_error","message":"x\"y"}})",
+        R"({"op":"eval_node","config":[1,2,{"a":)",
+        R"([[1,2],[3,4],{"k":[5,{"l":6}]}])",
+    };
+    const std::vector<std::string> serial = decodeAll(configs, lines);
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 200;
+    std::atomic<int> ready{0};
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            for (int r = 0; r < kRounds; ++r)
+                mismatches[t] += decodeAll(configs, lines) != serial;
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 } // anonymous namespace
