@@ -10,7 +10,7 @@
  *     outside the timer. Both sides build one DseGridScorer and make
  *     the same score() calls over the same pool chunks (so they share
  *     the scorer's and the pool's telemetry); the gate measures only
- *     the spans, counters and gauge the sweep adds around them.
+ *     the spans and the counter the sweep adds around them.
  *
  *  2. Determinism: with tracing AND metrics enabled (in memory), the
  *     parallel sweep must stay element-for-element bit-identical to

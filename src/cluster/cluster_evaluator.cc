@@ -8,29 +8,6 @@
 
 namespace ena {
 
-namespace {
-
-telemetry::Counter &
-fabricBytesCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "cluster.fabric_bytes",
-        "per-node fabric bytes per compute-second, summed over all "
-        "cluster evaluations");
-    return c;
-}
-
-telemetry::Counter &
-clusterEvalsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "cluster.evaluations",
-        "(config, app, comm spec) system evaluations");
-    return c;
-}
-
-} // anonymous namespace
-
 ClusterEvaluator::ClusterEvaluator(const NodeEvaluator &eval,
                                    ClusterConfig cluster)
     : eval_(eval), cluster_(cluster), net_(cluster),
@@ -74,9 +51,14 @@ ClusterEvaluator::evaluate(const NodeConfig &cfg, App app,
     r.networkMw = watts_per_node * cluster_.nodes / 1e6;
     r.systemMw = r.analyticMw + r.networkMw;
 
-    clusterEvalsCounter().add();
-    fabricBytesCounter().add(
-        static_cast<std::uint64_t>(traffic_bytes_per_sec));
+    // (config, app, comm spec) evaluations, and the per-node fabric
+    // bytes per compute-second summed over them.
+    static telemetry::Counter &evals =
+        telemetry::counter("cluster.evaluations");
+    static telemetry::Counter &fabric_bytes =
+        telemetry::counter("cluster.fabric_bytes");
+    evals.add();
+    fabric_bytes.add(static_cast<std::uint64_t>(traffic_bytes_per_sec));
     return r;
 }
 

@@ -9,19 +9,6 @@
 
 namespace ena {
 
-namespace {
-
-telemetry::Counter &
-resilientEvalsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "resilient.evaluations",
-        "(config, app, comm, resilience spec) system evaluations");
-    return c;
-}
-
-} // anonymous namespace
-
 ResilientClusterEvaluator::ResilientClusterEvaluator(
     const ClusterEvaluator &ce, ResilienceSpec spec)
     : ce_(ce), spec_(spec), fm_(spec.ras)
@@ -77,7 +64,10 @@ ResilientClusterEvaluator::evaluate(const NodeConfig &cfg, App app,
     r.effectiveExaflops =
         r.cluster.systemExaflops * r.ckptEfficiency / r.rmtSlowdown;
 
-    resilientEvalsCounter().add();
+    // (config, app, comm, resilience spec) evaluations.
+    static telemetry::Counter &evals =
+        telemetry::counter("resilient.evaluations");
+    evals.add();
     return r;
 }
 

@@ -18,36 +18,13 @@ namespace ena {
 
 namespace {
 
+/** Grid points scored across all DSE sweeps and searches. */
 telemetry::Counter &
 configsCounter()
 {
-    static telemetry::Counter &c = telemetry::counter(
-        "dse.configs_evaluated",
-        "grid points scored across all DSE sweeps and searches");
+    static telemetry::Counter &c =
+        telemetry::counter("dse.configs_evaluated");
     return c;
-}
-
-telemetry::Counter &
-evalsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "node.evaluations",
-        "(config, application) pairs evaluated by NodeEvaluator");
-    return c;
-}
-
-/** Publish the configs/sec rate of the sweep that just finished. */
-void
-publishSweepRate(std::size_t n, double t0_us)
-{
-    if (!telemetry::metricsEnabled())
-        return;
-    double sec = (telemetry::nowUs() - t0_us) * 1e-6;
-    if (sec > 0.0) {
-        telemetry::gauge("dse.configs_per_sec",
-                         "grid throughput of the most recent DSE sweep")
-            .set(static_cast<double>(n) / sec);
-    }
 }
 
 /**
@@ -254,8 +231,12 @@ DseGridScorer::score(std::span<const std::size_t> indices,
     const std::size_t nf = grid_.freqsGhz.size();
     const std::size_t nb = grid_.bwsTbs.size();
     const std::size_t na = profiles_.size();
-    if (!flops_)
-        evalsCounter().add(indices.size() * na);
+    if (!flops_) {
+        // (config, application) pairs, as NodeEvaluator counts them.
+        static telemetry::Counter &evals =
+            telemetry::counter("node.evaluations");
+        evals.add(indices.size() * na);
+    }
 
     for (std::size_t i : indices) {
         const std::size_t ci = i / (nf * nb);
@@ -367,7 +348,6 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts, std::nullptr_t) const
     // chunks and folded into their own slots, so the output is
     // identical to the serial enumeration for any thread count.
     ENA_SPAN("dse", "sweep");
-    const double t0 = telemetry::nowUs();
     const std::size_t n = grid_.size();
     std::vector<DsePoint> points(n);
 
@@ -410,7 +390,6 @@ DesignSpaceExplorer::sweep(const PowerOptConfig &opts, std::nullptr_t) const
     }
 
     configsCounter().add(n);
-    publishSweepRate(n, t0);
     return points;
 }
 

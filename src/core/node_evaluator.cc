@@ -12,9 +12,7 @@ NodeEvaluator::evaluate(const NodeConfig &cfg, App app) const
 {
     // Hottest call in the stack (every sweep funnels through here):
     // one cached-reference relaxed increment, no spans.
-    static telemetry::Counter &evals = telemetry::counter(
-        "node.evaluations",
-        "(config, application) pairs evaluated by NodeEvaluator");
+    static telemetry::Counter &evals = telemetry::counter("node.evaluations");
     evals.add();
 
     const KernelProfile &k = profileFor(app);

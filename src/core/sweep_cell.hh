@@ -28,9 +28,8 @@ template <typename P, typename... Where>
 void
 quarantineCell(P &p, std::string error, const Where &...where)
 {
-    static telemetry::Counter &failed = telemetry::counter(
-        "sweep.configs_failed",
-        "grid points quarantined instead of evaluated");
+    static telemetry::Counter &failed =
+        telemetry::counter("sweep.configs_failed");
     p.ok = false;
     p.error = std::move(error);
     failed.add();

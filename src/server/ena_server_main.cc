@@ -13,6 +13,7 @@
  * until a client sends the "shutdown" op.
  */
 
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -49,7 +50,7 @@ main(int argc, char **argv)
             opts.endpoint = *ep;
         } else if (arg == "--workers" && i + 1 < argc) {
             std::optional<long long> n = parseInt(argv[++i]);
-            if (!n || *n < 1)
+            if (!n || *n < 1 || *n > INT_MAX)
                 return usage();
             opts.workers = static_cast<int>(*n);
         } else {

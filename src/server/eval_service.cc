@@ -26,22 +26,6 @@ using wire::JsonWriter;
 /** The stats.per_op key (and span name) shared by all unknown ops. */
 constexpr const char *kUnknownOp = "unknown";
 
-telemetry::Counter &
-requestsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "server.requests", "requests handled by the evaluation server");
-    return c;
-}
-
-telemetry::Counter &
-errorsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "server.errors", "requests answered with an error response");
-    return c;
-}
-
 /** Parse the "config" parameter (config-text) into a Config. */
 Expected<Config>
 configFromRequest(const JsonValue &req)
@@ -145,7 +129,6 @@ std::string
 EvalService::handle(const wire::JsonValue &request)
 {
     requests_.fetch_add(1, std::memory_order_relaxed);
-    requestsCounter().add();
 
     std::string line;
     JsonWriter out(&line);
@@ -185,7 +168,6 @@ std::string
 EvalService::errorResponse(const Status &why)
 {
     requests_.fetch_add(1, std::memory_order_relaxed);
-    requestsCounter().add();
     std::string line;
     JsonWriter out(&line);
     out.beginObject().key("id").null();
@@ -198,7 +180,6 @@ void
 EvalService::writeError(wire::JsonWriter &out, const Status &why)
 {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    errorsCounter().add();
     out.key("ok").boolean(false)
         .key("error").beginObject()
         .key("code").string(errorCodeName(why.code()))
@@ -252,9 +233,8 @@ EvalService::dispatch(const std::string &op, const wire::JsonValue &req,
         stats.latency.load(std::memory_order_acquire);
     if (!latency) {
         // Find-or-create takes the registry lock: once per op.
-        latency = &telemetry::histogram(
-            std::string("server.latency_us.") + name,
-            std::string("request latency (us) of op ") + name);
+        latency =
+            &telemetry::histogram(std::string("server.latency_us.") + name);
         stats.latency.store(latency, std::memory_order_release);
     }
     latency->sample(us);

@@ -2,22 +2,7 @@
 
 #include <utility>
 
-#include "telemetry/metrics.hh"
-
 namespace ena {
-
-namespace {
-
-telemetry::Gauge &
-queueDepthGauge()
-{
-    static telemetry::Gauge &g = telemetry::gauge(
-        "server.queue_depth",
-        "requests waiting for an evaluation slot, when one is taken");
-    return g;
-}
-
-} // anonymous namespace
 
 EvalServer::EvalServer(const ServerOptions &opts)
     : freeSlots_(opts.workers)
@@ -142,7 +127,6 @@ EvalServer::acquireSlot()
     if (stopping_)
         return false;
     --freeSlots_;
-    queueDepthGauge().set(static_cast<double>(waitingForSlot_));
     return true;
 }
 

@@ -26,9 +26,9 @@ Simulation::run(Tick limit)
     initAll();
     std::uint64_t events = queue_.run(limit);
 
-    static telemetry::Counter &processed = telemetry::counter(
-        "sim.events_processed",
-        "events executed across all cycle-level simulations");
+    // Events executed across all cycle-level simulations.
+    static telemetry::Counter &processed =
+        telemetry::counter("sim.events_processed");
     processed.add(events);
     return events;
 }

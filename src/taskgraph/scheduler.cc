@@ -10,36 +10,6 @@
 
 namespace ena {
 
-namespace {
-
-telemetry::Counter &
-tasksScheduledCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "taskgraph.tasks_scheduled",
-        "DAG tasks placed onto nodes by scheduleDag");
-    return c;
-}
-
-telemetry::Counter &
-edgesCostedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "taskgraph.edges_costed",
-        "cross-node DAG edges charged a transfer cost");
-    return c;
-}
-
-telemetry::Histogram &
-scheduleLatencyHistogram()
-{
-    static telemetry::Histogram &h = telemetry::histogram(
-        "taskgraph.schedule_us", "scheduleDag latency (us)");
-    return h;
-}
-
-} // anonymous namespace
-
 std::string
 dagSchedulerName(DagScheduler s)
 {
@@ -349,9 +319,16 @@ scheduleDag(const TaskDag &dag, const DagCostModel &cost,
         break;
     }
 
-    tasksScheduledCounter().add(dag.size());
-    edgesCostedCounter().add(s.edgesCosted);
-    scheduleLatencyHistogram().sample(telemetry::nowUs() - t0);
+    // edges_costed counts the cross-node edges charged a transfer.
+    static telemetry::Counter &tasks =
+        telemetry::counter("taskgraph.tasks_scheduled");
+    static telemetry::Counter &edges =
+        telemetry::counter("taskgraph.edges_costed");
+    static telemetry::Histogram &latency =
+        telemetry::histogram("taskgraph.schedule_us");
+    tasks.add(dag.size());
+    edges.add(s.edgesCosted);
+    latency.sample(telemetry::nowUs() - t0);
     return s;
 }
 

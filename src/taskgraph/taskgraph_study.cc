@@ -10,19 +10,6 @@
 
 namespace ena {
 
-namespace {
-
-telemetry::Counter &
-sweepCellCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "taskgraph.sweep_cells",
-        "scheduler x topology x node-count cells evaluated");
-    return c;
-}
-
-} // anonymous namespace
-
 TaskGraphStudy::TaskGraphStudy(const NodeEvaluator &eval,
                                ClusterConfig base)
     : eval_(eval), base_(base)
@@ -77,7 +64,10 @@ TaskGraphStudy::sweep(const TaskDag &dag, const NodeConfig &cfg,
                     q.utilization = s.utilization();
                     q.commSeconds = s.totalCommSeconds;
                     q.edgesCosted = s.edgesCosted;
-                    sweepCellCounter().add();
+                    // Scheduler x topology x node-count cells.
+                    static telemetry::Counter &cells =
+                        telemetry::counter("taskgraph.sweep_cells");
+                    cells.add();
                 });
         });
 }

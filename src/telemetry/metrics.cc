@@ -1,10 +1,6 @@
 #include "telemetry/metrics.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 
@@ -16,10 +12,9 @@ namespace {
 struct Registry
 {
     std::mutex m;
-    // std::map keeps dumps sorted by name; pointers stay stable.
-    std::map<std::string, std::unique_ptr<Counter>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms;
+    // std::map keeps dumps sorted by name, and its nodes never move.
+    std::map<std::string, Counter> counters;
+    std::map<std::string, Histogram> histograms;
 };
 
 Registry &
@@ -47,65 +42,32 @@ atomicMax(std::atomic<double> &a, double v)
     }
 }
 
-void
-jsonEscapeInto(std::ostream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else if (static_cast<unsigned char>(c) < 0x20)
-            os << ' ';
-        else
-            os << c;
-    }
-}
-
 } // anonymous namespace
 
-Histogram::Histogram(std::string name, std::string desc, double lo,
-                     double base, int bins)
-    : name_(std::move(name)), desc_(std::move(desc)),
-      counts_(static_cast<size_t>(bins > 0 ? bins : 1)),
-      min_(std::numeric_limits<double>::infinity()),
-      max_(-std::numeric_limits<double>::infinity())
-{
-    if (lo <= 0.0)
-        lo = 1.0;
-    if (base <= 1.0)
-        base = 2.0;
-    bounds_.reserve(counts_.size() + 1);
-    double b = lo;
-    for (size_t i = 0; i <= counts_.size(); ++i) {
-        bounds_.push_back(b);
-        b *= base;
-    }
-}
-
 int
-Histogram::binFor(double v) const
+Histogram::binFor(double v)
 {
-    if (v < bounds_.front())
+    if (v < 1.0)
         return -1;
-    if (v >= bounds_.back())
-        return bins();
-    // First boundary strictly greater than v; v lands in the bin below
-    // it, so an exact-boundary sample always belongs to the upper bin.
-    auto it = std::upper_bound(bounds_.begin(), bounds_.end(), v);
-    return static_cast<int>(it - bounds_.begin()) - 1;
+    if (!(v < binLo(kBins)))   // NaN fails every comparison
+        return kBins;
+    int exp = 0;
+    std::frexp(v, &exp);   // v = m * 2^exp with m in [0.5, 1)
+    return exp - 1;
 }
 
 void
-Histogram::sample(double v, std::uint64_t count)
+Histogram::sample(double v)
 {
-    int bin = binFor(v);
+    const int bin = binFor(v);
     if (bin < 0)
-        underflow_.fetch_add(count, std::memory_order_relaxed);
-    else if (bin >= bins())
-        overflow_.fetch_add(count, std::memory_order_relaxed);
+        underflow_.fetch_add(1, std::memory_order_relaxed);
+    else if (bin == kBins)
+        overflow_.fetch_add(1, std::memory_order_relaxed);
     else
         counts_[static_cast<size_t>(bin)].fetch_add(
-            count, std::memory_order_relaxed);
-    count_.fetch_add(count, std::memory_order_relaxed);
+            1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
     atomicMin(min_, v);
     atomicMax(max_, v);
 }
@@ -137,46 +99,19 @@ Histogram::reset()
 }
 
 Counter &
-counter(const std::string &name, const std::string &desc)
+counter(const std::string &name)
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lk(r.m);
-    auto it = r.counters.find(name);
-    if (it == r.counters.end()) {
-        it = r.counters
-                 .emplace(name, std::make_unique<Counter>(name, desc))
-                 .first;
-    }
-    return *it->second;
-}
-
-Gauge &
-gauge(const std::string &name, const std::string &desc)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lk(r.m);
-    auto it = r.gauges.find(name);
-    if (it == r.gauges.end()) {
-        it = r.gauges.emplace(name, std::make_unique<Gauge>(name, desc))
-                 .first;
-    }
-    return *it->second;
+    return r.counters.try_emplace(name).first->second;
 }
 
 Histogram &
-histogram(const std::string &name, const std::string &desc, double lo,
-          double base, int bins)
+histogram(const std::string &name)
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lk(r.m);
-    auto it = r.histograms.find(name);
-    if (it == r.histograms.end()) {
-        it = r.histograms
-                 .emplace(name, std::make_unique<Histogram>(
-                                    name, desc, lo, base, bins))
-                 .first;
-    }
-    return *it->second;
+    return r.histograms.try_emplace(name).first->second;
 }
 
 void
@@ -186,64 +121,25 @@ writeMetricsCsv(std::ostream &os)
     std::lock_guard<std::mutex> lk(r.m);
     os << "name,type,value\n";
     for (const auto &[name, c] : r.counters)
-        os << name << ",counter," << c->value() << "\n";
-    for (const auto &[name, g] : r.gauges)
-        os << name << ",gauge," << g->value() << "\n";
+        os << name << ",counter," << c.value() << "\n";
     for (const auto &[name, h] : r.histograms) {
-        os << name << ",histogram_count," << h->count() << "\n";
-        os << name << ",histogram_min," << h->min() << "\n";
-        os << name << ",histogram_max," << h->max() << "\n";
-        if (h->underflow())
-            os << name << ",histogram_underflow," << h->underflow()
+        os << name << ",histogram_count," << h.count() << "\n";
+        os << name << ",histogram_min," << h.min() << "\n";
+        os << name << ",histogram_max," << h.max() << "\n";
+        if (h.underflow())
+            os << name << ",histogram_underflow," << h.underflow()
                << "\n";
-        for (int i = 0; i < h->bins(); ++i) {
-            if (h->binCount(i)) {
-                os << name << ",histogram_bin[" << h->binLo(i) << ","
-                   << h->binHi(i) << ")," << h->binCount(i) << "\n";
+        for (int i = 0; i < Histogram::kBins; ++i) {
+            if (h.binCount(i)) {
+                os << name << ",histogram_bin[" << Histogram::binLo(i)
+                   << "," << Histogram::binHi(i) << "),"
+                   << h.binCount(i) << "\n";
             }
         }
-        if (h->overflow())
-            os << name << ",histogram_overflow," << h->overflow()
+        if (h.overflow())
+            os << name << ",histogram_overflow," << h.overflow()
                << "\n";
     }
-}
-
-void
-writeMetricsJson(std::ostream &os)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lk(r.m);
-    os << "{\n  \"counters\": {";
-    bool first = true;
-    for (const auto &[name, c] : r.counters) {
-        os << (first ? "\n" : ",\n") << "    \"";
-        jsonEscapeInto(os, name);
-        os << "\": " << c->value();
-        first = false;
-    }
-    os << "\n  },\n  \"gauges\": {";
-    first = true;
-    for (const auto &[name, g] : r.gauges) {
-        os << (first ? "\n" : ",\n") << "    \"";
-        jsonEscapeInto(os, name);
-        os << "\": " << g->value();
-        first = false;
-    }
-    os << "\n  },\n  \"histograms\": {";
-    first = true;
-    for (const auto &[name, h] : r.histograms) {
-        os << (first ? "\n" : ",\n") << "    \"";
-        jsonEscapeInto(os, name);
-        os << "\": {\"count\": " << h->count()
-           << ", \"min\": " << h->min() << ", \"max\": " << h->max()
-           << ", \"underflow\": " << h->underflow()
-           << ", \"overflow\": " << h->overflow() << ", \"bins\": [";
-        for (int i = 0; i < h->bins(); ++i)
-            os << (i ? ", " : "") << h->binCount(i);
-        os << "]}";
-        first = false;
-    }
-    os << "\n  }\n}\n";
 }
 
 void
@@ -252,11 +148,9 @@ resetMetrics()
     Registry &r = registry();
     std::lock_guard<std::mutex> lk(r.m);
     for (auto &[name, c] : r.counters)
-        c->reset();
-    for (auto &[name, g] : r.gauges)
-        g->reset();
+        c.reset();
     for (auto &[name, h] : r.histograms)
-        h->reset();
+        h.reset();
 }
 
 } // namespace telemetry

@@ -1,33 +1,35 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges, and
- * fixed-log-scale-bin histograms shared by every subsystem
- * (ThreadPool, DSE, cycle sim, thermal solver, cluster sweeps).
+ * Process-wide metrics registry: named counters and power-of-two-bin
+ * histograms shared by every subsystem (ThreadPool, DSE, cycle sim,
+ * thermal solver, cluster sweeps, server).
  *
- * All mutation paths are lock-free atomics, so instrumented code may
- * update metrics from any thread. Counters and histogram bins are
- * integers updated with commutative adds, which keeps the dumped
- * values deterministic regardless of thread interleaving; gauges are
- * last-write-wins. Registration (the name -> metric lookup) takes a
- * mutex — hot paths should cache the returned reference:
+ * Every update is a relaxed atomic add (or a min/max compare-exchange),
+ * so instrumented code may update metrics from any thread, and since
+ * the adds commute a dump does not depend on thread interleaving. A
+ * metric always counts; ENA_METRICS only decides whether the dump is
+ * written. Registration (the name -> metric lookup) takes a mutex —
+ * hot paths should cache the returned reference:
  *
+ *   // (config, application) pairs evaluated
  *   static telemetry::Counter &evals =
- *       telemetry::counter("node.evaluations", "configs evaluated");
+ *       telemetry::counter("node.evaluations");
  *   evals.add();
  *
- * Dumps: writeMetricsCsv() ("name,type,value" rows) and
- * writeMetricsJson(); ENA_METRICS=<file> makes flush() write one of
- * them at process exit (see telemetry/telemetry.hh).
+ * writeMetricsCsv() dumps the registry; ENA_METRICS=<file> makes
+ * flush() write that dump at process exit (see telemetry/telemetry.hh).
  */
 
 #ifndef ENA_TELEMETRY_METRICS_HH
 #define ENA_TELEMETRY_METRICS_HH
 
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <string>
-#include <vector>
 
 namespace ena {
 namespace telemetry {
@@ -36,11 +38,6 @@ namespace telemetry {
 class Counter
 {
   public:
-    explicit Counter(std::string name, std::string desc)
-        : name_(std::move(name)), desc_(std::move(desc))
-    {
-    }
-
     void
     add(std::uint64_t delta = 1)
     {
@@ -55,55 +52,26 @@ class Counter
 
     void reset() { value_.store(0, std::memory_order_relaxed); }
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
   private:
-    std::string name_;
-    std::string desc_;
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** Last-write-wins instantaneous value (thread count, rate...). */
-class Gauge
-{
-  public:
-    explicit Gauge(std::string name, std::string desc)
-        : name_(std::move(name)), desc_(std::move(desc))
-    {
-    }
-
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    double value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    std::atomic<double> value_{0.0};
-};
-
 /**
- * Histogram with fixed log-scale bins: bin i covers
- * [lo * base^i, lo * base^(i+1)). Samples below lo count as underflow,
- * samples at or above the last boundary as overflow. Bin boundaries
- * are precomputed once and bin selection is a binary search over them,
- * so exact-boundary samples land deterministically in the upper bin
- * (no pow/log rounding surprises — unit-tested in test_metrics.cc).
+ * Histogram with fixed power-of-two bins: bin i covers [2^i, 2^(i+1))
+ * for i < kBins. Samples below 1 count as underflow, samples at or
+ * above 2^kBins (and NaN) as overflow. A sample's bin is its binary
+ * exponent, so an exact power of two always lands in the bin it opens
+ * (unit-tested in test_metrics.cc).
  */
 class Histogram
 {
   public:
-    Histogram(std::string name, std::string desc, double lo, double base,
-              int bins);
+    static constexpr int kBins = 32;
 
-    void sample(double v, std::uint64_t count = 1);
+    void sample(double v);
 
-    /** Bin index for @p v: -1 underflow, bins() overflow. */
-    int binFor(double v) const;
+    /** Bin index for @p v: -1 underflow, kBins overflow. */
+    static int binFor(double v);
 
     std::uint64_t count() const
     {
@@ -127,50 +95,34 @@ class Histogram
     double min() const;
     double max() const;
 
-    int bins() const { return static_cast<int>(counts_.size()); }
-    double binLo(int i) const { return bounds_[static_cast<size_t>(i)]; }
-    double binHi(int i) const
-    {
-        return bounds_[static_cast<size_t>(i) + 1];
-    }
+    static double binLo(int i) { return std::ldexp(1.0, i); }
+    static double binHi(int i) { return std::ldexp(1.0, i + 1); }
 
     void reset();
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
   private:
-    std::string name_;
-    std::string desc_;
-    std::vector<double> bounds_;   ///< bins()+1 boundaries
-    std::vector<std::atomic<std::uint64_t>> counts_;
+    std::array<std::atomic<std::uint64_t>, kBins> counts_{};
     std::atomic<std::uint64_t> underflow_{0};
     std::atomic<std::uint64_t> overflow_{0};
     std::atomic<std::uint64_t> count_{0};
-    std::atomic<double> min_{0.0};
-    std::atomic<double> max_{0.0};
+    std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /**
  * Find-or-create by name. References stay valid for the process
- * lifetime. desc/shape parameters apply only on first creation;
- * re-registering an existing name returns the existing metric.
+ * lifetime; re-registering a name returns the existing metric.
  */
-Counter &counter(const std::string &name, const std::string &desc = "");
-Gauge &gauge(const std::string &name, const std::string &desc = "");
-Histogram &histogram(const std::string &name,
-                     const std::string &desc = "", double lo = 1.0,
-                     double base = 2.0, int bins = 32);
+Counter &counter(const std::string &name);
+Histogram &histogram(const std::string &name);
 
 /**
  * CSV dump, sorted by name: header "name,type,value", then one row per
- * counter/gauge and per-histogram rows for count, underflow/overflow,
- * and each non-empty bin (type "histogram_bin[lo,hi)").
+ * counter and per-histogram rows for count, min, max, underflow and
+ * overflow (when non-zero), and each non-empty bin (type
+ * "histogram_bin[lo,hi)").
  */
 void writeMetricsCsv(std::ostream &os);
-
-/** JSON dump: {"counters":{...},"gauges":{...},"histograms":{...}}. */
-void writeMetricsJson(std::ostream &os);
 
 /** Reset every registered metric to zero (tests/benches). */
 void resetMetrics();

@@ -39,14 +39,6 @@ registerAtexitFlush(OutputState &s)
     }
 }
 
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
-
 } // anonymous namespace
 
 namespace detail {
@@ -113,12 +105,8 @@ flush()
     }
     if (!metrics_path.empty()) {
         std::ofstream os(metrics_path);
-        if (os) {
-            if (endsWith(metrics_path, ".json"))
-                writeMetricsJson(os);
-            else
-                writeMetricsCsv(os);
-        }
+        if (os)
+            writeMetricsCsv(os);
     }
 }
 

@@ -7,10 +7,12 @@
  *
  * Design rules, in order:
  *
- *  1. Near-zero cost when disabled. Every instrumentation site guards
- *     on one relaxed atomic-bool load that inlines into the caller
- *     (tracingEnabled() / metricsEnabled()); a disabled ScopedSpan
- *     takes no timestamp and records nothing.
+ *  1. Near-zero cost when disabled. A span site guards on one relaxed
+ *     atomic-bool load that inlines into the caller (tracingEnabled());
+ *     a disabled ScopedSpan takes no timestamp and records nothing.
+ *     Counters and histograms always count, with relaxed atomic adds;
+ *     ENA_METRICS / enableMetrics() only names the file the CSV dump
+ *     goes to and has the pool time its chunks for threadpool.busy_us.
  *  2. Write-only: telemetry never feeds back into any model or
  *     scheduling decision, so serial and parallel sweep results stay
  *     bit-identical with tracing on (gated by bench_telemetry_overhead).
@@ -19,8 +21,7 @@
  *
  * Activation: set ENA_TRACE=<file> and/or ENA_METRICS=<file> in the
  * environment (files are written at process exit and on flush()), or
- * call enableTracing()/enableMetrics() programmatically. A metrics
- * path ending in ".json" selects the JSON dump, anything else CSV.
+ * call enableTracing()/enableMetrics() programmatically.
  */
 
 #ifndef ENA_TELEMETRY_TELEMETRY_HH
@@ -59,7 +60,7 @@ tracingEnabled()
     return detail::tracingOn.load(std::memory_order_relaxed);
 }
 
-/** True while the metrics registry is being dumped/served. */
+/** True from enableMetrics() (or ENA_METRICS) to disableMetrics(). */
 inline bool
 metricsEnabled()
 {
@@ -74,7 +75,7 @@ metricsEnabled()
 void enableTracing(const std::string &path = "");
 void disableTracing();
 
-/** Start serving the metrics registry; @p path as for enableTracing. */
+/** Dump the metrics registry as CSV; @p path as for enableTracing. */
 void enableMetrics(const std::string &path = "");
 void disableMetrics();
 

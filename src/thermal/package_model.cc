@@ -115,13 +115,12 @@ EhpPackageModel::solve(const NodeConfig &cfg,
     PackageThermalResult r;
     r.solverIterations = grid.solve();
 
-    static telemetry::Counter &iters = telemetry::counter(
-        "thermal.solver_iterations",
-        "SOR iterations summed over all package thermal solves");
+    // SOR iterations, summed over all solves and per solve.
+    static telemetry::Counter &iters =
+        telemetry::counter("thermal.solver_iterations");
     iters.add(static_cast<std::uint64_t>(r.solverIterations));
-    static telemetry::Histogram &iters_hist = telemetry::histogram(
-        "thermal.solver_iterations_per_solve",
-        "SOR iterations needed by one package solve", 1.0, 2.0, 20);
+    static telemetry::Histogram &iters_hist =
+        telemetry::histogram("thermal.solver_iterations_per_solve");
     iters_hist.sample(static_cast<double>(r.solverIterations));
 
     r.peakBottomDramC = grid.peak("dram0");

@@ -75,6 +75,11 @@ class Config
      * double survives toString() and tryFromString() bit for bit.
      */
     void set(std::string_view key, std::string value);
+    /** Text, not bool: a literal would otherwise convert to bool. */
+    void set(std::string_view key, const char *value)
+    {
+        set(key, std::string(value));
+    }
     void set(std::string_view key, double value);
     void set(std::string_view key, long long value);
     void set(std::string_view key, int value);

@@ -33,26 +33,6 @@ namespace {
  */
 constexpr std::chrono::microseconds kRecvPollBudget{50};
 
-telemetry::Counter &
-recvPolledCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "net.recv_polled",
-        "socket reads that found no data at first and were served "
-        "inside the poll window");
-    return c;
-}
-
-telemetry::Counter &
-recvBlockedCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "net.recv_blocked",
-        "socket reads that found no data and went on to a blocking "
-        "recv: past the poll window, or a socket's first wait");
-    return c;
-}
-
 Status
 errnoStatus(const char *what)
 {
@@ -96,14 +76,19 @@ recvPolled(int fd, char *chunk, std::size_t size, bool *poll)
             n = ::recv(fd, chunk, size, MSG_DONTWAIT);
             if (!nothingYet(n)) {
                 const int err = errno; // the caller reads recv's errno
-                recvPolledCounter().add();
+                static telemetry::Counter &polled =
+                    telemetry::counter("net.recv_polled");
+                polled.add();
                 errno = err;
                 return n;
             }
         }
     }
     *poll = true;
-    recvBlockedCounter().add();
+    // Past the window, or a socket's first wait.
+    static telemetry::Counter &blocked =
+        telemetry::counter("net.recv_blocked");
+    blocked.add();
     return ::recv(fd, chunk, size, 0);
 }
 

@@ -28,6 +28,19 @@ toLower(std::string_view s)
     return out;
 }
 
+bool
+equalsIgnoreCase(std::string_view a, std::string_view b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+        if (std::tolower(static_cast<unsigned char>(a[i])) !=
+            std::tolower(static_cast<unsigned char>(b[i])))
+            return false;
+    }
+    return true;
+}
+
 std::optional<double>
 parseDouble(std::string_view s)
 {

@@ -19,6 +19,9 @@ std::string_view trim(std::string_view s);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);
 
+/** True if @p a and @p b are equal when ASCII case is ignored. */
+bool equalsIgnoreCase(std::string_view a, std::string_view b);
+
 /** Parse a double, returning nullopt on malformed input. */
 std::optional<double> parseDouble(std::string_view s);
 

@@ -14,15 +14,6 @@ namespace ena {
 
 namespace {
 
-telemetry::Counter &
-busyUsCounter()
-{
-    static telemetry::Counter &c = telemetry::counter(
-        "threadpool.busy_us",
-        "microseconds all threads spent executing parallelFor chunks");
-    return c;
-}
-
 /**
  * Set while the current thread is executing chunks of a job (worker or
  * participating caller): a nested parallelFor from such a thread runs
@@ -56,9 +47,6 @@ ThreadPool::ThreadPool(int threads)
     workers_.reserve(numThreads_ - 1);
     for (int i = 0; i < numThreads_ - 1; ++i)
         workers_.emplace_back([this, i] { workerLoop(i); });
-    telemetry::gauge("threadpool.threads",
-                     "threads participating in pool jobs (incl. caller)")
-        .set(numThreads_);
 }
 
 ThreadPool::~ThreadPool()
@@ -235,8 +223,10 @@ ThreadPool::runChunks(Job &job)
         tasksExecuted_.fetch_add(end - begin,
                                  std::memory_order_relaxed);
         if (timed) {
-            busyUsCounter().add(static_cast<std::uint64_t>(
-                telemetry::nowUs() - t0));
+            // Microseconds all threads spent executing chunks.
+            static telemetry::Counter &busy_us =
+                telemetry::counter("threadpool.busy_us");
+            busy_us.add(static_cast<std::uint64_t>(telemetry::nowUs() - t0));
         }
     }
 }

@@ -138,13 +138,12 @@ appName(App app)
 Expected<App>
 tryAppFromName(const std::string &name)
 {
-    std::string n = toLower(name);
     for (App a : allApps()) {
-        if (toLower(appName(a)) == n)
+        if (equalsIgnoreCase(name, appName(a)))
             return a;
     }
     // Accept the underscore spelling of CoMD-LJ as well.
-    if (n == "comd_lj" || n == "comdlj")
+    if (equalsIgnoreCase(name, "comd_lj") || equalsIgnoreCase(name, "comdlj"))
         return App::CoMDLJ;
     return Status::invalidArgument("unknown application '", name, "'");
 }

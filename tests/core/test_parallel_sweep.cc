@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/dse.hh"
 #include "core/studies.hh"
+#include "core/thermal_study.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/telemetry.hh"
 #include "util/thread_pool.hh"
 
 using namespace ena;
@@ -189,4 +194,28 @@ TEST(ParallelSweep, SweepGridOrderMatchesSerialEnumeration)
             }
         }
     }
+}
+
+TEST(ParallelSweep, MetricsDumpDoesNotDependOnThreadCount)
+{
+    // threadpool.busy_us, a timing, is counted only while metrics are
+    // enabled; every other row counts work and must not move.
+    telemetry::disableMetrics();
+    auto dump = [](int threads) {
+        telemetry::reset();
+        ThreadPool::setGlobalThreads(threads);
+        DesignSpaceExplorer dse(evaluator(), DseGrid::paperGrid(), 160.0);
+        const NodeConfig best = dse.findBestMean(PowerOptConfig::none());
+        dse.tableII(best);
+        ThermalStudy(evaluator()).peakDramC(best, App::LULESH);
+        std::ostringstream os;
+        telemetry::writeMetricsCsv(os);
+        return os.str();
+    };
+    const std::string serial = dump(1);
+    const std::string parallel = dump(4);
+    ThreadPool::setGlobalThreads(0);
+    EXPECT_NE(serial.find("thermal.solver_iterations_per_solve"),
+              std::string::npos);
+    EXPECT_EQ(serial, parallel);
 }

@@ -68,6 +68,16 @@ TEST(Config, SettersOverwrite)
     EXPECT_EQ(*c.tryGetInt("n"), 42);
 }
 
+TEST(Config, SetStoresAStringLiteralAsText)
+{
+    // A const char * converts to bool by a standard conversion, which
+    // would beat the conversion to std::string.
+    Config c;
+    c.set("k", "abc");
+    EXPECT_EQ(*c.tryGetString("k", ""), "abc");
+    EXPECT_EQ(c.toString(), "k = abc\n");
+}
+
 TEST(Config, SetDoubleKeepsFifteenDigitTextWhenItReadsBack)
 {
     Config c;
@@ -379,7 +389,7 @@ TEST(ConfigText, OriginAndDescribeKeyForParsedAndSetKeys)
 {
     Config c = *Config::tryFromString("a = 1\nb = 2\n", "o.ini");
     c.set("b", 5);
-    c.set("fresh", std::string("abc"));
+    c.set("fresh", "abc");
     EXPECT_EQ(c.origin("a"), "o.ini:1");
     EXPECT_EQ(c.describeKey("a"), "'a' (o.ini:1)");
     // set() clears a parsed key's origin; a set() key has none.

@@ -28,6 +28,22 @@ TEST(Profiles, NameLookupIsCaseInsensitive)
     EXPECT_EQ(appFromName("XSBENCH"), App::XSBench);
     EXPECT_EQ(appFromName("comd_lj"), App::CoMDLJ);
     EXPECT_EQ(appFromName("CoMD-LJ"), App::CoMDLJ);
+    EXPECT_EQ(appFromName("COMD_LJ"), App::CoMDLJ);
+    EXPECT_EQ(appFromName("CoMd_Lj"), App::CoMDLJ);
+    EXPECT_EQ(appFromName("comdlj"), App::CoMDLJ);
+    EXPECT_EQ(appFromName("COMDLJ"), App::CoMDLJ);
+    EXPECT_EQ(appFromName("comd-lj"), App::CoMDLJ);
+    EXPECT_EQ(appFromName("maxflops"), App::MaxFlops);
+    EXPECT_EQ(appFromName("CoMD"), App::CoMD);
+    EXPECT_EQ(appFromName("hpgmg"), App::HPGMG);
+    EXPECT_EQ(appFromName("MINIAMR"), App::MiniAMR);
+    EXPECT_EQ(appFromName("Snap"), App::SNAP);
+    // A prefix, an extension or an empty name is no match.
+    EXPECT_FALSE(tryAppFromName("comd_l").ok());
+    EXPECT_FALSE(tryAppFromName("luleshx").ok());
+    EXPECT_FALSE(tryAppFromName("").ok());
+    EXPECT_EQ(tryAppFromName("Comd LJ").status().message(),
+              "unknown application 'Comd LJ'");
 }
 
 TEST(ProfilesDeathTest, UnknownNameIsFatal)
