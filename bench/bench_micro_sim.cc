@@ -42,7 +42,7 @@ BENCHMARK(BM_EventQueue);
 void
 BM_CacheAccess(benchmark::State &state)
 {
-    Cache cache({2ull << 20, 64, 16, ReplPolicy::Lru});
+    Cache cache({2ull << 20, 64, 16});
     Rng rng(42);
     for (auto _ : state) {
         CacheOutcome out =

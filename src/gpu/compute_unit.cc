@@ -98,7 +98,6 @@ ComputeUnit::issueFrom(Wavefront &wf, int index)
     }
 
     // Memory operation.
-    ++memOps_;
     --wf.memOpsLeft;
     if (wf.memOpsLeft == 0)
         wf.issuedAll = true;

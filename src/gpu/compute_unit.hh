@@ -31,7 +31,7 @@ struct ComputeUnitParams
     int wavefrontSlots = 8;
     int maxOutstandingPerWf = 4;
     std::uint64_t memOpsPerWavefront = 300;
-    CacheParams l1 = {16ull << 10, 64, 4, ReplPolicy::Lru};
+    CacheParams l1 = {16ull << 10, 64, 4};
     std::uint32_t l1HitCycles = 4;
 };
 
@@ -56,7 +56,6 @@ class ComputeUnit : public SimObject
      *  chiplet to invoke. */
     void memResponse(int wf_index);
 
-    std::uint64_t memOpsIssued() const { return memOps_; }
     const Cache &l1() const { return *l1_; }
 
   private:
@@ -88,7 +87,6 @@ class ComputeUnit : public SimObject
     std::unique_ptr<Cache> l1_;
     size_t rrNext_ = 0;
     size_t doneWavefronts_ = 0;
-    std::uint64_t memOps_ = 0;
     std::function<void()> doneCb_;
 
     EventFunctionWrapper issueEvent_;

@@ -9,7 +9,7 @@ GpuChiplet::GpuChiplet(Simulation &sim, const std::string &name,
                        const AddressMap &addr_map, Network &network)
     : SimObject(sim, name), index_(index), nodeId_(node_id),
       params_(params), addrMap_(addr_map), network_(network),
-      l2_(std::make_unique<Cache>(params.l2, 7 + index))
+      l2_(std::make_unique<Cache>(params.l2))
 {
     network_.attach(nodeId_, this);
 }
@@ -45,8 +45,7 @@ GpuChiplet::requestMemory(std::uint64_t addr, bool is_write,
     CacheOutcome l2 = l2_->access(addr, is_write);
     if (l2.hit) {
         eventq().scheduleLambda(
-            curTick() + params_.l2HitCycles * cycle(), std::move(done),
-            "l2 hit");
+            curTick() + params_.l2HitCycles * cycle(), std::move(done));
         return;
     }
     if (memManager_ &&
@@ -61,8 +60,7 @@ GpuChiplet::requestMemory(std::uint64_t addr, bool is_write,
             curTick() + to_edge,
             [this, a, w, cb = std::move(cb)]() mutable {
                 extMem_->access(a, params_.dataBytes, w, std::move(cb));
-            },
-            "to external interface");
+            });
     } else {
         sendToStack(addr, is_write, std::move(done));
     }
@@ -100,12 +98,10 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
             [this, stack, a, w, cb = std::move(cb), tsv]() mutable {
                 stack->access(a, params_.dataBytes, w,
                               [this, cb = std::move(cb), tsv]() mutable {
-                                  eventq().scheduleLambda(
-                                      curTick() + tsv, std::move(cb),
-                                      "tsv return");
+                                  eventq().scheduleLambda(curTick() + tsv,
+                                                          std::move(cb));
                               });
-            },
-            "tsv to local stack");
+            });
         return;
     }
 
@@ -144,8 +140,7 @@ GpuChiplet::writeback(std::uint64_t addr)
             curTick() + params_.tsvCycles * cycle(),
             [this, stack, a] {
                 stack->access(a, params_.dataBytes, true, [] {});
-            },
-            "tsv writeback");
+            });
         return;
     }
 

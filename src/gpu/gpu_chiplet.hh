@@ -32,7 +32,7 @@ class ComputeUnit;
 struct GpuChipletParams
 {
     double clockGhz = 1.0;
-    CacheParams l2 = {2ull << 20, 64, 16, ReplPolicy::Lru};
+    CacheParams l2 = {2ull << 20, 64, 16};
     std::uint32_t l2HitCycles = 24;
     std::uint32_t tsvCycles = 4;        ///< vertical hop to local stack
     std::uint32_t reqBytes = 16;        ///< request header

@@ -41,15 +41,12 @@ AqlQueue::launch(AqlPacket pkt)
     ++running_;
     ++dispatched_;
     Tick done = curTick() + params_.dispatchLatency + pkt.kernelTicks;
-    eventq().scheduleLambda(
-        done,
-        [this, pkt] {
-            --running_;
-            if (pkt.completion)
-                pkt.completion->decrement();
-            pump();
-        },
-        "kernel completion");
+    eventq().scheduleLambda(done, [this, pkt] {
+        --running_;
+        if (pkt.completion)
+            pkt.completion->decrement();
+        pump();
+    });
 }
 
 } // namespace ena

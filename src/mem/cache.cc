@@ -14,8 +14,7 @@ isPow2(std::uint64_t v)
 
 } // anonymous namespace
 
-Cache::Cache(const CacheParams &params, std::uint64_t seed)
-    : params_(params), rng_(seed)
+Cache::Cache(const CacheParams &params) : params_(params)
 {
     if (!isPow2(params_.lineBytes))
         ENA_FATAL("cache line size must be a power of two, got ",
@@ -54,31 +53,19 @@ Cache::lineAddr(std::uint32_t set, std::uint64_t tag) const
 }
 
 std::uint32_t
-Cache::pickVictim(std::uint32_t set)
+Cache::pickVictim(std::uint32_t set) const
 {
+    // The first invalid way, else the least recently used one.
     std::uint32_t base = set * params_.ways;
-    // Prefer an invalid way.
+    std::uint32_t victim = 0;
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (!lines_[base + w].valid)
+        const Line &line = lines_[base + w];
+        if (!line.valid)
             return w;
+        if (line.stamp < lines_[base + victim].stamp)
+            victim = w;
     }
-    switch (params_.policy) {
-      case ReplPolicy::Random:
-        return static_cast<std::uint32_t>(rng_.below(params_.ways));
-      case ReplPolicy::Lru:
-      case ReplPolicy::Fifo: {
-        std::uint32_t victim = 0;
-        std::uint64_t oldest = lines_[base].stamp;
-        for (std::uint32_t w = 1; w < params_.ways; ++w) {
-            if (lines_[base + w].stamp < oldest) {
-                oldest = lines_[base + w].stamp;
-                victim = w;
-            }
-        }
-        return victim;
-      }
-    }
-    ENA_PANIC("unknown replacement policy");
+    return victim;
 }
 
 CacheOutcome
@@ -95,8 +82,7 @@ Cache::access(std::uint64_t addr, bool is_write)
             ++hits_;
             if (is_write)
                 line.dirty = true;
-            if (params_.policy == ReplPolicy::Lru)
-                line.stamp = tick_;
+            line.stamp = tick_;
             return {true, false, 0};
         }
     }
@@ -113,7 +99,7 @@ Cache::access(std::uint64_t addr, bool is_write)
     line.valid = true;
     line.dirty = is_write;
     line.tag = tag;
-    line.stamp = tick_;   // fill time; LRU updates on later hits
+    line.stamp = tick_;
     return out;
 }
 

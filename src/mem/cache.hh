@@ -1,6 +1,7 @@
 /**
  * @file
- * Set-associative cache (functional content tracking + hit/miss stats).
+ * Set-associative LRU cache (functional content tracking + hit/miss
+ * stats).
  *
  * Used as the per-CU L1 and per-chiplet L2 in the cycle-level simulator.
  * Timing (hit latency, miss handling) is the owner's responsibility; the
@@ -12,27 +13,15 @@
 #define ENA_MEM_CACHE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "util/rng.hh"
-
 namespace ena {
-
-/** Replacement policies available per cache instance. */
-enum class ReplPolicy
-{
-    Lru,
-    Fifo,
-    Random,
-};
 
 struct CacheParams
 {
     std::uint64_t sizeBytes = 2ull << 20;
     std::uint32_t lineBytes = 64;
     std::uint32_t ways = 8;
-    ReplPolicy policy = ReplPolicy::Lru;
 };
 
 /** Result of one access. */
@@ -48,7 +37,7 @@ struct CacheOutcome
 class Cache
 {
   public:
-    explicit Cache(const CacheParams &params, std::uint64_t seed = 1);
+    explicit Cache(const CacheParams &params);
 
     /**
      * Access one address: on a miss the line is filled (allocate-on-miss
@@ -78,19 +67,18 @@ class Cache
         std::uint64_t tag = 0;
         bool valid = false;
         bool dirty = false;
-        std::uint64_t stamp = 0;   ///< LRU: last use; FIFO: fill time
+        std::uint64_t stamp = 0;   ///< last use (fill or hit)
     };
 
     std::uint32_t setIndex(std::uint64_t addr) const;
     std::uint64_t tagOf(std::uint64_t addr) const;
     std::uint64_t lineAddr(std::uint32_t set, std::uint64_t tag) const;
-    std::uint32_t pickVictim(std::uint32_t set);
+    std::uint32_t pickVictim(std::uint32_t set) const;
 
     CacheParams params_;
     std::uint32_t numSets_;
     std::vector<Line> lines_;   ///< numSets_ x ways, row-major
     std::uint64_t tick_ = 0;    ///< logical access counter for stamps
-    Rng rng_;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

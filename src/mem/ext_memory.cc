@@ -124,7 +124,7 @@ ExternalMemoryNetwork::access(std::uint64_t addr, std::uint32_t bytes,
         static_cast<Tick>((hops_ns + dev_ns) * tickPerNs);
 
     bytes_ += bytes;
-    eventq().scheduleLambda(finish, std::move(done), "extmem completion");
+    eventq().scheduleLambda(finish, std::move(done));
 }
 
 } // namespace ena

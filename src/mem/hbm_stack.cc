@@ -82,7 +82,7 @@ HbmStack::access(std::uint64_t addr, std::uint32_t bytes,
     ch.busyUntil = start + burst_ticks;
 
     bytes_ += bytes;
-    eventq().scheduleLambda(finish, std::move(done), "hbm completion");
+    eventq().scheduleLambda(finish, std::move(done));
 }
 
 double

@@ -66,8 +66,7 @@ DetailedNetwork::route(const Packet &pkt)
         arriveAtRouter(copy, r, injectPort, 0);
     };
     eventq().scheduleLambda(
-        curTick() + params_.tsvCycles * params_.cycle(),
-        std::move(inject), "inject");
+        curTick() + params_.tsvCycles * params_.cycle(), std::move(inject));
 }
 
 void
@@ -79,8 +78,7 @@ DetailedNetwork::arriveAtRouter(Packet pkt, std::uint32_t r,
         curTick() + params_.routerCycles * params_.cycle(),
         [this, pkt, r, in_port, hops] {
             departRouter(pkt, r, in_port, hops);
-        },
-        "router pipeline");
+        });
 }
 
 void
@@ -120,15 +118,10 @@ DetailedNetwork::tryTraverse(Packet pkt, std::uint32_t r,
     Tick arrive = tail_out + params_.linkCycles * params_.cycle();
 
     eventq().scheduleLambda(
-        tail_out,
-        [this, r, in_port] { releaseSlot(r, in_port); },
-        "tail leaves upstream");
-    eventq().scheduleLambda(
-        arrive,
-        [this, pkt, nh, r, hops] {
-            arriveAtRouter(pkt, nh, r, hops + 1);
-        },
-        "link traversal");
+        tail_out, [this, r, in_port] { releaseSlot(r, in_port); });
+    eventq().scheduleLambda(arrive, [this, pkt, nh, r, hops] {
+        arriveAtRouter(pkt, nh, r, hops + 1);
+    });
 }
 
 void

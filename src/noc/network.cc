@@ -38,8 +38,7 @@ Network::deliver(const Packet &pkt, std::uint32_t hops, Tick arrival)
     byteHops_ += static_cast<std::uint64_t>(pkt.bytes) * hops;
     latencySumNs_ +=
         static_cast<double>(arrival - pkt.injectTick) / tickPerNs;
-    eventq().scheduleLambda(
-        arrival, [ep, pkt] { ep->receivePacket(pkt); }, "packet delivery");
+    eventq().scheduleLambda(arrival, [ep, pkt] { ep->receivePacket(pkt); });
 }
 
 } // namespace ena

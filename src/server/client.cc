@@ -11,27 +11,6 @@ namespace ena {
 
 namespace {
 
-/** Inverse of errorCodeName(); Internal for names we don't know. */
-ErrorCode
-errorCodeFromName(const std::string &name)
-{
-    static const std::pair<const char *, ErrorCode> table[] = {
-        {"ok", ErrorCode::Ok},
-        {"invalid_argument", ErrorCode::InvalidArgument},
-        {"not_found", ErrorCode::NotFound},
-        {"out_of_range", ErrorCode::OutOfRange},
-        {"parse_error", ErrorCode::ParseError},
-        {"io_error", ErrorCode::IoError},
-        {"failed_precondition", ErrorCode::FailedPrecondition},
-        {"internal", ErrorCode::Internal},
-    };
-    for (const auto &kv : table) {
-        if (name == kv.first)
-            return kv.second;
-    }
-    return ErrorCode::Internal;
-}
-
 void
 sleepBackoff(const RetryPolicy &retry, int attempt)
 {

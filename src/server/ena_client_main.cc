@@ -12,6 +12,7 @@
  *   ena-client ENDPOINT table2 [BUDGET_W]
  *   ena-client ENDPOINT cluster APP PATTERN [CONFIG_FILE]
  *   ena-client ENDPOINT resilient APP PATTERN [CONFIG_FILE]
+ *   ena-client ENDPOINT taskgraph [SCHEDULER] [CONFIG_FILE]
  */
 
 #include <climits>

@@ -1,5 +1,8 @@
 #include "sim/event.hh"
 
+#include <algorithm>
+#include <memory>
+
 #include "util/logging.hh"
 
 namespace ena {
@@ -8,14 +11,26 @@ Event::~Event() = default;
 
 EventQueue::~EventQueue()
 {
-    // Free every self-deleting lambda wrapper the queue still owns —
-    // live, descheduled, or rescheduled. The ownership set, not the
-    // heap, is walked: heap entries can reference caller-owned events
-    // whose owners were already destroyed, and a rescheduled wrapper
-    // appears under several entries, so inspecting entries would read
-    // dead objects and double-free.
-    for (Event *ev : managed_)
-        delete ev;
+    // Free the lambda wrappers that never fired. A caller-owned entry
+    // may point at an event its owner descheduled and then destroyed,
+    // so only owned entries are dereferenced.
+    for (const Entry &e : heap_) {
+        if (e.owned)
+            delete e.event;
+    }
+}
+
+void
+EventQueue::push(Event *ev, Tick when, bool owned)
+{
+    ENA_ASSERT(when >= curTick_, "scheduling event '", ev->description(),
+               "' in the past (", when, " < ", curTick_, ")");
+    ev->when_ = when;
+    ev->seq_ = nextSeq_++;
+    ev->scheduled_ = true;
+    heap_.push_back(Entry{when, ev->seq_, ev, owned});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    ++liveCount_;
 }
 
 void
@@ -24,14 +39,7 @@ EventQueue::schedule(Event *ev, Tick when)
     ENA_ASSERT(ev, "scheduling null event");
     ENA_ASSERT(!ev->scheduled_, "event '", ev->description(),
                "' already scheduled");
-    ENA_ASSERT(when >= curTick_, "scheduling event '", ev->description(),
-               "' in the past (", when, " < ", curTick_, ")");
-    ev->when_ = when;
-    ev->seq_ = nextSeq_++;
-    ev->scheduled_ = true;
-    ++ev->heapRefs_;
-    heap_.push(Entry{when, ev->seq_, ev});
-    ++liveCount_;
+    push(ev, when, false);
 }
 
 void
@@ -43,34 +51,25 @@ EventQueue::deschedule(Event *ev)
     // The heap entry is left in place and skipped lazily when popped.
 }
 
-EventFunctionWrapper *
-EventQueue::scheduleLambda(Tick when, std::function<void()> fn,
-                           std::string desc)
+void
+EventQueue::scheduleLambda(Tick when, std::function<void()> fn)
 {
-    auto *ev = new EventFunctionWrapper(std::move(fn), std::move(desc));
-    ev->selfDeleting_ = true;
-    managed_.insert(ev);
-    schedule(ev, when);
-    return ev;
+    auto ev = std::make_unique<EventFunctionWrapper>(std::move(fn));
+    push(ev.get(), when, true);
+    ev.release();   // its heap entry owns it now
 }
 
 void
 EventQueue::skim() const
 {
     while (!heap_.empty()) {
-        const Entry &e = heap_.top();
-        Event *ev = e.event;
-        if (ev->scheduled_ && ev->seq_ == e.seq)
+        const Entry &e = heap_.front();
+        if (e.event->scheduled_ && e.event->seq_ == e.seq)
             return;
-        // Stale entry (descheduled or rescheduled). A self-deleting
-        // wrapper is freed only once its last heap reference is gone,
-        // so every pointer reached here is still alive.
-        heap_.pop();
-        if (--ev->heapRefs_ == 0 && ev->selfDeleting_ &&
-            !ev->scheduled_) {
-            managed_.erase(ev);
-            delete ev;
-        }
+        // Stale: the caller-owned event was descheduled, and maybe
+        // scheduled again under a newer entry.
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.pop_back();
     }
 }
 
@@ -80,34 +79,7 @@ EventQueue::nextTick() const
     skim();
     if (heap_.empty())
         ENA_FATAL("nextTick() on empty event queue");
-    return heap_.top().when;
-}
-
-bool
-EventQueue::serviceOne()
-{
-    skim();
-    if (heap_.empty())
-        return false;
-
-    Entry e = heap_.top();
-    heap_.pop();
-    ENA_ASSERT(e.when >= curTick_, "event queue went backwards");
-    curTick_ = e.when;
-
-    Event *ev = e.event;
-    --ev->heapRefs_;
-    ev->scheduled_ = false;
-    --liveCount_;
-    ++processed_;
-    ev->process();
-    // Deferred while stale reschedule entries still reference the
-    // wrapper; the last one to pop (in skim) frees it instead.
-    if (ev->selfDeleting_ && !ev->scheduled_ && ev->heapRefs_ == 0) {
-        managed_.erase(ev);
-        delete ev;
-    }
-    return true;
+    return heap_.front().when;
 }
 
 std::uint64_t
@@ -116,10 +88,21 @@ EventQueue::run(Tick limit)
     std::uint64_t n = 0;
     while (true) {
         skim();
-        if (heap_.empty() || heap_.top().when > limit)
+        if (heap_.empty() || heap_.front().when > limit)
             break;
-        serviceOne();
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        Entry e = heap_.back();
+        heap_.pop_back();
+        ENA_ASSERT(e.when >= curTick_, "event queue went backwards");
+        curTick_ = e.when;
+        e.event->scheduled_ = false;
+        --liveCount_;
+        ++processed_;
         ++n;
+        // An owned wrapper has just left its only entry: free it once
+        // it has run.
+        std::unique_ptr<Event> owned(e.owned ? e.event : nullptr);
+        e.event->process();
     }
     // A bounded run simulates the whole window [entry tick, limit]:
     // even when the queue drains early or the next event lies past the

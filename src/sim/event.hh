@@ -7,8 +7,11 @@
  * by (tick, insertion sequence). One Tick is one picosecond (util/units).
  *
  * Ownership: callers own Event objects (usually as members of SimObjects)
- * and they must outlive their scheduled occurrences. The lambda-scheduling
- * helper allocates a self-deleting wrapper for fire-and-forget callbacks.
+ * and they must outlive their scheduled occurrences, descheduled ones
+ * too: run() and nextTick() read the event when they skip its stale
+ * entry at the old tick (the destructor does not). A scheduleLambda()
+ * callback is the queue's own: the queue wraps it in an event that it
+ * frees once the event fires, or when the queue itself is destroyed.
  */
 
 #ifndef ENA_SIM_EVENT_HH
@@ -16,9 +19,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "util/units.hh"
@@ -26,7 +27,6 @@
 namespace ena {
 
 class EventQueue;
-class EventFunctionWrapper;
 
 /** Sentinel "no limit" tick for bounded runs. */
 constexpr Tick maxTick = ~Tick(0);
@@ -58,11 +58,7 @@ class Event
 
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
-    /** Heap entries (live + stale) referencing this event; a
-     *  self-deleting wrapper stays alive until its last one pops. */
-    std::uint32_t heapRefs_ = 0;
     bool scheduled_ = false;
-    bool selfDeleting_ = false;
 };
 
 /** Event that runs a captured callable. */
@@ -105,23 +101,17 @@ class EventQueue
     void deschedule(Event *ev);
 
     /**
-     * Schedule a one-shot callable; the kernel allocates and later frees
-     * the wrapper event. The returned pointer stays valid until the
-     * wrapper fires (or the queue dies) and may be passed to
-     * deschedule(); callers normally ignore it.
+     * Schedule a one-shot callable at absolute tick @p when (>= curTick).
+     * The queue owns the wrapping event: run() frees it after it fires,
+     * and the destructor frees it if it never does.
      */
-    EventFunctionWrapper *scheduleLambda(Tick when,
-                                         std::function<void()> fn,
-                                         std::string desc = "lambda event");
+    void scheduleLambda(Tick when, std::function<void()> fn);
 
     /** True when no live events remain. */
     bool empty() const { return liveCount_ == 0; }
 
     /** Tick of the next live event; fatal() when empty. */
     Tick nextTick() const;
-
-    /** Execute the single next event; returns false when queue empty. */
-    bool serviceOne();
 
     /**
      * Run until the queue drains or simulated time would pass @p limit.
@@ -136,11 +126,14 @@ class EventQueue
     std::uint64_t eventsProcessed() const { return processed_; }
 
   private:
+    /** One heap slot. An owned slot holds a scheduleLambda() wrapper,
+     *  which no other slot references and which is never stale. */
     struct Entry
     {
         Tick when;
         std::uint64_t seq;
         Event *event;
+        bool owned;
     };
 
     struct Later
@@ -154,14 +147,16 @@ class EventQueue
         }
     };
 
+    /** Stamp @p ev with @p when and the next sequence number, and
+     *  push its entry. */
+    void push(Event *ev, Tick when, bool owned);
+
     /** Pop stale (descheduled / rescheduled) entries off the heap top. */
     void skim() const;
 
-    mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    /** Live queue-owned (self-deleting) wrappers; the destructor frees
-     *  exactly this set and never inspects heap entries, which may
-     *  reference caller-owned events already destroyed. */
-    mutable std::unordered_set<Event *> managed_;
+    /** Binary heap on Later, kept with std::push_heap / std::pop_heap
+     *  so that the destructor can walk it. */
+    mutable std::vector<Entry> heap_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t liveCount_ = 0;

@@ -3,8 +3,8 @@
  * Base class for simulated hardware components.
  *
  * A SimObject has a hierarchical name ("ehp.gpu3.cu12"), access to its
- * Simulation's event queue, and init()/startup() hooks called before
- * the first event fires. Components count what they report in plain
+ * Simulation's event queue, and a startup() hook called before the
+ * first event fires. Components count what they report in plain
  * members behind accessors.
  */
 
@@ -32,10 +32,8 @@ class SimObject
     /** Hierarchical instance name. */
     const std::string &name() const { return name_; }
 
-    /** Wire-up pass: runs after all objects are constructed. */
-    virtual void init() {}
-
-    /** Kick-off pass: schedule initial events. */
+    /** Kick-off pass, after all objects are constructed: schedule
+     *  initial events. */
     virtual void startup() {}
 
     /** Convenience accessors for the simulation's queue and clock. */

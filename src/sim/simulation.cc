@@ -11,10 +11,7 @@ Simulation::initAll()
     if (initDone_)
         return;
     initDone_ = true;
-    // init() in creation order, then startup() in creation order; new
-    // objects created during init() are picked up by index iteration.
-    for (size_t i = 0; i < objects_.size(); ++i)
-        objects_[i]->init();
+    // Index iteration also reaches objects created during startup().
     for (size_t i = 0; i < objects_.size(); ++i)
         objects_[i]->startup();
 }

@@ -51,7 +51,7 @@ class Simulation
      *  the limit). */
     Tick curTick() const { return queue_.curTick(); }
 
-    /** Run init() then startup() on all objects (once). */
+    /** Run startup() on all objects, in creation order (once). */
     void initAll();
 
     /**
@@ -62,12 +62,10 @@ class Simulation
      */
     std::uint64_t run(Tick limit = maxTick);
 
-    size_t numObjects() const { return objects_.size(); }
-
   private:
     // Destruction runs in reverse declaration order: queue_ dies first
-    // (its destructor inspects Events still owned by live SimObjects),
-    // then objects_.
+    // and frees only its own lambda wrappers, never a SimObject's
+    // events; then objects_.
     std::vector<std::unique_ptr<SimObject>> objects_;
     EventQueue queue_;
     bool initDone_ = false;

@@ -27,6 +27,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "util/logging.hh"
@@ -61,6 +62,18 @@ errorCodeName(ErrorCode c)
       case ErrorCode::Internal: return "internal";
     }
     return "unknown";
+}
+
+/** Inverse of errorCodeName(); Internal for a name it never returns.
+ *  Walks the codes from Ok to Internal, which must stay the last. */
+inline ErrorCode
+errorCodeFromName(std::string_view name)
+{
+    for (int c = 0; c <= static_cast<int>(ErrorCode::Internal); ++c) {
+        if (name == errorCodeName(static_cast<ErrorCode>(c)))
+            return static_cast<ErrorCode>(c);
+    }
+    return ErrorCode::Internal;
 }
 
 /**

@@ -1,6 +1,7 @@
 #include "util/string_utils.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -61,8 +62,9 @@ parseInt(std::string_view s)
     if (t.empty())
         return std::nullopt;
     char *end = nullptr;
+    errno = 0;
     long long v = std::strtoll(t.c_str(), &end, 0);
-    if (end != t.c_str() + t.size())
+    if (end != t.c_str() + t.size() || errno == ERANGE)
         return std::nullopt;
     return v;
 }

@@ -25,7 +25,8 @@ bool equalsIgnoreCase(std::string_view a, std::string_view b);
 /** Parse a double, returning nullopt on malformed input. */
 std::optional<double> parseDouble(std::string_view s);
 
-/** Parse a signed 64-bit integer, returning nullopt on malformed input. */
+/** Parse a signed 64-bit integer, returning nullopt on malformed input
+ *  and on a value outside long long. */
 std::optional<long long> parseInt(std::string_view s);
 
 /** Parse a boolean ("true"/"false"/"1"/"0"/"yes"/"no"). */

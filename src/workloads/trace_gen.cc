@@ -77,7 +77,6 @@ TraceGenerator::next()
                                                   : TraceOp::Kind::Load;
     op.addr = pickAddress();
     op.size = accessBytes;
-    ++memOps_;
     return op;
 }
 

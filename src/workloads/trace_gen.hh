@@ -60,9 +60,6 @@ class TraceGenerator
     /** Produce the next operation. */
     TraceOp next();
 
-    /** Memory operations emitted so far. */
-    std::uint64_t memOps() const { return memOps_; }
-
   private:
     std::uint64_t pickAddress();
 
@@ -74,7 +71,6 @@ class TraceGenerator
     std::uint64_t cursorShared_;
     /** Compute cycles owed before the next memory access. */
     double computeDebt_ = 0.0;
-    std::uint64_t memOps_ = 0;
 };
 
 } // namespace ena

@@ -188,7 +188,8 @@ TEST(ComputeUnit, WavefrontsRetireAfterQuota)
     ehp.sim.run();
     EXPECT_TRUE(done);
     EXPECT_TRUE(cu->done());
-    EXPECT_EQ(cu->memOpsIssued(), 100u);
+    // Each issued memory op accesses the L1 exactly once.
+    EXPECT_EQ(cu->l1().hits() + cu->l1().misses(), 100u);
 }
 
 TEST(ComputeUnit, L1FiltersSequentialReuse)

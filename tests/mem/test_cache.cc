@@ -13,10 +13,10 @@ using namespace ena;
 namespace {
 
 CacheParams
-smallCache(ReplPolicy policy = ReplPolicy::Lru)
+smallCache()
 {
     // 4 KiB, 64 B lines, 4-way: 16 sets.
-    return {4096, 64, 4, policy};
+    return {4096, 64, 4};
 }
 
 } // anonymous namespace
@@ -43,7 +43,7 @@ TEST(Cache, ProbeHasNoSideEffects)
 
 TEST(Cache, LruEvictsLeastRecentlyUsed)
 {
-    Cache c(smallCache(ReplPolicy::Lru));
+    Cache c(smallCache());
     // Four lines mapping to set 0 fill the ways (set stride =
     // 16 sets * 64 B = 1 KiB).
     for (std::uint64_t i = 0; i < 4; ++i)
@@ -55,17 +55,6 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     EXPECT_TRUE(c.probe(0));
     EXPECT_FALSE(c.probe(1 * 1024));
     EXPECT_TRUE(c.probe(4 * 1024));
-}
-
-TEST(Cache, FifoIgnoresReuse)
-{
-    Cache c(smallCache(ReplPolicy::Fifo));
-    for (std::uint64_t i = 0; i < 4; ++i)
-        c.access(i * 1024, false);
-    c.access(0, false);               // reuse does not refresh FIFO age
-    c.access(4 * 1024, false);        // evicts line 0 (oldest fill)
-    EXPECT_FALSE(c.probe(0));
-    EXPECT_TRUE(c.probe(1 * 1024));
 }
 
 TEST(Cache, DirtyEvictionReportsWriteback)
@@ -136,15 +125,11 @@ TEST(Cache, StreamingNeverHits)
         EXPECT_FALSE(c.access(i * 64, false).hit);
 }
 
-class CachePolicyTest : public testing::TestWithParam<ReplPolicy>
-{
-};
-
 // Property: the number of resident lines never exceeds capacity, and
 // every access inserts its line.
-TEST_P(CachePolicyTest, InsertionInvariant)
+TEST(Cache, InsertionInvariant)
 {
-    Cache c(smallCache(GetParam()));
+    Cache c(smallCache());
     Rng rng(77);
     for (int i = 0; i < 5000; ++i) {
         std::uint64_t addr = rng.below(1 << 16) & ~63ull;
@@ -154,12 +139,11 @@ TEST_P(CachePolicyTest, InsertionInvariant)
     EXPECT_EQ(c.hits() + c.misses(), 5000u);
 }
 
-// Property: LRU is at least as good as Random for a looping working
-// set slightly above capacity... not guaranteed per-seed; instead check
-// all policies produce sensible hit rates for an in-capacity loop.
-TEST_P(CachePolicyTest, InCapacityLoopHitsEventually)
+// Property: a loop over a working set that fits hits once it is
+// resident.
+TEST(Cache, InCapacityLoopHitsEventually)
 {
-    Cache c(smallCache(GetParam()));
+    Cache c(smallCache());
     for (int pass = 0; pass < 4; ++pass) {
         for (std::uint64_t i = 0; i < 64; ++i)
             c.access(i * 64, false);
@@ -167,24 +151,12 @@ TEST_P(CachePolicyTest, InCapacityLoopHitsEventually)
     EXPECT_GT(c.hitRate(), 0.7);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, CachePolicyTest,
-                         testing::Values(ReplPolicy::Lru,
-                                         ReplPolicy::Fifo,
-                                         ReplPolicy::Random),
-                         [](const auto &info) {
-                             switch (info.param) {
-                               case ReplPolicy::Lru: return "Lru";
-                               case ReplPolicy::Fifo: return "Fifo";
-                               default: return "Random";
-                             }
-                         });
-
 TEST(CacheDeathTest, BadGeometryIsFatal)
 {
-    EXPECT_EXIT(Cache({4096, 48, 4, ReplPolicy::Lru}),
+    EXPECT_EXIT(Cache({4096, 48, 4}),
                 testing::ExitedWithCode(1), "power of two");
-    EXPECT_EXIT(Cache({4096, 64, 0, ReplPolicy::Lru}),
+    EXPECT_EXIT(Cache({4096, 64, 0}),
                 testing::ExitedWithCode(1), "at least one way");
-    EXPECT_EXIT(Cache({100, 64, 4, ReplPolicy::Lru}),
+    EXPECT_EXIT(Cache({100, 64, 4}),
                 testing::ExitedWithCode(1), "not divisible");
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, rescheduling,
- * descheduling, lambda events, and run limits.
+ * descheduling, lambda events and their ownership, and run limits.
  */
 
 #include <memory>
@@ -176,44 +176,42 @@ TEST(EventQueue, PendingLambdasFreedOnDestruction)
     SUCCEED();
 }
 
-TEST(EventQueue, DescheduledLambdaFreedOnDestruction)
+TEST(EventQueue, DestroyedQueueFreesQueuedAndChainedLambdas)
 {
-    // Regression: a self-deleting wrapper that was descheduled never
-    // fires, so only the queue destructor can free it. Leak checked
-    // under ASan.
-    auto *q = new EventQueue;
-    EventFunctionWrapper *ev = q->scheduleLambda(1000, [] {});
-    q->deschedule(ev);
-    delete q;
-    SUCCEED();
+    // Every callback holds a copy of `token`, so its use count is one
+    // more than the number of wrappers alive (leaks also checked under
+    // ASan).
+    auto token = std::make_shared<int>(0);
+    auto q = std::make_unique<EventQueue>();
+    EventQueue &queue = *q;
+    for (Tick t : {10, 20, 30}) {
+        queue.scheduleLambda(t, [&queue, token] {
+            // A firing lambda queues another one past the run's limit.
+            queue.scheduleLambda(queue.curTick() + 100, [token] {});
+        });
+    }
+    queue.run(25);
+    EXPECT_EQ(queue.eventsProcessed(), 2u);
+    // Pending: the one at 30 and the two that the fired ones queued.
+    EXPECT_EQ(token.use_count(), 4);
+    q.reset();
+    EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(EventQueue, RescheduledLambdaFreedOnceOnDestruction)
+TEST(EventQueue, DestroyedQueueSkipsStaleCallerOwnedEntry)
 {
-    // Descheduling and scheduling again leaves lazily-deleted heap
-    // entries behind; the destructor must free the wrapper exactly once
-    // even when it appears in several entries (double-free checked
-    // under ASan).
-    auto *q = new EventQueue;
-    EventFunctionWrapper *ev = q->scheduleLambda(10, [] {});
-    q->deschedule(ev);
-    q->schedule(ev, 30);
-    q->deschedule(ev);
-    q->schedule(ev, 50);
-    delete q;
+    // A caller-owned event that was descheduled and then destroyed
+    // leaves its entry in the heap. The destructor frees the lambda
+    // queued beside it and never reads that entry (use after free
+    // checked under ASan).
+    auto q = std::make_unique<EventQueue>();
+    auto ev = std::make_unique<EventFunctionWrapper>([] {});
+    q->schedule(ev.get(), 10);
+    q->scheduleLambda(20, [] {});
+    q->deschedule(ev.get());
+    ev.reset();
+    q.reset();
     SUCCEED();
-}
-
-TEST(EventQueue, DescheduledLambdaCanBeRescheduled)
-{
-    EventQueue q;
-    int fired = 0;
-    EventFunctionWrapper *ev = q.scheduleLambda(10, [&] { ++fired; });
-    q.deschedule(ev);
-    q.schedule(ev, 20);
-    q.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.curTick(), 20u);
 }
 
 TEST(EventQueue, BoundedRunAdvancesToLimit)
@@ -298,6 +296,8 @@ TEST(EventQueueDeathTest, SchedulingInPastPanics)
     q.scheduleLambda(100, [] {});
     q.run();
     EXPECT_DEATH(q.scheduleLambda(50, [] {}), "in the past");
+    EventFunctionWrapper ev([] {});
+    EXPECT_DEATH(q.schedule(&ev, 50), "in the past");
 }
 
 TEST(EventQueueDeathTest, DoubleSchedulePanics)

@@ -19,8 +19,6 @@ class Widget : public SimObject
           ev_([this] { fired = true; }, name + ".ev")
     {}
 
-    void init() override { initialized = true; }
-
     void
     startup() override
     {
@@ -28,7 +26,6 @@ class Widget : public SimObject
         schedule(ev_, static_cast<Tick>(fireAt_));
     }
 
-    bool initialized = false;
     bool started = false;
     bool fired = false;
 
@@ -43,10 +40,8 @@ TEST(Simulation, CreateAndRun)
 {
     Simulation sim;
     auto *w = sim.create<Widget>("w0", 100);
-    EXPECT_EQ(sim.numObjects(), 1u);
     EXPECT_EQ(w->name(), "w0");
     sim.run();
-    EXPECT_TRUE(w->initialized);
     EXPECT_TRUE(w->started);
     EXPECT_TRUE(w->fired);
     EXPECT_EQ(sim.curTick(), 100u);

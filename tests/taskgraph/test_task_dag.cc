@@ -71,8 +71,9 @@ TEST(TaskDag, RandomLayeredIsSeedDeterministicWithNoSpuriousRoots)
         EXPECT_EQ(a.task(t).deps.size(), b.task(t).deps.size()) << t;
         // Only layer 0 may be a root: the fallback same-column edge
         // guarantees every deeper task has at least one predecessor.
-        if (a.task(t).layer > 0)
+        if (a.task(t).layer > 0) {
             EXPECT_FALSE(a.task(t).deps.empty()) << t;
+        }
     }
     // A different seed redraws the coin flips: some task's dependency
     // set must change.
@@ -158,6 +159,18 @@ TEST(TaskGraphSpec, UnknownTaskgraphKeyIsRejected)
     EXPECT_EQ(r.status().code(), ErrorCode::InvalidArgument);
     EXPECT_EQ(r.status().message(),
               "unknown taskgraph-config key 'taskgraph.shpae' (t.ini:1)");
+}
+
+TEST(TaskGraphSpec, SeedPastLongLongIsRejected)
+{
+    Config cfg = *Config::tryFromString(
+        "taskgraph.seed = 99999999999999999999\n", "t.ini");
+    auto r = tryTaskGraphSpecFromConfig(cfg);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::ParseError);
+    EXPECT_EQ(r.status().message(),
+              "config key 'taskgraph.seed' (t.ini:1): "
+              "'99999999999999999999' is not an integer");
 }
 
 TEST(TaskGraphSpec, NonTaskgraphKeysAreIgnored)

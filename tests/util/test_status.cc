@@ -44,6 +44,19 @@ TEST(Status, EveryCodeHasAStableName)
     EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
 }
 
+TEST(Status, EveryCodeReadsBackFromItsName)
+{
+    const ErrorCode codes[] = {
+        ErrorCode::Ok,         ErrorCode::InvalidArgument,
+        ErrorCode::NotFound,   ErrorCode::OutOfRange,
+        ErrorCode::ParseError, ErrorCode::IoError,
+        ErrorCode::FailedPrecondition, ErrorCode::Internal};
+    for (ErrorCode c : codes)
+        EXPECT_EQ(errorCodeFromName(errorCodeName(c)), c) << errorCodeName(c);
+    EXPECT_EQ(errorCodeFromName("no_such_code"), ErrorCode::Internal);
+    EXPECT_EQ(errorCodeFromName(""), ErrorCode::Internal);
+}
+
 TEST(Status, WithContextPrependsAndKeepsTheCode)
 {
     Status inner = Status::notFound("missing config key 'ehp.cus'");

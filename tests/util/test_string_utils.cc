@@ -3,6 +3,8 @@
  * Unit tests for util/string_utils.
  */
 
+#include <climits>
+
 #include <gtest/gtest.h>
 
 #include "util/string_utils.hh"
@@ -50,6 +52,15 @@ TEST(StringUtils, ParseIntInvalid)
     EXPECT_FALSE(parseInt("4.2").has_value());
     EXPECT_FALSE(parseInt("x").has_value());
     EXPECT_FALSE(parseInt("").has_value());
+}
+
+TEST(StringUtils, ParseIntRejectsValuesPastLongLong)
+{
+    EXPECT_FALSE(parseInt("99999999999999999999").has_value());
+    EXPECT_FALSE(parseInt("-99999999999999999999").has_value());
+    // The extremes themselves still parse, after a failed parse too.
+    EXPECT_EQ(parseInt("9223372036854775807").value(), LLONG_MAX);
+    EXPECT_EQ(parseInt("-9223372036854775808").value(), LLONG_MIN);
 }
 
 TEST(StringUtils, ParseBool)

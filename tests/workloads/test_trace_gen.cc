@@ -173,14 +173,6 @@ TEST(TraceGen, AlignedAccessSizes)
     }
 }
 
-TEST(TraceGen, MemOpsCounterAdvances)
-{
-    StreamLayout layout = defaultLayout();
-    TraceGenerator gen(profileFor(App::MiniAMR), layout, 43);
-    drive(gen, layout, 100);
-    EXPECT_EQ(gen.memOps(), 100u);
-}
-
 TEST(TraceGenDeathTest, TinyPrivateRegionPanics)
 {
     StreamLayout layout;
