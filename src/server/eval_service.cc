@@ -212,18 +212,20 @@ EvalService::dispatch(const std::string &op, const wire::JsonValue &req,
     telemetry::ScopedSpan span("server", name);
     auto start = std::chrono::steady_clock::now();
 
-    Status status = [&]() -> Status {
-        // Status is the only error channel across this boundary: an
-        // unexpected exception maps to Internal.
-        try {
-            if (slot == kNumOps)
-                return Status::notFound("unknown op '", op, "'");
-            return (this->*kOps[slot].handler)(req, out);
-        } catch (const std::exception &e) {
-            return Status::internal("unhandled exception in op '", op,
-                                    "': ", e.what());
+    // Status is the only error channel across this boundary: an
+    // unexpected exception maps to Internal.
+    Status status;
+    try {
+        if (slot == kNumOps) {
+            status = Status::notFound("unknown op '", op, "'");
+        } else {
+            const Handler handler = kOps[slot].handler;
+            status = (this->*handler)(req, out);
         }
-    }();
+    } catch (const std::exception &e) {
+        status = Status::internal("unhandled exception in op '", op,
+                                  "': ", e.what());
+    }
 
     double us = std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - start)

@@ -4,9 +4,9 @@
  * No external dependencies; just enough JSON for newline-delimited
  * request/response objects.
  *
- * Numbers are written by std::to_chars at 17 significant digits
- * (DBL_DECIMAL_DIG), the same bytes as %.17g, and read by
- * std::from_chars; both are correctly rounded, so every finite double
+ * Numbers are written by std::to_chars in the shortest form that reads
+ * back as the same double (0.925, not 0.92500000000000004) and read by
+ * std::from_chars, which rounds correctly, so every finite double
  * round-trips exactly — the server's bit-identity guarantee rides on
  * this. Out-of-range literals (1e999, 1e-400) read as +-inf and +-0.
  * Non-finite numbers serialize as null (JSON has no inf/nan).
@@ -27,6 +27,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/status.hh"
@@ -35,47 +36,42 @@ namespace ena::wire {
 
 class JsonParser;
 
-/** A JSON value: null, bool, number, string, array, or object. */
+/**
+ * A JSON value: null, bool, number, string, array, or object. One
+ * variant holds it, 40 bytes on x86-64 (an object member is 72). On a
+ * value of another kind, str(), elements() and members() are empty,
+ * number() is 0 and boolean() is false.
+ */
 class JsonValue
 {
   public:
+    /** In the order of the variant's alternatives. */
     enum class Kind { Null, Bool, Number, String, Array, Object };
 
+    using Member = std::pair<std::string, JsonValue>;
+
     JsonValue() = default;
-    JsonValue(bool b) : kind_(Kind::Bool), bool_(b) {}
-    JsonValue(double n) : kind_(Kind::Number), num_(n) {}
-    JsonValue(int n) : kind_(Kind::Number), num_(n) {}
-    JsonValue(long n) : kind_(Kind::Number), num_(double(n)) {}
-    JsonValue(unsigned long n) : kind_(Kind::Number), num_(double(n)) {}
-    JsonValue(const char *s) : kind_(Kind::String), str_(s) {}
-    JsonValue(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
+    JsonValue(bool b) : v_(b) {}
+    JsonValue(double n) : v_(n) {}
+    JsonValue(int n) : v_(double(n)) {}
+    JsonValue(long n) : v_(double(n)) {}
+    JsonValue(unsigned long n) : v_(double(n)) {}
+    JsonValue(const char *s) : v_(std::string(s)) {}
+    JsonValue(std::string s) : v_(std::move(s)) {}
 
-    static JsonValue
-    object()
-    {
-        JsonValue v;
-        v.kind_ = Kind::Object;
-        return v;
-    }
+    static JsonValue object() { JsonValue v; v.v_ = Members(); return v; }
+    static JsonValue array() { JsonValue v; v.v_ = Elements(); return v; }
 
-    static JsonValue
-    array()
-    {
-        JsonValue v;
-        v.kind_ = Kind::Array;
-        return v;
-    }
+    Kind kind() const { return Kind(v_.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isBool() const { return kind() == Kind::Bool; }
+    bool isNumber() const { return kind() == Kind::Number; }
+    bool isString() const { return kind() == Kind::String; }
+    bool isArray() const { return kind() == Kind::Array; }
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
-    bool isNumber() const { return kind_ == Kind::Number; }
-    bool isString() const { return kind_ == Kind::String; }
-    bool isArray() const { return kind_ == Kind::Array; }
-
-    bool boolean() const { return bool_; }
-    double number() const { return num_; }
-    const std::string &str() const { return str_; }
+    bool boolean() const { return isBool() && std::get<bool>(v_); }
+    double number() const { return isNumber() ? std::get<double>(v_) : 0; }
+    const std::string &str() const { return get<std::string>(); }
 
     /** Object: set (or replace) a member. Returns *this for chaining. */
     JsonValue &set(std::string key, JsonValue value);
@@ -91,28 +87,33 @@ class JsonValue
     std::size_t size() const;
 
     /** Array element access (unchecked). */
-    const JsonValue &at(std::size_t i) const { return arr_[i]; }
+    const JsonValue &at(std::size_t i) const { return elements()[i]; }
 
-    const std::vector<std::pair<std::string, JsonValue>> &
-    members() const
-    {
-        return obj_;
-    }
-
-    const std::vector<JsonValue> &elements() const { return arr_; }
+    const std::vector<Member> &members() const { return get<Members>(); }
+    const std::vector<JsonValue> &elements() const { return get<Elements>(); }
 
     /** Compact one-line serialization (no embedded newlines). */
     std::string dump() const;
 
   private:
-    friend class JsonParser;   // parses into the members in place
+    friend class JsonParser;   // parses into the variant in place
 
-    Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    double num_ = 0.0;
-    std::string str_;
-    std::vector<std::pair<std::string, JsonValue>> obj_;
-    std::vector<JsonValue> arr_;
+    using Elements = std::vector<JsonValue>;
+    using Members = std::vector<Member>;
+
+    /** The alternative @p T, or an empty one when v_ holds another. */
+    template <typename T>
+    const T &
+    get() const
+    {
+        static const T empty;
+        const T *v = std::get_if<T>(&v_);
+        return v ? *v : empty;
+    }
+
+    std::variant<std::monostate, bool, double, std::string, Elements,
+                 Members>
+        v_;
 };
 
 /**
@@ -138,7 +139,7 @@ class JsonWriter
 
     JsonWriter &null();
     JsonWriter &boolean(bool b);
-    /** 17 significant digits (%.17g bytes); non-finite as null. */
+    /** Shortest text that reads back as @p n; non-finite as null. */
     JsonWriter &number(double n);
     JsonWriter &string(std::string_view s);
     JsonWriter &value(const JsonValue &v);
@@ -150,9 +151,8 @@ class JsonWriter
 };
 
 /**
- * Parse one JSON document (leading/trailing whitespace allowed). The
- * parser reuses stacks kept per thread; between documents a thread
- * keeps at most 7 KiB of them.
+ * Parse one JSON document (leading/trailing whitespace allowed). Each
+ * value is parsed straight into its place in the tree.
  */
 Expected<JsonValue> tryParseJson(std::string_view text);
 

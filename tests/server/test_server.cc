@@ -504,6 +504,16 @@ TEST(EvalService, SweepResponseBytesMatchTheReference)
     result.set("axis", "freq");
     result.set("points", std::move(points));
     EXPECT_EQ(svc.handleLine(req.dump()), okReference(5, std::move(result)));
+
+    // A 400-point response parses and dumps back to its own bytes.
+    req.set("axis", "bw");
+    req.set("from", 1.0);
+    req.set("to", 4.99);
+    const std::string line = svc.handleLine(req.dump());
+    Expected<JsonValue> parsed = wire::tryParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    EXPECT_EQ(parsed->find("result")->find("points")->size(), 400u);
+    EXPECT_EQ(parsed->dump(), line);
 }
 
 TEST(EvalService, Table2ResponseBytesMatchTheReference)
