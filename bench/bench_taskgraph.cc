@@ -10,7 +10,8 @@
  *      bit-identical, field for field, to the same sweep at many;
  *  (c) local-vs-server: the taskgraph_eval op through a live ena-server
  *      over a Unix socket must reproduce the local schedule's doubles
- *      exactly (the %.17g wire format round-trips them).
+ *      exactly (the wire writes each double in its shortest
+ *      round-trip form and reads it back exactly).
  *
  * Plus a throughput measurement (schedules/sec, tasks/sec) that is
  * warn-only: a slow machine prints a warning, never fails the gate.
