@@ -57,8 +57,7 @@ void
 BM_HbmAccess(benchmark::State &state)
 {
     Simulation sim;
-    auto *stack = sim.create<HbmStack>(
-        "hbm", HbmParams::forAggregateBandwidth(750.0, 8));
+    auto *stack = sim.create<HbmStack>("hbm", 750.0 / 8);
     sim.initAll();
     Rng rng(7);
     std::uint64_t done = 0;

@@ -65,8 +65,7 @@ main()
     //    event queue ("sim" span, sim.events_processed counter).
     {
         Simulation sim;
-        auto *stack = sim.create<HbmStack>(
-            "hbm", HbmParams::forAggregateBandwidth(750.0, 8));
+        auto *stack = sim.create<HbmStack>("hbm", 750.0 / 8);
         sim.initAll();
         Rng rng(42);
         std::uint64_t done = 0;

@@ -3,7 +3,10 @@
  * Hardware configuration of the scale-out machine built from ENA nodes:
  * node count, inter-node topology, and the SerDes links that connect
  * them (paper Section II-A: "nodes communicate through a SerDes-based
- * inter-node network"; Section V-F scales one node to 100,000).
+ * inter-node network"; Section V-F scales one node to 100,000). The
+ * fabric's shape is not configured: InterNodeNetwork derives the
+ * fat-tree radix, the dragonfly group size and the torus dimensions
+ * from the node count.
  *
  * The node itself is described by NodeConfig; ClusterConfig adds the
  * layer above it and is loadable from the same "key = value" config
@@ -53,13 +56,7 @@ struct ClusterConfig
     double linkLatencyUs = 0.5; ///< per-hop link + switch latency
     double pjPerBit = 10.0;     ///< SerDes+switch energy per bit per hop
 
-    // --- per-topology shape knobs (0 = derive from the node count) ---
-    int fatTreeRadix = 0;       ///< switch port count; 0 = smallest fit
     double fatTreeTaper = 1.0;  ///< >=1; 2.0 halves bisection bandwidth
-    int dragonflyGroupRouters = 0; ///< routers per group; 0 = balanced
-    int torusX = 0;             ///< torus dimensions; 0 = near-cubic
-    int torusY = 0;
-    int torusZ = 0;
 
     /** Per-node injection bandwidth into the fabric (GB/s). */
     double injectionGbs() const { return linksPerNode * linkGbs; }
@@ -88,23 +85,11 @@ struct ClusterConfig
             return Status::outOfRange("ClusterConfig: bad link energy ",
                                       pjPerBit, " pJ/bit");
         }
-        if (fatTreeRadix < 0 || (fatTreeRadix > 0 && fatTreeRadix < 4)) {
-            return Status::outOfRange("ClusterConfig: bad fat-tree "
-                                      "radix ", fatTreeRadix);
-        }
         if (fatTreeTaper < 1.0) {
             return Status::outOfRange(
                 "ClusterConfig: fat-tree taper must be >= 1, got ",
                 fatTreeTaper);
         }
-        if (dragonflyGroupRouters < 0) {
-            return Status::outOfRange(
-                "ClusterConfig: bad dragonfly group size ",
-                dragonflyGroupRouters);
-        }
-        if (torusX < 0 || torusY < 0 || torusZ < 0)
-            return Status::outOfRange(
-                "ClusterConfig: bad torus dimensions");
         return Status();
     }
 

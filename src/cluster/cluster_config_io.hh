@@ -34,12 +34,7 @@ configFields(ClusterConfig &c, F &&field)
     field("cluster.link_gbs", c.linkGbs);
     field("cluster.link_latency_us", c.linkLatencyUs);
     field("cluster.pj_per_bit", c.pjPerBit);
-    field("cluster.fat_tree_radix", c.fatTreeRadix);
     field("cluster.fat_tree_taper", c.fatTreeTaper);
-    field("cluster.dragonfly_group_routers", c.dragonflyGroupRouters);
-    field("cluster.torus_x", c.torusX);
-    field("cluster.torus_y", c.torusY);
-    field("cluster.torus_z", c.torusZ);
 }
 
 /** Load a ClusterConfig; errors carry the key and its source:line. */

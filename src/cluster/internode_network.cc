@@ -21,7 +21,8 @@ ringAvgHops(int k)
     return (static_cast<double>(k) * k - 1.0) / (4.0 * k);
 }
 
-/** Near-cubic factorization nx >= ny >= nz with nx*ny*nz == n. */
+/** Near-cubic factorization nx*ny*nz == n: nz is the largest divisor
+ *  of n at most its cube root, and nx >= ny split the rest. */
 void
 nearCubicDims(int n, int &nx, int &ny, int &nz)
 {
@@ -61,19 +62,10 @@ void
 InterNodeNetwork::buildFatTree()
 {
     const double n = cfg_.nodes;
-    int k = cfg_.fatTreeRadix;
-    if (k == 0) {
-        // Smallest even radix whose three-level Clos holds every node.
-        k = 4;
-        while (static_cast<double>(k) * k * k / 4.0 < n)
-            k += 2;
-    }
-    if (k % 2 != 0)
-        ENA_FATAL("fat-tree radix must be even, got ", k);
-    if (static_cast<double>(k) * k * k / 4.0 < n)
-        ENA_FATAL("fat-tree radix ", k, " holds only ",
-                  static_cast<double>(k) * k * k / 4.0, " nodes, need ",
-                  cfg_.nodes);
+    // Smallest even radix whose three-level Clos holds every node.
+    int k = 4;
+    while (static_cast<double>(k) * k * k / 4.0 < n)
+        k += 2;
     fatTreeRadix_ = k;
 
     // Three levels: leaf -> pod aggregation -> core. A pod is k/2
@@ -112,23 +104,16 @@ void
 InterNodeNetwork::buildDragonfly()
 {
     const double n = cfg_.nodes;
-    int a = cfg_.dragonflyGroupRouters;
     auto capacity = [](int routers) {
         // Balanced dragonfly: p = h = a/2, g = a*h + 1 groups.
         double p = routers / 2.0;
         double g = routers * p + 1.0;
         return p * routers * g;
     };
-    if (a == 0) {
-        a = 2;
-        while (capacity(a) < n)
-            a += 2;
-    }
-    if (a % 2 != 0)
-        ENA_FATAL("dragonfly group size must be even, got ", a);
-    if (capacity(a) < n)
-        ENA_FATAL("dragonfly with ", a, " routers per group holds only ",
-                  capacity(a), " nodes, need ", cfg_.nodes);
+    // Smallest even group size whose dragonfly holds every node.
+    int a = 2;
+    while (capacity(a) < n)
+        a += 2;
     dragonflyA_ = a;
 
     const double p = a / 2.0;             // nodes per router
@@ -163,17 +148,8 @@ void
 InterNodeNetwork::buildTorus()
 {
     const int n = cfg_.nodes;
-    int nx = cfg_.torusX, ny = cfg_.torusY, nz = cfg_.torusZ;
-    if (nx > 0 && ny > 0 && nz > 0) {
-        if (static_cast<long long>(nx) * ny * nz != n)
-            ENA_FATAL("torus ", nx, "x", ny, "x", nz, " has ",
-                      static_cast<long long>(nx) * ny * nz,
-                      " nodes, config says ", n);
-    } else if (nx == 0 && ny == 0 && nz == 0) {
-        nearCubicDims(n, nx, ny, nz);
-    } else {
-        ENA_FATAL("torus dimensions must be all explicit or all auto");
-    }
+    int nx = 0, ny = 0, nz = 0;
+    nearCubicDims(n, nx, ny, nz);
     torusX_ = nx;
     torusY_ = ny;
     torusZ_ = nz;
@@ -182,11 +158,11 @@ InterNodeNetwork::buildTorus()
     diameterHops_ = nx / 2 + ny / 2 + nz / 2;
     neighborHops_ = 1.0;
 
-    // Cut perpendicular to the largest dimension (nx >= ny >= nz for
-    // auto dims): ny*nz links cross, twice with a wrap ring. Each of
-    // the node's linksPerNode NIC ports contributes its own plane of
-    // torus links, matching the per-plane accounting the fat tree
-    // bakes into injectionGbs().
+    // Cut perpendicular to the largest dimension: the product of the
+    // other two dimensions gives the links that cross, twice with a wrap
+    // ring. Each of the node's linksPerNode NIC ports contributes its
+    // own plane of torus links, matching the per-plane accounting the
+    // fat tree bakes into injectionGbs().
     int dims[3] = {nx, ny, nz};
     std::sort(dims, dims + 3);
     const double cut = static_cast<double>(dims[0]) * dims[1];

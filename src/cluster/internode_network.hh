@@ -8,10 +8,12 @@
  * the on-package interconnect uses (src/noc/topology.hh provides the
  * BFS-exact reference the torus formulas are validated against).
  *
- * Topology shapes:
+ * Topology shapes, each derived from the node count:
  *  - fat-tree:   three-level folded Clos of radix-k switches (k^3/4
- *                nodes), optionally tapered above the leaf level;
- *  - dragonfly:  balanced (p = h = a/2, g = a*h + 1 groups), minimal
+ *                nodes), the smallest even k that holds every node,
+ *                optionally tapered above the leaf level;
+ *  - dragonfly:  balanced (p = h = a/2, g = a*h + 1 groups), the
+ *                smallest even a that holds every node, minimal
  *                routing with at most one global hop;
  *  - 3d-torus:   one switch per node, near-cubic dimensions.
  *
@@ -69,13 +71,13 @@ class InterNodeNetwork
         return hops * cfg_.linkLatencyUs;
     }
 
-    /** Resolved torus dimensions (fatal() for other topologies). */
+    /** Derived torus dimensions (fatal() for other topologies). */
     void torusDims(int &nx, int &ny, int &nz) const;
 
-    /** Resolved fat-tree switch radix (fatal() otherwise). */
+    /** Derived fat-tree switch radix (fatal() otherwise). */
     int fatTreeRadix() const;
 
-    /** Resolved dragonfly routers per group (fatal() otherwise). */
+    /** Derived dragonfly routers per group (fatal() otherwise). */
     int dragonflyGroupRouters() const;
 
     /**

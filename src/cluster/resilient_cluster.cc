@@ -117,8 +117,6 @@ ResilientScaleOutStudy::sweep(
             ClusterConfig cc = base_;
             cc.topology = topologies[(i / nn) % nt];
             cc.nodes = node_counts[i % nn];
-            // Explicit torus dims only fit the base node count.
-            cc.torusX = cc.torusY = cc.torusZ = 0;
             ResilientSweepPoint p;
             p.variant = vi;
             p.topology = cc.topology;
@@ -173,7 +171,6 @@ ResilientScaleOutStudy::bestUnderAvailability(
             const ResilienceSpec &spec = variants[(i / nn) % nv].spec;
             ClusterConfig cc = base_;
             cc.nodes = node_counts[i % nn];
-            cc.torusX = cc.torusY = cc.torusZ = 0;
             ClusterEvaluator ce(eval_, cc);
             ResilientClusterEvaluator rce(ce, spec);
             Candidate c;

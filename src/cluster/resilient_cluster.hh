@@ -95,19 +95,32 @@ struct ResilienceSpec
         return s;
     }
 
+    /** The largest NTC SER multiplier accepted, far above any
+     *  measured one (the specs here use 2). One near DBL_MAX made the
+     *  node's FIT infinite and the machine's MTTF zero. */
+    static constexpr double maxNtcSerMultiplier = 1e6;
+
     /** Sanity-check ranges; the error names the offending knob. */
     Status
     tryValidate() const
     {
-        if (ras.ntcSerMultiplier < 1.0) {
+        if (!(ras.ntcSerMultiplier >= 1.0 &&
+              ras.ntcSerMultiplier <= maxNtcSerMultiplier)) {
             return Status::outOfRange(
-                "ResilienceSpec: NTC SER multiplier must be >= 1, got ",
-                ras.ntcSerMultiplier);
+                "ResilienceSpec: NTC SER multiplier must be in [1, ",
+                maxNtcSerMultiplier, "], got ", ras.ntcSerMultiplier);
         }
-        if (checkpoint.checkpointBytes <= 0.0 ||
+        if (checkpoint.checkpointBytes < 1.0 ||
             checkpoint.ioBandwidthBps <= 0.0)
             return Status::outOfRange(
                 "ResilienceSpec: bad checkpoint parameters");
+        if (checkpoint.overheadS < 0.0 || checkpoint.restartExtraS < 0.0) {
+            return Status::outOfRange(
+                "ResilienceSpec: checkpoint overhead and restart time "
+                "must be >= 0, got ",
+                checkpoint.overheadS, " and ", checkpoint.restartExtraS,
+                " s");
+        }
         return Status();
     }
 

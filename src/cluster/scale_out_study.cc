@@ -24,8 +24,6 @@ ScaleOutStudy::scalingCurve(const NodeConfig &cfg, App app,
             telemetry::ScopedSpan span("cluster", "evaluate_node_count");
             ClusterConfig cc = base_;
             cc.nodes = node_counts[i];
-            // Explicit torus dims only fit the base node count.
-            cc.torusX = cc.torusY = cc.torusZ = 0;
             ClusterEvaluator ce(eval_, cc);
             ClusterResult r = ce.evaluate(cfg, app, spec);
             ScalingPoint p;
@@ -96,7 +94,6 @@ ScaleOutStudy::topologySweep(
             ClusterConfig cc = base_;
             cc.topology = topologies[i / nn];
             cc.nodes = node_counts[i % nn];
-            cc.torusX = cc.torusY = cc.torusZ = 0;
             TopologyPoint p;
             p.topology = cc.topology;
             p.nodes = cc.nodes;

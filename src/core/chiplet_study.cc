@@ -22,6 +22,13 @@
 
 namespace ena {
 
+namespace {
+
+/** CPU clusters on the interposer, each a CpuCluster of 16 cores. */
+constexpr int cpuClusters = 2;
+
+} // anonymous namespace
+
 ChipletStudyParams
 ChipletStudyParams::forApp(App app)
 {
@@ -77,7 +84,7 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
     const KernelProfile &profile = profileFor(app);
     Simulation sim;
 
-    Topology topo = Topology::ehp(params.gpuChiplets, params.cpuClusters);
+    Topology topo = Topology::ehp(params.gpuChiplets, cpuClusters);
 
     Network *network = nullptr;
     if (monolithic) {
@@ -88,16 +95,10 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
                                               xp);
     } else if (params.detailedNoc) {
         DetailedParams dn;
-        dn.routerCycles = 2;
-        dn.linkCycles = 1;
-        dn.tsvCycles = 1;
         dn.linkBytesPerCycle = 256;
         network = sim.create<DetailedNetwork>("noc", topo, dn);
     } else {
         InterposerParams ip;
-        ip.routerCycles = 2;
-        ip.linkCycles = 1;
-        ip.tsvCycles = 1;
         ip.linkBytesPerCycle = 256;
         network = sim.create<InterposerNetwork>("noc", topo, ip);
     }
@@ -120,12 +121,11 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
     }
 
     // Memory stacks + their network endpoints.
-    HbmParams hbm = HbmParams::forAggregateBandwidth(
-        params.aggregateBwGbs, params.gpuChiplets);
+    const double stack_gbs = params.aggregateBwGbs / params.gpuChiplets;
     std::vector<HbmStack *> stacks;
     for (int i = 0; i < params.gpuChiplets; ++i) {
         auto *stack =
-            sim.create<HbmStack>(strformat("hbm%d", i), hbm);
+            sim.create<HbmStack>(strformat("hbm%d", i), stack_gbs);
         stacks.push_back(stack);
         NodeId node = topo.nodeOf(NodeKind::MemStack, i);
         sim.create<MemStackEndpoint>(strformat("hbm%d.port", i), node,
@@ -168,7 +168,7 @@ ChipletStudy::run(App app, const ChipletStudyParams &params,
     // CPU clusters (orchestration traffic into the shared region).
     std::vector<CpuCluster *> cpus;
     if (params.cpuTraffic) {
-        for (int i = 0; i < params.cpuClusters; ++i) {
+        for (int i = 0; i < cpuClusters; ++i) {
             CpuClusterParams cc;
             cc.sharedBase = 0;
             cc.sharedSize = params.sharedBytes;

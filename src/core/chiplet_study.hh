@@ -29,7 +29,6 @@ namespace ena {
 struct ChipletStudyParams
 {
     int gpuChiplets = 8;
-    int cpuClusters = 2;
     int cusPerChiplet = 8;          ///< scaled from 32 for speed
     int wavefrontsPerCu = 8;
     /** Floor on outstanding misses per wavefront (the per-app value

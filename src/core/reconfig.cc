@@ -4,13 +4,19 @@
 
 namespace ena {
 
+namespace {
+
+/** CU-gating granularity (one tile/SE at a time). */
+constexpr int cuStep = 32;
+
+} // anonymous namespace
+
 ReconfigGovernor::ReconfigGovernor(const NodeEvaluator &eval,
                                    GovernorParams params)
     : eval_(eval), params_(std::move(params))
 {
     params_.installed.validate();
     ENA_ASSERT(!params_.freqsGhz.empty(), "governor needs DVFS points");
-    ENA_ASSERT(params_.cuStep > 0, "bad CU-gating step");
 }
 
 GovernorDecision
@@ -20,8 +26,8 @@ ReconfigGovernor::decide(App app) const
     // inner, strict greater-than, so ties keep the earliest setting.
     GovernorDecision best;
     NodeConfig cfg = params_.installed;
-    for (cfg.cus = params_.cuStep; cfg.cus <= params_.installed.cus;
-         cfg.cus += params_.cuStep) {
+    for (cfg.cus = cuStep; cfg.cus <= params_.installed.cus;
+         cfg.cus += cuStep) {
         for (double f : params_.freqsGhz) {
             cfg.freqGhz = f;
             EvalResult r = eval_.evaluate(cfg, app);

@@ -5,13 +5,13 @@
  * The paper's Table II quantifies an *oracle* that redesigns the node
  * per application (including its bandwidth provisioning). A runtime
  * system can only work with the installed hardware: it can gate CUs
- * off, move the DVFS point, and pay a transition cost at each phase
- * change. This governor does exactly that on top of the analytic
- * models: per phase it picks the (active CUs, frequency) pair that
- * maximizes the kernel's performance within the power budget, and the
- * study driver compares a phased workload under static best-mean
- * settings vs the governed ones — a realizable fraction of Table II's
- * oracle benefit.
+ * off 32 at a time (one tile/SE), move the DVFS point, and pay a
+ * transition cost at each phase change. This governor does exactly
+ * that on top of the analytic models: per phase it picks the (active
+ * CUs, frequency) pair that maximizes the kernel's performance within
+ * the power budget, and the study driver compares a phased workload
+ * under static best-mean settings vs the governed ones — a realizable
+ * fraction of Table II's oracle benefit.
  */
 
 #ifndef ENA_CORE_RECONFIG_HH
@@ -36,8 +36,6 @@ struct GovernorParams
     /** Installed hardware (the governor can only gate down from it). */
     NodeConfig installed = NodeConfig::bestMean();
     double budgetW = 160.0;
-    /** CU-gating granularity (one tile/SE at a time). */
-    int cuStep = 32;
     /** DVFS points available at runtime. */
     std::vector<double> freqsGhz = {0.7, 0.8, 0.9, 1.0, 1.1,
                                     1.2, 1.3, 1.4, 1.5};

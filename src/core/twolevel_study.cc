@@ -29,9 +29,8 @@ TwoLevelStudy::run(App app, const TwoLevelParams &params,
     Simulation sim;
 
     Topology topo = Topology::ehp(params.gpuChiplets, 2);
-    InterposerParams ip;
-    ip.routerCycles = 2;
-    auto *network = sim.create<InterposerNetwork>("noc", topo, ip);
+    auto *network =
+        sim.create<InterposerNetwork>("noc", topo, InterposerParams{});
 
     DispatchParams dp;
     dp.wavefrontsPerCu = params.wavefrontsPerCu;
@@ -66,12 +65,12 @@ TwoLevelStudy::run(App app, const TwoLevelParams &params,
         params.aggregateBwGbs * 0.25 / ext_cfg.interfaces;
     auto *ext = sim.create<ExternalMemoryNetwork>("ext", ext_cfg);
 
-    HbmParams hbm = HbmParams::forAggregateBandwidth(
-        params.aggregateBwGbs, params.gpuChiplets);
+    const double stack_gbs = params.aggregateBwGbs / params.gpuChiplets;
     std::vector<HbmStack *> stacks;
     std::vector<GpuChiplet *> chiplets;
     for (int i = 0; i < params.gpuChiplets; ++i) {
-        auto *stack = sim.create<HbmStack>(strformat("hbm%d", i), hbm);
+        auto *stack =
+            sim.create<HbmStack>(strformat("hbm%d", i), stack_gbs);
         stacks.push_back(stack);
         sim.create<MemStackEndpoint>(strformat("hbm%d.port", i),
                                      topo.nodeOf(NodeKind::MemStack, i),

@@ -6,6 +6,12 @@
 
 namespace ena {
 
+namespace {
+
+constexpr int cores = 16;
+
+} // anonymous namespace
+
 CpuCluster::CpuCluster(Simulation &sim, const std::string &name,
                        NodeId node_id, CpuClusterParams params,
                        const AddressMap &addr_map, Network &network)
@@ -13,9 +19,7 @@ CpuCluster::CpuCluster(Simulation &sim, const std::string &name,
       addrMap_(addr_map), network_(network), rng_(params.seed),
       issueEvent_([this] { issueNext(); }, name + ".issue")
 {
-    ENA_ASSERT(params_.cores > 0, "CPU cluster needs cores");
-    ENA_ASSERT(params_.sharedSize >= params_.dataBytes,
-               "shared region too small");
+    ENA_ASSERT(params_.sharedSize >= lineBytes, "shared region too small");
     network_.attach(nodeId_, this);
 }
 
@@ -32,7 +36,7 @@ CpuCluster::startup()
 {
     // Cluster-level issue rate: cores / accessNsPerCore accesses per ns.
     schedule(issueEvent_, static_cast<Tick>(params_.accessNsPerCore /
-                                            params_.cores * tickPerNs));
+                                            cores * tickPerNs));
 }
 
 void
@@ -42,9 +46,8 @@ CpuCluster::issueNext()
         (params_.maxAccesses && issued_ >= params_.maxAccesses))
         return;
 
-    std::uint64_t lines = params_.sharedSize / params_.dataBytes;
-    std::uint64_t addr =
-        params_.sharedBase + rng_.below(lines) * params_.dataBytes;
+    std::uint64_t lines = params_.sharedSize / lineBytes;
+    std::uint64_t addr = params_.sharedBase + rng_.below(lines) * lineBytes;
     bool is_write = rng_.chance(params_.writeFraction);
 
     int home = addrMap_.stackFor(addr);
@@ -57,7 +60,7 @@ CpuCluster::issueNext()
     pkt.id = (static_cast<std::uint64_t>(nodeId_) << 48) | nextPktId_++;
     pkt.src = nodeId_;
     pkt.dst = stackNodes_[home];
-    pkt.bytes = is_write ? params_.dataBytes : params_.reqBytes;
+    pkt.bytes = is_write ? lineBytes : headerBytes;
     pkt.addr = addr;
     pkt.isWrite = is_write;
     network_.send(pkt);
@@ -65,7 +68,7 @@ CpuCluster::issueNext()
     ++issued_;
 
     // Exponential-ish think time around the configured mean.
-    double gap_ns = params_.accessNsPerCore / params_.cores;
+    double gap_ns = params_.accessNsPerCore / cores;
     double jitter = 0.5 + rng_.uniform();
     schedule(issueEvent_,
              std::max<Tick>(1, static_cast<Tick>(gap_ns * jitter *

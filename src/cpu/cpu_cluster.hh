@@ -4,9 +4,10 @@
  *
  * The EHP's CPU cores orchestrate GPU work and run serial sections; in
  * the Fig. 7 study their visible effect is CPU<->memory and CPU<->GPU
- * traffic crossing the interposer. Each cluster issues pipelined reads
- * and writes into the shared region with a configurable rate per core,
- * via the same network/stack path as the GPU chiplets.
+ * traffic crossing the interposer. Each cluster of 16 cores issues
+ * pipelined reads and writes into the shared region with a
+ * configurable rate per core, via the same network/stack path as the
+ * GPU chiplets.
  */
 
 #ifndef ENA_CPU_CPU_CLUSTER_HH
@@ -24,13 +25,10 @@ namespace ena {
 
 struct CpuClusterParams
 {
-    int cores = 16;
     double accessNsPerCore = 400.0;  ///< mean gap between core accesses
     double writeFraction = 0.3;
     std::uint64_t sharedBase = 0;
     std::uint64_t sharedSize = 64ull << 20;
-    std::uint32_t reqBytes = 16;
-    std::uint32_t dataBytes = 64;
     std::uint64_t seed = 999;
     /** Stop issuing after this many accesses (0 = unlimited). */
     std::uint64_t maxAccesses = 0;

@@ -8,10 +8,17 @@
 
 namespace ena {
 
+namespace {
+
+constexpr CacheParams l1Params = {16ull << 10, lineBytes, 4};
+constexpr std::uint32_t l1HitCycles = 4;
+
+} // anonymous namespace
+
 ComputeUnit::ComputeUnit(Simulation &sim, const std::string &name,
                          GpuChiplet &chiplet, ComputeUnitParams params)
     : SimObject(sim, name), chiplet_(chiplet), params_(params),
-      l1_(std::make_unique<Cache>(params.l1)),
+      l1_(std::make_unique<Cache>(l1Params)),
       issueEvent_([this] { tryIssue(); }, name + ".issue")
 {
     ENA_ASSERT(params_.wavefrontSlots > 0, "CU needs wavefront slots");
@@ -73,7 +80,7 @@ ComputeUnit::tryIssue()
         rrNext_ = (picked + 1) % wavefronts_.size();
         issueFrom(wavefronts_[picked], picked);
         // Issue again next cycle.
-        wake(curTick() + cycle());
+        wake(curTick() + gpuCycle);
         return;
     }
 
@@ -93,7 +100,7 @@ ComputeUnit::issueFrom(Wavefront &wf, int index)
 {
     TraceOp op = wf.gen->next();
     if (op.kind == TraceOp::Kind::Compute) {
-        wf.busyUntil = curTick() + op.computeCycles * cycle();
+        wf.busyUntil = curTick() + op.computeCycles * gpuCycle;
         return;
     }
 
@@ -106,7 +113,7 @@ ComputeUnit::issueFrom(Wavefront &wf, int index)
     CacheOutcome l1 = l1_->access(op.addr, is_write);
     if (l1.hit) {
         // Short pipeline bubble; no L2 traffic.
-        wf.busyUntil = curTick() + params_.l1HitCycles * cycle();
+        wf.busyUntil = curTick() + l1HitCycles * gpuCycle;
         checkRetire(wf);
         return;
     }

@@ -27,12 +27,9 @@ class GpuChiplet;
 
 struct ComputeUnitParams
 {
-    double clockGhz = 1.0;
     int wavefrontSlots = 8;
     int maxOutstandingPerWf = 4;
     std::uint64_t memOpsPerWavefront = 300;
-    CacheParams l1 = {16ull << 10, 64, 4};
-    std::uint32_t l1HitCycles = 4;
 };
 
 class ComputeUnit : public SimObject
@@ -68,8 +65,6 @@ class ComputeUnit : public SimObject
         bool issuedAll = false;
         bool retired = false;
     };
-
-    Tick cycle() const { return clockPeriod(params_.clockGhz); }
 
     /** Issue loop: one op per cycle while someone is ready. */
     void tryIssue();

@@ -4,12 +4,20 @@
 
 namespace ena {
 
+namespace {
+
+constexpr CacheParams l2Params = {2ull << 20, lineBytes, 16};
+constexpr std::uint32_t l2HitCycles = 24;
+constexpr std::uint32_t tsvCycles = 4;   ///< vertical hop to local stack
+
+} // anonymous namespace
+
 GpuChiplet::GpuChiplet(Simulation &sim, const std::string &name,
                        int index, NodeId node_id, GpuChipletParams params,
                        const AddressMap &addr_map, Network &network)
     : SimObject(sim, name), index_(index), nodeId_(node_id),
       params_(params), addrMap_(addr_map), network_(network),
-      l2_(std::make_unique<Cache>(params.l2))
+      l2_(std::make_unique<Cache>(l2Params))
 {
     network_.attach(nodeId_, this);
 }
@@ -45,21 +53,21 @@ GpuChiplet::requestMemory(std::uint64_t addr, bool is_write,
     CacheOutcome l2 = l2_->access(addr, is_write);
     if (l2.hit) {
         eventq().scheduleLambda(
-            curTick() + params_.l2HitCycles * cycle(), std::move(done));
+            curTick() + l2HitCycles * gpuCycle, std::move(done));
         return;
     }
     if (memManager_ &&
         memManager_->access(addr, is_write) == MemLevel::External) {
         // Off-package: cross the interposer to an external interface,
         // then the SerDes chain services the request.
-        Tick to_edge = 4 * cycle();   // interposer traversal to the I/O
+        Tick to_edge = 4 * gpuCycle;   // interposer traversal to the I/O
         Callback cb = std::move(done);
         std::uint64_t a = addr;
         bool w = is_write;
         eventq().scheduleLambda(
             curTick() + to_edge,
             [this, a, w, cb = std::move(cb)]() mutable {
-                extMem_->access(a, params_.dataBytes, w, std::move(cb));
+                extMem_->access(a, lineBytes, w, std::move(cb));
             });
     } else {
         sendToStack(addr, is_write, std::move(done));
@@ -74,10 +82,8 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
     int home = addrMap_.stackFor(addr);
     bool local = home == localStackIndex_;
 
-    std::uint32_t req_bytes =
-        is_write ? params_.dataBytes : params_.reqBytes;
-    std::uint32_t resp_bytes =
-        is_write ? params_.reqBytes : params_.dataBytes;
+    std::uint32_t req_bytes = is_write ? lineBytes : headerBytes;
+    std::uint32_t resp_bytes = is_write ? headerBytes : lineBytes;
 
     if (local) {
         localBytes_ += req_bytes + resp_bytes;
@@ -88,7 +94,7 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
     if (local && !params_.monolithic) {
         // Direct vertical path: TSVs up to the stack, access, TSVs down.
         ENA_ASSERT(localStack_, "local stack not wired on ", name());
-        Tick tsv = params_.tsvCycles * cycle();
+        Tick tsv = tsvCycles * gpuCycle;
         Callback cb = std::move(done);
         HbmStack *stack = localStack_;
         std::uint64_t a = addr;
@@ -96,7 +102,7 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
         eventq().scheduleLambda(
             curTick() + tsv,
             [this, stack, a, w, cb = std::move(cb), tsv]() mutable {
-                stack->access(a, params_.dataBytes, w,
+                stack->access(a, lineBytes, w,
                               [this, cb = std::move(cb), tsv]() mutable {
                                   eventq().scheduleLambda(curTick() + tsv,
                                                           std::move(cb));
@@ -127,9 +133,9 @@ GpuChiplet::writeback(std::uint64_t addr)
     int home = addrMap_.stackFor(addr);
     bool local = home == localStackIndex_;
     if (local) {
-        localBytes_ += params_.dataBytes;
+        localBytes_ += lineBytes;
     } else {
-        remoteBytes_ += params_.dataBytes;
+        remoteBytes_ += lineBytes;
     }
 
     if (local && !params_.monolithic) {
@@ -137,10 +143,8 @@ GpuChiplet::writeback(std::uint64_t addr)
         HbmStack *stack = localStack_;
         std::uint64_t a = addr;
         eventq().scheduleLambda(
-            curTick() + params_.tsvCycles * cycle(),
-            [this, stack, a] {
-                stack->access(a, params_.dataBytes, true, [] {});
-            });
+            curTick() + tsvCycles * gpuCycle,
+            [stack, a] { stack->access(a, lineBytes, true, [] {}); });
         return;
     }
 
@@ -152,7 +156,7 @@ GpuChiplet::writeback(std::uint64_t addr)
     pkt.id = (static_cast<std::uint64_t>(index_) << 48) | nextPktId_++;
     pkt.src = nodeId_;
     pkt.dst = stackNodes_[home];
-    pkt.bytes = params_.dataBytes;
+    pkt.bytes = lineBytes;
     pkt.addr = addr;
     pkt.isWrite = true;
     pkt.needsResponse = false;

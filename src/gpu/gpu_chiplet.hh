@@ -29,14 +29,12 @@ namespace ena {
 
 class ComputeUnit;
 
+/** One cycle of the 1 GHz GPU clock, shared by the chiplet and its
+ *  CUs. */
+constexpr Tick gpuCycle = clockPeriod(1.0);
+
 struct GpuChipletParams
 {
-    double clockGhz = 1.0;
-    CacheParams l2 = {2ull << 20, 64, 16};
-    std::uint32_t l2HitCycles = 24;
-    std::uint32_t tsvCycles = 4;        ///< vertical hop to local stack
-    std::uint32_t reqBytes = 16;        ///< request header
-    std::uint32_t dataBytes = 64;       ///< cache-line payload
     bool monolithic = false;            ///< flat-crossbar mode
 };
 
@@ -87,8 +85,6 @@ class GpuChiplet : public SimObject, public NetworkEndpoint
     }
 
   private:
-    Tick cycle() const { return clockPeriod(params_.clockGhz); }
-
     /** Send a post-L2 access to its home stack. */
     void sendToStack(std::uint64_t addr, bool is_write, Callback done);
 

@@ -7,11 +7,9 @@ namespace ena {
 MemStackEndpoint::MemStackEndpoint(Simulation &sim,
                                    const std::string &name,
                                    NodeId node_id, HbmStack &stack,
-                                   Network &network,
-                                   std::uint32_t data_bytes,
-                                   std::uint32_t ack_bytes)
+                                   Network &network)
     : SimObject(sim, name), nodeId_(node_id), stack_(stack),
-      network_(network), dataBytes_(data_bytes), ackBytes_(ack_bytes)
+      network_(network)
 {
     network_.attach(nodeId_, this);
 }
@@ -23,7 +21,7 @@ MemStackEndpoint::receivePacket(const Packet &pkt)
 
     if (!pkt.needsResponse) {
         // Posted writeback: just perform the access.
-        stack_.access(pkt.addr, dataBytes_, true, [] {});
+        stack_.access(pkt.addr, lineBytes, true, [] {});
         return;
     }
 
@@ -31,12 +29,12 @@ MemStackEndpoint::receivePacket(const Packet &pkt)
     resp.id = pkt.id;
     resp.src = nodeId_;
     resp.dst = pkt.src;
-    resp.bytes = pkt.isWrite ? ackBytes_ : dataBytes_;
+    resp.bytes = pkt.isWrite ? headerBytes : lineBytes;
     resp.isResponse = true;
     resp.addr = pkt.addr;
     resp.isWrite = pkt.isWrite;
 
-    stack_.access(pkt.addr, dataBytes_, pkt.isWrite,
+    stack_.access(pkt.addr, lineBytes, pkt.isWrite,
                   [this, resp] { network_.send(resp); });
 }
 

@@ -18,9 +18,7 @@ class MemStackEndpoint : public SimObject, public NetworkEndpoint
 {
   public:
     MemStackEndpoint(Simulation &sim, const std::string &name,
-                     NodeId node_id, HbmStack &stack, Network &network,
-                     std::uint32_t data_bytes = 64,
-                     std::uint32_t ack_bytes = 16);
+                     NodeId node_id, HbmStack &stack, Network &network);
 
     void receivePacket(const Packet &pkt) override;
 
@@ -28,8 +26,6 @@ class MemStackEndpoint : public SimObject, public NetworkEndpoint
     NodeId nodeId_;
     HbmStack &stack_;
     Network &network_;
-    std::uint32_t dataBytes_;
-    std::uint32_t ackBytes_;
 };
 
 } // namespace ena

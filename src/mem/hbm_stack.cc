@@ -3,29 +3,20 @@
 #include <algorithm>
 #include <cmath>
 
+#include "noc/packet.hh"
 #include "util/logging.hh"
 
 namespace ena {
 
-HbmParams
-HbmParams::forAggregateBandwidth(double total_gbs, int stacks)
-{
-    ENA_ASSERT(total_gbs > 0.0 && stacks > 0, "bad HBM sizing");
-    HbmParams p;
-    double per_stack = total_gbs / stacks;
-    p.bytesPerCycle = per_stack / (p.channels * p.clockGhz);
-    return p;
-}
-
 HbmStack::HbmStack(Simulation &sim, const std::string &name,
-                   HbmParams params)
-    : SimObject(sim, name), params_(params)
+                   double peak_gbs)
+    : SimObject(sim, name),
+      bytesPerCycle_(peak_gbs / (channels * clockGhz))
 {
-    ENA_ASSERT(params_.channels > 0 && params_.banksPerChannel > 0,
-               "bad HBM geometry");
-    channels_.resize(params_.channels);
+    ENA_ASSERT(peak_gbs > 0.0, "bad HBM bandwidth");
+    channels_.resize(channels);
     for (Channel &ch : channels_) {
-        ch.openRow.assign(params_.banksPerChannel, ~std::uint64_t(0));
+        ch.openRow.assign(banksPerChannel, ~std::uint64_t(0));
     }
 }
 
@@ -33,22 +24,21 @@ std::uint32_t
 HbmStack::channelOf(std::uint64_t addr) const
 {
     // Interleave channels at line granularity for bandwidth spreading.
-    return static_cast<std::uint32_t>((addr / params_.lineBytes) %
-                                      params_.channels);
+    return static_cast<std::uint32_t>((addr / lineBytes) % channels);
 }
 
 std::uint32_t
 HbmStack::bankOf(std::uint64_t addr) const
 {
-    return static_cast<std::uint32_t>(
-        (addr / params_.rowBytes) % params_.banksPerChannel);
+    return static_cast<std::uint32_t>((addr / rowBytes) %
+                                      banksPerChannel);
 }
 
 std::uint64_t
 HbmStack::rowOf(std::uint64_t addr) const
 {
-    return addr / (static_cast<std::uint64_t>(params_.rowBytes) *
-                   params_.banksPerChannel * params_.channels);
+    return addr / (static_cast<std::uint64_t>(rowBytes) *
+                   banksPerChannel * channels);
 }
 
 void
@@ -67,13 +57,12 @@ HbmStack::access(std::uint64_t addr, std::uint32_t bytes,
     else
         ++rowMisses_;
 
-    double access_ns = row_hit ? params_.rowHitNs : params_.rowMissNs;
+    double access_ns = row_hit ? rowHitNs : rowMissNs;
     Tick access_ticks = static_cast<Tick>(access_ns * tickPerNs);
-    double burst_cycles =
-        static_cast<double>(bytes) / params_.bytesPerCycle;
+    double burst_cycles = static_cast<double>(bytes) / bytesPerCycle_;
     Tick burst_ticks = std::max<Tick>(
         1, static_cast<Tick>(
-               std::ceil(burst_cycles * clockPeriod(params_.clockGhz))));
+               std::ceil(burst_cycles * clockPeriod(clockGhz))));
 
     Tick start = std::max(curTick(), ch.busyUntil);
     Tick finish = start + access_ticks + burst_ticks;

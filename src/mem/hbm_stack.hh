@@ -5,7 +5,8 @@
  * Channels contend independently; each channel models bank row-buffer
  * state (row hit vs row cycle), data-bus occupancy, and a FIFO service
  * horizon. Aggregate stack bandwidth = channels x bytesPerCycle x clock,
- * configured from the node's provisioned bandwidth.
+ * configured from the node's provisioned bandwidth; the geometry and
+ * the DRAM timings are fixed.
  */
 
 #ifndef ENA_MEM_HBM_STACK_HH
@@ -18,37 +19,20 @@
 
 namespace ena {
 
-struct HbmParams
-{
-    int channels = 8;
-    int banksPerChannel = 16;
-    double clockGhz = 1.0;
-    double bytesPerCycle = 32.0;     ///< per channel data width
-    std::uint32_t rowBytes = 2048;
-    double rowHitNs = 18.0;          ///< CAS-limited access
-    double rowMissNs = 42.0;         ///< precharge+activate+CAS
-    std::uint32_t lineBytes = 64;
-
-    /** Peak stack bandwidth in GB/s. */
-    double
-    peakGbs() const
-    {
-        return channels * bytesPerCycle * clockGhz;
-    }
-
-    /**
-     * Parameters for one of @p stacks stacks providing an aggregate
-     * @p total_gbs of in-package bandwidth.
-     */
-    static HbmParams forAggregateBandwidth(double total_gbs, int stacks);
-};
-
 class HbmStack : public SimObject
 {
   public:
     using Callback = std::function<void()>;
 
-    HbmStack(Simulation &sim, const std::string &name, HbmParams params);
+    static constexpr int channels = 8;
+    static constexpr int banksPerChannel = 16;
+    static constexpr double clockGhz = 1.0;
+    static constexpr std::uint32_t rowBytes = 2048;
+    static constexpr double rowHitNs = 18.0;    ///< CAS-limited access
+    static constexpr double rowMissNs = 42.0;   ///< precharge+activate+CAS
+
+    /** A stack of @p peak_gbs GB/s, split evenly over its channels. */
+    HbmStack(Simulation &sim, const std::string &name, double peak_gbs);
 
     /**
      * Issue one access; @p done runs at completion time.
@@ -58,7 +42,12 @@ class HbmStack : public SimObject
     void access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
                 Callback done);
 
-    const HbmParams &params() const { return params_; }
+    /** Peak stack bandwidth in GB/s. */
+    double
+    peakGbs() const
+    {
+        return channels * bytesPerCycle_ * clockGhz;
+    }
 
     double rowHitRate() const;
     std::uint64_t bytesServed() const { return bytes_; }
@@ -74,7 +63,7 @@ class HbmStack : public SimObject
     std::uint32_t bankOf(std::uint64_t addr) const;
     std::uint64_t rowOf(std::uint64_t addr) const;
 
-    HbmParams params_;
+    double bytesPerCycle_;   ///< per channel data width
     std::vector<Channel> channels_;
 
     std::uint64_t bytes_ = 0;

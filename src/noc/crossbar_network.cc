@@ -18,32 +18,29 @@ CrossbarNetwork::CrossbarNetwork(Simulation &sim, const std::string &name,
 void
 CrossbarNetwork::route(const Packet &pkt)
 {
-    Tick cycle = clockPeriod(params_.clockGhz);
-
     // Occupancy charged against the shared aggregate capacity.
     double cycles_needed =
         static_cast<double>(pkt.bytes) / params_.aggregateBytesPerCycle;
     Tick occupancy =
         std::max<Tick>(1, static_cast<Tick>(
-                              std::ceil(cycles_needed * cycle)));
+                              std::ceil(cycles_needed * fabricCycle)));
 
     Tick depart = std::max(curTick(), busyUntil_);
     busyUntil_ = depart + occupancy;
 
-    Tick arrival = depart + occupancy + params_.latencyCycles * cycle;
+    Tick arrival = depart + occupancy + params_.latencyCycles * fabricCycle;
     deliver(pkt, 1, arrival);
 }
 
 Tick
 CrossbarNetwork::zeroLoadLatency(std::uint32_t bytes) const
 {
-    Tick cycle = clockPeriod(params_.clockGhz);
     double cycles_needed =
         static_cast<double>(bytes) / params_.aggregateBytesPerCycle;
     Tick occupancy =
         std::max<Tick>(1, static_cast<Tick>(
-                              std::ceil(cycles_needed * cycle)));
-    return occupancy + params_.latencyCycles * cycle;
+                              std::ceil(cycles_needed * fabricCycle)));
+    return occupancy + params_.latencyCycles * fabricCycle;
 }
 
 } // namespace ena

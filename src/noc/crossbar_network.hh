@@ -14,7 +14,6 @@ namespace ena {
 
 struct CrossbarParams
 {
-    double clockGhz = 1.0;
     std::uint32_t latencyCycles = 6;      ///< uniform traversal latency
     double aggregateBytesPerCycle = 512;  ///< shared fabric capacity
 };

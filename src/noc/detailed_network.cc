@@ -28,7 +28,7 @@ DetailedNetwork::serialization(std::uint32_t bytes) const
 {
     double cycles =
         static_cast<double>(bytes) / params_.linkBytesPerCycle;
-    auto ticks = static_cast<Tick>(cycles * params_.cycle());
+    auto ticks = static_cast<Tick>(cycles * fabricCycle);
     return std::max<Tick>(ticks, 1);
 }
 
@@ -66,7 +66,7 @@ DetailedNetwork::route(const Packet &pkt)
         arriveAtRouter(copy, r, injectPort, 0);
     };
     eventq().scheduleLambda(
-        curTick() + params_.tsvCycles * params_.cycle(), std::move(inject));
+        curTick() + interposerTsvCycles * fabricCycle, std::move(inject));
 }
 
 void
@@ -75,7 +75,7 @@ DetailedNetwork::arriveAtRouter(Packet pkt, std::uint32_t r,
                                 std::uint32_t hops)
 {
     eventq().scheduleLambda(
-        curTick() + params_.routerCycles * params_.cycle(),
+        curTick() + interposerRouterCycles * fabricCycle,
         [this, pkt, r, in_port, hops] {
             departRouter(pkt, r, in_port, hops);
         });
@@ -89,7 +89,7 @@ DetailedNetwork::departRouter(Packet pkt, std::uint32_t r,
     if (r == dst_router) {
         // Ascend to the endpoint; the input buffer frees now.
         releaseSlot(r, in_port);
-        deliver(pkt, hops, curTick() + params_.tsvCycles * params_.cycle());
+        deliver(pkt, hops, curTick() + interposerTsvCycles * fabricCycle);
         return;
     }
     tryTraverse(pkt, r, in_port, nextHopXY(r, dst_router), hops);
@@ -115,7 +115,7 @@ DetailedNetwork::tryTraverse(Packet pkt, std::uint32_t r,
     Tick depart = std::max(curTick(), busy);
     busy = depart + ser;
     Tick tail_out = depart + ser;
-    Tick arrive = tail_out + params_.linkCycles * params_.cycle();
+    Tick arrive = tail_out + interposerLinkCycles * fabricCycle;
 
     eventq().scheduleLambda(
         tail_out, [this, r, in_port] { releaseSlot(r, in_port); });

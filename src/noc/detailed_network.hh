@@ -20,22 +20,19 @@
 #include <deque>
 #include <map>
 
+#include "noc/interposer_network.hh"
 #include "noc/network.hh"
 #include "noc/topology.hh"
 
 namespace ena {
 
+/** Width and buffering of the interposer fabric; its latencies are
+ *  InterposerNetwork's. */
 struct DetailedParams
 {
-    double clockGhz = 1.0;
-    std::uint32_t routerCycles = 2;   ///< per-router pipeline
-    std::uint32_t linkCycles = 1;
-    std::uint32_t tsvCycles = 1;
     std::uint32_t linkBytesPerCycle = 256;
     /** Input-buffer capacity per (router, input port), in packets. */
     int bufferPackets = 8;
-
-    Tick cycle() const { return clockPeriod(clockGhz); }
 };
 
 class DetailedNetwork : public Network

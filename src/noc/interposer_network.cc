@@ -23,7 +23,7 @@ InterposerNetwork::serialization(std::uint32_t bytes) const
     // it for a quarter cycle, not a full one.
     double cycles = static_cast<double>(bytes) /
                     params_.linkBytesPerCycle;
-    auto ticks = static_cast<Tick>(cycles * params_.cycle());
+    auto ticks = static_cast<Tick>(cycles * fabricCycle);
     return std::max<Tick>(ticks, 1);
 }
 
@@ -32,29 +32,28 @@ InterposerNetwork::route(const Packet &pkt)
 {
     const TopologyNode &src = topo_.node(pkt.src);
     const TopologyNode &dst = topo_.node(pkt.dst);
-    Tick cycle = params_.cycle();
     Tick ser = serialization(pkt.bytes);
 
     // Descend into the interposer.
-    Tick t = curTick() + params_.tsvCycles * cycle;
+    Tick t = curTick() + interposerTsvCycles * fabricCycle;
 
     std::uint32_t hops = 0;
     std::uint32_t at = src.router;
     while (at != dst.router) {
         std::uint32_t nh = topo_.nextHop(at, dst.router);
         // Router pipeline, then contend for the directed link.
-        t += params_.routerCycles * cycle;
+        t += interposerRouterCycles * fabricCycle;
         Tick &busy = linkBusy_[{at, nh}];
         Tick depart = std::max(t, busy);
         busy = depart + ser;
-        t = depart + ser + params_.linkCycles * cycle;
+        t = depart + ser + interposerLinkCycles * fabricCycle;
         at = nh;
         ++hops;
     }
 
     // Final router traversal and ascent to the destination chiplet.
-    t += params_.routerCycles * cycle;
-    t += params_.tsvCycles * cycle;
+    t += interposerRouterCycles * fabricCycle;
+    t += interposerTsvCycles * fabricCycle;
 
     deliver(pkt, hops, t);
 }
@@ -65,11 +64,10 @@ InterposerNetwork::zeroLoadLatency(NodeId src_id, NodeId dst_id,
 {
     const TopologyNode &src = topo_.node(src_id);
     const TopologyNode &dst = topo_.node(dst_id);
-    Tick cycle = params_.cycle();
     std::uint32_t hops = topo_.hopCount(src.router, dst.router);
-    Tick t = 2 * params_.tsvCycles * cycle;
-    t += (hops + 1) * params_.routerCycles * cycle;
-    t += hops * (serialization(bytes) + params_.linkCycles * cycle);
+    Tick t = 2 * interposerTsvCycles * fabricCycle;
+    t += (hops + 1) * interposerRouterCycles * fabricCycle;
+    t += hops * (serialization(bytes) + interposerLinkCycles * fabricCycle);
     return t;
 }
 

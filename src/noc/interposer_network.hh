@@ -24,21 +24,17 @@
 
 namespace ena {
 
-/** Timing/width parameters of the interposer fabric. */
+/** Interposer latencies in fabric cycles; DetailedNetwork models the
+ *  same interposer. */
+constexpr std::uint32_t interposerRouterCycles = 2; ///< router pipeline
+constexpr std::uint32_t interposerLinkCycles = 1;   ///< link propagation
+constexpr std::uint32_t interposerTsvCycles = 1;    ///< one TSV transition
+
+/** Width of the interposer fabric. */
 struct InterposerParams
 {
-    double clockGhz = 1.0;          ///< fabric clock
-    std::uint32_t routerCycles = 2; ///< per-router pipeline latency
-    std::uint32_t linkCycles = 1;   ///< per-link propagation latency
-    std::uint32_t tsvCycles = 1;    ///< per vertical (TSV) transition
     std::uint32_t linkBytesPerCycle = 256; ///< link width (wide
                                            ///< interposer paths)
-
-    Tick
-    cycle() const
-    {
-        return clockPeriod(clockGhz);
-    }
 };
 
 class InterposerNetwork : public Network

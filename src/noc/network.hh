@@ -15,6 +15,10 @@
 
 namespace ena {
 
+/** One cycle of the 1 GHz clock every on-package fabric model runs
+ *  on. */
+constexpr Tick fabricCycle = clockPeriod(1.0);
+
 /** Anything that can receive packets from a network. */
 class NetworkEndpoint
 {

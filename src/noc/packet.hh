@@ -22,6 +22,15 @@ using NodeId = std::uint32_t;
 
 constexpr NodeId invalidNode = ~NodeId(0);
 
+/** Bytes of a packet that carries no data: a read request or a write
+ *  acknowledgement. */
+constexpr std::uint32_t headerBytes = 16;
+
+/** Bytes of a packet that carries one cache line: a read response, a
+ *  write or a writeback. Also the line size of the GPU caches and the
+ *  HBM channel interleave. */
+constexpr std::uint32_t lineBytes = 64;
+
 struct Packet
 {
     std::uint64_t id = 0;

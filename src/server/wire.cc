@@ -244,6 +244,9 @@ class JsonParser
 
   private:
     static constexpr int kMaxDepth = 100;
+    /** The most members one object may hold: each new key is looked up
+     *  among the members before it, so this bounds that scan. */
+    static constexpr std::size_t kMaxMembers = 256;
     /** The most members an object reserves before it is parsed. */
     static constexpr std::size_t kMaxReserved = 64;
 
@@ -464,6 +467,8 @@ class JsonParser
             if (slot) {
                 slot->v_.emplace<std::monostate>();
             } else {
+                if (obj.size() == kMaxMembers)
+                    return fail("too many object members");
                 slot = &obj.emplace_back(std::piecewise_construct,
                                          std::forward_as_tuple(std::move(key)),
                                          std::forward_as_tuple())

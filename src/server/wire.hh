@@ -152,7 +152,9 @@ class JsonWriter
 
 /**
  * Parse one JSON document (leading/trailing whitespace allowed). Each
- * value is parsed straight into its place in the tree.
+ * value is parsed straight into its place in the tree. A document
+ * nested more than 100 deep, or with an object of more than 256
+ * distinct keys, is a parse error.
  */
 Expected<JsonValue> tryParseJson(std::string_view text);
 

@@ -37,8 +37,6 @@ TaskGraphStudy::sweep(const TaskDag &dag, const NodeConfig &cfg,
             ClusterConfig cc = base_;
             cc.topology = p.topology;
             cc.nodes = p.nodes;
-            // Explicit torus dims only fit the base node count.
-            cc.torusX = cc.torusY = cc.torusZ = 0;
 
             return runSweepCell(
                 "taskgraph sweep", i, p,
@@ -89,7 +87,6 @@ TaskGraphStudy::jobMix(const std::vector<TaskDag> &dags,
 
     ClusterConfig cc = base_;
     cc.nodes = total_nodes;
-    cc.torusX = cc.torusY = cc.torusZ = 0;
     InterNodeNetwork net(cc);
 
     r.perJob = ThreadPool::global().parallelMap(

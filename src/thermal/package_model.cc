@@ -9,11 +9,20 @@
 
 namespace ena {
 
+namespace {
+
+constexpr double dieEdgeM = 0.015;   ///< chiplet/stack edge length
+constexpr int dramDies = 8;
+/** CU tile grid on the GPU die: cols x rows tile slots. */
+constexpr int tileCols = 8;
+constexpr int tileRows = 6;
+
+} // anonymous namespace
+
 EhpPackageModel::EhpPackageModel(PackageThermalParams params)
     : params_(params)
 {
     ENA_ASSERT(params_.gridN >= 8, "grid too coarse");
-    ENA_ASSERT(params_.dramDies > 0, "need DRAM dies");
 }
 
 ThermalGrid
@@ -43,7 +52,7 @@ EhpPackageModel::buildGrid(const NodeConfig &cfg,
     gpu.conductivity = 120.0;
     gpu.power = PowerMap(n, n);
 
-    int slots = params_.tileCols * params_.tileRows;
+    int slots = tileCols * tileRows;
     int active = std::min(
         slots, static_cast<int>(cfg.cusPerChiplet() + 0.5));
     ENA_ASSERT(active > 0, "no active CU tiles");
@@ -53,12 +62,12 @@ EhpPackageModel::buildGrid(const NodeConfig &cfg,
     // CU array occupies the central 3/4 of the die.
     size_t margin = n / 8;
     size_t array_w = n - 2 * margin;
-    size_t tile_w = array_w / params_.tileCols;
-    size_t tile_h = array_w / params_.tileRows;
+    size_t tile_w = array_w / tileCols;
+    size_t tile_h = array_w / tileRows;
     // Gap cells between tiles sharpen the hot-spot pattern.
     for (int ti = 0; ti < active; ++ti) {
-        int col = ti % params_.tileCols;
-        int row = ti / params_.tileCols;
+        int col = ti % tileCols;
+        int row = ti / tileCols;
         size_t x0 = margin + col * tile_w;
         size_t y0 = margin + row * tile_h;
         size_t w = std::max<size_t>(1, tile_w - 1);
@@ -71,8 +80,8 @@ EhpPackageModel::buildGrid(const NodeConfig &cfg,
     std::vector<Layer> layers;
     layers.push_back(std::move(interposer));
     layers.push_back(std::move(gpu));
-    double per_die_w = hbm_w / params_.dramDies;
-    for (int d = 0; d < params_.dramDies; ++d) {
+    double per_die_w = hbm_w / dramDies;
+    for (int d = 0; d < dramDies; ++d) {
         Layer die;
         die.name = strformat("dram%d", d);
         die.thicknessM = 60e-6;
@@ -99,8 +108,8 @@ EhpPackageModel::buildGrid(const NodeConfig &cfg,
     layers.push_back(std::move(spreader));
 
     ThermalGridParams gp;
-    gp.widthM = params_.dieEdgeM;
-    gp.depthM = params_.dieEdgeM;
+    gp.widthM = dieEdgeM;
+    gp.depthM = dieEdgeM;
     gp.ambientC = params_.ambientC;
     gp.sinkResistance = params_.sinkResistance;
     return ThermalGrid(gp, std::move(layers));
@@ -126,7 +135,7 @@ EhpPackageModel::solve(const NodeConfig &cfg,
     r.peakBottomDramC = grid.peak("dram0");
     r.peakGpuC = grid.peak("gpu");
     r.peakDramC = 0.0;
-    for (int d = 0; d < params_.dramDies; ++d) {
+    for (int d = 0; d < dramDies; ++d) {
         r.peakDramC = std::max(
             r.peakDramC, grid.peak(strformat("dram%d", d)));
     }

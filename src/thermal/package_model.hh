@@ -24,15 +24,10 @@ namespace ena {
 struct PackageThermalParams
 {
     size_t gridN = 32;              ///< lateral resolution (N x N)
-    double dieEdgeM = 0.015;        ///< chiplet/stack edge length
     double ambientC = 50.0;
     /** Per-column sink resistance (high-end air cooling shared by the
      *  whole package; one column sees ~8x the package resistance). */
     double sinkResistance = 1.8;
-    int dramDies = 8;
-    /** CU tile grid on the GPU die: cols x rows tile slots. */
-    int tileCols = 8;
-    int tileRows = 6;
 };
 
 struct PackageThermalResult

@@ -83,28 +83,18 @@ TEST(ClusterConfigIo, RoundTripsThroughConfig)
     c.linkGbs = 50.0;
     c.linkLatencyUs = 0.25;
     c.pjPerBit = 5.0;
-    c.fatTreeRadix = 48;
     c.fatTreeTaper = 2.0;
-    c.dragonflyGroupRouters = 16;
-    c.torusX = 16;
-    c.torusY = 12;
-    c.torusZ = 8;
 
     // bench_taskgraph sends these bytes as part of a request's config.
     const Config text = clusterConfigToConfig(c);
     EXPECT_EQ(text.toString(),
-              "cluster.dragonfly_group_routers = 16\n"
-              "cluster.fat_tree_radix = 48\n"
               "cluster.fat_tree_taper = 2\n"
               "cluster.link_gbs = 50\n"
               "cluster.link_latency_us = 0.25\n"
               "cluster.links_per_node = 8\n"
               "cluster.nodes = 4096\n"
               "cluster.pj_per_bit = 5\n"
-              "cluster.topology = dragonfly\n"
-              "cluster.torus_x = 16\n"
-              "cluster.torus_y = 12\n"
-              "cluster.torus_z = 8\n");
+              "cluster.topology = dragonfly\n");
 
     auto back = tryClusterConfigFromConfig(text);
     ASSERT_TRUE(back.ok()) << back.status().toString();
@@ -114,12 +104,7 @@ TEST(ClusterConfigIo, RoundTripsThroughConfig)
     EXPECT_EQ(back->linkGbs, c.linkGbs);
     EXPECT_EQ(back->linkLatencyUs, c.linkLatencyUs);
     EXPECT_EQ(back->pjPerBit, c.pjPerBit);
-    EXPECT_EQ(back->fatTreeRadix, c.fatTreeRadix);
     EXPECT_EQ(back->fatTreeTaper, c.fatTreeTaper);
-    EXPECT_EQ(back->dragonflyGroupRouters, c.dragonflyGroupRouters);
-    EXPECT_EQ(back->torusX, c.torusX);
-    EXPECT_EQ(back->torusY, c.torusY);
-    EXPECT_EQ(back->torusZ, c.torusZ);
 }
 
 TEST(ClusterConfigIo, OneFileDescribesNodeAndCluster)
@@ -131,9 +116,6 @@ TEST(ClusterConfigIo, OneFileDescribesNodeAndCluster)
         ehp.freq_ghz = 1.2
         cluster.nodes = 2000
         cluster.topology = 3d-torus
-        cluster.torus_x = 20
-        cluster.torus_y = 10
-        cluster.torus_z = 10
     )");
 
     NodeConfig node = *tryNodeConfigFromConfig(cfg);
@@ -143,9 +125,6 @@ TEST(ClusterConfigIo, OneFileDescribesNodeAndCluster)
     ClusterConfig cluster = *tryClusterConfigFromConfig(cfg);
     EXPECT_EQ(cluster.nodes, 2000);
     EXPECT_EQ(cluster.topology, ClusterTopology::Torus3D);
-    EXPECT_EQ(cluster.torusX, 20);
-    EXPECT_EQ(cluster.torusY, 10);
-    EXPECT_EQ(cluster.torusZ, 10);
 }
 
 TEST(ClusterConfigIo, DefaultsWhenNoClusterKeys)
@@ -166,4 +145,22 @@ TEST(ClusterConfigIoDeathTest, TyposInClusterKeysAreFatal)
     EXPECT_EQ(c.status().code(), ErrorCode::InvalidArgument);
     EXPECT_EQ(c.status().message(),
               "unknown cluster-config key 'cluster.nodez' (c.ini:1)");
+}
+
+// The fabric's shape is derived from the node count, never read: each
+// key that once set it is a typo like any other.
+TEST(ClusterConfigIo, ShapeKeysAreUnknown)
+{
+    for (const char *key :
+         {"cluster.fat_tree_radix", "cluster.dragonfly_group_routers",
+          "cluster.torus_x", "cluster.torus_y", "cluster.torus_z"}) {
+        Config cfg = *Config::tryFromString(
+            std::string("cluster.nodes = 64\n") + key + " = 4\n", "c.ini");
+        auto c = tryClusterConfigFromConfig(cfg);
+        ASSERT_FALSE(c.ok()) << key;
+        EXPECT_EQ(c.status().code(), ErrorCode::InvalidArgument) << key;
+        EXPECT_EQ(c.status().message(),
+                  "unknown cluster-config key '" + std::string(key) +
+                      "' (c.ini:2)");
+    }
 }

@@ -2,10 +2,10 @@
  * @file
  * ResilientClusterEvaluator: the zero-resiliency bit-identical
  * reduction to ClusterEvaluator, cluster.ras. config-file bindings,
- * fabric-drained checkpoints, the protection ladder's effect on
- * effective exaflops, determinism of the sharded protection sweep and
- * the availability-constrained best-config search, and the protection
- * sweep's quarantine of invalid cells.
+ * the spec's range checks, fabric-drained checkpoints, the protection
+ * ladder's effect on effective exaflops, determinism of the sharded
+ * protection sweep and the availability-constrained best-config
+ * search, and the protection sweep's quarantine of invalid cells.
  */
 
 #include <gtest/gtest.h>
@@ -146,6 +146,46 @@ TEST(ResilientClusterDeathTest, UnknownRasKeyIsFatal)
               "(r.ini:1)");
 }
 
+// A spec that validates never reaches the checkpoint model's
+// assertions: a negative overhead made the interval NaN, and an NTC
+// multiplier near DBL_MAX made the MTTF zero.
+TEST(ResilientCluster, SpecRejectsValuesTheCheckpointModelCannotPlan)
+{
+    const auto rejects = [](auto &&edit) {
+        ResilienceSpec s;
+        edit(s);
+        return s.tryValidate().code() == ErrorCode::OutOfRange;
+    };
+    EXPECT_TRUE(rejects([](ResilienceSpec &s) {
+        s.checkpoint.overheadS = -1000.0;
+    }));
+    EXPECT_TRUE(rejects([](ResilienceSpec &s) {
+        s.checkpoint.restartExtraS = -1.0;
+    }));
+    EXPECT_TRUE(rejects([](ResilienceSpec &s) {
+        s.checkpoint.checkpointBytes = 0.5;
+    }));
+    EXPECT_TRUE(rejects([](ResilienceSpec &s) {
+        s.ras.ntcSerMultiplier = 1e308;
+    }));
+
+    // The accepted extremes, on the largest machine, still plan.
+    ResilienceSpec edge;
+    edge.ras.ntcSerMultiplier = ResilienceSpec::maxNtcSerMultiplier;
+    edge.checkpoint.checkpointBytes = 1.0;
+    edge.checkpoint.overheadS = 0.0;
+    edge.checkpoint.restartExtraS = 0.0;
+    ASSERT_TRUE(edge.tryValidate().ok());
+    NodeConfig cfg = NodeConfig::bestMean();
+    cfg.opts.ntc = true;
+    const ClusterEvaluator ce = clusterAt(100000000);
+    ResilientResult r = ResilientClusterEvaluator(ce, edge).evaluate(
+        cfg, App::CoMD, CommSpec{});
+    EXPECT_GT(r.systemMttfHours, 0.0);
+    EXPECT_GE(r.ckptEfficiency, 0.0);
+    EXPECT_LE(r.ckptEfficiency, 1.0);
+}
+
 TEST(ResilientCluster, FabricDrainMatchesNetworkAllToAllRate)
 {
     // With checkpointViaFabric the drain bandwidth is what the fabric
@@ -239,7 +279,6 @@ TEST(ResilientCluster, SweepMatchesDirectEvaluationAndOrdering)
         ClusterConfig cc = ClusterConfig::exascale();
         cc.nodes = p.nodes;
         cc.topology = p.topology;
-        cc.torusX = cc.torusY = cc.torusZ = 0;
         ClusterEvaluator ce(evaluator(), cc);
         ResilientClusterEvaluator rce(ce, variants[p.variant].spec);
         ResilientResult r = rce.evaluate(cfg, App::CoMD, CommSpec{});

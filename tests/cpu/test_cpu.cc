@@ -32,9 +32,8 @@ struct CpuFixture : testing::Test
         net = sim.create<InterposerNetwork>("noc", topo,
                                             InterposerParams{});
         for (int i = 0; i < 2; ++i) {
-            auto *stack = sim.create<HbmStack>(
-                strformat("hbm%d", i),
-                HbmParams::forAggregateBandwidth(200.0, 2));
+            auto *stack =
+                sim.create<HbmStack>(strformat("hbm%d", i), 200.0 / 2);
             stacks.push_back(stack);
             sim.create<MemStackEndpoint>(
                 strformat("hbm%d.port", i),

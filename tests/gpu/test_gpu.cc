@@ -37,12 +37,11 @@ struct MiniEhp
         }
         net = sim.create<InterposerNetwork>("noc", topo,
                                             InterposerParams{});
-        HbmParams hbm = HbmParams::forAggregateBandwidth(200.0, chiplets);
         GpuChipletParams gp;
         gp.monolithic = monolithic;
         for (int i = 0; i < chiplets; ++i) {
-            auto *stack = sim.create<HbmStack>(
-                strformat("hbm%d", i), hbm);
+            auto *stack = sim.create<HbmStack>(strformat("hbm%d", i),
+                                               200.0 / chiplets);
             stacks.push_back(stack);
             sim.create<MemStackEndpoint>(
                 strformat("hbm%d.port", i),

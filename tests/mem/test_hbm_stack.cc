@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/hbm_stack.hh"
+#include "noc/packet.hh"
 #include "sim/simulation.hh"
 
 using namespace ena;
@@ -18,9 +19,7 @@ namespace {
 struct StackFixture : testing::Test
 {
     Simulation sim;
-    HbmStack *stack =
-        sim.create<HbmStack>("hbm", HbmParams::forAggregateBandwidth(
-                                        750.0, 8));
+    HbmStack *stack = sim.create<HbmStack>("hbm", 750.0 / 8);
 
     void SetUp() override { sim.initAll(); }
 
@@ -42,21 +41,21 @@ struct StackFixture : testing::Test
 TEST_F(StackFixture, BandwidthSizing)
 {
     // 750 GB/s over 8 stacks = 93.75 GB/s per stack.
-    EXPECT_NEAR(stack->params().peakGbs(), 93.75, 0.01);
+    EXPECT_NEAR(stack->peakGbs(), 93.75, 0.01);
 }
 
 TEST_F(StackFixture, CallbackFiresAfterAccessLatency)
 {
     double ns = timedAccess(0);
     // Cold access: row miss latency plus burst.
-    EXPECT_GE(ns, stack->params().rowMissNs);
-    EXPECT_LT(ns, stack->params().rowMissNs + 20.0);
+    EXPECT_GE(ns, HbmStack::rowMissNs);
+    EXPECT_LT(ns, HbmStack::rowMissNs + 20.0);
 }
 
 TEST_F(StackFixture, RowHitIsFasterThanRowMiss)
 {
     double first = timedAccess(0);
-    double second = timedAccess(64 * stack->params().channels);
+    double second = timedAccess(lineBytes * HbmStack::channels);
     // Same channel (line interleave wraps), same bank, same row ->
     // row hit.
     EXPECT_LT(second, first);
@@ -66,11 +65,11 @@ TEST_F(StackFixture, RowHitIsFasterThanRowMiss)
 TEST_F(StackFixture, DifferentRowsConflict)
 {
     std::uint64_t row_stride =
-        static_cast<std::uint64_t>(stack->params().rowBytes) *
-        stack->params().banksPerChannel * stack->params().channels;
+        static_cast<std::uint64_t>(HbmStack::rowBytes) *
+        HbmStack::banksPerChannel * HbmStack::channels;
     timedAccess(0);
     double other_row = timedAccess(row_stride);
-    EXPECT_GE(other_row, stack->params().rowMissNs);
+    EXPECT_GE(other_row, HbmStack::rowMissNs);
     EXPECT_DOUBLE_EQ(stack->rowHitRate(), 0.0);
 }
 
@@ -83,15 +82,14 @@ TEST_F(StackFixture, ChannelContentionSerializesBursts)
     for (int i = 0; i < n; ++i) {
         // Same channel: stride by channels * lineBytes.
         std::uint64_t addr =
-            static_cast<std::uint64_t>(i) * 64 *
-            stack->params().channels;
+            static_cast<std::uint64_t>(i) * lineBytes * HbmStack::channels;
         stack->access(addr, 64, false,
                       [&done, i, this] { done[i] = sim.curTick(); });
     }
     sim.run();
     std::sort(done.begin(), done.end());
-    double burst_ns =
-        64.0 / stack->params().bytesPerCycle / stack->params().clockGhz;
+    // 64 B at one channel's share of the stack's bandwidth.
+    double burst_ns = 64.0 * HbmStack::channels / stack->peakGbs();
     double span = static_cast<double>(done.back() - done.front()) /
                   tickPerNs;
     EXPECT_GE(span, burst_ns * (n - 2));
@@ -118,19 +116,10 @@ TEST_F(StackFixture, StatsAccumulate)
     EXPECT_DOUBLE_EQ(stack->bytesServed(), 128.0);
 }
 
-TEST(HbmParams, AggregateSizingScalesWithStacks)
-{
-    HbmParams four = HbmParams::forAggregateBandwidth(1000.0, 4);
-    HbmParams eight = HbmParams::forAggregateBandwidth(1000.0, 8);
-    EXPECT_NEAR(four.peakGbs(), 250.0, 1e-9);
-    EXPECT_NEAR(eight.peakGbs(), 125.0, 1e-9);
-}
-
 TEST(HbmDeathTest, MissingCallbackPanics)
 {
     Simulation sim;
-    auto *stack = sim.create<HbmStack>(
-        "hbm", HbmParams::forAggregateBandwidth(750.0, 8));
+    auto *stack = sim.create<HbmStack>("hbm", 750.0 / 8);
     sim.initAll();
     EXPECT_DEATH(stack->access(0, 64, false, nullptr),
                  "completion callback");

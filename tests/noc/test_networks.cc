@@ -137,7 +137,7 @@ TEST_F(NetFixture, LinkContentionDelaysBursts)
     runAll();
     ASSERT_EQ(sinks[hbm7].arrivals.size(), 16u);
     Tick last = sinks[hbm7].arrivals.back().second;
-    EXPECT_GT(last, solo + 14 * 4 * clockPeriod(ip.clockGhz));
+    EXPECT_GT(last, solo + 14 * 4 * fabricCycle);
 }
 
 TEST_F(NetFixture, ByteHopsTrackDistance)
@@ -195,7 +195,7 @@ TEST_F(NetFixture, CrossbarCapacitySharedGlobally)
     }
     // 8 x 640 B at 64 B/cycle = 80 cycles of occupancy minimum.
     // 7 predecessors x 10 cycles occupancy + 6 cycles latency.
-    EXPECT_GE(max_arrival, 76u * clockPeriod(xp.clockGhz));
+    EXPECT_GE(max_arrival, 76u * fabricCycle);
 }
 
 TEST_F(NetFixture, LatencyStatRecorded)

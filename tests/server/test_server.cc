@@ -6,7 +6,8 @@
  * client's retry policy, and
  * end-to-end daemon tests over a Unix socket — among them the
  * concurrent multi-client sweep that must be bit-identical to serial
- * local evaluation with exact request accounting, and the serving
+ * local evaluation with exact request accounting, requests that once
+ * ended the daemon and now get structured errors, and the serving
  * model: per-connection order, evaluation slots, a client that never
  * reads, joined reader threads and descriptor exhaustion.
  */
@@ -604,6 +605,63 @@ TEST(EvalServer, ServesPingEvalAndErrorsOverAUnixSocket)
     auto stats = client.stats();
     ASSERT_TRUE(stats.ok());
     EXPECT_GE(stats->find("requests")->number(), 3.0);
+
+    (*server)->stop();
+}
+
+// Each of these requests once ended the daemon from inside a request:
+// a fabric shape the config named reached an ENA_FATAL, and a
+// resilience spec that validated reached an assertion of the checkpoint
+// model. Each must come back as a structured error, the daemon still
+// serving.
+TEST(EvalServer, FormerlyFatalRequestsGetStructuredErrors)
+{
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("fatal"));
+    opts.workers = 2;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    ClientOptions copts;
+    copts.endpoint = (*server)->endpoint();
+    ServerClient client(copts);
+
+    struct Case
+    {
+        const char *op;
+        const char *config;
+        ErrorCode code;
+        const char *says;
+    };
+    const Case cases[] = {
+        {"cluster_eval", "cluster.fat_tree_radix = 5\n",
+         ErrorCode::InvalidArgument,
+         "unknown cluster-config key 'cluster.fat_tree_radix'"},
+        {"taskgraph_eval",
+         "cluster.topology = 3d-torus\ncluster.torus_x = 2\n",
+         ErrorCode::InvalidArgument,
+         "unknown cluster-config key 'cluster.torus_x'"},
+        {"resilient_eval", "cluster.ras.checkpoint_overhead_s = -1000\n",
+         ErrorCode::OutOfRange, "checkpoint overhead"},
+        {"resilient_eval",
+         "opts.ntc = true\ncluster.ras.ntc_ser_multiplier = 1e308\n",
+         ErrorCode::OutOfRange, "NTC SER multiplier"},
+    };
+    for (const Case &c : cases) {
+        JsonValue params = JsonValue::object();
+        if (std::string(c.op) != "taskgraph_eval")
+            params.set("app", "lulesh");
+        params.set("config", c.config);
+        auto got = client.call(c.op, std::move(params));
+        ASSERT_FALSE(got.ok()) << c.op << " with " << c.config;
+        EXPECT_EQ(got.status().code(), c.code) << got.status().toString();
+        EXPECT_NE(got.status().message().find(c.says), std::string::npos)
+            << got.status().toString();
+
+        auto pong = client.ping();
+        ASSERT_TRUE(pong.ok()) << pong.status().toString();
+    }
+    EXPECT_EQ((*server)->service().errorsReturned(), 4u);
 
     (*server)->stop();
 }

@@ -416,6 +416,33 @@ TEST(Wire, ParserRejectsDeepNesting)
     EXPECT_FALSE(tryParseJson(deep).ok());
 }
 
+// Each new key is looked up among the keys before it, so an object's
+// parse is quadratic in its size: the parser caps it at 256 members,
+// 16 times the largest object the protocol sends.
+TEST(Wire, ParserRejectsAnObjectOfMoreThan256Members)
+{
+    auto object = [](int members) {
+        std::string text = "{";
+        for (int i = 0; i < members; ++i)
+            text += (i ? ",\"k" : "\"k") + std::to_string(i) + "\":0";
+        return text + "}";
+    };
+    auto full = tryParseJson(object(256));
+    ASSERT_TRUE(full.ok()) << full.status().toString();
+    EXPECT_EQ(full->members().size(), 256u);
+    // A repeated key adds no member.
+    std::string repeated = object(256);
+    repeated.insert(repeated.size() - 1, ",\"k0\":1");
+    EXPECT_TRUE(tryParseJson(repeated).ok());
+
+    auto over = tryParseJson(object(257));
+    ASSERT_FALSE(over.ok());
+    EXPECT_EQ(over.status().code(), ErrorCode::ParseError);
+    EXPECT_NE(over.status().message().find("too many object members"),
+              std::string::npos)
+        << over.status().message();
+}
+
 TEST(Wire, TypedAccessors)
 {
     auto obj = tryParseJson("{\"s\":\"x\",\"n\":2.5,\"b\":true}");

@@ -172,8 +172,8 @@ TEST(NodeConfigIo, IntegerKeysOutsideIntAreOutOfRange)
     cfg = *Config::tryFromString("ehp.gpu_chiplets = -2147483649\n");
     EXPECT_EQ(tryNodeConfigFromConfig(cfg).status().code(),
               ErrorCode::OutOfRange);
-    cfg = *Config::tryFromString("cluster.torus_x = 2147483647\n");
-    EXPECT_EQ(tryClusterConfigFromConfig(cfg)->torusX, 2147483647);
+    cfg = *Config::tryFromString("taskgraph.size = 2147483647\n");
+    EXPECT_EQ(tryTaskGraphSpecFromConfig(cfg)->size, 2147483647);
     cfg = *Config::tryFromString("taskgraph.seed = 4294967297\n");
     EXPECT_EQ(tryTaskGraphSpecFromConfig(cfg)->seed, 4294967297u);
 }
