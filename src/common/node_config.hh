@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <string>
 
 #include "util/logging.hh"
@@ -155,6 +156,27 @@ struct NodeConfig
         }
         if (gpuChiplets <= 0 || cpuChiplets < 0)
             return Status::outOfRange("NodeConfig: bad chiplet counts");
+        // Bounded so that cpuCores() fits in an int.
+        if (cpuChiplets > 4096 || coresPerCpuChiplet < 1 ||
+            coresPerCpuChiplet > 4096)
+            return Status::outOfRange("NodeConfig: bad CPU size");
+        // Sizes up to 1 PB, a thousand times the paper's node, written
+        // so that NaN fails. Modules of 1 GB or more keep module counts
+        // small ints.
+        auto sizeOk = [](double gb, double min) {
+            return gb >= min && gb <= 1e6;
+        };
+        if (!(inPackageGb > 0.0 && inPackageGb <= 1e6)) {
+            return Status::outOfRange("NodeConfig: bad in-package capacity ",
+                                      inPackageGb, " GB");
+        }
+        if (!sizeOk(ext.dramGb, 0.0) || !sizeOk(ext.nvmGb, 0.0))
+            return Status::outOfRange("NodeConfig: bad external capacities");
+        if (!sizeOk(ext.dramModuleGb, 1.0) || !sizeOk(ext.nvmModuleGb, 1.0))
+            return Status::outOfRange("NodeConfig: bad module sizes");
+        if (ext.interfaces < 1 ||
+            !(ext.interfaceGbs > 0.0 && std::isfinite(ext.interfaceGbs)))
+            return Status::outOfRange("NodeConfig: bad external interfaces");
         return Status();
     }
 

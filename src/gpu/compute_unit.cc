@@ -21,7 +21,6 @@ ComputeUnit::ComputeUnit(Simulation &sim, const std::string &name,
       l1_(std::make_unique<Cache>(l1Params)),
       issueEvent_([this] { tryIssue(); }, name + ".issue")
 {
-    ENA_ASSERT(params_.wavefrontSlots > 0, "CU needs wavefront slots");
     ENA_ASSERT(params_.maxOutstandingPerWf > 0,
                "CU needs outstanding-miss capacity");
 }
@@ -29,9 +28,6 @@ ComputeUnit::ComputeUnit(Simulation &sim, const std::string &name,
 void
 ComputeUnit::addWavefront(std::unique_ptr<TraceGenerator> gen)
 {
-    ENA_ASSERT(wavefronts_.size() <
-                   static_cast<size_t>(params_.wavefrontSlots),
-               "too many wavefronts for ", name());
     Wavefront wf;
     wf.gen = std::move(gen);
     wf.memOpsLeft = params_.memOpsPerWavefront;

@@ -2,7 +2,7 @@
  * @file
  * Wavefront-level GPU compute-unit timing model.
  *
- * Each CU holds several wavefront slots; every cycle it issues one
+ * Each CU holds several wavefronts; every cycle it issues one
  * operation from a ready wavefront (round-robin). Compute ops keep the
  * wavefront busy for their cycle count; memory ops go through the
  * per-CU L1 and, on a miss, to the chiplet's memory port, with a bounded
@@ -27,7 +27,6 @@ class GpuChiplet;
 
 struct ComputeUnitParams
 {
-    int wavefrontSlots = 8;
     int maxOutstandingPerWf = 4;
     std::uint64_t memOpsPerWavefront = 300;
 };

@@ -6,6 +6,10 @@ namespace ena {
 
 namespace {
 
+/** The shared region starts at 0, the private arenas at 1 GiB. */
+constexpr std::uint64_t sharedBase = 0;
+constexpr std::uint64_t privateBase = 1ull << 30;
+
 /** Generous per-chiplet arena (supports many wavefronts). */
 constexpr std::uint64_t arenaStride = 8ull << 30;
 
@@ -22,7 +26,7 @@ Dispatcher::Dispatcher(Simulation &sim, const std::string &name,
 std::uint64_t
 Dispatcher::chipletArenaBase(int chiplet_index) const
 {
-    return params_.privateBase + arenaStride * chiplet_index;
+    return privateBase + arenaStride * chiplet_index;
 }
 
 std::uint64_t
@@ -48,7 +52,7 @@ Dispatcher::assign(ComputeUnit &cu, int chiplet_index)
                        chipletArenaBase(chiplet_index) + arenaStride,
                    "chiplet arena overflow: too many wavefronts");
         layout.privateSize = params_.privateBytesPerWf;
-        layout.sharedBase = params_.sharedBase;
+        layout.sharedBase = sharedBase;
         layout.sharedSize = params_.sharedBytes;
         cu.addWavefront(std::make_unique<TraceGenerator>(
             profile_, layout, params_.seed + nextWfId_++));

@@ -3,6 +3,9 @@
  * Kernel dispatcher: carves the synthetic kernel into wavefronts across
  * all compute units and reports completion time, playing the role of the
  * HSA queue/dispatch path in the real system.
+ *
+ * Address layout: the shared region starts at address 0, and each
+ * chiplet's private arena lies above 1 GiB, one 8 GiB stride apiece.
  */
 
 #ifndef ENA_GPU_DISPATCHER_HH
@@ -22,12 +25,8 @@ struct DispatchParams
     int wavefrontsPerCu = 8;
     /** Bytes of private streaming region per wavefront. */
     std::uint64_t privateBytesPerWf = 1ull << 20;
-    /** Shared (cross-chiplet) region size. */
+    /** Size of the shared (cross-chiplet) region at address 0. */
     std::uint64_t sharedBytes = 64ull << 20;
-    /** Base address of the shared region. */
-    std::uint64_t sharedBase = 0;
-    /** Base address of the private arena (above the shared region). */
-    std::uint64_t privateBase = 1ull << 30;
     std::uint64_t seed = 12345;
 };
 

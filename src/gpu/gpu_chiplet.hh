@@ -3,10 +3,12 @@
  * One GPU chiplet: compute units, a shared L2, the TSV path to the
  * 3D-stacked local HBM, and the network port to remote stacks.
  *
- * In chiplet mode, L2 misses homed on the local stack take the direct
- * vertical (TSV) path; remote misses cross the interposer network. In
- * monolithic mode (the Fig. 7 comparison), every miss uses the flat
- * crossbar, local or not.
+ * Chiplet i sits under stack i. It takes that stack at construction
+ * and reads its own network node and every stack's node from the
+ * Topology, so a built chiplet is fully wired. In chiplet mode, L2
+ * misses homed on the local stack take the direct vertical (TSV) path;
+ * remote misses cross the interposer network. In monolithic mode (the
+ * Fig. 7 comparison), every miss uses the flat crossbar, local or not.
  */
 
 #ifndef ENA_GPU_GPU_CHIPLET_HH
@@ -28,6 +30,7 @@
 namespace ena {
 
 class ComputeUnit;
+class Topology;
 
 /** One cycle of the 1 GHz GPU clock, shared by the chiplet and its
  *  CUs. */
@@ -43,16 +46,12 @@ class GpuChiplet : public SimObject, public NetworkEndpoint
   public:
     using Callback = std::function<void()>;
 
+    /** Chiplet @p index of @p topo; @p local_stack is the stack above
+     *  it (chiplet mode's fast path). */
     GpuChiplet(Simulation &sim, const std::string &name, int index,
-               NodeId node_id, GpuChipletParams params,
-               const AddressMap &addr_map, Network &network);
-
-    /** The stack physically above this chiplet (chiplet mode's fast
-     *  path); must be set before any traffic flows. */
-    void setLocalStack(int stack_index, HbmStack *stack);
-
-    /** Resolver from stack index to its network node id. */
-    void setStackNode(int stack_index, NodeId node);
+               const Topology &topo, GpuChipletParams params,
+               const AddressMap &addr_map, Network &network,
+               HbmStack &local_stack);
 
     /**
      * Enable the two-level memory path: post-L2 accesses consult the
@@ -96,11 +95,11 @@ class GpuChiplet : public SimObject, public NetworkEndpoint
     GpuChipletParams params_;
     const AddressMap &addrMap_;
     Network &network_;
+    HbmStack &localStack_;
+    /** Network node of each stack, by stack index. */
+    std::vector<NodeId> stackNodes_;
     std::unique_ptr<Cache> l2_;
 
-    int localStackIndex_ = -1;
-    HbmStack *localStack_ = nullptr;
-    std::vector<NodeId> stackNodes_;
     MemoryManager *memManager_ = nullptr;
     ExternalMemoryNetwork *extMem_ = nullptr;
 

@@ -12,8 +12,10 @@
  * reads, joined reader threads and descriptor exhaustion.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <condition_variable>
 #include <cstring>
 #include <fstream>
@@ -666,6 +668,58 @@ TEST(EvalServer, FormerlyFatalRequestsGetStructuredErrors)
     (*server)->stop();
 }
 
+// Memory capacities and CPU sizes past any node: an infinite HBM FIT
+// once failed the checkpoint model's MTTF assertion, an infinite module
+// count became a negative power budget, and a core count past int
+// overflowed. Each must come back as an out-of-range error.
+TEST(EvalServer, NodeSizesOutOfRangeGetStructuredErrors)
+{
+    ServerOptions opts;
+    opts.endpoint = Endpoint::unixPath(testSocketPath("sizes"));
+    opts.workers = 2;
+    auto server = EvalServer::start(opts);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    ClientOptions copts;
+    copts.endpoint = (*server)->endpoint();
+    ServerClient client(copts);
+
+    struct Case
+    {
+        const char *op;
+        const char *config;
+        const char *says;
+    };
+    const Case cases[] = {
+        {"resilient_eval", "ehp.in_package_gb = 1.7e308\n",
+         "in-package capacity"},
+        {"resilient_eval", "extmem.dram_gb = 1e308\n",
+         "external capacities"},
+        {"resilient_eval", "ehp.cpu_chiplets = 2000000000\n", "CPU size"},
+        {"eval_node", "extmem.dram_module_gb = 0\n", "module sizes"},
+        {"eval_node", "ehp.in_package_gb = -1\n", "in-package capacity"},
+        {"eval_node", "extmem.dram_gb = -5\n", "external capacities"},
+        {"eval_node", "extmem.interfaces = 0\n", "external interfaces"},
+    };
+    for (const Case &c : cases) {
+        JsonValue params = JsonValue::object();
+        params.set("app", "lulesh");
+        params.set("config", c.config);
+        auto got = client.call(c.op, std::move(params));
+        ASSERT_FALSE(got.ok()) << c.op << " with " << c.config;
+        EXPECT_EQ(got.status().code(), ErrorCode::OutOfRange)
+            << got.status().toString();
+        EXPECT_NE(got.status().message().find(c.says), std::string::npos)
+            << got.status().toString();
+
+        auto pong = client.ping();
+        ASSERT_TRUE(pong.ok()) << pong.status().toString();
+    }
+    EXPECT_EQ((*server)->service().errorsReturned(), 7u);
+
+    (*server)->stop();
+}
+
 TEST(EvalServer, ShutdownOpStopsTheDaemon)
 {
     ServerOptions opts;
@@ -1083,17 +1137,64 @@ TEST(EvalServer, StopLeavesARequestWaitingForASlotUnevaluated)
     EXPECT_EQ(stats.find("queue_depth")->number(), 0.0);
 }
 
-/** This process's virtual memory size, from /proc/self/status. */
-std::size_t
-vmSizeKiB()
+/** This process's mappings, one /proc/self/maps line each. */
+std::vector<std::string>
+mappings()
 {
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line)) {
-        if (line.rfind("VmSize:", 0) == 0)
-            return std::stoul(line.substr(7));
+    std::ifstream maps("/proc/self/maps");
+    std::vector<std::string> out;
+    for (std::string line; std::getline(maps, line);)
+        out.push_back(line);
+    return out;
+}
+
+/**
+ * Thread stacks among @p maps, live or held by an unjoined thread or
+ * glibc's stack cache. glibc maps each one as an anonymous read-write
+ * region right above a one-page PROT_NONE guard. A malloc arena has
+ * the reverse layout (its read-write heap below its PROT_NONE
+ * reserve), so arenas, which a loaded host makes glibc add for new
+ * threads, do not count.
+ */
+std::size_t
+threadStacks(const std::vector<std::string> &maps)
+{
+    const unsigned long page = sysconf(_SC_PAGESIZE);
+    std::size_t stacks = 0;
+    unsigned long guard_end = 0;   // end of the last lone guard page
+    for (const std::string &line : maps) {
+        unsigned long start = 0;
+        unsigned long end = 0;
+        char perms[5] = {};
+        unsigned long inode = 1;
+        int consumed = 0;
+        std::sscanf(line.c_str(), "%lx-%lx %4s %*s %*s %lu %n", &start,
+                    &end, perms, &inode, &consumed);
+        const bool anonymous =
+            inode == 0 && static_cast<std::size_t>(consumed) == line.size();
+        if (anonymous && start == guard_end &&
+            std::strcmp(perms, "rw-p") == 0)
+            ++stacks;
+        guard_end = anonymous && std::strcmp(perms, "---p") == 0 &&
+                            end - start == page
+                        ? end
+                        : 0;
     }
-    return 0;
+    return stacks;
+}
+
+/** The lines of @p after that @p before lacks, one a line. */
+std::string
+newMappings(std::vector<std::string> before,
+            const std::vector<std::string> &after)
+{
+    std::sort(before.begin(), before.end());
+    std::string out;
+    for (const std::string &line : after) {
+        if (!std::binary_search(before.begin(), before.end(), line))
+            out += line + "\n";
+    }
+    return out;
 }
 
 TEST(EvalServer, ReadersOfClosedConnectionsAreJoined)
@@ -1111,19 +1212,23 @@ TEST(EvalServer, ReadersOfClosedConnectionsAreJoined)
         auto pong = roundTrip(*sock, "{\"op\":\"ping\"}");
         ASSERT_TRUE(pong.ok()) << pong.status().toString();
     };
-    // Warm up the allocator's per-thread state and the stack cache.
+    // Warm up the stack cache.
     for (int i = 0; i < 20; ++i)
         pingOnce();
-    const std::size_t before = vmSizeKiB();
-    ASSERT_GT(before, 0u);
+    const std::vector<std::string> before = mappings();
+    // The accept thread's stack at least; none found means this libc
+    // lays stacks out differently and the count below would be blind.
+    ASSERT_GT(threadStacks(before), 0u);
 
-    // A reader thread left unjoined keeps its whole stack mapped.
+    // A reader thread left unjoined keeps its whole stack mapped, so
+    // 300 of them would add 300 stacks. Joined ones leave a few: the
+    // live reader and glibc's cache of freed stacks (40 MiB).
     constexpr std::size_t kConnections = 300;
     for (std::size_t i = 0; i < kConnections; ++i)
         pingOnce();
-    const std::size_t after = vmSizeKiB();
-    EXPECT_LT(after, before + kConnections * 1024)
-        << "VmSize grew from " << before << " to " << after << " KiB";
+    const std::vector<std::string> after = mappings();
+    EXPECT_LT(threadStacks(after), threadStacks(before) + 30)
+        << "new mappings:\n" << newMappings(before, after);
 
     (*server)->stop();
 }

@@ -5,6 +5,8 @@
  */
 
 #include <cfloat>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,6 +214,62 @@ TEST(NodeConfigIo, TryLoadReportsRangeViolationsAsStatus)
     EXPECT_EQ(n.status().code(), ErrorCode::OutOfRange);
     EXPECT_NE(n.status().message().find("bad CU count"),
               std::string::npos);
+}
+
+TEST(NodeConfig, SizesAreBoundedAndNaNFails)
+{
+    // Whether the default node validates with one field set to a value.
+    auto validWith = [](auto field, auto value) {
+        NodeConfig n;
+        field(n) = value;
+        return n.tryValidate().ok();
+    };
+    auto inPackage = [](NodeConfig &n) -> double & { return n.inPackageGb; };
+    auto dram = [](NodeConfig &n) -> double & { return n.ext.dramGb; };
+    auto nvm = [](NodeConfig &n) -> double & { return n.ext.nvmGb; };
+    auto dramModule = [](NodeConfig &n) -> double & {
+        return n.ext.dramModuleGb;
+    };
+    auto nvmModule = [](NodeConfig &n) -> double & {
+        return n.ext.nvmModuleGb;
+    };
+    auto ifaceGbs = [](NodeConfig &n) -> double & {
+        return n.ext.interfaceGbs;
+    };
+    auto ifaces = [](NodeConfig &n) -> int & { return n.ext.interfaces; };
+    auto cpus = [](NodeConfig &n) -> int & { return n.cpuChiplets; };
+    auto cores = [](NodeConfig &n) -> int & {
+        return n.coresPerCpuChiplet;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+
+    // The edges of each range are valid.
+    EXPECT_TRUE(validWith(inPackage, 1e6));
+    EXPECT_TRUE(validWith(dram, 0.0));
+    EXPECT_TRUE(validWith(nvm, 1e6));
+    EXPECT_TRUE(validWith(dramModule, 1.0));
+    EXPECT_TRUE(validWith(nvmModule, 1e6));
+    EXPECT_TRUE(validWith(ifaces, 1));
+    EXPECT_TRUE(validWith(cpus, 4096));
+    EXPECT_TRUE(validWith(cores, 4096));
+
+    // Past them, and NaN, are not.
+    for (double bad : {0.0, -1.0, 1.000001e6, HUGE_VAL, nan}) {
+        EXPECT_FALSE(validWith(inPackage, bad)) << bad;
+        EXPECT_FALSE(validWith(dramModule, bad)) << bad;
+        EXPECT_FALSE(validWith(nvmModule, bad)) << bad;
+    }
+    for (double bad : {-5.0, 1.000001e6, HUGE_VAL, nan}) {
+        EXPECT_FALSE(validWith(dram, bad)) << bad;
+        EXPECT_FALSE(validWith(nvm, bad)) << bad;
+    }
+    for (double bad : {0.0, -1.0, HUGE_VAL, nan})
+        EXPECT_FALSE(validWith(ifaceGbs, bad)) << bad;
+    EXPECT_FALSE(validWith(dramModule, 0.5));
+    EXPECT_FALSE(validWith(ifaces, 0));
+    EXPECT_FALSE(validWith(cpus, 4097));
+    EXPECT_FALSE(validWith(cores, 0));
+    EXPECT_FALSE(validWith(cores, 4097));
 }
 
 // The fatal flavor is gone; CLIs unwrap these errors at their own
