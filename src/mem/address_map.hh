@@ -31,8 +31,10 @@ class AddressMap
     void addRegion(std::uint64_t base, std::uint64_t size, int owner,
                    double local_frac);
 
-    /** Home stack of an address. */
+    /** Home stack of an address, in [0, numStacks()). */
     int stackFor(std::uint64_t addr) const;
+
+    int numStacks() const { return numStacks_; }
 
   private:
     struct Region
