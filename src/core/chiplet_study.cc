@@ -22,6 +22,21 @@ namespace {
 /** CPU clusters on the interposer, each a CpuCluster of 16 cores. */
 constexpr int cpuClusters = 2;
 
+/** Fig. 7's row for @p app from its chiplet and monolithic runs. */
+Fig7Row
+fig7Row(App app, const ChipletRunResult &chiplet,
+        const ChipletRunResult &monolithic)
+{
+    Fig7Row row;
+    row.app = app;
+    row.chiplet = chiplet;
+    row.monolithic = monolithic;
+    row.remoteTrafficPct = chiplet.remoteTrafficFrac * 100.0;
+    row.perfVsMonolithicPct =
+        monolithic.runtimeUs / chiplet.runtimeUs * 100.0;
+    return row;
+}
+
 } // anonymous namespace
 
 ChipletStudyParams
@@ -224,14 +239,7 @@ ChipletStudy::compare(App app, const ChipletStudyParams &params) const
     // concurrently.
     std::vector<ChipletRunResult> results = ThreadPool::global().parallelMap(
         2, [&](std::size_t i) { return run(app, params, i == 1); });
-    Fig7Row row;
-    row.app = app;
-    row.chiplet = results[0];
-    row.monolithic = results[1];
-    row.remoteTrafficPct = row.chiplet.remoteTrafficFrac * 100.0;
-    row.perfVsMonolithicPct =
-        row.monolithic.runtimeUs / row.chiplet.runtimeUs * 100.0;
-    return row;
+    return fig7Row(app, results[0], results[1]);
 }
 
 std::vector<Fig7Row>
@@ -244,16 +252,9 @@ ChipletStudy::compareAll(const std::vector<App> &apps) const
             App app = apps[i / 2];
             return run(app, ChipletStudyParams::forApp(app), i % 2 == 1);
         });
-    std::vector<Fig7Row> rows(apps.size());
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        Fig7Row &row = rows[a];
-        row.app = apps[a];
-        row.chiplet = runs[2 * a];
-        row.monolithic = runs[2 * a + 1];
-        row.remoteTrafficPct = row.chiplet.remoteTrafficFrac * 100.0;
-        row.perfVsMonolithicPct =
-            row.monolithic.runtimeUs / row.chiplet.runtimeUs * 100.0;
-    }
+    std::vector<Fig7Row> rows;
+    for (std::size_t a = 0; a < apps.size(); ++a)
+        rows.push_back(fig7Row(apps[a], runs[2 * a], runs[2 * a + 1]));
     return rows;
 }
 

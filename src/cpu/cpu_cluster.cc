@@ -22,7 +22,7 @@ CpuCluster::CpuCluster(Simulation &sim, const std::string &name,
       nodeId_(topo.nodeOf(NodeKind::CpuCluster, index)), params_(params),
       addrMap_(addr_map), network_(network), rng_(params.seed),
       stackNodes_(topo.nodesOf(NodeKind::MemStack)),
-      issueEvent_([this] { issueNext(); }, name + ".issue")
+      issueEvent_([this] { issueNext(); })
 {
     ENA_ASSERT(params_.sharedSize >= lineBytes, "shared region too small");
     ENA_ASSERT(addr_map.numStacks() <= static_cast<int>(stackNodes_.size()),

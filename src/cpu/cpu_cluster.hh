@@ -66,7 +66,7 @@ class CpuCluster : public SimObject, public NetworkEndpoint
     std::uint64_t issued_ = 0;
     bool quiesced_ = false;
 
-    EventFunctionWrapper issueEvent_;
+    Event issueEvent_;
 };
 
 } // namespace ena

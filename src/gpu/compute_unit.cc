@@ -19,7 +19,7 @@ ComputeUnit::ComputeUnit(Simulation &sim, const std::string &name,
                          GpuChiplet &chiplet, ComputeUnitParams params)
     : SimObject(sim, name), chiplet_(chiplet), params_(params),
       l1_(std::make_unique<Cache>(l1Params)),
-      issueEvent_([this] { tryIssue(); }, name + ".issue")
+      issueEvent_([this] { tryIssue(); })
 {
     ENA_ASSERT(params_.maxOutstandingPerWf > 0,
                "CU needs outstanding-miss capacity");

@@ -83,7 +83,7 @@ class ComputeUnit : public SimObject
     size_t doneWavefronts_ = 0;
     std::function<void()> doneCb_;
 
-    EventFunctionWrapper issueEvent_;
+    Event issueEvent_;
 };
 
 } // namespace ena

@@ -64,7 +64,7 @@ GpuChiplet::requestMemory(std::uint64_t addr, bool is_write,
         sendToStack(addr, is_write, std::move(done));
     }
     if (l2.writeback)
-        writeback(l2.victimAddr);
+        sendToStack(l2.victimAddr, true, {});
 }
 
 void
@@ -72,9 +72,10 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
 {
     int home = addrMap_.stackFor(addr);
     bool local = home == index_;
+    bool posted = !done;
 
     std::uint32_t req_bytes = is_write ? lineBytes : headerBytes;
-    std::uint32_t resp_bytes = is_write ? headerBytes : lineBytes;
+    std::uint32_t resp_bytes = posted ? 0 : is_write ? headerBytes : lineBytes;
 
     if (local) {
         localBytes_ += req_bytes + resp_bytes;
@@ -83,20 +84,20 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
     }
 
     if (local && !params_.monolithic) {
-        // Direct vertical path: TSVs up to the stack, access, TSVs down.
+        // Direct vertical path: TSVs up to the stack, access, TSVs down
+        // (a posted writeback only goes up).
         Tick tsv = tsvCycles * gpuCycle;
-        Callback cb = std::move(done);
-        HbmStack *stack = &localStack_;
-        std::uint64_t a = addr;
-        bool w = is_write;
+        Callback reply = [] {};
+        if (!posted) {
+            reply = [this, done = std::move(done), tsv]() mutable {
+                eventq().scheduleLambda(curTick() + tsv, std::move(done));
+            };
+        }
         eventq().scheduleLambda(
             curTick() + tsv,
-            [this, stack, a, w, cb = std::move(cb), tsv]() mutable {
-                stack->access(a, lineBytes, w,
-                              [this, cb = std::move(cb), tsv]() mutable {
-                                  eventq().scheduleLambda(curTick() + tsv,
-                                                          std::move(cb));
-                              });
+            [this, addr, is_write, reply = std::move(reply)]() mutable {
+                localStack_.access(addr, lineBytes, is_write,
+                                   std::move(reply));
             });
         return;
     }
@@ -109,38 +110,9 @@ GpuChiplet::sendToStack(std::uint64_t addr, bool is_write, Callback done)
     pkt.bytes = req_bytes;
     pkt.addr = addr;
     pkt.isWrite = is_write;
-    pending_[pkt.id] = std::move(done);
-    network_.send(pkt);
-}
-
-void
-GpuChiplet::writeback(std::uint64_t addr)
-{
-    int home = addrMap_.stackFor(addr);
-    bool local = home == index_;
-    if (local) {
-        localBytes_ += lineBytes;
-    } else {
-        remoteBytes_ += lineBytes;
-    }
-
-    if (local && !params_.monolithic) {
-        HbmStack *stack = &localStack_;
-        std::uint64_t a = addr;
-        eventq().scheduleLambda(
-            curTick() + tsvCycles * gpuCycle,
-            [stack, a] { stack->access(a, lineBytes, true, [] {}); });
-        return;
-    }
-
-    Packet pkt;
-    pkt.id = (static_cast<std::uint64_t>(index_) << 48) | nextPktId_++;
-    pkt.src = nodeId_;
-    pkt.dst = stackNodes_[home];
-    pkt.bytes = lineBytes;
-    pkt.addr = addr;
-    pkt.isWrite = true;
-    pkt.needsResponse = false;
+    pkt.needsResponse = !posted;
+    if (!posted)
+        pending_[pkt.id] = std::move(done);
     network_.send(pkt);
 }
 

@@ -84,11 +84,10 @@ class GpuChiplet : public SimObject, public NetworkEndpoint
     }
 
   private:
-    /** Send a post-L2 access to its home stack. */
+    /** Send a post-L2 access to its home stack. An empty @p done
+     *  posts a dirty-line writeback: its line goes one way, and no
+     *  response comes back. */
     void sendToStack(std::uint64_t addr, bool is_write, Callback done);
-
-    /** Fire-and-forget dirty-line writeback. */
-    void writeback(std::uint64_t addr);
 
     int index_;
     NodeId nodeId_;

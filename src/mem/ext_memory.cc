@@ -8,14 +8,22 @@
 
 namespace ena {
 
+namespace {
+
+constexpr double serdesHopNs = 8.0;   ///< per link traversal (one way)
+constexpr double dramAccessNs = 60.0;
+constexpr double nvmReadNs = 150.0;
+constexpr double nvmWriteNs = 500.0;
+constexpr std::uint64_t interleaveBytes = 1ull << 20;   ///< 1 MiB stripes
+
+} // anonymous namespace
+
 ExternalMemoryNetwork::ExternalMemoryNetwork(Simulation &sim,
                                              const std::string &name,
-                                             const ExtMemConfig &cfg,
-                                             ExtMemTiming timing)
-    : SimObject(sim, name), timing_(timing)
+                                             const ExtMemConfig &cfg)
+    : SimObject(sim, name), interfaceGbs_(cfg.interfaceGbs)
 {
     ENA_ASSERT(cfg.interfaces > 0, "need at least one interface");
-    timing_.interfaceGbs = cfg.interfaceGbs;
     chains_.resize(cfg.interfaces);
 
     // DRAM modules round-robin first (latency-critical, near the
@@ -53,7 +61,7 @@ void
 ExternalMemoryNetwork::locate(std::uint64_t addr, int &chain,
                               int &module) const
 {
-    std::uint64_t stripe = addr / interleaveBytes_;
+    std::uint64_t stripe = addr / interleaveBytes;
     chain = static_cast<int>(stripe % chains_.size());
     const Chain &c = chains_[chain];
 
@@ -104,19 +112,19 @@ ExternalMemoryNetwork::access(std::uint64_t addr, std::uint32_t bytes,
 
     // Serialization on the interface's first SerDes link.
     double ser_ns = static_cast<double>(bytes) /
-                    (timing_.interfaceGbs * units::giga) / units::nano;
+                    (interfaceGbs_ * units::giga) / units::nano;
     Tick ser = std::max<Tick>(
         1, static_cast<Tick>(std::ceil(ser_ns * tickPerNs)));
     Tick start = std::max(curTick(), chain.busyUntil);
     chain.busyUntil = start + ser;
 
     // Hop to the module and back, plus device access.
-    double hops_ns = 2.0 * (mi + 1) * timing_.serdesHopNs;
+    double hops_ns = 2.0 * (mi + 1) * serdesHopNs;
     double dev_ns;
     if (mod.tech == ExtMemTech::Dram) {
-        dev_ns = timing_.dramAccessNs;
+        dev_ns = dramAccessNs;
     } else {
-        dev_ns = is_write ? timing_.nvmWriteNs : timing_.nvmReadNs;
+        dev_ns = is_write ? nvmWriteNs : nvmReadNs;
         ++nvmAccesses_;
     }
     Tick finish =

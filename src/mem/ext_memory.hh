@@ -6,8 +6,10 @@
  * drives a chain of memory modules (DRAM or NVM) connected by
  * point-to-point SerDes links (Hybrid-Memory-Cube style). Latency grows
  * with chain depth; interface bandwidth is shared by the modules behind
- * it. Addresses interleave across interfaces, then across the modules
- * of a chain by capacity.
+ * it. Addresses interleave across interfaces in 1 MiB stripes, then
+ * across the modules of a chain by capacity. The config sets the
+ * modules and the interface bandwidth; the SerDes hop and the DRAM and
+ * NVM latencies are fixed.
  */
 
 #ifndef ENA_MEM_EXT_MEMORY_HH
@@ -28,15 +30,6 @@ enum class ExtMemTech
     Nvm,
 };
 
-struct ExtMemTiming
-{
-    double serdesHopNs = 8.0;       ///< per link traversal (one way)
-    double dramAccessNs = 60.0;
-    double nvmReadNs = 150.0;
-    double nvmWriteNs = 500.0;
-    double interfaceGbs = 80.0;     ///< per-interface bandwidth
-};
-
 class ExternalMemoryNetwork : public SimObject
 {
   public:
@@ -45,11 +38,11 @@ class ExternalMemoryNetwork : public SimObject
     /**
      * Build chains from an ExtMemConfig: DRAM modules first (closest to
      * the package), NVM modules appended at the chain tails, spread
-     * round-robin across interfaces.
+     * round-robin across interfaces. Each interface carries
+     * cfg.interfaceGbs.
      */
     ExternalMemoryNetwork(Simulation &sim, const std::string &name,
-                          const ExtMemConfig &cfg,
-                          ExtMemTiming timing = {});
+                          const ExtMemConfig &cfg);
 
     /** Issue one access; @p done runs at completion. */
     void access(std::uint64_t addr, std::uint32_t bytes, bool is_write,
@@ -84,9 +77,8 @@ class ExternalMemoryNetwork : public SimObject
     /** Locate (chain, module) for an address. */
     void locate(std::uint64_t addr, int &chain, int &module) const;
 
-    ExtMemTiming timing_;
+    double interfaceGbs_;   ///< per-interface bandwidth
     std::vector<Chain> chains_;
-    std::uint64_t interleaveBytes_ = 1ull << 20;   ///< 1 MiB stripes
 
     std::uint64_t bytes_ = 0;
     std::uint64_t nvmAccesses_ = 0;

@@ -23,15 +23,6 @@ DetailedNetwork::DetailedNetwork(Simulation &sim, const std::string &name,
     ENA_ASSERT(topo_.columns() > 0, "topology lacks mesh geometry");
 }
 
-Tick
-DetailedNetwork::serialization(std::uint32_t bytes) const
-{
-    double cycles =
-        static_cast<double>(bytes) / params_.linkBytesPerCycle;
-    auto ticks = static_cast<Tick>(cycles * fabricCycle);
-    return std::max<Tick>(ticks, 1);
-}
-
 std::uint32_t
 DetailedNetwork::nextHopXY(std::uint32_t at, std::uint32_t to) const
 {
@@ -110,7 +101,7 @@ DetailedNetwork::tryTraverse(Packet pkt, std::uint32_t r,
     // Reserve the downstream slot (virtual cut-through), cross the
     // link; the upstream slot frees when the tail has left.
     ++occ_[down];
-    Tick ser = serialization(pkt.bytes);
+    Tick ser = linkSerialization(pkt.bytes, params_.linkBytesPerCycle);
     Tick &busy = linkBusy_[{r, nh}];
     Tick depart = std::max(curTick(), busy);
     busy = depart + ser;

@@ -6,12 +6,13 @@
  * routing on the 2 x C interposer mesh.
  *
  * This is the Garnet-class counterpart to InterposerNetwork's
- * virtual-circuit approximation: the same topology and link widths,
- * but contention resolves hop by hop with finite buffering (one buffer
- * per input port — the structure XY routing needs for deadlock
- * freedom). The ablation bench compares the two models, validating
- * that the cheaper one is adequate at the Fig. 7 study's traffic
- * levels.
+ * virtual-circuit approximation: the same topology, latencies and link
+ * model (DetailedParams extends InterposerParams, and both serialize a
+ * packet with linkSerialization()), but contention resolves hop by hop
+ * with finite buffering (one buffer per input port — the structure XY
+ * routing needs for deadlock freedom). The ablation bench compares the
+ * two models, validating that the cheaper one is adequate at the Fig. 7
+ * study's traffic levels.
  */
 
 #ifndef ENA_NOC_DETAILED_NETWORK_HH
@@ -26,11 +27,9 @@
 
 namespace ena {
 
-/** Width and buffering of the interposer fabric; its latencies are
- *  InterposerNetwork's. */
-struct DetailedParams
+/** InterposerNetwork's fabric, with the routers' input buffers. */
+struct DetailedParams : InterposerParams
 {
-    std::uint32_t linkBytesPerCycle = 256;
     /** Input-buffer capacity per (router, input port), in packets. */
     int bufferPackets = 8;
 };
@@ -63,8 +62,6 @@ class DetailedNetwork : public Network
         std::uint32_t inPort;     ///< its input port there
         std::uint32_t hops;
     };
-
-    Tick serialization(std::uint32_t bytes) const;
 
     /** Packet holds a slot of (r, in_port) and enters the pipeline. */
     void arriveAtRouter(Packet pkt, std::uint32_t r,

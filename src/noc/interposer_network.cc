@@ -17,12 +17,11 @@ InterposerNetwork::InterposerNetwork(Simulation &sim,
 }
 
 Tick
-InterposerNetwork::serialization(std::uint32_t bytes) const
+linkSerialization(std::uint32_t bytes, std::uint32_t link_bytes_per_cycle)
 {
     // Flit-level occupancy: a 64 B packet on a 256 B/cycle link holds
     // it for a quarter cycle, not a full one.
-    double cycles = static_cast<double>(bytes) /
-                    params_.linkBytesPerCycle;
+    double cycles = static_cast<double>(bytes) / link_bytes_per_cycle;
     auto ticks = static_cast<Tick>(cycles * fabricCycle);
     return std::max<Tick>(ticks, 1);
 }
@@ -32,7 +31,7 @@ InterposerNetwork::route(const Packet &pkt)
 {
     const TopologyNode &src = topo_.node(pkt.src);
     const TopologyNode &dst = topo_.node(pkt.dst);
-    Tick ser = serialization(pkt.bytes);
+    Tick ser = linkSerialization(pkt.bytes, params_.linkBytesPerCycle);
 
     // Descend into the interposer.
     Tick t = curTick() + interposerTsvCycles * fabricCycle;
@@ -67,7 +66,8 @@ InterposerNetwork::zeroLoadLatency(NodeId src_id, NodeId dst_id,
     std::uint32_t hops = topo_.hopCount(src.router, dst.router);
     Tick t = 2 * interposerTsvCycles * fabricCycle;
     t += (hops + 1) * interposerRouterCycles * fabricCycle;
-    t += hops * (serialization(bytes) + interposerLinkCycles * fabricCycle);
+    t += hops * (linkSerialization(bytes, params_.linkBytesPerCycle) +
+                 interposerLinkCycles * fabricCycle);
     return t;
 }
 

@@ -37,6 +37,11 @@ struct InterposerParams
                                            ///< interposer paths)
 };
 
+/** Ticks a packet of @p bytes holds an interposer link that carries
+ *  @p link_bytes_per_cycle a fabric cycle; at least one. */
+Tick linkSerialization(std::uint32_t bytes,
+                       std::uint32_t link_bytes_per_cycle);
+
 class InterposerNetwork : public Network
 {
   public:
@@ -53,8 +58,6 @@ class InterposerNetwork : public Network
     void route(const Packet &pkt) override;
 
   private:
-    Tick serialization(std::uint32_t bytes) const;
-
     const Topology &topo_;
     InterposerParams params_;
 

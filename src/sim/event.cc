@@ -7,11 +7,9 @@
 
 namespace ena {
 
-Event::~Event() = default;
-
 EventQueue::~EventQueue()
 {
-    // Free the lambda wrappers that never fired. A caller-owned entry
+    // Free the lambda events that never fired. A caller-owned entry
     // may point at an event its owner descheduled and then destroyed,
     // so only owned entries are dereferenced.
     for (const Entry &e : heap_) {
@@ -23,8 +21,8 @@ EventQueue::~EventQueue()
 void
 EventQueue::push(Event *ev, Tick when, bool owned)
 {
-    ENA_ASSERT(when >= curTick_, "scheduling event '", ev->description(),
-               "' in the past (", when, " < ", curTick_, ")");
+    ENA_ASSERT(when >= curTick_, "scheduling an event in the past (", when,
+               " < ", curTick_, ")");
     ev->when_ = when;
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
@@ -37,8 +35,7 @@ void
 EventQueue::schedule(Event *ev, Tick when)
 {
     ENA_ASSERT(ev, "scheduling null event");
-    ENA_ASSERT(!ev->scheduled_, "event '", ev->description(),
-               "' already scheduled");
+    ENA_ASSERT(!ev->scheduled_, "event already scheduled");
     push(ev, when, false);
 }
 
@@ -54,7 +51,7 @@ EventQueue::deschedule(Event *ev)
 void
 EventQueue::scheduleLambda(Tick when, std::function<void()> fn)
 {
-    auto ev = std::make_unique<EventFunctionWrapper>(std::move(fn));
+    auto ev = std::make_unique<Event>(std::move(fn));
     push(ev.get(), when, true);
     ev.release();   // its heap entry owns it now
 }
@@ -99,10 +96,10 @@ EventQueue::run(Tick limit)
         --liveCount_;
         ++processed_;
         ++n;
-        // An owned wrapper has just left its only entry: free it once
-        // it has run.
+        // An owned event has just left its only entry: free it once it
+        // has run.
         std::unique_ptr<Event> owned(e.owned ? e.event : nullptr);
-        e.event->process();
+        e.event->fn_();
     }
     // A bounded run simulates the whole window [entry tick, limit]:
     // even when the queue drains early or the next event lies past the

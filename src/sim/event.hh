@@ -2,16 +2,17 @@
  * @file
  * Discrete-event kernel for the cycle-level ENA simulator.
  *
- * Events are gem5-style: an abstract Event with a process() method, a
- * convenience EventFunctionWrapper for lambdas, and an EventQueue ordered
- * by (tick, insertion sequence). One Tick is one picosecond (util/units).
+ * One Event type holds the callable it runs and its scheduling state;
+ * an EventQueue orders events by (tick, insertion sequence). One Tick
+ * is one picosecond (util/units).
  *
- * Ownership: callers own Event objects (usually as members of SimObjects)
- * and they must outlive their scheduled occurrences, descheduled ones
- * too: run() and nextTick() read the event when they skip its stale
- * entry at the old tick (the destructor does not). A scheduleLambda()
- * callback is the queue's own: the queue wraps it in an event that it
- * frees once the event fires, or when the queue itself is destroyed.
+ * Ownership: callers own the events they schedule (usually as members
+ * of SimObjects), and those must outlive their scheduled occurrences,
+ * descheduled ones too: run() and nextTick() read the event when they
+ * skip its stale entry at the old tick (the destructor does not). A
+ * scheduleLambda() callback is the queue's own: the queue holds it in
+ * an event that it frees once the event fires, or when the queue
+ * itself is destroyed.
  */
 
 #ifndef ENA_SIM_EVENT_HH
@@ -19,7 +20,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/units.hh"
@@ -31,21 +32,14 @@ class EventQueue;
 /** Sentinel "no limit" tick for bounded runs. */
 constexpr Tick maxTick = ~Tick(0);
 
-/** An occurrence scheduled at a future tick. */
-class Event
+/** A callable that runs when its scheduled tick is reached. */
+class Event final
 {
   public:
-    Event() = default;
-    virtual ~Event();
+    explicit Event(std::function<void()> fn) : fn_(std::move(fn)) {}
 
     Event(const Event &) = delete;
     Event &operator=(const Event &) = delete;
-
-    /** Invoked by the event queue when the event's tick is reached. */
-    virtual void process() = 0;
-
-    /** Human-readable description for debugging. */
-    virtual std::string description() const { return "generic event"; }
 
     /** True while this event sits in a queue awaiting execution. */
     bool scheduled() const { return scheduled_; }
@@ -59,23 +53,7 @@ class Event
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
     bool scheduled_ = false;
-};
-
-/** Event that runs a captured callable. */
-class EventFunctionWrapper : public Event
-{
-  public:
-    explicit EventFunctionWrapper(std::function<void()> fn,
-                                  std::string desc = "lambda event")
-        : fn_(std::move(fn)), desc_(std::move(desc))
-    {}
-
-    void process() override { fn_(); }
-    std::string description() const override { return desc_; }
-
-  private:
     std::function<void()> fn_;
-    std::string desc_;
 };
 
 /**
@@ -102,8 +80,8 @@ class EventQueue
 
     /**
      * Schedule a one-shot callable at absolute tick @p when (>= curTick).
-     * The queue owns the wrapping event: run() frees it after it fires,
-     * and the destructor frees it if it never does.
+     * The queue owns the event that holds it: run() frees it after it
+     * fires, and the destructor frees it if it never does.
      */
     void scheduleLambda(Tick when, std::function<void()> fn);
 
@@ -126,7 +104,7 @@ class EventQueue
     std::uint64_t eventsProcessed() const { return processed_; }
 
   private:
-    /** One heap slot. An owned slot holds a scheduleLambda() wrapper,
+    /** One heap slot. An owned slot holds a scheduleLambda() event,
      *  which no other slot references and which is never stale. */
     struct Entry
     {

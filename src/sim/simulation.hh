@@ -64,8 +64,8 @@ class Simulation
 
   private:
     // Destruction runs in reverse declaration order: queue_ dies first
-    // and frees only its own lambda wrappers, never a SimObject's
-    // events; then objects_.
+    // and frees only its own lambda events, never a SimObject's; then
+    // objects_.
     std::vector<std::unique_ptr<SimObject>> objects_;
     EventQueue queue_;
     bool initDone_ = false;

@@ -140,9 +140,14 @@ std::string
 Config::describeKey(std::string_view key) const
 {
     const std::string where = origin(key);
-    std::string out = "'" + std::string(key) + "'";
-    if (!where.empty())
-        out += " (" + where + ")";
+    std::string out = "'";
+    out += key;
+    out += '\'';
+    if (!where.empty()) {
+        out += " (";
+        out += where;
+        out += ')';
+    }
     return out;
 }
 

@@ -135,23 +135,50 @@ TEST(GpuChiplet, RemoteIsSlowerThanLocal)
 
 TEST(GpuChiplet, DirtyL2EvictionsGenerateWritebackTraffic)
 {
-    MiniEhp ehp;
-    ehp.sim.initAll();
-    // Write-allocate far more lines than the 2 MiB L2 holds, all homed
-    // on the local stack to keep accounting simple.
-    int done = 0;
-    const int lines = 100000;
-    for (int i = 0; i < lines; ++i) {
-        // Stay in page-0-homed pages: stride pages by numStacks.
-        std::uint64_t page = static_cast<std::uint64_t>(i / 64) * 2;
-        std::uint64_t addr = page * 4096 + (i % 64) * 64;
-        ehp.gpus[0]->requestMemory(addr, true, [&] { ++done; });
-        ehp.sim.run();
+    // Chiplet 0 writes more lines than its L2 holds, all on one stack:
+    // stack 0 over the TSVs, stack 1 across the interposer, or stack 0
+    // through the fabric in monolithic mode. A write sends its line and
+    // gets a header-only ack; a dirty eviction is posted: its line goes
+    // one way, with no ack.
+    struct Case
+    {
+        bool monolithic;
+        std::uint64_t homeStack;
+    };
+    for (Case c : {Case{false, 0}, Case{false, 1}, Case{true, 0}}) {
+        SCOPED_TRACE(testing::Message() << "monolithic " << c.monolithic
+                                        << ", stack " << c.homeStack);
+        MiniEhp ehp(c.monolithic);
+        ehp.sim.initAll();
+        const std::uint64_t lines = 40000;
+        std::uint64_t done = 0;
+        for (std::uint64_t i = 0; i < lines; ++i) {
+            // Pages interleave over the two stacks.
+            std::uint64_t page = i / 64 * 2 + c.homeStack;
+            ehp.gpus[0]->requestMemory(page * 4096 + i % 64 * lineBytes,
+                                       true, [&] { ++done; });
+            ehp.sim.run();
+        }
+        EXPECT_EQ(done, lines);
+
+        const GpuChiplet &gpu = *ehp.gpus[0];
+        const std::uint64_t wbs = gpu.l2().writebacks();
+        EXPECT_GT(wbs, 0u);
+        const std::uint64_t bytes =
+            (lineBytes + headerBytes) * lines + lineBytes * wbs;
+        const bool tsv = c.homeStack == 0 && !c.monolithic;
+        EXPECT_EQ(c.homeStack == 0 ? gpu.localBytes() : gpu.remoteBytes(),
+                  bytes);
+        EXPECT_EQ(c.homeStack == 0 ? gpu.remoteBytes() : gpu.localBytes(),
+                  0u);
+        EXPECT_EQ(ehp.stacks[c.homeStack]->bytesServed(),
+                  lineBytes * (lines + wbs));
+        // Request and ack per write, one packet per writeback.
+        EXPECT_EQ(ehp.net->packetsSent(), tsv ? 0 : 2 * lines + wbs);
+        EXPECT_EQ(ehp.net->bytesInjected(), tsv ? 0 : bytes);
+        // A write takes three events (up, HBM, down); a writeback two.
+        EXPECT_EQ(ehp.sim.eventq().eventsProcessed(), 3 * lines + 2 * wbs);
     }
-    EXPECT_EQ(done, lines);
-    // Reads fill 64 B and writebacks add 64 B for evicted dirty lines.
-    EXPECT_GT(ehp.stacks[0]->bytesServed(),
-              static_cast<double>(lines) * 64.0 * 1.5);
 }
 
 TEST(ComputeUnit, WavefrontsRetireAfterQuota)

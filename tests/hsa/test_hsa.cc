@@ -134,8 +134,9 @@ struct GraphFixture : testing::Test
         qp.dispatchLatency = dispatch_latency;
         qp.ringSlots = 256;
         for (int i = 0; i < nqueues; ++i) {
-            queues.push_back(sim.create<AqlQueue>(
-                "q" + std::to_string(i), qp));
+            std::string name = "q";
+            name += std::to_string(i);
+            queues.push_back(sim.create<AqlQueue>(name, qp));
         }
     }
 

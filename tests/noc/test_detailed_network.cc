@@ -208,3 +208,56 @@ TEST(NetworkLatency, MeanLatencyRunsFromSendToDelivery)
     Simulation b;
     check(b, *b.create<DetailedNetwork>("dnoc", topo, DetailedParams{}));
 }
+
+// The two models share one link model: a lone packet crosses either in
+// the virtual-circuit model's zero-load latency, between every pair of
+// nodes, at every link width and packet size.
+TEST(NetworkLatency, LonePacketsTakeTheZeroLoadLatencyOnBothModels)
+{
+    const Topology topo = Topology::ehp();
+    const auto nodes = static_cast<NodeId>(topo.nodes().size());
+    auto trip = [&](Simulation &sim, Network &net, NodeId src, NodeId dst,
+                    std::uint32_t bytes) {
+        std::vector<Sink> sinks(nodes);
+        for (NodeId i = 0; i < nodes; ++i) {
+            sinks[i].clock = &sim.eventq();
+            net.attach(i, &sinks[i]);
+        }
+        Packet p;
+        p.src = src;
+        p.dst = dst;
+        p.bytes = bytes;
+        net.send(p);
+        sim.run();
+        EXPECT_EQ(sinks[dst].arrivals.size(), 1u);
+        return sinks[dst].arrivals.empty() ? Tick(0)
+                                           : sinks[dst].arrivals[0].second;
+    };
+    for (std::uint32_t width : {64u, 256u}) {
+        InterposerParams ip;
+        ip.linkBytesPerCycle = width;
+        DetailedParams dp;
+        dp.linkBytesPerCycle = width;
+        for (std::uint32_t bytes : {16u, 64u, 256u, 1000u}) {
+            for (NodeId src = 0; src < nodes; ++src) {
+                for (NodeId dst = 0; dst < nodes; ++dst) {
+                    if (src == dst)
+                        continue;
+                    SCOPED_TRACE(testing::Message()
+                                 << width << " B/cycle, " << bytes
+                                 << " B, " << src << " -> " << dst);
+                    Simulation a;
+                    auto *vc = a.create<InterposerNetwork>("noc", topo, ip);
+                    const Tick expect = vc->zeroLoadLatency(src, dst, bytes);
+                    EXPECT_EQ(trip(a, *vc, src, dst, bytes), expect);
+                    Simulation b;
+                    EXPECT_EQ(trip(b,
+                                   *b.create<DetailedNetwork>("dnoc", topo,
+                                                              dp),
+                                   src, dst, bytes),
+                              expect);
+                }
+            }
+        }
+    }
+}

@@ -593,8 +593,11 @@ TEST(WireConfigDecode, FourThreadsDecodeLikeOneThread)
     };
     std::string sweep = R"({"id":7,"ok":true,"result":{"points":[)";
     for (int i = 0; i < 50; ++i) {
-        sweep += (i ? "," : "") + std::string(R"({"value":)") +
-                 std::to_string(i) + R"(,"flops":1.2345678901234567e+15})";
+        if (i)
+            sweep += ',';
+        sweep += R"({"value":)";
+        sweep += std::to_string(i);
+        sweep += R"(,"flops":1.2345678901234567e+15})";
     }
     sweep += "]}}";
     const std::vector<std::string> lines = {

@@ -4,6 +4,7 @@
  * descheduling, lambda events and their ownership, and run limits.
  */
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -15,19 +16,12 @@ using namespace ena;
 
 namespace {
 
-class RecordingEvent : public Event
+/** A callable that appends @p id to @p log. */
+std::function<void()>
+record(std::vector<int> &log, int id)
 {
-  public:
-    RecordingEvent(std::vector<int> &log, int id)
-        : log_(log), id_(id)
-    {}
-
-    void process() override { log_.push_back(id_); }
-
-  private:
-    std::vector<int> &log_;
-    int id_;
-};
+    return [&log, id] { log.push_back(id); };
+}
 
 } // anonymous namespace
 
@@ -35,9 +29,9 @@ TEST(EventQueue, ProcessesInTimeOrder)
 {
     EventQueue q;
     std::vector<int> log;
-    RecordingEvent a(log, 1);
-    RecordingEvent b(log, 2);
-    RecordingEvent c(log, 3);
+    Event a(record(log, 1));
+    Event b(record(log, 2));
+    Event c(record(log, 3));
     q.schedule(&b, 20);
     q.schedule(&a, 10);
     q.schedule(&c, 30);
@@ -50,9 +44,9 @@ TEST(EventQueue, SameTickFifoOrder)
 {
     EventQueue q;
     std::vector<int> log;
-    RecordingEvent a(log, 1);
-    RecordingEvent b(log, 2);
-    RecordingEvent c(log, 3);
+    Event a(record(log, 1));
+    Event b(record(log, 2));
+    Event c(record(log, 3));
     q.schedule(&a, 5);
     q.schedule(&b, 5);
     q.schedule(&c, 5);
@@ -64,8 +58,8 @@ TEST(EventQueue, DescheduleSkipsEvent)
 {
     EventQueue q;
     std::vector<int> log;
-    RecordingEvent a(log, 1);
-    RecordingEvent b(log, 2);
+    Event a(record(log, 1));
+    Event b(record(log, 2));
     q.schedule(&a, 10);
     q.schedule(&b, 20);
     q.deschedule(&a);
@@ -78,8 +72,8 @@ TEST(EventQueue, RescheduleMovesEvent)
 {
     EventQueue q;
     std::vector<int> log;
-    RecordingEvent a(log, 1);
-    RecordingEvent b(log, 2);
+    Event a(record(log, 1));
+    Event b(record(log, 2));
     q.schedule(&a, 10);
     q.schedule(&b, 20);
     q.deschedule(&a);
@@ -131,21 +125,14 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
 TEST(EventQueue, SelfReschedulingEvent)
 {
     EventQueue q;
-    struct Periodic : Event
-    {
-        EventQueue &q;
-        int count = 0;
-        explicit Periodic(EventQueue &queue) : q(queue) {}
-        void
-        process() override
-        {
-            if (++count < 3)
-                q.schedule(this, q.curTick() + 100);
-        }
-    } ev(q);
+    int count = 0;
+    Event ev([&] {
+        if (++count < 3)
+            q.schedule(&ev, q.curTick() + 100);
+    });
     q.schedule(&ev, 0);
     q.run();
-    EXPECT_EQ(ev.count, 3);
+    EXPECT_EQ(count, 3);
     EXPECT_EQ(q.curTick(), 200u);
 }
 
@@ -179,8 +166,8 @@ TEST(EventQueue, PendingLambdasFreedOnDestruction)
 TEST(EventQueue, DestroyedQueueFreesQueuedAndChainedLambdas)
 {
     // Every callback holds a copy of `token`, so its use count is one
-    // more than the number of wrappers alive (leaks also checked under
-    // ASan).
+    // more than the number of lambda events alive (leaks also checked
+    // under ASan).
     auto token = std::make_shared<int>(0);
     auto q = std::make_unique<EventQueue>();
     EventQueue &queue = *q;
@@ -205,7 +192,7 @@ TEST(EventQueue, DestroyedQueueSkipsStaleCallerOwnedEntry)
     // queued beside it and never reads that entry (use after free
     // checked under ASan).
     auto q = std::make_unique<EventQueue>();
-    auto ev = std::make_unique<EventFunctionWrapper>([] {});
+    auto ev = std::make_unique<Event>([] {});
     q->schedule(ev.get(), 10);
     q->scheduleLambda(20, [] {});
     q->deschedule(ev.get());
@@ -280,8 +267,8 @@ TEST(EventQueue, SegmentedRunMatchesSingleRun)
 TEST(EventQueue, NextTickSkimsDescheduledTop)
 {
     EventQueue q;
-    EventFunctionWrapper a([] {});
-    EventFunctionWrapper b([] {});
+    Event a([] {});
+    Event b([] {});
     q.schedule(&a, 10);
     q.schedule(&b, 20);
     q.deschedule(&a);
@@ -296,14 +283,14 @@ TEST(EventQueueDeathTest, SchedulingInPastPanics)
     q.scheduleLambda(100, [] {});
     q.run();
     EXPECT_DEATH(q.scheduleLambda(50, [] {}), "in the past");
-    EventFunctionWrapper ev([] {});
+    Event ev([] {});
     EXPECT_DEATH(q.schedule(&ev, 50), "in the past");
 }
 
 TEST(EventQueueDeathTest, DoubleSchedulePanics)
 {
     EventQueue q;
-    EventFunctionWrapper ev([] {});
+    Event ev([] {});
     q.schedule(&ev, 10);
     EXPECT_DEATH(q.schedule(&ev, 20), "already scheduled");
     q.deschedule(&ev);
@@ -312,6 +299,6 @@ TEST(EventQueueDeathTest, DoubleSchedulePanics)
 TEST(EventQueueDeathTest, DescheduleUnscheduledPanics)
 {
     EventQueue q;
-    EventFunctionWrapper ev([] {});
+    Event ev([] {});
     EXPECT_DEATH(q.deschedule(&ev), "unscheduled");
 }

@@ -16,7 +16,7 @@ class Widget : public SimObject
   public:
     Widget(Simulation &sim, const std::string &name, int fire_at)
         : SimObject(sim, name), fireAt_(fire_at),
-          ev_([this] { fired = true; }, name + ".ev")
+          ev_([this] { fired = true; })
     {}
 
     void
@@ -31,7 +31,7 @@ class Widget : public SimObject
 
   private:
     int fireAt_;
-    EventFunctionWrapper ev_;
+    Event ev_;
 };
 
 } // anonymous namespace

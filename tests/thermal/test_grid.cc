@@ -147,8 +147,11 @@ TEST(ThermalGrid, SolverConvergesWithinBudget)
 {
     ThermalGridParams p;
     std::vector<Layer> layers;
-    for (int i = 0; i < 6; ++i)
-        layers.push_back(makeLayer("l" + std::to_string(i), 16, 3.0));
+    for (int i = 0; i < 6; ++i) {
+        std::string name = "l";
+        name += std::to_string(i);
+        layers.push_back(makeLayer(name, 16, 3.0));
+    }
     ThermalGrid grid(p, std::move(layers));
     int iters = grid.solve();
     EXPECT_LT(iters, p.maxIterations);
